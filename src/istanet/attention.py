@@ -145,15 +145,13 @@ def qkv_project(x, params, h):
     """Per-head Q/K projections of (input + positional encoding); V is the
     h-th unprojected channel slice of the input."""
     x = engine.astensor(x)
-    batched = x.ndim == 5
-    c, t_w, s, u = x.shape[1:] if batched else x.shape
+    c, t_w, s, u = x.shape[-4:]
     pe = positional_encoding(c, t_w, s, u, dtype=x.dtype)
     xpe = engine.add(x, engine.Tensor(pe))
     q = pointwise_conv3d(xpe, params.q_weights[h], params.q_biases[h])
     k = pointwise_conv3d(xpe, params.k_weights[h], params.k_biases[h])
     vc = params.config.v_channels
-    sl = (slice(None), slice(h * vc, (h + 1) * vc)) if batched else slice(h * vc, (h + 1) * vc)
-    v = x[sl]
+    v = x[..., h * vc:(h + 1) * vc, :, :, :]
     return q, k, v
 
 
@@ -197,10 +195,7 @@ def tsa_block_forward(x, params, config, mode, score_sink=None):
     (for attention export).
     """
     x = engine.astensor(x)
-    batched = x.ndim == 5
-    t_w, s = (x.shape[2], x.shape[3]) if batched else (x.shape[1], x.shape[2])
-    cb = params.c_beta(t_w, s)
-    ch_axis = 1 if batched else 0
+    cb = params.c_beta(x.shape[-3], x.shape[-2])
 
     heads = []
     for h in range(config.heads):
@@ -209,7 +204,7 @@ def tsa_block_forward(x, params, config, mode, score_sink=None):
         if score_sink is not None:
             score_sink.append(np.array(scores.data))
         heads.append(apply_scores(scores, v))
-    xh = concat(heads, axis=ch_axis) if len(heads) > 1 else heads[0]
+    xh = concat(heads, axis=-4) if len(heads) > 1 else heads[0]
 
     # token-axis convolution, normalized and activated
     xhat = conv3d_axis(xh, params.ffn_conv_weight, params.ffn_conv_bias,

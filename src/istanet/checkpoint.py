@@ -96,11 +96,9 @@ def load_checkpoint(path, dtype=np.float32):
                 f"model expects {p.shape}")
         p.data = stored.astype(p.data.dtype)
 
-    buffer_owners = _buffer_owners(model)
-    for name, _ in model.buffers():
+    for name, buf in model.buffers():
         if name in values:
-            state, suffix = buffer_owners[name]
-            state.set_buffer(suffix, values[name])
+            buf[...] = values[name]
 
     train_config = (TrainConfig.from_dict(header["train_config"])
                     if header.get("train_config") else None)
@@ -108,13 +106,3 @@ def load_checkpoint(path, dtype=np.float32):
     velocities = {n: v for n, v in values.items() if n.startswith("opt.")}
     return model, train_config, header.get("epoch", 0), rng, velocities
 
-
-def _buffer_owners(model):
-    owners = {}
-    states = [model.embed_params.norm]
-    for b in model.blocks:
-        states += [b.ffn_norm, b.ta_norm]
-    for st in states:
-        owners[f"{st.name}.running_mean"] = (st, "running_mean")
-        owners[f"{st.name}.running_var"] = (st, "running_var")
-    return owners

@@ -216,9 +216,6 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="istanet",
                                      description="Interactive spatiotemporal token attention harness")
     parser.add_argument("--seed", type=int, default=None, help="global seed override")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="data loading workers (loading is sequential and "
-                             "deterministic regardless)")
     parser.add_argument("--precision", choices=("f32", "f64"), default="f32")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -5,8 +5,9 @@ float64 for gradient checking). Each operation records its parents and a
 backward closure; ``backward()`` on a scalar runs the tape in reverse
 topological order and accumulates gradients over all paths.
 
-Shape convention for the model-facing ops: feature tensors are
-(C, T, S, U) with an optional leading batch axis N, channels first.
+Shape convention for the model-facing ops: each op has one body that
+works on the trailing four axes (C, T, S, U), so the channel axis is always
+-4; an optional leading batch axis N rides along, giving (N, C, T, S, U).
 """
 
 import numpy as np
@@ -50,9 +51,6 @@ class Tensor:
 
     def item(self):
         return float(self.data)
-
-    def detach(self):
-        return Tensor(self.data, requires_grad=False)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}, requires_grad={self.requires_grad})"
@@ -326,12 +324,15 @@ def linear(x, weight, bias):
 # model-facing ops on (C,T,S,U) / (N,C,T,S,U)
 # ---------------------------------------------------------------------------
 
-def _feature_rank(x, opname):
-    if x.ndim == 4:
-        return False
-    if x.ndim == 5:
-        return True
-    raise DimensionError(f"{opname}: expected rank 4 (C,T,S,U) or rank 5 (N,C,T,S,U), got rank {x.ndim}")
+def _check_rank(x, opname):
+    if x.ndim not in (4, 5):
+        raise DimensionError(f"{opname}: expected rank 4 (C,T,S,U) or rank 5 (N,C,T,S,U), got rank {x.ndim}")
+
+
+def _flat(a):
+    """View the leading axes as one batch axis, so weight gradients can sum
+    over it (einsum does not reduce over an ellipsis)."""
+    return a.reshape((-1,) + a.shape[-4:])
 
 
 def pointwise_conv3d(x, weight, bias):
@@ -340,39 +341,30 @@ def pointwise_conv3d(x, weight, bias):
     out[o,t,s,u] = bias[o] + sum_i weight[o,i] * x[i,t,s,u]
     """
     x, weight, bias = astensor(x), astensor(weight), astensor(bias)
-    batched = _feature_rank(x, "pointwise_conv3d")
-    c_axis = 1 if batched else 0
+    _check_rank(x, "pointwise_conv3d")
     if weight.ndim != 2:
         raise DimensionError(f"pointwise_conv3d: weight must be rank 2 (C_out,C_in), got rank {weight.ndim}")
-    if x.shape[c_axis] != weight.shape[1]:
+    if x.shape[-4] != weight.shape[1]:
         raise DimensionError(
-            f"pointwise_conv3d: channel axis mismatch, input C={x.shape[c_axis]} vs weight C_in={weight.shape[1]}")
+            f"pointwise_conv3d: channel axis mismatch, input C={x.shape[-4]} vs weight C_in={weight.shape[1]}")
     if bias.shape != (weight.shape[0],):
         raise DimensionError(
             f"pointwise_conv3d: bias axis {bias.shape} != (C_out,)=({weight.shape[0]},)")
 
-    if batched:
-        out = np.einsum("oi,nitsu->notsu", weight.data, x.data)
-        out += bias.data[None, :, None, None, None]
-    else:
-        out = np.einsum("oi,itsu->otsu", weight.data, x.data)
-        out += bias.data[:, None, None, None]
+    out = np.einsum("oi,...itsu->...otsu", weight.data, x.data)
+    out += bias.data[:, None, None, None]
 
     def bwd(g):
-        if batched:
-            gx = np.einsum("oi,notsu->nitsu", weight.data, g)
-            gw = np.einsum("notsu,nitsu->oi", g, x.data)
-            gb = g.sum(axis=(0, 2, 3, 4))
-        else:
-            gx = np.einsum("oi,otsu->itsu", weight.data, g)
-            gw = np.einsum("otsu,itsu->oi", g, x.data)
-            gb = g.sum(axis=(1, 2, 3))
+        gx = np.einsum("oi,...otsu->...itsu", weight.data, g)
+        gf = _flat(g)
+        gw = np.einsum("notsu,nitsu->oi", gf, _flat(x.data))
+        gb = gf.sum(axis=(0, 2, 3, 4))
         return gx, gw, gb
 
     return _make(out, (x, weight, bias), bwd)
 
 
-_AXIS_NAMES = {"T": 0, "S": 1, "U": 2}
+_AXIS_NAMES = {"T": -3, "S": -2, "U": -1}
 
 
 def conv3d_axis(x, weight, bias, axis, k):
@@ -386,19 +378,18 @@ def conv3d_axis(x, weight, bias, axis, k):
     if k % 2 == 0 or k < 1:
         raise ConfigurationError(f"conv3d_axis: kernel length must be odd and >= 1, got {k}")
     x, weight, bias = astensor(x), astensor(weight), astensor(bias)
-    batched = _feature_rank(x, "conv3d_axis")
-    c_axis = 1 if batched else 0
+    _check_rank(x, "conv3d_axis")
     if weight.ndim != 3 or weight.shape[2] != k:
         raise DimensionError(
             f"conv3d_axis: weight must be (C_out,C_in,{k}), got {weight.shape}")
-    if x.shape[c_axis] != weight.shape[1]:
+    if x.shape[-4] != weight.shape[1]:
         raise DimensionError(
-            f"conv3d_axis: channel axis mismatch, input C={x.shape[c_axis]} vs weight C_in={weight.shape[1]}")
+            f"conv3d_axis: channel axis mismatch, input C={x.shape[-4]} vs weight C_in={weight.shape[1]}")
     if bias.shape != (weight.shape[0],):
         raise DimensionError(
             f"conv3d_axis: bias axis {bias.shape} != (C_out,)=({weight.shape[0]},)")
 
-    ax = c_axis + 1 + _AXIS_NAMES[axis]
+    ax = _AXIS_NAMES[axis]
     p = (k - 1) // 2
     pads = [(0, 0)] * x.ndim
     pads[ax] = (p, p)
@@ -406,32 +397,26 @@ def conv3d_axis(x, weight, bias, axis, k):
     # move the convolved axis last so slicing is uniform
     xm = np.moveaxis(xp, ax, -1)
     length = x.shape[ax]
-    eq_fwd = "oi,niabl->noabl" if batched else "oi,iabl->oabl"
     out_m = None
     for d in range(k):
-        term = np.einsum(eq_fwd, weight.data[:, :, d], xm[..., d:d + length])
+        term = np.einsum("oi,...iabl->...oabl", weight.data[:, :, d], xm[..., d:d + length])
         out_m = term if out_m is None else out_m + term
     out = np.moveaxis(out_m, -1, ax)
-    bshape = [1] * x.ndim
-    bshape[c_axis] = weight.shape[0]
-    out = out + bias.data.reshape(bshape)
-
-    eq_gx = "oi,noabl->niabl" if batched else "oi,oabl->iabl"
-    eq_gw = "noabl,niabl->oi" if batched else "oabl,iabl->oi"
+    out = out + bias.data[:, None, None, None]
 
     def bwd(g):
         gm = np.moveaxis(g, ax, -1)
         gxp = np.zeros_like(xm)
         gw = np.zeros_like(weight.data)
+        gmf = _flat(gm)
         for d in range(k):
-            gxp[..., d:d + length] += np.einsum(eq_gx, weight.data[:, :, d], gm)
-            gw[:, :, d] = np.einsum(eq_gw, gm, xm[..., d:d + length])
+            gxp[..., d:d + length] += np.einsum("oi,...oabl->...iabl", weight.data[:, :, d], gm)
+            gw[:, :, d] = np.einsum("noabl,niabl->oi", gmf, _flat(xm[..., d:d + length]))
         gx = np.moveaxis(gxp, -1, ax)
         sl = [slice(None)] * x.ndim
         sl[ax] = slice(p, p + length)
         gx = np.ascontiguousarray(gx[tuple(sl)])
-        nonc = tuple(i for i in range(g.ndim) if i != c_axis)
-        gb = g.sum(axis=nonc)
+        gb = _flat(g).sum(axis=(0, 2, 3, 4))
         return gx, gw, gb
 
     return _make(out, (x, weight, bias), bwd)
@@ -442,25 +427,15 @@ def attention_contract(q, k):
     q, k = astensor(q), astensor(k)
     if q.shape != k.shape:
         raise DimensionError(f"attention_contract: q shape {q.shape} != k shape {k.shape}")
-    batched = _feature_rank(q, "attention_contract")
-    u = q.shape[-1]
-    if batched:
-        n = q.shape[0]
-        qf = q.data.reshape(n, -1, u)
-        kf = k.data.reshape(n, -1, u)
-        out = np.einsum("nfu,nfv->nuv", qf, kf)
-    else:
-        qf = q.data.reshape(-1, u)
-        kf = k.data.reshape(-1, u)
-        out = np.einsum("fu,fv->uv", qf, kf)
+    _check_rank(q, "attention_contract")
+    flat_shape = q.shape[:-4] + (-1, q.shape[-1])
+    qf = q.data.reshape(flat_shape)
+    kf = k.data.reshape(flat_shape)
+    out = np.einsum("...fu,...fv->...uv", qf, kf)
 
     def bwd(g):
-        if batched:
-            gq = np.einsum("nuv,nfv->nfu", g, kf).reshape(q.shape)
-            gk = np.einsum("nuv,nfu->nfv", g, qf).reshape(k.shape)
-        else:
-            gq = np.einsum("uv,fv->fu", g, kf).reshape(q.shape)
-            gk = np.einsum("uv,fu->fv", g, qf).reshape(k.shape)
+        gq = np.einsum("...uv,...fv->...fu", g, kf).reshape(q.shape)
+        gk = np.einsum("...uv,...fu->...fv", g, qf).reshape(k.shape)
         return gq, gk
 
     return _make(out, (q, k), bwd)
@@ -469,32 +444,16 @@ def attention_contract(q, k):
 def apply_scores(scores, v):
     """Mix tokens by a score matrix: out[c,t,s,u] = sum_w scores[u,w] * v[c,t,s,w]."""
     scores, v = astensor(scores), astensor(v)
-    batched = _feature_rank(v, "apply_scores")
-    u = v.shape[-1]
-    if batched:
-        if scores.shape not in ((u, u), (v.shape[0], u, u)):
-            raise DimensionError(
-                f"apply_scores: scores shape {scores.shape} incompatible with token axis U={u}")
-        if scores.ndim == 3:
-            out = np.einsum("nuw,nctsw->nctsu", scores.data, v.data)
-        else:
-            out = np.einsum("uw,nctsw->nctsu", scores.data, v.data)
-    else:
-        if scores.shape != (u, u):
-            raise DimensionError(
-                f"apply_scores: scores shape {scores.shape} != (U,U)=({u},{u})")
-        out = np.einsum("uw,ctsw->ctsu", scores.data, v.data)
+    _check_rank(v, "apply_scores")
+    expected = v.shape[:-4] + (v.shape[-1], v.shape[-1])
+    if scores.shape != expected:
+        raise DimensionError(
+            f"apply_scores: scores shape {scores.shape} != (...,U,U)={expected}")
+    out = np.einsum("...uw,...ctsw->...ctsu", scores.data, v.data)
 
     def bwd(g):
-        if batched and scores.ndim == 3:
-            gs = np.einsum("nctsu,nctsw->nuw", g, v.data)
-            gv = np.einsum("nuw,nctsu->nctsw", scores.data, g)
-        elif batched:
-            gs = np.einsum("nctsu,nctsw->uw", g, v.data)
-            gv = np.einsum("uw,nctsu->nctsw", scores.data, g)
-        else:
-            gs = np.einsum("ctsu,ctsw->uw", g, v.data)
-            gv = np.einsum("uw,ctsu->ctsw", scores.data, g)
+        gs = np.einsum("...ctsu,...ctsw->...uw", g, v.data)
+        gv = np.einsum("...uw,...ctsu->...ctsw", scores.data, g)
         return gs, gv
 
     return _make(out, (scores, v), bwd)
@@ -527,14 +486,6 @@ class BatchNormState:
     def buffers(self):
         return [(f"{self.name}.running_mean", self.running_mean),
                 (f"{self.name}.running_var", self.running_var)]
-
-    def set_buffer(self, suffix, value):
-        if suffix == "running_mean":
-            self.running_mean = value.astype(self.running_mean.dtype)
-        elif suffix == "running_var":
-            self.running_var = value.astype(self.running_var.dtype)
-        else:
-            raise UsageError(f"unknown batchnorm buffer {suffix!r}")
 
 
 def batchnorm(x, state, mode, channel_axis=None):

@@ -187,18 +187,12 @@ class ISTANet:
                 sink = []
                 score_sink.append(sink)
             x = tsa_block_forward(x, params, bcfg, mode, score_sink=sink)
-        batched = x.ndim == 5
-        axes = (2, 3, 4) if batched else (1, 2, 3)
-        pooled = x.mean(axis=axes)
+        pooled = x.mean(axis=(-3, -2, -1))
         return linear(pooled, self.fc_weight, self.fc_bias)
 
     def forward_classify(self, seq, mode, rng=None):
         """Single sequence -> logits (num_classes,). ER only in train mode."""
         tokens = self.tokenize_sample(seq, mode, rng=rng)
-        return self.forward_tokens(tokens, mode)
-
-    def forward_batch(self, seqs, mode, rng=None):
-        tokens = np.stack([self.tokenize_sample(s, mode, rng=rng) for s in seqs])
         return self.forward_tokens(tokens, mode)
 
 

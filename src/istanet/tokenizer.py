@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine
-from .data import SkeletonSequence, compute_padding, pad_to_windows
+from .data import SkeletonSequence, pad_to_windows
 from .engine import (BatchNormState, ConfigurationError, DimensionError,
                      Parameter, UsageError, batchnorm, leaky_relu,
                      pointwise_conv3d)
@@ -35,21 +35,6 @@ class WindowSpec:
     def u_layout(self, t, j, e):
         """(temporal blocks, joint blocks, entity blocks) for raw dims."""
         return (-(-t // self.t_w), -(-j // self.j_w), -(-e // self.e_w))
-
-
-@dataclass
-class TokenBatch:
-    """Embedded tokens (C',T_w,S,U) plus the factorization of U."""
-
-    data: object  # engine.Tensor
-    u_layout: tuple
-
-    @property
-    def num_tokens(self):
-        n = 1
-        for b in self.u_layout:
-            n *= b
-        return n
 
 
 def entity_rearrange(seq, rng, enabled, frozen=()):

@@ -286,3 +286,44 @@ class TestEngineProperties:
         engine.tanh(xt * 2.0).sum().backward()
         fused = 2.0 * (1.0 - np.tanh(2.0 * x) ** 2)
         np.testing.assert_allclose(xt.grad, fused, rtol=1e-12)
+
+
+# op, per-sample input shapes (given a leading batch axis), shared input shapes
+ONE_BODY_CASES = {
+    "pointwise_conv3d": (pointwise_conv3d, [(3, 2, 2, 4)], [(5, 3), (5,)]),
+    "conv3d_axis-T": (lambda x, w, b: conv3d_axis(x, w, b, axis="T", k=3),
+                      [(3, 2, 2, 4)], [(5, 3, 3), (5,)]),
+    "conv3d_axis-U": (lambda x, w, b: conv3d_axis(x, w, b, axis="U", k=3),
+                      [(3, 2, 2, 4)], [(5, 3, 3), (5,)]),
+    "attention_contract": (attention_contract, [(3, 2, 2, 4), (3, 2, 2, 4)], []),
+    "apply_scores": (apply_scores, [(4, 4), (3, 2, 2, 4)], []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ONE_BODY_CASES))
+def test_batch_equals_per_sample_slices(case):
+    """A rank-5 batch runs the same body as rank 4: outputs and input
+    gradients match slice by slice, shared weight gradients are the sum."""
+    op, batched_shapes, shared_shapes = ONE_BODY_CASES[case]
+    rng = np.random.default_rng(11)
+    n = 3
+    batched = [rng.normal(size=(n,) + s) for s in batched_shapes]
+    shared = [rng.normal(size=s) for s in shared_shapes]
+    tensors = [Tensor(a, requires_grad=True) for a in batched + shared]
+    out = op(*tensors)
+    upstream = rng.normal(size=out.shape)
+    (out * Tensor(upstream)).sum().backward()
+
+    shared_sums = [np.zeros_like(a) for a in shared]
+    for i in range(n):
+        ts = [Tensor(a[i], requires_grad=True) for a in batched]
+        ts += [Tensor(a, requires_grad=True) for a in shared]
+        o = op(*ts)
+        (o * Tensor(upstream[i])).sum().backward()
+        np.testing.assert_allclose(out.data[i], o.data, rtol=1e-12)
+        for bt, st in zip(tensors, ts[:len(batched)]):
+            np.testing.assert_allclose(bt.grad[i], st.grad, rtol=1e-12)
+        for total, st in zip(shared_sums, ts[len(batched):]):
+            total += st.grad
+    for t, total in zip(tensors[len(batched):], shared_sums):
+        np.testing.assert_allclose(t.grad, total, rtol=1e-10)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from istanet.attention import TSABlockConfig
 from istanet.checkpoint import load_checkpoint, save_checkpoint
@@ -75,6 +77,23 @@ class TestForward:
         pooled1 = feats.mean(axis=0)
         pooled2 = (feats * 3.0).mean(axis=0)
         np.testing.assert_allclose(pooled2.data, 3.0 * pooled1.data, rtol=1e-12)
+
+
+@settings(max_examples=10, deadline=None)
+@given(n=st.integers(1, 6), seed=st.integers(0, 2**16),
+       dtype=st.sampled_from([np.float32, np.float64]))
+def test_batched_logits_equal_per_sample_logits(n, seed, dtype):
+    cfg = tiny_config()
+    model = ISTANet(cfg, rng=np.random.default_rng(seed), dtype=dtype)
+    rng = np.random.default_rng(seed + 1)
+    for _, buf in model.buffers():
+        buf[...] = rng.uniform(0.5, 2.0, size=buf.shape)
+    tokens = [model.tokenize_sample(random_sequence(rng, cfg), mode="infer")
+              for _ in range(n)]
+    batched = model.forward_tokens(np.stack(tokens), "infer").data
+    single = np.stack([model.forward_tokens(t, "infer").data for t in tokens])
+    rtol = 1e-5 if dtype == np.float32 else 1e-10
+    np.testing.assert_allclose(batched, single, rtol=rtol)
 
 
 class TestLoss:
