@@ -7,11 +7,13 @@ Layout:
             offsets count float32 elements into the binary section
     then:   little-endian float32 blobs, concatenated in manifest order.
 
-save(load(x)) is byte-identical; parameter names and shapes are validated
-against the config-built model on load.
+save(load(x)) is byte-identical. On load, parameter and buffer names and
+shapes are validated against the config-built model, and the blob manifest
+against the payload length; a malformed file raises UsageError.
 """
 
 import json
+import math
 
 import numpy as np
 
@@ -65,44 +67,89 @@ def save_checkpoint(path, model, train_config=None, optimizer=None, epoch=0, rng
             f.write(chunk)
 
 
-def load_checkpoint(path, dtype=np.float32):
-    """Rebuild the model (and optional train config / rng / epoch) from disk."""
-    with open(path, "rb") as f:
-        raw = f.read()
+def _read_header(path, raw):
     nl1 = raw.find(b"\n")
     if nl1 < 0 or raw[:nl1] != MAGIC:
         raise UsageError(f"{path}: not a checkpoint (bad magic)")
     nl2 = raw.find(b"\n", nl1 + 1)
-    header = json.loads(raw[nl1 + 1:nl2].decode("utf-8"))
-    binary = raw[nl2 + 1:]
+    if nl2 < 0:
+        raise UsageError(f"{path}: truncated checkpoint (no end of header)")
+    try:
+        header = json.loads(raw[nl1 + 1:nl2].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise UsageError(f"{path}: corrupt checkpoint header ({e})") from None
+    if not isinstance(header, dict):
+        raise UsageError(f"{path}: checkpoint header is not a JSON object")
+    for key in ("model_config", "blobs"):
+        if key not in header:
+            raise UsageError(f"{path}: checkpoint header has no {key!r}")
+    return header, raw[nl2 + 1:]
 
-    config = ModelConfig.from_dict(header["model_config"])
-    model = ISTANet(config, dtype=dtype)
 
+def _read_blobs(path, manifest, binary):
+    """Map blob name -> float32 array, checking every blob lies inside the
+    payload and the payload holds exactly the manifest's elements."""
+    if not isinstance(manifest, list):
+        raise UsageError(f"{path}: checkpoint blob manifest is not a list")
     values = {}
-    for entry in header["blobs"]:
-        size = int(np.prod(entry["shape"])) if entry["shape"] else 1
-        start = entry["offset"] * 4
-        arr = np.frombuffer(binary, dtype="<f4", count=size, offset=start)
-        values[entry["name"]] = arr.reshape(entry["shape"])
-
-    for p in model.parameters():
-        if p.name not in values:
-            raise UsageError(f"checkpoint is missing parameter {p.name!r}")
-        stored = values[p.name]
-        if tuple(stored.shape) != p.shape:
+    total = 0
+    for entry in manifest:
+        try:
+            name, shape, offset = entry["name"], tuple(entry["shape"]), entry["offset"]
+            ok = isinstance(name, str) and all(
+                isinstance(n, int) and n >= 0 for n in shape + (offset,))
+        except (TypeError, KeyError):
+            ok = False
+        if not ok:
+            raise UsageError(f"{path}: malformed checkpoint blob entry {entry!r}")
+        size = math.prod(shape)
+        if (offset + size) * 4 > len(binary):
             raise UsageError(
-                f"checkpoint parameter {p.name!r} has shape {stored.shape}, "
-                f"model expects {p.shape}")
-        p.data = stored.astype(p.data.dtype)
+                f"{path}: blob {name!r} runs past the end of the file "
+                f"(needs {(offset + size) * 4} payload bytes, file has {len(binary)})")
+        values[name] = np.frombuffer(binary, dtype="<f4", count=size,
+                                     offset=offset * 4).reshape(shape)
+        total += size
+    if total * 4 != len(binary):
+        raise UsageError(
+            f"{path}: payload is {len(binary)} bytes, manifest describes {total * 4}")
+    return values
 
+
+def _stored(path, values, name, shape, kind):
+    if name not in values:
+        raise UsageError(f"{path}: checkpoint is missing {kind} {name!r}")
+    stored = values[name]
+    if stored.shape != shape:
+        raise UsageError(
+            f"{path}: checkpoint {kind} {name!r} has shape {stored.shape}, "
+            f"model expects {shape}")
+    return stored
+
+
+def load_checkpoint(path, dtype=np.float32):
+    """Rebuild the model (and optional train config / rng / epoch) from disk.
+
+    A file that is not a well-formed checkpoint for its own model config
+    raises UsageError.
+    """
+    with open(path, "rb") as f:
+        raw = f.read()
+    header, binary = _read_header(path, raw)
+    try:
+        config = ModelConfig.from_dict(header["model_config"])
+        train_config = (TrainConfig.from_dict(header["train_config"])
+                        if header.get("train_config") else None)
+        rng = _rng_from_json(header["rng_state"]) if header.get("rng_state") else None
+    except (TypeError, ValueError, KeyError) as e:
+        raise UsageError(f"{path}: bad config or rng state in checkpoint header ({e!r})") from None
+    values = _read_blobs(path, header["blobs"], binary)
+
+    model = ISTANet(config, dtype=dtype)
+    for p in model.parameters():
+        p.data = _stored(path, values, p.name, p.shape, "parameter").astype(p.data.dtype)
     for name, buf in model.buffers():
-        if name in values:
-            buf[...] = values[name]
+        buf[...] = _stored(path, values, name, buf.shape, "buffer")
 
-    train_config = (TrainConfig.from_dict(header["train_config"])
-                    if header.get("train_config") else None)
-    rng = _rng_from_json(header["rng_state"]) if header.get("rng_state") else None
     velocities = {n: v for n, v in values.items() if n.startswith("opt.")}
     return model, train_config, header.get("epoch", 0), rng, velocities
-

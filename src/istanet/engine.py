@@ -8,6 +8,12 @@ topological order and accumulates gradients over all paths.
 Shape convention for the model-facing ops: each op has one body that
 works on the trailing four axes (C, T, S, U), so the channel axis is always
 -4; an optional leading batch axis N rides along, giving (N, C, T, S, U).
+
+The contractions (pointwise and axis convolutions, the attention Gram matrix
+and score application) view their operands as (..., rows, sites) matrices
+and run as BLAS matmuls, forward and backward; the axis convolution stacks
+its taps with im2col. Train-mode batchnorm is one fused tape node with a
+closed-form backward.
 """
 
 import numpy as np
@@ -329,10 +335,15 @@ def _check_rank(x, opname):
         raise DimensionError(f"{opname}: expected rank 4 (C,T,S,U) or rank 5 (N,C,T,S,U), got rank {x.ndim}")
 
 
-def _flat(a):
-    """View the leading axes as one batch axis, so weight gradients can sum
-    over it (einsum does not reduce over an ellipsis)."""
-    return a.reshape((-1,) + a.shape[-4:])
+def _weight_bias_grads(g2, a2):
+    """Gradients of W and b in out2 = W @ a2 + b over (..., rows, sites)
+    views: per-sample g2 @ a2^T products and site sums, summed over the
+    leading batch axes. Batched matmuls read a2 transposed in place, which
+    tensordot over (batch, site) would first copy."""
+    gw = g2 @ a2.swapaxes(-1, -2)
+    gb = g2.sum(axis=-1)
+    return (gw.reshape((-1,) + gw.shape[-2:]).sum(axis=0),
+            gb.reshape(-1, gb.shape[-1]).sum(axis=0))
 
 
 def pointwise_conv3d(x, weight, bias):
@@ -351,16 +362,16 @@ def pointwise_conv3d(x, weight, bias):
         raise DimensionError(
             f"pointwise_conv3d: bias axis {bias.shape} != (C_out,)=({weight.shape[0]},)")
 
-    out = np.einsum("oi,...itsu->...otsu", weight.data, x.data)
-    out += bias.data[:, None, None, None]
+    x2 = x.data.reshape(x.shape[:-3] + (-1,))
+    out2 = weight.data @ x2
+    out2 += bias.data[:, None]
 
     def bwd(g):
-        gx = np.einsum("oi,...otsu->...itsu", weight.data, g)
-        gf = _flat(g)
-        gw = np.einsum("notsu,nitsu->oi", gf, _flat(x.data))
-        gb = gf.sum(axis=(0, 2, 3, 4))
-        return gx, gw, gb
+        g2 = g.reshape(out2.shape)
+        gx = (weight.data.T @ g2).reshape(x.shape)
+        return (gx,) + _weight_bias_grads(g2, x2)
 
+    out = out2.reshape(x.shape[:-4] + (weight.shape[0],) + x.shape[-3:])
     return _make(out, (x, weight, bias), bwd)
 
 
@@ -372,6 +383,12 @@ def conv3d_axis(x, weight, bias, axis, k):
 
     weight: (C_out, C_in, k), k odd; stride 1, zero same-padding (k-1)/2, so
     the convolved axis keeps its length.
+
+    im2col: the k shifted copies of the input are stacked next to the channel
+    axis, cols[..., i, d, t, s, u] = x[..., i, (t, s, u) + d - (k-1)/2 along
+    the axis] (zero outside it), so the convolution is one
+    (C_out, C_in*k) @ (C_in*k, T*S*U) matmul; the backward pass scatters the
+    column gradient back with k shifted adds (col2im).
     """
     if axis not in _AXIS_NAMES:
         raise ConfigurationError(f"conv3d_axis: axis must be one of T/S/U, got {axis!r}")
@@ -390,35 +407,38 @@ def conv3d_axis(x, weight, bias, axis, k):
             f"conv3d_axis: bias axis {bias.shape} != (C_out,)=({weight.shape[0]},)")
 
     ax = _AXIS_NAMES[axis]
-    p = (k - 1) // 2
-    pads = [(0, 0)] * x.ndim
-    pads[ax] = (p, p)
-    xp = np.pad(x.data, pads)
-    # move the convolved axis last so slicing is uniform
-    xm = np.moveaxis(xp, ax, -1)
     length = x.shape[ax]
-    out_m = None
+
+    def along_axis(lo, hi):
+        sl = [slice(None)] * 3
+        sl[ax] = slice(lo, hi)
+        return (...,) + tuple(sl)
+
+    taps = []  # (d, output sites, input sites): output l reads input l + shift
     for d in range(k):
-        term = np.einsum("oi,...iabl->...oabl", weight.data[:, :, d], xm[..., d:d + length])
-        out_m = term if out_m is None else out_m + term
-    out = np.moveaxis(out_m, -1, ax)
-    out = out + bias.data[:, None, None, None]
+        shift = d - (k - 1) // 2
+        lo = max(0, -shift)
+        hi = max(lo, length - max(0, shift))
+        taps.append((d, along_axis(lo, hi), along_axis(lo + shift, hi + shift)))
+
+    cols = np.zeros(x.shape[:-3] + (k,) + x.shape[-3:], dtype=x.dtype)
+    for d, out_sl, in_sl in taps:
+        cols[..., d, :, :, :][out_sl] = x.data[in_sl]
+    cols = cols.reshape(x.shape[:-4] + (x.shape[-4] * k, -1))
+    w2 = weight.data.reshape(weight.shape[0], -1)
+    out2 = w2 @ cols
+    out2 += bias.data[:, None]
 
     def bwd(g):
-        gm = np.moveaxis(g, ax, -1)
-        gxp = np.zeros_like(xm)
-        gw = np.zeros_like(weight.data)
-        gmf = _flat(gm)
-        for d in range(k):
-            gxp[..., d:d + length] += np.einsum("oi,...oabl->...iabl", weight.data[:, :, d], gm)
-            gw[:, :, d] = np.einsum("noabl,niabl->oi", gmf, _flat(xm[..., d:d + length]))
-        gx = np.moveaxis(gxp, -1, ax)
-        sl = [slice(None)] * x.ndim
-        sl[ax] = slice(p, p + length)
-        gx = np.ascontiguousarray(gx[tuple(sl)])
-        gb = _flat(g).sum(axis=(0, 2, 3, 4))
-        return gx, gw, gb
+        g2 = g.reshape(g.shape[:-3] + (-1,))
+        gcols = (w2.T @ g2).reshape(x.shape[:-3] + (k,) + x.shape[-3:])
+        gx = np.zeros(x.shape, dtype=x.dtype)
+        for d, out_sl, in_sl in taps:
+            gx[in_sl] += gcols[..., d, :, :, :][out_sl]
+        gw, gb = _weight_bias_grads(g2, cols)
+        return gx, gw.reshape(weight.shape).astype(weight.dtype, copy=False), gb
 
+    out = out2.reshape(x.shape[:-4] + (weight.shape[0],) + x.shape[-3:])
     return _make(out, (x, weight, bias), bwd)
 
 
@@ -431,11 +451,11 @@ def attention_contract(q, k):
     flat_shape = q.shape[:-4] + (-1, q.shape[-1])
     qf = q.data.reshape(flat_shape)
     kf = k.data.reshape(flat_shape)
-    out = np.einsum("...fu,...fv->...uv", qf, kf)
+    out = qf.swapaxes(-1, -2) @ kf
 
     def bwd(g):
-        gq = np.einsum("...uv,...fv->...fu", g, kf).reshape(q.shape)
-        gk = np.einsum("...uv,...fu->...fv", g, qf).reshape(k.shape)
+        gq = (kf @ g.swapaxes(-1, -2)).reshape(q.shape)
+        gk = (qf @ g).reshape(k.shape)
         return gq, gk
 
     return _make(out, (q, k), bwd)
@@ -449,11 +469,14 @@ def apply_scores(scores, v):
     if scores.shape != expected:
         raise DimensionError(
             f"apply_scores: scores shape {scores.shape} != (...,U,U)={expected}")
-    out = np.einsum("...uw,...ctsw->...ctsu", scores.data, v.data)
+    flat_shape = v.shape[:-4] + (-1, v.shape[-1])
+    vf = v.data.reshape(flat_shape)
+    out = (vf @ scores.data.swapaxes(-1, -2)).reshape(v.shape)
 
     def bwd(g):
-        gs = np.einsum("...ctsu,...ctsw->...uw", g, v.data)
-        gv = np.einsum("...uw,...ctsu->...ctsw", scores.data, g)
+        gf = g.reshape(flat_shape)
+        gs = gf.swapaxes(-1, -2) @ vf
+        gv = (gf @ scores.data).reshape(v.shape)
         return gs, gv
 
     return _make(out, (scores, v), bwd)
@@ -488,6 +511,35 @@ class BatchNormState:
                 (f"{self.name}.running_var", self.running_var)]
 
 
+def _batch_normalize(x, axes, state):
+    """Train-mode xhat = (x - mean) / sqrt(var + eps) over `axes` as one tape
+    node, updating the running stats.
+
+    The forward takes the same steps in the same dtypes as tensor_mean, sub,
+    mul, add, sqrt and div would (1/n and eps are float64 0-d arrays), so it
+    is bit-identical to that composition. The backward is the closed form
+    inv * (g - mean(g) - xhat * mean(g * xhat)) with inv = 1/sqrt(var + eps).
+    """
+    inv_n = np.asarray(1.0 / int(np.prod([x.shape[ax] for ax in axes])))
+    mu = x.data.sum(axis=axes, keepdims=True) * inv_n
+    xc = x.data - mu
+    var = (xc * xc).sum(axis=axes, keepdims=True) * inv_n
+    std = np.sqrt(var + np.asarray(state.eps))
+    xhat = xc / std
+    m = state.momentum
+    state.running_mean = ((1 - m) * state.running_mean
+                          + m * mu.reshape(-1).astype(state.running_mean.dtype))
+    state.running_var = ((1 - m) * state.running_var
+                         + m * var.reshape(-1).astype(state.running_var.dtype))
+
+    def bwd(g):
+        gmean = g.sum(axis=axes, keepdims=True) * inv_n
+        gxmean = (g * xhat).sum(axis=axes, keepdims=True) * inv_n
+        return ((g - gmean - xhat * gxmean) / std,)
+
+    return _make(xhat, (x,), bwd)
+
+
 def batchnorm(x, state, mode, channel_axis=None):
     """Normalize over all non-channel axes.
 
@@ -508,15 +560,7 @@ def batchnorm(x, state, mode, channel_axis=None):
     axes = tuple(i for i in range(x.ndim) if i != channel_axis)
 
     if mode == "train":
-        mu = tensor_mean(x, axis=axes, keepdims=True)
-        xc = sub(x, mu)
-        var = tensor_mean(mul(xc, xc), axis=axes, keepdims=True)
-        m = state.momentum
-        state.running_mean = ((1 - m) * state.running_mean
-                              + m * mu.data.reshape(c).astype(state.running_mean.dtype))
-        state.running_var = ((1 - m) * state.running_var
-                             + m * var.data.reshape(c).astype(state.running_var.dtype))
-        xhat = div(xc, sqrt(add(var, state.eps)))
+        xhat = _batch_normalize(x, axes, state)
     else:
         rm = state.running_mean.reshape(bshape)
         rv = state.running_var.reshape(bshape)

@@ -7,6 +7,8 @@ from istanet import attention, cli, engine
 from istanet.data import serialize_iskel
 from istanet.synth import make_sample
 
+from helpers import CHECKPOINT_CORRUPTIONS, write_corrupt_checkpoint
+
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
@@ -68,6 +70,14 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "train", str(path))
         assert code == 2
         assert key.split(".")[1] in err
+
+    @pytest.mark.parametrize("case", sorted(CHECKPOINT_CORRUPTIONS))
+    def test_malformed_checkpoint_is_usage_error(self, capsys, tmp_path, corpus, case):
+        path = tmp_path / "bad.ckpt"
+        write_corrupt_checkpoint(path, case)
+        code, _, err = run_cli(capsys, "eval", str(path), str(corpus))
+        assert code == 2
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
 
     def test_gradcheck_default_passes(self, capsys):
         code, out, _ = run_cli(capsys, "gradcheck")

@@ -87,6 +87,122 @@ class TestConvAxis:
             assert rel_err(fd, t.grad) <= 1e-6
 
 
+def conv_axis_reference(x, w, b, axis, k):
+    """Loop-over-taps cross-correlation with zero same-padding: the oracle
+    for conv3d_axis's im2col matmul."""
+    ax = {"T": -3, "S": -2, "U": -1}[axis]
+    xm = np.moveaxis(x, ax, -1)
+    length, p = xm.shape[-1], (k - 1) // 2
+    out = np.zeros(xm.shape[:-4] + (w.shape[0],) + xm.shape[-3:])
+    for d in range(k):
+        for l in range(length):
+            src = l + d - p
+            if 0 <= src < length:
+                out[..., l] += np.einsum("oi,...iab->...oab", w[:, :, d], xm[..., src])
+    out += b[:, None, None, None]
+    return np.moveaxis(out, -1, ax)
+
+
+class TestConvAxisIm2col:
+    # (shape, axis, k): every axis at k in {1, 3, 5} on distinct T/S/U
+    # lengths, plus kernels longer than their axis
+    CASES = [((3, 4, 3, 5), axis, k) for axis in "TSU" for k in (1, 3, 5)] + [
+        ((3, 3, 2, 4), "S", 5), ((2, 1, 3, 2), "T", 3), ((2, 3, 2, 2), "S", 7),
+        ((2, 2, 2, 3), "U", 7)]
+
+    @pytest.mark.parametrize("shape,axis,k", CASES)
+    def test_forward_matches_reference_and_gradients_match_fd(self, shape, axis, k):
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=shape)
+        w = rng.normal(size=(2, shape[0], k))
+        b = rng.normal(size=2)
+        xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+        out = conv3d_axis(xt, wt, bt, axis=axis, k=k)
+        np.testing.assert_allclose(out.data, conv_axis_reference(x, w, b, axis, k),
+                                   rtol=1e-12, atol=1e-12)
+        upstream = rng.normal(size=out.shape)
+        (out * Tensor(upstream)).sum().backward()
+        # the loss is linear in each input, so a wide step adds no truncation
+        # error and keeps rounding error small
+        for i, t in enumerate((xt, wt, bt)):
+            fd = fd_grad(lambda x_, w_, b_: float((conv3d_axis(
+                Tensor(x_), Tensor(w_), Tensor(b_), axis=axis, k=k).data * upstream).sum()),
+                [x, w, b], wrt=i, eps=1e-2)
+            assert rel_err(fd, t.grad) <= 1e-8
+
+
+def composed_batchnorm(x, state, channel_axis):
+    """Train-mode batchnorm built from engine primitives, nine tape nodes for
+    the normalisation: the reference the fused op must match bit for bit."""
+    axes = tuple(i for i in range(x.ndim) if i != channel_axis)
+    bshape = [1] * x.ndim
+    bshape[channel_axis] = state.channels
+    mu = engine.tensor_mean(x, axis=axes, keepdims=True)
+    xc = engine.sub(x, mu)
+    var = engine.tensor_mean(engine.mul(xc, xc), axis=axes, keepdims=True)
+    xhat = engine.div(xc, engine.sqrt(engine.add(var, state.eps)))
+    return engine.add(engine.mul(engine.reshape(state.scale, bshape), xhat),
+                      engine.reshape(state.shift, bshape))
+
+
+def tape_nodes(out):
+    """Number of op nodes (tensors with a backward) reachable from `out`."""
+    seen, stack = set(), [out]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen and t._backward is not None:
+            seen.add(id(t))
+            stack.extend(t._parents)
+    return len(seen)
+
+
+class TestFusedBatchNorm:
+    # rank 4 normalises over (T,S,U) with channel axis 0, rank 5 over
+    # (N,T,S,U) with channel axis 1
+    SHAPES = {4: ((3, 2, 3, 4), 0), 5: ((2, 3, 2, 2, 3), 1)}
+
+    def _state(self, rng, dtype):
+        state = BatchNormState("bn", 3, dtype=dtype)
+        state.scale.data = (rng.normal(size=3) + 1.0).astype(dtype)
+        state.shift.data = rng.normal(size=3).astype(dtype)
+        return state
+
+    @pytest.mark.parametrize("rank", [4, 5])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_train_forward_is_bit_identical_to_composition(self, rank, dtype):
+        shape, channel_axis = self.SHAPES[rank]
+        rng = np.random.default_rng(13)
+        x = Tensor((rng.normal(size=shape) * 3.0 + 1.0).astype(dtype), requires_grad=True)
+        state = self._state(rng, dtype)
+        fused = batchnorm(x, state, mode="train")
+        reference = composed_batchnorm(x, state, channel_axis)
+        assert fused.dtype == reference.dtype
+        assert fused.data.tobytes() == reference.data.tobytes()
+
+    @pytest.mark.parametrize("rank", [4, 5])
+    def test_input_gradient_matches_finite_differences(self, rank):
+        shape, _ = self.SHAPES[rank]
+        rng = np.random.default_rng(14)
+        x = rng.normal(size=shape)
+        state = self._state(rng, np.float64)
+        upstream = rng.normal(size=shape)
+        xt = Tensor(x, requires_grad=True)
+        (batchnorm(xt, state, mode="train") * Tensor(upstream)).sum().backward()
+        fd = fd_grad(lambda a: float(
+            (batchnorm(Tensor(a), state, mode="train").data * upstream).sum()),
+            [x], wrt=0, eps=1e-5)
+        np.testing.assert_allclose(xt.grad, fd, rtol=1e-6, atol=1e-8)
+
+    def test_train_mode_normalisation_is_one_tape_node(self):
+        shape, channel_axis = self.SHAPES[5]
+        rng = np.random.default_rng(15)
+        x = Tensor(rng.normal(size=shape), requires_grad=True)
+        state = self._state(rng, np.float64)
+        # normalisation + reshape(scale) + mul + reshape(shift) + add
+        assert tape_nodes(batchnorm(x, state, mode="train")) == 5
+        assert tape_nodes(composed_batchnorm(x, state, channel_axis)) == 13
+
+
 class TestBatchNorm:
     def test_infer_with_identity_stats_is_identity(self):
         state = BatchNormState("bn", 3, eps=1e-12, dtype=np.float64)
@@ -295,6 +411,10 @@ ONE_BODY_CASES = {
                       [(3, 2, 2, 4)], [(5, 3, 3), (5,)]),
     "conv3d_axis-U": (lambda x, w, b: conv3d_axis(x, w, b, axis="U", k=3),
                       [(3, 2, 2, 4)], [(5, 3, 3), (5,)]),
+    "conv3d_axis-S": (lambda x, w, b: conv3d_axis(x, w, b, axis="S", k=3),
+                      [(3, 2, 2, 4)], [(5, 3, 3), (5,)]),
+    "conv3d_axis-U-k5": (lambda x, w, b: conv3d_axis(x, w, b, axis="U", k=5),
+                         [(3, 2, 2, 4)], [(5, 3, 5), (5,)]),
     "attention_contract": (attention_contract, [(3, 2, 2, 4), (3, 2, 2, 4)], []),
     "apply_scores": (apply_scores, [(4, 4), (3, 2, 2, 4)], []),
 }

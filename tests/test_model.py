@@ -14,6 +14,8 @@ from istanet.model import (ISTANet, ModelConfig, NesterovSGD, TrainConfig,
                            ce_label_smoothing, default_block_plan,
                            evaluate_topk, lr_schedule)
 
+from helpers import CHECKPOINT_CORRUPTIONS, write_corrupt_checkpoint
+
 
 def tiny_config(num_classes=3):
     return ModelConfig(
@@ -276,6 +278,13 @@ class TestCheckpoint:
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"NOTACKPT\n{}\n")
         with pytest.raises(UsageError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("case", sorted(CHECKPOINT_CORRUPTIONS))
+    def test_malformed_checkpoint_raises_usage_error(self, tmp_path, case):
+        path = tmp_path / "m.ckpt"
+        message = write_corrupt_checkpoint(path, case)
+        with pytest.raises(UsageError, match=message):
             load_checkpoint(path)
 
 
