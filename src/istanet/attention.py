@@ -12,6 +12,7 @@ pointwise FFN with residual connections, and finished by temporal
 aggregation (kernel k_t along the within-window time axis, plus residual).
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,17 +54,23 @@ class TSABlockConfig:
         return self.c_in // self.heads
 
 
+@functools.lru_cache(maxsize=64)
 def positional_encoding(c, t_w, s, u, dtype=np.float64):
     """Sinusoid over the token index, channel-dependent wavelength, constant
     over the within-token axes. pe[c] = sin(u/10000^(c/C)) for even c,
-    cos(u/10000^((c-1)/C)) for odd c."""
+    cos(u/10000^((c-1)/C)) for odd c.
+
+    Every head of every block at every step reads the same table, so it is
+    built once per (c, t_w, s, u, dtype) and returned read-only."""
     pe = np.zeros((c, u), dtype=np.float64)
     pos = np.arange(u, dtype=np.float64)
     for ch in range(c):
         exponent = (ch if ch % 2 == 0 else ch - 1) / c
         angle = pos / (10000.0 ** exponent)
         pe[ch] = np.sin(angle) if ch % 2 == 0 else np.cos(angle)
-    return np.broadcast_to(pe[:, None, None, :], (c, t_w, s, u)).astype(dtype)
+    table = np.broadcast_to(pe[:, None, None, :], (c, t_w, s, u)).astype(dtype)
+    table.flags.writeable = False
+    return table
 
 
 def _init_conv(rng, c_out, c_in, k=None):

@@ -7,13 +7,18 @@ Layout:
             offsets count float32 elements into the binary section
     then:   little-endian float32 blobs, concatenated in manifest order.
 
-save(load(x)) is byte-identical. On load, parameter and buffer names and
-shapes are validated against the config-built model, and the blob manifest
-against the payload length; a malformed file raises UsageError.
+save(load(x)) is byte-identical. A save writes a temporary file in the
+target's directory, fsyncs it and renames it over the target, so the path
+holds either the old checkpoint or the new one, never a partial file. On
+load, parameter and buffer names and shapes are validated against the
+config-built model, and the blob manifest against the payload length; a
+malformed file raises UsageError.
 """
 
+import contextlib
 import json
 import math
+import os
 
 import numpy as np
 
@@ -59,12 +64,21 @@ def save_checkpoint(path, model, train_config=None, optimizer=None, epoch=0, rng
         "rng_state": _rng_state_to_json(rng) if rng is not None else None,
         "blobs": manifest,
     }
-    with open(path, "wb") as f:
-        f.write(MAGIC + b"\n")
-        f.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8"))
-        f.write(b"\n")
-        for chunk in payload:
-            f.write(chunk)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(MAGIC + b"\n")
+            f.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8"))
+            f.write(b"\n")
+            for chunk in payload:
+                f.write(chunk)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def _read_header(path, raw):

@@ -5,6 +5,12 @@ float64 for gradient checking). Each operation records its parents and a
 backward closure; ``backward()`` on a scalar runs the tape in reverse
 topological order and accumulates gradients over all paths.
 
+Dtype rule: a model computes in the dtype of its parameters, forward and
+backward. In add, sub, mul and div a scalar operand that is not a Tensor (a
+Python float, a NumPy scalar or a 0-d array) takes the other operand's
+dtype, so a constant such as 1/n or eps never promotes float32 to float64.
+Non-scalar arrays keep their own dtype.
+
 Shape convention for the model-facing ops: each op has one body that
 works on the trailing four axes (C, T, S, U), so the channel axis is always
 -4; an optional leading batch axis N rides along, giving (N, C, T, S, U).
@@ -125,6 +131,17 @@ def astensor(x, dtype=None):
     return Tensor(np.asarray(x), dtype=dtype)
 
 
+def _operands(a, b):
+    """Wrap the operands of a binary op; a non-Tensor scalar takes the dtype
+    of the other operand when that is a Tensor (astensor leaves Tensors as
+    they are)."""
+    if isinstance(b, Tensor) and np.ndim(a) == 0:
+        a = astensor(a, dtype=b.dtype)
+    if isinstance(a, Tensor) and np.ndim(b) == 0:
+        b = astensor(b, dtype=a.dtype)
+    return astensor(a), astensor(b)
+
+
 def _unbroadcast(grad, shape):
     """Reduce `grad` back to `shape` after numpy broadcasting."""
     while grad.ndim > len(shape):
@@ -147,7 +164,7 @@ def _make(data, parents, backward_fn):
 # ---------------------------------------------------------------------------
 
 def add(a, b):
-    a, b = astensor(a), astensor(b)
+    a, b = _operands(a, b)
     out = a.data + b.data
 
     def bwd(g):
@@ -157,7 +174,7 @@ def add(a, b):
 
 
 def sub(a, b):
-    a, b = astensor(a), astensor(b)
+    a, b = _operands(a, b)
     out = a.data - b.data
 
     def bwd(g):
@@ -167,7 +184,7 @@ def sub(a, b):
 
 
 def mul(a, b):
-    a, b = astensor(a), astensor(b)
+    a, b = _operands(a, b)
     out = a.data * b.data
 
     def bwd(g):
@@ -178,7 +195,7 @@ def mul(a, b):
 
 
 def div(a, b):
-    a, b = astensor(a), astensor(b)
+    a, b = _operands(a, b)
     out = a.data / b.data
 
     def bwd(g):
@@ -309,13 +326,16 @@ def log_softmax(a, axis=-1):
 def linear(x, weight, bias):
     """Affine map over the last axis: out = x @ weight.T + bias.
 
-    x: (..., C_in), weight: (C_out, C_in), bias: (C_out).
+    x: (..., C_in), weight: (C_out, C_in), bias: (C_out). The forward
+    reduces each row on its own rather than in one matmul, whose kernel
+    (gemv for one row, gemm for several) and so rounding would depend on the
+    number of rows: a batch gives bit-for-bit the logits of its samples.
     """
     x, weight, bias = astensor(x), astensor(weight), astensor(bias)
     if x.shape[-1] != weight.shape[1]:
         raise DimensionError(
             f"linear: input feature axis {x.shape[-1]} != weight fan-in {weight.shape[1]}")
-    out = x.data @ weight.data.T + bias.data
+    out = (x.data[..., None, :] * weight.data).sum(axis=-1) + bias.data
 
     def bwd(g):
         gx = g @ weight.data
@@ -516,15 +536,15 @@ def _batch_normalize(x, axes, state):
     node, updating the running stats.
 
     The forward takes the same steps in the same dtypes as tensor_mean, sub,
-    mul, add, sqrt and div would (1/n and eps are float64 0-d arrays), so it
-    is bit-identical to that composition. The backward is the closed form
+    mul, add, sqrt and div would (1/n and eps in x's dtype), so it is
+    bit-identical to that composition. The backward is the closed form
     inv * (g - mean(g) - xhat * mean(g * xhat)) with inv = 1/sqrt(var + eps).
     """
-    inv_n = np.asarray(1.0 / int(np.prod([x.shape[ax] for ax in axes])))
+    inv_n = np.asarray(1.0 / int(np.prod([x.shape[ax] for ax in axes])), dtype=x.dtype)
     mu = x.data.sum(axis=axes, keepdims=True) * inv_n
     xc = x.data - mu
     var = (xc * xc).sum(axis=axes, keepdims=True) * inv_n
-    std = np.sqrt(var + np.asarray(state.eps))
+    std = np.sqrt(var + np.asarray(state.eps, dtype=x.dtype))
     xhat = xc / std
     m = state.momentum
     state.running_mean = ((1 - m) * state.running_mean

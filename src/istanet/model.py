@@ -231,7 +231,7 @@ class NesterovSGD:
         for p in self.params:
             if p.grad is None:
                 raise UsageError(f"parameter {p.name} has no gradient; run backward first")
-            g = p.grad.astype(p.data.dtype)
+            g = p.grad.astype(p.data.dtype, copy=False)
             v = mu * self.velocity[p.name] + g
             self.velocity[p.name] = v
             p.data = p.data - lr * (g + mu * v)

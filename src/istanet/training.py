@@ -21,7 +21,8 @@ from .model import (NesterovSGD, ce_label_smoothing, evaluate_topk,
 
 
 class NumericAbort(RuntimeError):
-    """Training hit a non-finite loss; message carries diagnostics."""
+    """Training hit a non-finite loss or gradient; message carries
+    diagnostics."""
 
 
 def preprocess(seq, frames):
@@ -84,12 +85,17 @@ def train(model, manifest, train_config, out_dir=None, train_tag="train",
                                       train_config.label_smoothing,
                                       train_config.temperature)
             loss_val = loss.item()
+            where = f"epoch {epoch} batch {start // train_config.batch_size}"
             if not np.isfinite(loss_val):
                 raise NumericAbort(
-                    f"non-finite loss at epoch {epoch} batch {start // train_config.batch_size}; "
+                    f"non-finite loss at {where}; "
                     f"largest parameters: {_param_norm_report(model)}")
             model.zero_grad()
             loss.backward()
+            bad = next((p.name for p in optimizer.params
+                        if p.grad is not None and not np.isfinite(p.grad).all()), None)
+            if bad is not None:
+                raise NumericAbort(f"non-finite gradient at {where} in parameter {bad}")
             optimizer.step(lr)
             epoch_loss += loss_val * len(batch)
             epoch_hits += int((logits.data.argmax(axis=1) == labels[batch]).sum())

@@ -34,6 +34,11 @@ class TestPositionalEncoding:
         cols = pe[:, 0, 0, :].T
         assert len({tuple(c) for c in cols}) == 512
 
+    def test_table_is_built_once_and_read_only(self):
+        pe = positional_encoding(4, 2, 3, 5, dtype=np.float32)
+        assert pe is positional_encoding(4, 2, 3, 5, dtype=np.float32)
+        assert pe.dtype == np.float32 and not pe.flags.writeable
+
 
 class TestQKVProject:
     def test_zero_input_isolates_positional_encoding(self):

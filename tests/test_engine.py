@@ -447,3 +447,18 @@ def test_batch_equals_per_sample_slices(case):
             total += st.grad
     for t, total in zip(tensors[len(batched):], shared_sums):
         np.testing.assert_allclose(t.grad, total, rtol=1e-10)
+
+
+@pytest.mark.parametrize("op", [engine.add, engine.sub, engine.mul, engine.div],
+                         ids=["add", "sub", "mul", "div"])
+@pytest.mark.parametrize("scalar", [0.5, np.float64(0.5), np.asarray(0.5)],
+                         ids=["python-float", "np-float64", "0-d-float64"])
+def test_scalar_operand_takes_the_tensor_dtype(op, scalar):
+    """A float64 scalar must not promote a float32 tensor, on either side of
+    the op, forward or backward."""
+    for order in ("tensor-first", "scalar-first"):
+        x = Tensor(np.array([1.0, 2.0, 4.0], dtype=np.float32), requires_grad=True)
+        out = op(x, scalar) if order == "tensor-first" else op(scalar, x)
+        assert out.dtype == np.float32, order
+        out.sum().backward()
+        assert x.grad.dtype == np.float32, order

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -96,6 +97,63 @@ def test_batched_logits_equal_per_sample_logits(n, seed, dtype):
     single = np.stack([model.forward_tokens(t, "infer").data for t in tokens])
     rtol = 1e-5 if dtype == np.float32 else 1e-10
     np.testing.assert_allclose(batched, single, rtol=rtol)
+
+
+def wide_config():
+    """More channels and classes than tiny_config, so the classifier's dot
+    products are long enough for BLAS kernels to round differently."""
+    return ModelConfig(
+        window=(2, 1, 2), in_channels=3, frames=4, joints=2, entities=2,
+        embed_channels=8, gamma=0.1,
+        blocks=[TSABlockConfig(c_in=8, c_out=16, heads=2, c_qkv=2)],
+        num_classes=5)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_batched_logits_are_bit_equal_to_per_sample_logits(dtype):
+    # batched evaluation may replace per-sample evaluation only if the two
+    # give the same logits, bit for bit
+    cfg = wide_config()
+    for seed in range(20):
+        model = ISTANet(cfg, rng=np.random.default_rng(seed), dtype=dtype)
+        rng = np.random.default_rng(seed + 1)
+        for _, buf in model.buffers():
+            buf[...] = rng.uniform(0.5, 2.0, size=buf.shape)
+        tokens = [model.tokenize_sample(random_sequence(rng, cfg), mode="infer")
+                  for _ in range(2 + seed % 5)]
+        batched = model.forward_tokens(np.stack(tokens), "infer").data
+        single = np.stack([model.forward_tokens(t, "infer").data for t in tokens])
+        np.testing.assert_array_equal(batched, single, err_msg=f"seed {seed}")
+
+
+def reachable(out):
+    """Every tensor on the tape behind `out`, leaves included."""
+    seen, stack, found = set(), [out], []
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            found.append(t)
+            stack.extend(t._parents)
+    return found
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_model_computes_in_its_parameter_dtype(dtype):
+    cfg = wide_config()
+    model = ISTANet(cfg, rng=np.random.default_rng(0), dtype=dtype)
+    rng = np.random.default_rng(1)
+    tokens = np.stack([model.tokenize_sample(random_sequence(rng, cfg), mode="train", rng=rng)
+                       for _ in range(3)])
+    loss = ce_label_smoothing(model.forward_tokens(tokens, "train"), [0, 1, 2],
+                              smoothing=0.1, temperature=2.0)
+    model.zero_grad()
+    loss.backward()
+    assert {t.dtype for t in reachable(loss)} == {np.dtype(dtype)}
+    assert {p.grad.dtype for p in model.parameters()} == {np.dtype(dtype)}
+    for x in (tokens, tokens[0]):
+        logits = model.forward_tokens(x, "infer")
+        assert {t.dtype for t in reachable(logits)} == {np.dtype(dtype)}
 
 
 class TestLoss:
@@ -273,6 +331,23 @@ class TestCheckpoint:
         a = model.forward_tokens(tokens, mode="infer").data
         b = loaded.forward_tokens(tokens, mode="infer").data
         assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("failing", ["fsync", "replace"])
+    def test_failed_save_leaves_previous_file(self, tmp_path, monkeypatch, failing):
+        cfg = tiny_config()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, ISTANet(cfg, rng=np.random.default_rng(0)))
+        before = path.read_bytes()
+
+        def disk_full(*args):
+            raise OSError("disk full")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, failing, disk_full)
+            with pytest.raises(OSError, match="disk full"):
+                save_checkpoint(path, ISTANet(cfg, rng=np.random.default_rng(1)))
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["m.ckpt"]
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from istanet import attention, engine
 from istanet.attention import TSABlockConfig
 from istanet.data import SkeletonSequence, load_manifest, serialize_iskel
 from istanet.model import ISTANet, ModelConfig, TrainConfig
@@ -116,3 +117,19 @@ class TestTrainLoop:
         with np.errstate(invalid="ignore"):
             with pytest.raises(NumericAbort, match="epoch 0"):
                 train(model, manifest, small_train_config())
+
+    def test_nonfinite_gradient_aborts_before_the_step(self, corpus, monkeypatch):
+        # the loss stays finite; only the tanh backward returns NaN, which
+        # reaches every parameter upstream of the attention scores
+        def tanh_with_nan_backward(a):
+            out = engine.tanh(a)
+            return engine._make(out.data, (a,), lambda g: (np.full_like(g, np.nan),))
+
+        monkeypatch.setattr(attention, "tanh", tanh_with_nan_backward)
+        manifest = load_manifest(corpus, num_classes=4)
+        model = ISTANet(small_config(), rng=np.random.default_rng(0))
+        before = {p.name: p.data.tobytes() for p in model.parameters()}
+        with pytest.raises(NumericAbort, match=r"non-finite gradient at epoch 0 "
+                                               r"batch 0 in parameter embed\.weight"):
+            train(model, manifest, small_train_config())
+        assert {p.name: p.data.tobytes() for p in model.parameters()} == before
