@@ -6,10 +6,13 @@ unprojected channel slice of the input, and a bounded score map
 
     scores = alpha * tanh(Q K^T / sqrt(c_beta)) + M
 
-with trainable per-head alpha and (U,U) matrix M. Head outputs are
-concatenated, passed through a token-axis convolution (kernel k_u) and a
-pointwise FFN with residual connections, and finished by temporal
-aggregation (kernel k_t along the within-window time axis, plus residual).
+with trainable per-head alpha and (U,U) matrix M. After the Gram matrix
+Q K^T, the score map is one tape node: scale, tanh, alpha and M in one
+forward, the band |scores - M| <= |alpha| made exact in floating point, and
+a closed-form backward. Head outputs are concatenated, passed through a
+token-axis convolution (kernel k_u) and a pointwise FFN with residual
+connections, and finished by temporal aggregation (kernel k_t along the
+within-window time axis, plus residual).
 """
 
 import functools
@@ -20,7 +23,7 @@ import numpy as np
 from . import engine
 from .engine import (BatchNormState, ConfigurationError, Parameter,
                      apply_scores, attention_contract, batchnorm, concat,
-                     conv3d_axis, leaky_relu, mul, pointwise_conv3d, tanh)
+                     conv3d_axis, leaky_relu, pointwise_conv3d, tanh)
 
 
 @dataclass(frozen=True)
@@ -163,29 +166,44 @@ def qkv_project(x, params, h):
 
 
 def attention_scores(q, k, alpha, m, c_beta):
-    """scores = alpha * tanh(QK^T / sqrt(c_beta)) + M.
+    """scores = alpha * tanh(QK^T / sqrt(c_beta)) + M, as one tape node over
+    (QK^T, alpha, M) after the attention_contract node.
 
-    The tanh range keeps every entry within +-|alpha| of M; the final
-    rounding of the addition is corrected by at most one ulp so the bound
-    also holds exactly in floating point.
+    The forward takes the composed steps in the same dtypes (the scale in
+    the Gram matrix's dtype, alpha and M by the engine's operand rule), so
+    it is bit-identical to mul, tanh, mul and add. The tanh range keeps
+    every entry within +-|alpha| of M; an entry the final rounding puts
+    outside is nudged toward M by ulps until the bound holds exactly in
+    floating point (identity for gradients). The backward is the closed
+    form g_QK = (g * alpha * tanh') / sqrt(c_beta), g_alpha = sum(g * t),
+    g_M = g, in the chain's rounding order; t and tanh' come from
+    engine.tanh, so tanh and its derivative keep one definition.
     """
     gram = attention_contract(q, k)
-    scaled = mul(gram, 1.0 / np.sqrt(c_beta))
-    raw = engine.add(mul(tanh(scaled), alpha), m)
-    return _clamp_to_band(raw, m.data if isinstance(m, engine.Tensor) else np.asarray(m),
-                          abs(float(alpha.data if isinstance(alpha, engine.Tensor) else alpha)))
+    radius = abs(float(alpha.data if isinstance(alpha, engine.Tensor) else alpha))
+    scale = np.asarray(1.0 / np.sqrt(c_beta), dtype=gram.dtype)
+    # an input that requires grad makes tanh record its derivative closure;
+    # only t and that closure are kept, not the tanh node itself
+    th = tanh(engine.Tensor(gram.data * scale, requires_grad=True))
+    t, tanh_bwd = th.data, th._backward
+    alpha = engine._operands(gram, alpha)[1]
+    scaled_t = t * alpha.data
+    m = engine._operands(engine.Tensor(scaled_t), m)[1]
+    out = scaled_t + m.data
+    dev = out - m.data
+    if np.abs(dev, out=dev).max(initial=0) > radius:
+        over = dev > radius
+        while over.any():
+            out[over] = np.nextafter(out[over], np.broadcast_to(m.data, out.shape)[over])
+            over = np.abs(out - m.data) > radius
 
+    def bwd(g):
+        g_t = engine._unbroadcast(g, t.shape)
+        return (tanh_bwd(g_t * alpha.data)[0] * scale if gram.requires_grad else None,
+                engine._unbroadcast(g_t * t, alpha.shape) if alpha.requires_grad else None,
+                engine._unbroadcast(g, m.shape) if m.requires_grad else None)
 
-def _clamp_to_band(scores, center, radius):
-    """Nudge entries of `scores` toward `center` (by ulps) until
-    |scores - center| <= radius holds in float; identity for gradients."""
-    data = np.array(scores.data)
-    over = np.abs(data - center) > radius
-    while over.any():
-        data[over] = np.nextafter(data[over],
-                                  np.broadcast_to(center, data.shape)[over])
-        over = np.abs(data - center) > radius
-    return engine._make(data, (scores,), lambda g: (g,))
+    return engine._make(out, (gram, alpha, m), bwd)
 
 
 def temporal_aggregate(x, weight, bias, k_t):

@@ -8,11 +8,12 @@ Layout:
     then:   little-endian float32 blobs, concatenated in manifest order.
 
 save(load(x)) is byte-identical. A save writes a temporary file in the
-target's directory, fsyncs it and renames it over the target, so the path
-holds either the old checkpoint or the new one, never a partial file. On
-load, parameter and buffer names and shapes are validated against the
-config-built model, and the blob manifest against the payload length; a
-malformed file raises UsageError.
+target's directory, fsyncs it, renames it over the target and fsyncs the
+directory, so the path holds either the old checkpoint or the new one, never
+a partial file, and the rename survives a power cut. On load, parameter and
+buffer names and shapes are validated against the config-built model, and
+the blob manifest against the payload length; a malformed file raises
+UsageError.
 """
 
 import contextlib
@@ -79,6 +80,20 @@ def save_checkpoint(path, model, train_config=None, optimizer=None, epoch=0, rng
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+    _fsync_directory(os.path.dirname(os.path.abspath(path)))
+
+
+def _fsync_directory(path):
+    """Make a rename inside `path` durable (POSIX). Where a directory cannot
+    be opened (Windows), there is nothing to fsync and this does nothing."""
+    try:
+        fd = os.open(path, os.O_RDONLY)
+    except OSError:
+        return
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def _read_header(path, raw):

@@ -156,6 +156,8 @@ def cmd_eval(args):
 
 
 def cmd_gradcheck(args):
+    if args.precision == "f32":
+        raise UsageError("gradcheck runs in float64; --precision f32 does not apply")
     config = None
     if args.config:
         config, _, _, _ = load_run_config(args.config)
@@ -216,7 +218,8 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="istanet",
                                      description="Interactive spatiotemporal token attention harness")
     parser.add_argument("--seed", type=int, default=None, help="global seed override")
-    parser.add_argument("--precision", choices=("f32", "f64"), default="f32")
+    parser.add_argument("--precision", choices=("f32", "f64"), default=None,
+                        help="model dtype (default f32; gradcheck always runs in f64)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="train a model from a run config")

@@ -163,12 +163,20 @@ def _make(data, parents, backward_fn):
 # elementwise / structural ops
 # ---------------------------------------------------------------------------
 
+def _binary_grads(a, b, grad_a, grad_b):
+    """Gradient slots of a binary op. grad_a/grad_b compute the broadcast
+    gradient of each operand; an operand that needs none (a constant) gets
+    None and its gradient is never computed."""
+    return (_unbroadcast(grad_a(), a.shape) if a.requires_grad else None,
+            _unbroadcast(grad_b(), b.shape) if b.requires_grad else None)
+
+
 def add(a, b):
     a, b = _operands(a, b)
     out = a.data + b.data
 
     def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return _binary_grads(a, b, lambda: g, lambda: g)
 
     return _make(out, (a, b), bwd)
 
@@ -178,7 +186,7 @@ def sub(a, b):
     out = a.data - b.data
 
     def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return _binary_grads(a, b, lambda: g, lambda: -g)
 
     return _make(out, (a, b), bwd)
 
@@ -188,8 +196,7 @@ def mul(a, b):
     out = a.data * b.data
 
     def bwd(g):
-        return (_unbroadcast(g * b.data, a.shape),
-                _unbroadcast(g * a.data, b.shape))
+        return _binary_grads(a, b, lambda: g * b.data, lambda: g * a.data)
 
     return _make(out, (a, b), bwd)
 
@@ -199,8 +206,8 @@ def div(a, b):
     out = a.data / b.data
 
     def bwd(g):
-        return (_unbroadcast(g / b.data, a.shape),
-                _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
+        return _binary_grads(a, b, lambda: g / b.data,
+                             lambda: -g * a.data / (b.data * b.data))
 
     return _make(out, (a, b), bwd)
 

@@ -1,5 +1,6 @@
 """Shared test utilities: a finite-difference oracle kept independent of the
-reverse-mode path it checks, and malformed checkpoints."""
+reverse-mode path it checks, the attention score map composed of primitive
+ops, and malformed checkpoints."""
 
 import json
 
@@ -58,6 +59,23 @@ def check_op_gradients(op, arrays, eps=1e-6, tol=1e-4, loss="sumsq"):
         worst = max(worst, rel_err(fd, t.grad))
     assert worst <= tol, f"gradient mismatch: rel err {worst:.3e} > {tol}"
     return worst
+
+
+def composed_attention_scores(q, k, alpha, m, c_beta):
+    """Reference for attention.attention_scores: the chain of primitive engine
+    ops (contract, scale, tanh, alpha, + M) and an ulp nudge of entries
+    outside the |score - M| <= |alpha| band, as a node of its own."""
+    gram = engine.attention_contract(q, k)
+    scaled = engine.mul(gram, 1.0 / np.sqrt(c_beta))
+    raw = engine.add(engine.mul(engine.tanh(scaled), alpha), m)
+    center = m.data if isinstance(m, engine.Tensor) else np.asarray(m)
+    radius = abs(float(alpha.data if isinstance(alpha, engine.Tensor) else alpha))
+    data = np.array(raw.data)
+    over = np.abs(data - center) > radius
+    while over.any():
+        data[over] = np.nextafter(data[over], np.broadcast_to(center, data.shape)[over])
+        over = np.abs(data - center) > radius
+    return engine._make(data, (raw,), lambda g: (g,))
 
 
 def _edit_header(edit):

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
+from istanet import attention
 from istanet.attention import (TSABlockConfig, TSABlockParams,
                                attention_scores, positional_encoding,
                                qkv_project, temporal_aggregate,
                                tsa_block_forward)
-from istanet.engine import ConfigurationError, Tensor
+from istanet.data import SkeletonSequence
+from istanet.engine import ConfigurationError, Parameter, Tensor
+from istanet.model import ISTANet, ModelConfig, ce_label_smoothing
 
-from helpers import fd_grad, rel_err
+from helpers import composed_attention_scores, fd_grad, rel_err
 
 
 def make_block(c_in=4, c_out=4, heads=2, c_qkv=2, u=4, seed=0, dtype=np.float64,
@@ -104,6 +107,137 @@ class TestAttentionScores:
                                Tensor(np.zeros((2, 2))), c_beta=c_beta)
         np.testing.assert_allclose(out.data[0, 0], np.tanh(16 / np.sqrt(c_beta)))
         np.testing.assert_allclose(out.data[1, 1], 0.0)
+
+
+def score_inputs(rng, dtype, rank, u=5, c=3, n=2):
+    """q, k, alpha, M and an upstream gradient for one score map; q and k
+    are scaled so that the tanh ranges from linear to saturated."""
+    shape = ((n,) if rank == 5 else ()) + (c, 2, 2, u)
+    q = rng.normal(size=shape) * 2
+    k = rng.normal(size=shape) * 2
+    alpha = rng.normal(size=())
+    m = rng.normal(size=(u, u))
+    upstream = rng.normal(size=shape[:-4] + (u, u))
+    return [np.asarray(a, dtype=dtype) for a in (q, k, alpha, m, upstream)]
+
+
+def scores_and_grads(fn, q, k, alpha, m, upstream, c_beta=12):
+    """Output of fn and the gradients of sum(out * upstream) w.r.t. every
+    input that is a Tensor (None for the others)."""
+    leaves = [Parameter("q", q), Parameter("k", k), alpha, m]
+    out = fn(*leaves, c_beta=c_beta)
+    (out * Tensor(upstream)).sum().backward()
+    return out, [x.grad if isinstance(x, Tensor) else None for x in leaves]
+
+
+def tape_nodes(out):
+    """Op nodes (tensors with parents) reachable from `out`."""
+    seen, stack = set(), [out]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen and t._parents:
+            seen.add(id(t))
+            stack.extend(t._parents)
+    return len(seen)
+
+
+def readme_blocks_config():
+    return ModelConfig(
+        window=(1, 1, 1), in_channels=3, frames=40, joints=5, entities=2,
+        embed_channels=16, gamma=0.1,
+        blocks=[TSABlockConfig(c_in=16, c_out=16, heads=2, c_qkv=4),
+                TSABlockConfig(c_in=16, c_out=32, heads=2, c_qkv=4)],
+        num_classes=4)
+
+
+class TestFusedScoreNode:
+    """attention_scores is one tape node after the contraction; it must give
+    the bytes of the composed primitive chain, forward and backward."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rank", [4, 5])
+    @pytest.mark.parametrize("operands", ["tensors", "float-alpha-ndarray-m"])
+    def test_bytes_equal_composed_chain(self, dtype, rank, operands):
+        q, k, alpha, m, upstream = score_inputs(np.random.default_rng(rank), dtype, rank)
+        if operands == "tensors":
+            alpha, m = Parameter("alpha", alpha), Parameter("m", m)
+        else:
+            alpha = float(alpha)
+        fused, fused_grads = scores_and_grads(attention_scores, q, k, alpha, m, upstream)
+        ref, ref_grads = scores_and_grads(composed_attention_scores, q, k, alpha, m, upstream)
+        assert fused.dtype == ref.dtype == dtype
+        assert fused.data.tobytes() == ref.data.tobytes()
+        for got, want in zip(fused_grads, ref_grads):
+            if want is None:
+                assert got is None
+            else:
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_out_of_band_entry_is_nudged_into_band(self):
+        # tanh saturates to exactly 1 at entry (0, 0), and 1 + 7e-8 rounds up
+        # to the next float32 after 1, 1.19e-7 away from M: out of band
+        q = np.zeros((1, 1, 4, 2), dtype=np.float32)
+        q[0, 0, :, 0] = 10.0
+        alpha = np.asarray(7e-8, dtype=np.float32)
+        m = np.ones((2, 2), dtype=np.float32)
+        raw = alpha * np.float32(1.0) + m
+        assert np.abs(raw - m)[0, 0] > alpha
+        upstream = np.random.default_rng(0).normal(size=(2, 2)).astype(np.float32)
+        args = (q, q.copy(), Parameter("alpha", alpha), Parameter("m", m), upstream)
+        fused, fused_grads = scores_and_grads(attention_scores, *args, c_beta=4)
+        ref, ref_grads = scores_and_grads(composed_attention_scores, *args, c_beta=4)
+        assert fused.data.tobytes() == ref.data.tobytes()
+        assert (np.abs(fused.data - m) <= alpha).all()
+        assert fused.data[0, 0] == np.float32(1.0)
+        for got, want in zip(fused_grads, ref_grads):
+            assert got.tobytes() == want.tobytes()
+
+    def test_python_float_m_is_nudged_in_the_score_dtype(self):
+        # the same saturated entry with M = 1.0 given as a Python float: the
+        # nudge must step in float32, where M takes the scores' dtype (a
+        # float64 step rounds back to the same float32 and never ends)
+        q = np.zeros((1, 1, 4, 2), dtype=np.float32)
+        q[0, 0, :, 0] = 10.0
+        alpha = Parameter("alpha", np.asarray(7e-8, dtype=np.float32))
+        out = attention_scores(Parameter("q", q), Parameter("k", q), alpha, 1.0, c_beta=4)
+        assert out.dtype == np.float32
+        np.testing.assert_array_equal(out.data, np.ones((2, 2), dtype=np.float32))
+
+    def test_adds_two_tape_nodes(self):
+        q, k, alpha, m, _ = score_inputs(np.random.default_rng(1), np.float32, 5)
+        args = [Parameter(name, a) for name, a in zip("qkam", (q, k, alpha, m))]
+        assert tape_nodes(attention_scores(*args, c_beta=12)) == 2
+        assert tape_nodes(composed_attention_scores(*args, c_beta=12)) == 6
+
+    def test_gradients_match_central_differences(self):
+        q, k, alpha, m, upstream = score_inputs(np.random.default_rng(2), np.float64, 5)
+
+        def loss(q_, alpha_, m_):
+            out = attention_scores(Tensor(q_), Tensor(k), Tensor(alpha_), Tensor(m_), c_beta=12)
+            return float((out.data * upstream).sum())
+
+        _, grads = scores_and_grads(attention_scores, q, k, Parameter("alpha", alpha),
+                                    Parameter("m", m), upstream)
+        for i, grad in enumerate((grads[0], grads[2], grads[3])):
+            assert rel_err(fd_grad(loss, [q, alpha, m], wrt=i), grad) <= 1e-6
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_readme_blocks_train_step_equals_composed_chain(self, dtype, monkeypatch):
+        cfg = readme_blocks_config()
+        rng = np.random.default_rng(3)
+        seqs = [SkeletonSequence(rng.normal(size=(3, 40, 5, 2)), label=c) for c in (0, 1)]
+
+        def loss_and_grads():
+            model = ISTANet(cfg, rng=np.random.default_rng(0), dtype=dtype)
+            tokens = np.stack([model.tokenize_sample(s, mode="infer") for s in seqs])
+            loss = ce_label_smoothing(model.forward_tokens(tokens, "train"), [0, 1],
+                                      smoothing=0.1, temperature=1.0)
+            loss.backward()
+            return loss.data.tobytes(), {p.name: p.grad.tobytes() for p in model.parameters()}
+
+        fused = loss_and_grads()
+        monkeypatch.setattr(attention, "attention_scores", composed_attention_scores)
+        assert loss_and_grads() == fused
 
 
 class TestTemporalAggregate:

@@ -84,6 +84,16 @@ class TestExitCodes:
         assert code == 0
         assert "OK" in out
 
+    def test_gradcheck_rejects_f32_precision(self, capsys):
+        code, out, err = run_cli(capsys, "--precision", "f32", "gradcheck")
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        assert "float64" in err
+
+    def test_gradcheck_f64_precision_gives_default_report(self, capsys):
+        default = run_cli(capsys, "gradcheck")
+        assert run_cli(capsys, "--precision", "f64", "gradcheck") == default
+
     def test_gradcheck_detects_corrupted_backward(self, capsys, monkeypatch):
         # negative control: scale one op's gradient and confirm the check
         # goes red with exit code 1

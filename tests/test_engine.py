@@ -462,3 +462,19 @@ def test_scalar_operand_takes_the_tensor_dtype(op, scalar):
         assert out.dtype == np.float32, order
         out.sum().backward()
         assert x.grad.dtype == np.float32, order
+
+
+@pytest.mark.parametrize("op", [engine.add, engine.sub, engine.mul, engine.div],
+                         ids=["add", "sub", "mul", "div"])
+@pytest.mark.parametrize("const", [0, 1], ids=["constant-first", "constant-second"])
+def test_constant_operand_gets_no_gradient(op, const):
+    """A binary op returns None for an operand without requires_grad, and for
+    the other operand the bytes it gives when both operands require grad."""
+    rng = np.random.default_rng(0)
+    data = [rng.uniform(0.5, 2.0, size=(2, 3)), rng.uniform(0.5, 2.0, size=3)]
+    g = rng.normal(size=(2, 3))
+    operands = [Tensor(a, requires_grad=i != const) for i, a in enumerate(data)]
+    slots = op(*operands)._backward(g)
+    assert slots[const] is None
+    both = op(*(Tensor(a, requires_grad=True) for a in data))._backward(g)
+    assert slots[1 - const].tobytes() == both[1 - const].tobytes()

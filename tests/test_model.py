@@ -1,5 +1,6 @@
 import math
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -348,6 +349,23 @@ class TestCheckpoint:
                 save_checkpoint(path, ISTANet(cfg, rng=np.random.default_rng(1)))
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["m.ckpt"]
+
+    def test_save_syncs_file_then_renames_then_syncs_directory(self, tmp_path, monkeypatch):
+        calls = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            calls.append("fsync-dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "fsync-file")
+            real_fsync(fd)
+
+        def replace(src, dst):
+            calls.append("replace")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        save_checkpoint(tmp_path / "m.ckpt", ISTANet(tiny_config(), rng=np.random.default_rng(0)))
+        assert calls == ["fsync-file", "replace", "fsync-dir"]
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
