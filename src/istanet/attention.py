@@ -23,7 +23,7 @@ import numpy as np
 from . import engine
 from .engine import (BatchNormState, ConfigurationError, Parameter,
                      apply_scores, attention_contract, batchnorm, concat,
-                     conv3d_axis, leaky_relu, pointwise_conv3d, tanh)
+                     conv3d_axis, leaky_relu, pointwise_conv3d)
 
 
 @dataclass(frozen=True)
@@ -175,17 +175,13 @@ def attention_scores(q, k, alpha, m, c_beta):
     every entry within +-|alpha| of M; an entry the final rounding puts
     outside is nudged toward M by ulps until the bound holds exactly in
     floating point (identity for gradients). The backward is the closed
-    form g_QK = (g * alpha * tanh') / sqrt(c_beta), g_alpha = sum(g * t),
-    g_M = g, in the chain's rounding order; t and tanh' come from
-    engine.tanh, so tanh and its derivative keep one definition.
+    form g_QK = g * alpha * (1 - t*t) / sqrt(c_beta), g_alpha = sum(g * t),
+    g_M = g, in the chain's rounding order.
     """
     gram = attention_contract(q, k)
     radius = abs(float(alpha.data if isinstance(alpha, engine.Tensor) else alpha))
     scale = np.asarray(1.0 / np.sqrt(c_beta), dtype=gram.dtype)
-    # an input that requires grad makes tanh record its derivative closure;
-    # only t and that closure are kept, not the tanh node itself
-    th = tanh(engine.Tensor(gram.data * scale, requires_grad=True))
-    t, tanh_bwd = th.data, th._backward
+    t = np.tanh(gram.data * scale)
     alpha = engine._operands(gram, alpha)[1]
     scaled_t = t * alpha.data
     m = engine._operands(engine.Tensor(scaled_t), m)[1]
@@ -199,7 +195,7 @@ def attention_scores(q, k, alpha, m, c_beta):
 
     def bwd(g):
         g_t = engine._unbroadcast(g, t.shape)
-        return (tanh_bwd(g_t * alpha.data)[0] * scale if gram.requires_grad else None,
+        return (g_t * alpha.data * (1.0 - t * t) * scale if gram.requires_grad else None,
                 engine._unbroadcast(g_t * t, alpha.shape) if alpha.requires_grad else None,
                 engine._unbroadcast(g, m.shape) if m.requires_grad else None)
 

@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage/config error,
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -82,21 +83,22 @@ def load_run_config(path):
     return model_config, train_config, data, doc.get("out_dir", "runs/out")
 
 
+def _parse_window(text):
+    try:
+        t, j, e = (int(v) for v in text.split(","))
+    except ValueError:
+        raise ConfigFileError(f"--window expects three integers t,j,e, got {text!r}") from None
+    return t, j, e
+
+
 def _apply_overrides(model_config, train_config, args):
-    if args.epochs is not None:
-        train_config.epochs = args.epochs
-    if args.lr is not None:
-        train_config.lr = args.lr
-    if args.seed is not None:
-        train_config.seed = args.seed
-    if args.window is not None:
-        w = tuple(int(v) for v in args.window.split(","))
-        if len(w) != 3:
-            raise ConfigFileError(f"--window expects t,j,e, got {args.window!r}")
-        model_config.window = w
-    if args.frames is not None:
-        model_config.frames = args.frames
-    return model_config, train_config
+    """Command-line values replace the file's and are validated again."""
+    window = None if args.window is None else _parse_window(args.window)
+    model = {"window": window, "frames": args.frames}
+    train = {"epochs": args.epochs, "lr": args.lr, "seed": args.seed}
+    given = lambda values: {k: v for k, v in values.items() if v is not None}
+    return (dataclasses.replace(model_config, **given(model)),
+            dataclasses.replace(train_config, **given(train)))
 
 
 def _dtype(args):
@@ -180,7 +182,7 @@ def cmd_inspect(args):
         seq = parse_iskel(f.read(), source_id=args.sample)
 
     if args.what == "tokens":
-        window = tuple(int(v) for v in args.window.split(","))
+        window = _parse_window(args.window)
         tokens, u_layout = tokenize(seq.data, window)
         print("u,t_block,j_block,e_block,s,c,value")
         for row in token_rows(tokens, u_layout, window):

@@ -193,14 +193,6 @@ class DatasetManifest:
         tags = sorted({s.tag for s in self.samples if s.tag.startswith("fold")})
         return tags
 
-    def folds(self):
-        """Yield (train_entries, test_entries) per fold tag; partitions are
-        disjoint and exhaustive by construction."""
-        for tag in self.fold_tags():
-            test = [s for s in self.samples if s.tag == tag]
-            train = [s for s in self.samples if s.tag != tag]
-            yield train, test
-
     def load(self, entry):
         path = os.path.join(self.root, entry.path)
         with open(path, "r", encoding="utf-8") as f:

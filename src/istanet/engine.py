@@ -6,7 +6,7 @@ backward closure; ``backward()`` on a scalar runs the tape in reverse
 topological order and accumulates gradients over all paths.
 
 Dtype rule: a model computes in the dtype of its parameters, forward and
-backward. In add, sub, mul and div a scalar operand that is not a Tensor (a
+backward. In add, sub and mul a scalar operand that is not a Tensor (a
 Python float, a NumPy scalar or a 0-d array) takes the other operand's
 dtype, so a constant such as 1/n or eps never promotes float32 to float64.
 Non-scalar arrays keep their own dtype.
@@ -64,33 +64,12 @@ class Tensor:
     def item(self):
         return float(self.data)
 
-    def __repr__(self):
-        return f"Tensor(shape={self.shape}, dtype={self.dtype.name}, requires_grad={self.requires_grad})"
-
     # operator sugar -------------------------------------------------------
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
 
     def __getitem__(self, idx):
         return getitem(self, idx)
@@ -98,17 +77,14 @@ class Tensor:
     def reshape(self, *shape):
         return reshape(self, shape)
 
-    def transpose(self, axes):
-        return transpose(self, axes)
-
     def sum(self, axis=None, keepdims=False):
         return tensor_sum(self, axis=axis, keepdims=keepdims)
 
     def mean(self, axis=None, keepdims=False):
         return tensor_mean(self, axis=axis, keepdims=keepdims)
 
-    def backward(self, accumulate=False):
-        backward(self, accumulate=accumulate)
+    def backward(self):
+        backward(self)
 
 
 class Parameter(Tensor):
@@ -120,9 +96,6 @@ class Parameter(Tensor):
     def __init__(self, name, data, dtype=None):
         super().__init__(data, requires_grad=True, dtype=dtype)
         self.name = name
-
-    def __repr__(self):
-        return f"Parameter({self.name!r}, shape={self.shape})"
 
 
 def astensor(x, dtype=None):
@@ -201,37 +174,6 @@ def mul(a, b):
     return _make(out, (a, b), bwd)
 
 
-def div(a, b):
-    a, b = _operands(a, b)
-    out = a.data / b.data
-
-    def bwd(g):
-        return _binary_grads(a, b, lambda: g / b.data,
-                             lambda: -g * a.data / (b.data * b.data))
-
-    return _make(out, (a, b), bwd)
-
-
-def sqrt(a):
-    a = astensor(a)
-    out = np.sqrt(a.data)
-
-    def bwd(g):
-        return (g * 0.5 / out,)
-
-    return _make(out, (a,), bwd)
-
-
-def tanh(a):
-    a = astensor(a)
-    out = np.tanh(a.data)
-
-    def bwd(g):
-        return (g * (1.0 - out * out),)
-
-    return _make(out, (a,), bwd)
-
-
 def leaky_relu(a, gamma):
     """out = x if x >= 0 else gamma*x; the subgradient at 0 is taken as 1."""
     if gamma < 0:
@@ -253,17 +195,6 @@ def reshape(a, shape):
 
     def bwd(g):
         return (g.reshape(in_shape),)
-
-    return _make(out, (a,), bwd)
-
-
-def transpose(a, axes):
-    a = astensor(a)
-    out = np.ascontiguousarray(a.data.transpose(axes))
-    inv = np.argsort(axes)
-
-    def bwd(g):
-        return (g.transpose(inv),)
 
     return _make(out, (a,), bwd)
 
@@ -542,10 +473,10 @@ def _batch_normalize(x, axes, state):
     """Train-mode xhat = (x - mean) / sqrt(var + eps) over `axes` as one tape
     node, updating the running stats.
 
-    The forward takes the same steps in the same dtypes as tensor_mean, sub,
-    mul, add, sqrt and div would (1/n and eps in x's dtype), so it is
-    bit-identical to that composition. The backward is the closed form
-    inv * (g - mean(g) - xhat * mean(g * xhat)) with inv = 1/sqrt(var + eps).
+    The forward takes the same steps in the same dtypes as a chain of mean,
+    subtract, multiply, add, sqrt and divide nodes would (1/n and eps in x's
+    dtype), so it is bit-identical to that chain. The backward is the closed
+    form inv * (g - mean(g) - xhat * mean(g * xhat)), inv = 1/sqrt(var + eps).
     """
     inv_n = np.asarray(1.0 / int(np.prod([x.shape[ax] for ax in axes])), dtype=x.dtype)
     mu = x.data.sum(axis=axes, keepdims=True) * inv_n
@@ -567,8 +498,8 @@ def _batch_normalize(x, axes, state):
     return _make(xhat, (x,), bwd)
 
 
-def batchnorm(x, state, mode, channel_axis=None):
-    """Normalize over all non-channel axes.
+def batchnorm(x, state, mode):
+    """Normalize over all axes but the channel axis -4.
 
     Train mode uses batch statistics and updates running stats; infer mode
     uses the stored running stats (initialized to mean 0 / var 1).
@@ -576,15 +507,14 @@ def batchnorm(x, state, mode, channel_axis=None):
     if mode not in ("train", "infer"):
         raise UsageError(f"batchnorm mode must be 'train' or 'infer', got {mode!r}")
     x = astensor(x)
-    if channel_axis is None:
-        channel_axis = 1 if x.ndim >= 5 else 0
-    c = x.shape[channel_axis]
+    _check_rank(x, "batchnorm")
+    c = x.shape[-4]
     if c != state.channels:
         raise DimensionError(
-            f"batchnorm: channel axis {channel_axis} has {c} channels, state expects {state.channels}")
+            f"batchnorm: channel axis has {c} channels, state expects {state.channels}")
     bshape = [1] * x.ndim
-    bshape[channel_axis] = c
-    axes = tuple(i for i in range(x.ndim) if i != channel_axis)
+    bshape[-4] = c
+    axes = tuple(i for i in range(x.ndim) if i != x.ndim - 4)
 
     if mode == "train":
         xhat = _batch_normalize(x, axes, state)
@@ -602,11 +532,11 @@ def batchnorm(x, state, mode, channel_axis=None):
 # reverse pass
 # ---------------------------------------------------------------------------
 
-def backward(loss, accumulate=False):
+def backward(loss):
     """Run reverse-mode accumulation from a scalar loss.
 
-    Gradients of all reachable requires_grad tensors are populated; existing
-    grads are overwritten unless ``accumulate`` is set.
+    Gradients of all reachable requires_grad tensors are populated,
+    overwriting existing grads.
     """
     if not isinstance(loss, Tensor):
         raise UsageError("backward expects a Tensor")
@@ -647,7 +577,4 @@ def backward(loss, accumulate=False):
                 else:
                     grads[key] = pg
         if not node._parents:
-            if accumulate and node.grad is not None:
-                node.grad = node.grad + g
-            else:
-                node.grad = g
+            node.grad = g

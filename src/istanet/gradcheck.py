@@ -24,19 +24,18 @@ def miniature_config(num_classes=3):
     )
 
 
-def _loss_value(model, tokens, label, smoothing, temperature):
+def _loss(model, tokens, label):
     logits = model.forward_tokens(tokens, mode="train")
-    return ce_label_smoothing(logits, label, smoothing, temperature).item()
+    return ce_label_smoothing(logits, label, smoothing=0.1, temperature=1.0)
 
 
-def finite_difference_check(model, tokens, label, eps=1e-5, smoothing=0.1,
-                            temperature=1.0):
+def finite_difference_check(model, tokens, label):
     """Compare analytic and central-difference gradients for every parameter.
 
     Returns {parameter name: max relative error}. Model must be 64-bit.
     """
-    logits = model.forward_tokens(tokens, mode="train")
-    loss = ce_label_smoothing(logits, label, smoothing, temperature)
+    eps = 1e-5
+    loss = _loss(model, tokens, label)
     model.zero_grad()
     loss.backward()
     analytic = {p.name: np.array(p.grad, dtype=np.float64) for p in model.parameters()}
@@ -48,9 +47,9 @@ def finite_difference_check(model, tokens, label, eps=1e-5, smoothing=0.1,
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + eps
-            hi = _loss_value(model, tokens, label, smoothing, temperature)
+            hi = _loss(model, tokens, label).item()
             flat[i] = orig - eps
-            lo = _loss_value(model, tokens, label, smoothing, temperature)
+            lo = _loss(model, tokens, label).item()
             flat[i] = orig
             fd[i] = (hi - lo) / (2 * eps)
         ad = analytic[p.name].reshape(-1)

@@ -29,6 +29,9 @@ class ModelConfig:
 
     def __post_init__(self):
         self.window = tuple(self.window)
+        if len(self.window) != 3 or not all(isinstance(v, int) for v in self.window):
+            raise ConfigurationError(
+                f"window must be three integers t,j,e, got {list(self.window)}")
         self.blocks = [b if isinstance(b, TSABlockConfig) else TSABlockConfig(**b)
                        for b in self.blocks]
         if self.num_classes < 2:
@@ -105,6 +108,9 @@ class TrainConfig:
 
     def __post_init__(self):
         self.decay_epochs = tuple(self.decay_epochs)
+        for name, value in (("batch_size", self.batch_size), ("epochs", self.epochs)):
+            if not isinstance(value, int) or value < 1:
+                raise ConfigurationError(f"{name} must be an integer >= 1, got {value!r}")
         if not 0.0 <= self.label_smoothing < 1.0:
             raise ConfigurationError(
                 f"label smoothing must be in [0,1), got {self.label_smoothing}")
@@ -173,8 +179,7 @@ class ISTANet:
         if mode == "train":
             if rng is None:
                 raise UsageError("train-mode tokenization needs an rng for ER")
-            seq = entity_rearrange(seq, rng, enabled=True,
-                                   frozen=cfg.frozen_entities)
+            seq = entity_rearrange(seq, rng, frozen=cfg.frozen_entities)
         tokens, _ = tokenize(seq.data, cfg.window_spec)
         return tokens.astype(self.dtype)
 

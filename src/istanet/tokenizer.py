@@ -37,15 +37,12 @@ class WindowSpec:
         return (-(-t // self.t_w), -(-j // self.j_w), -(-e // self.e_w))
 
 
-def entity_rearrange(seq, rng, enabled, frozen=()):
+def entity_rearrange(seq, rng, frozen=()):
     """Permute the entity axis uniformly at random (training only).
 
-    When disabled the input is returned untouched, matching evaluation
-    behavior. Indices listed in `frozen` keep their slots; the remaining
-    entities are permuted uniformly among themselves.
+    Indices listed in `frozen` keep their slots; the remaining entities are
+    permuted uniformly among themselves.
     """
-    if not enabled:
-        return seq
     e = seq.data.shape[3]
     perm = np.arange(e)
     movable = [i for i in range(e) if i not in set(frozen)]

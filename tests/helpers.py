@@ -1,6 +1,6 @@
 """Shared test utilities: a finite-difference oracle kept independent of the
-reverse-mode path it checks, the attention score map composed of primitive
-ops, and malformed checkpoints."""
+reverse-mode path it checks, reference primitives (div, sqrt, tanh) and the
+attention score map composed of primitive ops, and malformed checkpoints."""
 
 import json
 
@@ -61,13 +61,34 @@ def check_op_gradients(op, arrays, eps=1e-6, tol=1e-4, loss="sumsq"):
     return worst
 
 
+def div(a, b):
+    """a / b as a tape node, with the engine's scalar-operand dtype rule."""
+    a, b = engine._operands(a, b)
+
+    def bwd(g):
+        return engine._binary_grads(a, b, lambda: g / b.data,
+                                    lambda: -g * a.data / (b.data * b.data))
+
+    return engine._make(a.data / b.data, (a, b), bwd)
+
+
+def sqrt(a):
+    out = np.sqrt(a.data)
+    return engine._make(out, (a,), lambda g: (g * 0.5 / out,))
+
+
+def tanh(a):
+    out = np.tanh(a.data)
+    return engine._make(out, (a,), lambda g: (g * (1.0 - out * out),))
+
+
 def composed_attention_scores(q, k, alpha, m, c_beta):
     """Reference for attention.attention_scores: the chain of primitive engine
     ops (contract, scale, tanh, alpha, + M) and an ulp nudge of entries
     outside the |score - M| <= |alpha| band, as a node of its own."""
     gram = engine.attention_contract(q, k)
     scaled = engine.mul(gram, 1.0 / np.sqrt(c_beta))
-    raw = engine.add(engine.mul(engine.tanh(scaled), alpha), m)
+    raw = engine.add(engine.mul(tanh(scaled), alpha), m)
     center = m.data if isinstance(m, engine.Tensor) else np.asarray(m)
     radius = abs(float(alpha.data if isinstance(alpha, engine.Tensor) else alpha))
     data = np.array(raw.data)

@@ -87,14 +87,14 @@ def test_er_uniformity():
     seq3 = SkeletonSequence(np.arange(6, dtype=float).reshape(2, 1, 1, 3), label=0)
     counts = {}
     for _ in range(6000):
-        out = entity_rearrange(seq3, rng, enabled=True)
+        out = entity_rearrange(seq3, rng)
         key = tuple(out.data[0, 0, 0])
         counts[key] = counts.get(key, 0) + 1
     _, p = stats.chisquare(list(counts.values()))
 
     rng2 = np.random.default_rng(1)
     seq2 = SkeletonSequence(np.arange(4, dtype=float).reshape(2, 1, 1, 2), label=0)
-    swaps = sum(int(not np.array_equal(entity_rearrange(seq2, rng2, enabled=True).data,
+    swaps = sum(int(not np.array_equal(entity_rearrange(seq2, rng2).data,
                                        seq2.data))
                 for _ in range(6000))
     freq = swaps / 6000
@@ -164,7 +164,7 @@ def _shuffled_eval_accuracy(model, manifest, entries, shuffle_rng):
     hits = 0
     for entry in entries:
         seq = preprocess(manifest.load(entry), model.config.frames)
-        seq = entity_rearrange(seq, shuffle_rng, enabled=True)
+        seq = entity_rearrange(seq, shuffle_rng)
         logits = model.forward_classify(seq, mode="infer").data.reshape(-1)
         hits += int(int(np.argmax(logits)) == entry.label)
     return hits / len(entries)

@@ -49,6 +49,20 @@ def corpus(tmp_path_factory):
     return out / "manifest.txt"
 
 
+# case -> (command, extra arguments, run-config overrides); each input is
+# refused with exit 2 and one error line
+BAD_INPUTS = {
+    "train-window-not-int": (["train"], ["--window", "a,1,1"], {}),
+    "train-epochs-flag-zero": (["train"], ["--epochs", "0"], {}),
+    "config-window-two-values": (["train"], [], {"model.window": [1, 2]}),
+    "config-batch-size-zero": (["train"], [], {"train.batch_size": 0}),
+    "config-epochs-zero": (["train"], [], {"train.epochs": 0}),
+    "config-epochs-negative": (["train"], [], {"train.epochs": -1}),
+    "inspect-window-two-values": (["inspect", "tokens"], ["--window", "1,2"], {}),
+    "inspect-window-not-int": (["inspect", "tokens"], ["--window", "a,1,1"], {}),
+}
+
+
 class TestExitCodes:
     def test_missing_config_names_path(self, capsys):
         code, _, err = run_cli(capsys, "train", "/nope/absent.json")
@@ -70,6 +84,20 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "train", str(path))
         assert code == 2
         assert key.split(".")[1] in err
+
+    @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+    def test_bad_window_or_train_length_is_usage_error(self, capsys, tmp_path, corpus, case):
+        command, extra, overrides = BAD_INPUTS[case]
+        if command[0] == "train":
+            target = write_run_config(tmp_path, corpus, **overrides)
+        else:
+            target = tmp_path / "s.iskel"
+            target.write_text(serialize_iskel(
+                make_sample(label=0, t=2, j=2, rng=np.random.default_rng(0))))
+        code, out, err = run_cli(capsys, *command, str(target), *extra)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("case", sorted(CHECKPOINT_CORRUPTIONS))
     def test_malformed_checkpoint_is_usage_error(self, capsys, tmp_path, corpus, case):

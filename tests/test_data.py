@@ -157,10 +157,9 @@ class TestManifest:
         files = [f"s{i}.iskel" for i in range(10)]
         lines = [f"{f} 0 fold{i % 5}" for i, f in enumerate(files)]
         man = load_manifest(self._write_corpus(tmp_path, lines, files))
-        folds = list(man.folds())
-        assert len(folds) == 5
-        for train, test in folds:
-            assert len(test) == 2 and len(train) == 8
+        assert man.fold_tags() == [f"fold{i}" for i in range(5)]
+        for tag in man.fold_tags():
+            assert len(man.split(tag)) == 2
 
     def test_fold_union_is_everything(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -168,8 +167,8 @@ class TestManifest:
         lines = [f"{f} 0 fold{rng.integers(0, 4)}" for f in files]
         man = load_manifest(self._write_corpus(tmp_path, lines, files))
         seen = []
-        for _, test in man.folds():
-            seen += [s.path for s in test]
+        for tag in man.fold_tags():
+            seen += [s.path for s in man.split(tag)]
         assert sorted(seen) == sorted(files)
 
     def test_duplicate_path_warns_but_loads_twice(self, tmp_path):

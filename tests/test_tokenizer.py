@@ -15,26 +15,20 @@ def random_seq(rng, c=3, t=6, j=4, e=2):
 
 
 class TestEntityRearrange:
-    def test_disabled_is_identity(self):
-        rng = np.random.default_rng(0)
-        seq = random_seq(rng)
-        out = entity_rearrange(seq, rng, enabled=False)
-        np.testing.assert_array_equal(out.data, seq.data)
-
     def test_two_entities_swap_half_the_time(self):
         rng = np.random.default_rng(1)
         seq = random_seq(rng, e=2)
         swaps = 0
         n = 4000
         for _ in range(n):
-            out = entity_rearrange(seq, rng, enabled=True)
+            out = entity_rearrange(seq, rng)
             swaps += int(not np.array_equal(out.data, seq.data))
         assert abs(swaps / n - 0.5) < 0.02
 
     def test_only_entity_order_changes(self):
         rng = np.random.default_rng(2)
         seq = random_seq(rng, e=3)
-        out = entity_rearrange(seq, rng, enabled=True)
+        out = entity_rearrange(seq, rng)
         # sorting entity slices by a canonical key restores the original
         key = lambda d: np.lexsort([d.reshape(-1, d.shape[-1])[0]])
         np.testing.assert_array_equal(
@@ -44,7 +38,7 @@ class TestEntityRearrange:
         rng = np.random.default_rng(3)
         seq = random_seq(rng, e=3)
         for _ in range(50):
-            out = entity_rearrange(seq, rng, enabled=True, frozen=(0,))
+            out = entity_rearrange(seq, rng, frozen=(0,))
             np.testing.assert_array_equal(out.data[..., 0], seq.data[..., 0])
 
     def test_uniform_over_permutations(self):
@@ -55,7 +49,7 @@ class TestEntityRearrange:
         counts = {}
         n = 6000
         for _ in range(n):
-            out = entity_rearrange(seq, rng, enabled=True)
+            out = entity_rearrange(seq, rng)
             key = tuple(out.data[0, 0, 0])
             counts[key] = counts.get(key, 0) + 1
         assert len(counts) == 6
@@ -125,7 +119,7 @@ class TestUnpartition:
     def test_round_trip_after_permutation_gives_permuted(self):
         rng = np.random.default_rng(10)
         seq = random_seq(rng, t=4, j=2, e=2)
-        permuted = entity_rearrange(seq, np.random.default_rng(3), enabled=True)
+        permuted = entity_rearrange(seq, np.random.default_rng(3))
         w = WindowSpec(2, 1, 2)
         back = unpartition(partition(permuted.data, w), w, permuted.data.shape[1:])
         np.testing.assert_array_equal(back, permuted.data)

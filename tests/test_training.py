@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from istanet import attention, engine
+from istanet import engine, training
 from istanet.attention import TSABlockConfig
 from istanet.data import SkeletonSequence, load_manifest, serialize_iskel
 from istanet.model import ISTANet, ModelConfig, TrainConfig
@@ -119,13 +119,15 @@ class TestTrainLoop:
                 train(model, manifest, small_train_config())
 
     def test_nonfinite_gradient_aborts_before_the_step(self, corpus, monkeypatch):
-        # the loss stays finite; only the tanh backward returns NaN, which
-        # reaches every parameter upstream of the attention scores
-        def tanh_with_nan_backward(a):
-            out = engine.tanh(a)
-            return engine._make(out.data, (a,), lambda g: (np.full_like(g, np.nan),))
+        # the loss stays finite; only its backward returns NaN, which reaches
+        # every parameter
+        real_loss = training.ce_label_smoothing
 
-        monkeypatch.setattr(attention, "tanh", tanh_with_nan_backward)
+        def loss_with_nan_backward(*args):
+            loss = real_loss(*args)
+            return engine._make(loss.data, (loss,), lambda g: (np.full_like(g, np.nan),))
+
+        monkeypatch.setattr(training, "ce_label_smoothing", loss_with_nan_backward)
         manifest = load_manifest(corpus, num_classes=4)
         model = ISTANet(small_config(), rng=np.random.default_rng(0))
         before = {p.name: p.data.tobytes() for p in model.parameters()}
