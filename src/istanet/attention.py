@@ -22,8 +22,9 @@ import numpy as np
 
 from . import engine
 from .engine import (BatchNormState, ConfigurationError, Parameter,
-                     apply_scores, attention_contract, batchnorm, concat,
-                     conv3d_axis, leaky_relu, pointwise_conv3d)
+                     apply_scores, attention_contract, batchnorm,
+                     check_field_types, concat, conv3d_axis, leaky_relu,
+                     pointwise_conv3d)
 
 
 @dataclass(frozen=True)
@@ -37,6 +38,7 @@ class TSABlockConfig:
     gamma: float = 0.1
 
     def __post_init__(self):
+        check_field_types(self)
         if self.c_out not in (self.c_in, 2 * self.c_in):
             raise ConfigurationError(
                 f"block output channels must equal or double the input: "
@@ -89,7 +91,6 @@ class TSABlockParams:
 
     def __init__(self, config, num_tokens, rng=None, dtype=np.float32, name="block"):
         self.config = config
-        self.num_tokens = num_tokens
         rng = rng if rng is not None else np.random.default_rng(0)
         cfg = config
         self.q_weights, self.q_biases = [], []

@@ -162,6 +162,8 @@ def load_checkpoint(path, dtype=np.float32):
     A file that is not a well-formed checkpoint for its own model config
     raises UsageError.
     """
+    if os.path.isdir(path):
+        raise UsageError(f"{path} is a directory, not a checkpoint")
     with open(path, "rb") as f:
         raw = f.read()
     header, binary = _read_header(path, raw)

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from .checkpoint import load_checkpoint
-from .data import ParseError, ValidationError, load_manifest, parse_iskel
+from .data import ParseError, ValidationError, load_manifest, parse_iskel, read_text
 from .engine import ConfigurationError, UsageError
 from .gradcheck import run_gradcheck
 from .model import ISTANet, ModelConfig, TrainConfig, evaluate_topk
@@ -33,7 +33,9 @@ class ConfigFileError(ValueError):
 
 
 _TOP_KEYS = {"model", "train", "data", "out_dir"}
-_DATA_KEYS = {"manifest", "train_tag", "val_tag", "num_classes"}
+_SECTION_KEYS = {"model": set(ModelConfig.__dataclass_fields__),
+                 "train": set(TrainConfig.__dataclass_fields__),
+                 "data": {"manifest", "train_tag", "val_tag", "num_classes"}}
 
 
 def load_run_config(path):
@@ -41,29 +43,21 @@ def load_run_config(path):
     referenced paths must exist."""
     if not os.path.exists(path):
         raise ConfigFileError(f"config file not found: {path}")
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as e:
-            raise ConfigFileError(f"{path}: invalid JSON ({e})") from None
+    try:
+        doc = json.loads(read_text(path, error=ConfigFileError))
+    except json.JSONDecodeError as e:
+        raise ConfigFileError(f"{path}: invalid JSON ({e})") from None
+    if not isinstance(doc, dict):
+        raise ConfigFileError(f"{path}: a run config must be a JSON object")
     unknown = set(doc) - _TOP_KEYS
     if unknown:
         raise ConfigFileError(f"{path}: unknown top-level keys {sorted(unknown)}")
-    for key in ("model", "train", "data"):
-        if key not in doc:
-            raise ConfigFileError(f"{path}: missing required section {key!r}")
-
-    model_fields = set(ModelConfig.__dataclass_fields__)
-    bad = set(doc["model"]) - model_fields
-    if bad:
-        raise ConfigFileError(f"{path}: unknown model keys {sorted(bad)}")
-    train_fields = set(TrainConfig.__dataclass_fields__)
-    bad = set(doc["train"]) - train_fields
-    if bad:
-        raise ConfigFileError(f"{path}: unknown train keys {sorted(bad)}")
-    bad = set(doc["data"]) - _DATA_KEYS
-    if bad:
-        raise ConfigFileError(f"{path}: unknown data keys {sorted(bad)}")
+    for key, known in _SECTION_KEYS.items():
+        if not isinstance(doc.get(key), dict):
+            raise ConfigFileError(f"{path}: section {key!r} is missing or not a JSON object")
+        bad = set(doc[key]) - known
+        if bad:
+            raise ConfigFileError(f"{path}: unknown {key} keys {sorted(bad)}")
 
     try:
         model_config = ModelConfig.from_dict(doc["model"])
@@ -153,7 +147,7 @@ def cmd_eval(args):
     print(f"top-1: {100 * acc:.2f}")
     for cls, (hits, total) in enumerate(per_class):
         if total:
-            print(f"class {cls} ({manifest.class_names[cls]}): {hits}/{total}")
+            print(f"class {cls} (class_{cls}): {hits}/{total}")
     return EXIT_OK
 
 
@@ -178,8 +172,7 @@ def cmd_gradcheck(args):
 
 
 def cmd_inspect(args):
-    with open(args.sample, "r", encoding="utf-8") as f:
-        seq = parse_iskel(f.read(), source_id=args.sample)
+    seq = parse_iskel(read_text(args.sample))
 
     if args.what == "tokens":
         window = _parse_window(args.window)

@@ -13,7 +13,7 @@ tags (fold0, fold1, ...).
 
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,8 +40,6 @@ class SkeletonSequence:
 
     data: np.ndarray
     label: int
-    valid_frames: int = 0
-    source_id: str = ""
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.float64)
@@ -54,22 +52,27 @@ class SkeletonSequence:
             raise ValidationError(f"axes T,J,E must all be >= 1, got shape {self.data.shape}")
         if self.label < 0:
             raise ValidationError(f"label must be >= 0, got {self.label}")
-        if self.valid_frames <= 0:
-            self.valid_frames = t
-        if self.valid_frames > t:
-            raise ValidationError(f"valid_frames {self.valid_frames} exceeds T={t}")
         if not np.isfinite(self.data).all():
             raise ValidationError("skeleton data contains non-finite values")
-
-    @property
-    def shape(self):
-        return self.data.shape
 
 
 _MAGIC = "ISKEL 1"
 
 
-def parse_iskel(raw, source_id=""):
+def read_text(path, error=ParseError):
+    """Contents of a user-supplied UTF-8 text file, newlines translated as
+    in text mode. A directory, or bytes that are not UTF-8, raise `error`,
+    the caller's typed input error."""
+    if os.path.isdir(path):
+        raise error(f"{path} is a directory, not a file")
+    with open(path, "r", encoding="utf-8") as f:
+        try:
+            return f.read()
+        except UnicodeDecodeError as e:
+            raise error(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
+
+
+def parse_iskel(raw):
     """Parse `.iskel` bytes or text into a SkeletonSequence."""
     if isinstance(raw, bytes):
         raw = raw.decode("utf-8")
@@ -103,7 +106,7 @@ def parse_iskel(raw, source_id=""):
 
     # stored order: t outermost, then j, then e, then c innermost
     data = values.reshape(t, j, e, c).transpose(3, 0, 1, 2)
-    return SkeletonSequence(data=data, label=label, source_id=source_id)
+    return SkeletonSequence(data=data, label=label)
 
 
 def serialize_iskel(seq):
@@ -116,31 +119,28 @@ def serialize_iskel(seq):
 
 
 def resample_frames(seq, target_t):
-    """Linearly resample the valid-frame range to exactly target_t frames."""
+    """Linearly resample the sequence to exactly target_t frames."""
     if target_t < 1:
         raise ConfigurationError(f"target frame count must be >= 1, got {target_t}")
-    n = seq.valid_frames
-    valid = seq.data[:, :n]
+    n = seq.data.shape[1]
     if n == 1:
-        out = np.repeat(valid, target_t, axis=1)
+        out = np.repeat(seq.data, target_t, axis=1)
     else:
         pos = np.linspace(0.0, n - 1.0, target_t)
         lo = np.floor(pos).astype(int)
         hi = np.minimum(lo + 1, n - 1)
         frac = (pos - lo).reshape(1, -1, 1, 1)
-        out = valid[:, lo] * (1.0 - frac) + valid[:, hi] * frac
-    return SkeletonSequence(data=out, label=seq.label, valid_frames=target_t,
-                            source_id=seq.source_id)
+        out = seq.data[:, lo] * (1.0 - frac) + seq.data[:, hi] * frac
+    return SkeletonSequence(data=out, label=seq.label)
 
 
 def center_sequence(seq):
-    """Subtract the mean joint position of the first valid frame.
+    """Subtract the mean joint position of the first frame.
 
     Removes absolute position; relative geometry and motion are untouched.
     """
     center = seq.data[:, 0].mean(axis=(1, 2)).reshape(-1, 1, 1, 1)
-    return SkeletonSequence(data=seq.data - center, label=seq.label,
-                            valid_frames=seq.valid_frames, source_id=seq.source_id)
+    return SkeletonSequence(data=seq.data - center, label=seq.label)
 
 
 def compute_padding(n, w):
@@ -179,12 +179,7 @@ class ManifestEntry:
 class DatasetManifest:
     samples: list
     num_classes: int
-    class_names: list = field(default_factory=list)
     root: str = "."
-
-    def __post_init__(self):
-        if not self.class_names:
-            self.class_names = [f"class_{i}" for i in range(self.num_classes)]
 
     def split(self, tag):
         return [s for s in self.samples if s.tag == tag]
@@ -194,9 +189,7 @@ class DatasetManifest:
         return tags
 
     def load(self, entry):
-        path = os.path.join(self.root, entry.path)
-        with open(path, "r", encoding="utf-8") as f:
-            seq = parse_iskel(f.read(), source_id=entry.path)
+        seq = parse_iskel(read_text(os.path.join(self.root, entry.path)))
         if seq.label != entry.label:
             raise ValidationError(
                 f"{entry.path}: file label {seq.label} != manifest label {entry.label}")
@@ -208,27 +201,26 @@ def load_manifest(path, num_classes=None):
     root = os.path.dirname(os.path.abspath(path))
     entries = []
     seen = set()
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ParseError(f"manifest line must be 'path label tag', got {line!r}",
-                                 line=lineno)
-            rel, label_s, tag = parts
-            try:
-                label = int(label_s)
-            except ValueError:
-                raise ParseError(f"non-integer label {label_s!r}", line=lineno) from None
-            full = os.path.join(root, rel)
-            if not os.path.exists(full):
-                raise ValidationError(f"manifest references missing file: {full}")
-            if rel in seen:
-                warnings.warn(f"manifest lists {rel} more than once; loading it twice")
-            seen.add(rel)
-            entries.append(ManifestEntry(path=rel, label=label, tag=tag))
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 3:
+            raise ParseError(f"manifest line must be 'path label tag', got {line!r}",
+                             line=lineno)
+        rel, label_s, tag = parts
+        try:
+            label = int(label_s)
+        except ValueError:
+            raise ParseError(f"non-integer label {label_s!r}", line=lineno) from None
+        full = os.path.join(root, rel)
+        if not os.path.exists(full):
+            raise ValidationError(f"manifest references missing file: {full}")
+        if rel in seen:
+            warnings.warn(f"manifest lists {rel} more than once; loading it twice")
+        seen.add(rel)
+        entries.append(ManifestEntry(path=rel, label=label, tag=tag))
 
     inferred = max((e.label for e in entries), default=-1) + 1
     if num_classes is None:

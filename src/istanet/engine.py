@@ -22,6 +22,8 @@ its taps with im2col. Train-mode batchnorm is one fused tape node with a
 closed-form backward.
 """
 
+import dataclasses
+
 import numpy as np
 
 
@@ -31,6 +33,24 @@ class DimensionError(ValueError):
 
 class ConfigurationError(ValueError):
     """Raised for invalid static configuration (kernel sizes, axes, ...)."""
+
+
+_FIELD_KINDS = {int: (int, "an integer"), float: ((int, float), "a number"),
+                bool: (bool, "a boolean"), tuple[int, ...]: (int, "a list of integers")}
+
+
+def check_field_types(config):
+    """Raise ConfigurationError unless each int, float, bool or tuple[int, ...]
+    field of the dataclass `config` holds that type. An int passes as a float;
+    a bool passes only as a bool."""
+    for f in dataclasses.fields(config):
+        if f.type not in _FIELD_KINDS:
+            continue
+        kind, name = _FIELD_KINDS[f.type]
+        value = getattr(config, f.name)
+        items = value if f.type == tuple[int, ...] else (value,)
+        if not all(isinstance(v, kind) and isinstance(v, bool) == (f.type is bool) for v in items):
+            raise ConfigurationError(f"{f.name} must be {name}, got {value!r}")
 
 
 class UsageError(RuntimeError):

@@ -3,20 +3,20 @@ self-attention blocks, global average pooling and a linear classifier,
 plus the loss, optimizer step and schedule used for training.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import engine
 from .attention import TSABlockConfig, TSABlockParams, tsa_block_forward
 from .engine import (ConfigurationError, Parameter, UsageError,
-                     log_softmax, linear)
+                     check_field_types, log_softmax, linear)
 from .tokenizer import EmbedParams, WindowSpec, embed, entity_rearrange, tokenize
 
 
 @dataclass
 class ModelConfig:
-    window: tuple
+    window: tuple[int, ...]
     in_channels: int
     frames: int
     joints: int
@@ -25,13 +25,18 @@ class ModelConfig:
     gamma: float
     blocks: list
     num_classes: int
-    frozen_entities: tuple = ()
+    frozen_entities: tuple[int, ...] = ()
 
     def __post_init__(self):
         self.window = tuple(self.window)
-        if len(self.window) != 3 or not all(isinstance(v, int) for v in self.window):
+        self.frozen_entities = tuple(self.frozen_entities)
+        check_field_types(self)
+        if len(self.window) != 3:
             raise ConfigurationError(
                 f"window must be three integers t,j,e, got {list(self.window)}")
+        if not all(0 <= e < self.entities for e in self.frozen_entities):
+            raise ConfigurationError(f"frozen_entities must be entity indices in "
+                                     f"[0,{self.entities}), got {list(self.frozen_entities)}")
         self.blocks = [b if isinstance(b, TSABlockConfig) else TSABlockConfig(**b)
                        for b in self.blocks]
         if self.num_classes < 2:
@@ -54,26 +59,10 @@ class ModelConfig:
         nt, nj, ne = self.u_layout()
         return nt * nj * ne
 
-    def to_dict(self):
-        return {
-            "window": list(self.window),
-            "in_channels": self.in_channels,
-            "frames": self.frames,
-            "joints": self.joints,
-            "entities": self.entities,
-            "embed_channels": self.embed_channels,
-            "gamma": self.gamma,
-            "blocks": [{"c_in": b.c_in, "c_out": b.c_out, "heads": b.heads,
-                        "c_qkv": b.c_qkv, "k_u": b.k_u, "k_t": b.k_t,
-                        "gamma": b.gamma} for b in self.blocks],
-            "num_classes": self.num_classes,
-            "frozen_entities": list(self.frozen_entities),
-        }
+    to_dict = asdict
 
     @classmethod
     def from_dict(cls, d):
-        d = dict(d)
-        d["frozen_entities"] = tuple(d.get("frozen_entities", ()))
         return cls(**d)
 
 
@@ -97,7 +86,7 @@ class TrainConfig:
     lr: float = 0.1
     momentum: float = 0.9
     lr_decay: float = 0.1
-    decay_epochs: tuple = (60, 90)
+    decay_epochs: tuple[int, ...] = (60, 90)
     batch_size: int = 32
     epochs: int = 110
     label_smoothing: float = 0.1
@@ -108,9 +97,11 @@ class TrainConfig:
 
     def __post_init__(self):
         self.decay_epochs = tuple(self.decay_epochs)
-        for name, value in (("batch_size", self.batch_size), ("epochs", self.epochs)):
-            if not isinstance(value, int) or value < 1:
-                raise ConfigurationError(f"{name} must be an integer >= 1, got {value!r}")
+        check_field_types(self)
+        for name, low in (("batch_size", 1), ("epochs", 1), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ConfigurationError(
+                    f"{name} must be an integer >= {low}, got {getattr(self, name)!r}")
         if not 0.0 <= self.label_smoothing < 1.0:
             raise ConfigurationError(
                 f"label smoothing must be in [0,1), got {self.label_smoothing}")
@@ -119,10 +110,7 @@ class TrainConfig:
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigurationError(f"momentum must be in [0,1), got {self.momentum}")
 
-    def to_dict(self):
-        d = dict(self.__dict__)
-        d["decay_epochs"] = list(self.decay_epochs)
-        return d
+    to_dict = asdict
 
     @classmethod
     def from_dict(cls, d):

@@ -56,7 +56,7 @@ def _trajectories(label, t, rng):
     return anchor, actor
 
 
-def make_sample(label, t=40, j=5, noise=0.02, rng=None, source_id=""):
+def make_sample(label, t=40, j=5, noise=0.02, rng=None):
     """One (3,t,j,2) sequence of the given class."""
     rng = rng if rng is not None else np.random.default_rng(0)
     if j > len(_JOINT_OFFSETS):
@@ -70,7 +70,7 @@ def make_sample(label, t=40, j=5, noise=0.02, rng=None, source_id=""):
         pts = center[:, None, :] + offsets[None, :, :]      # (t,j,3)
         pts = pts + rng.normal(0.0, noise, size=pts.shape)
         data[:, :, :, e] = pts.transpose(2, 0, 1)
-    return SkeletonSequence(data=data, label=label, source_id=source_id)
+    return SkeletonSequence(data=data, label=label)
 
 
 def generate_corpus(out_dir, num_train=64, num_val=32, t=40, j=5, noise=0.02,

@@ -47,8 +47,7 @@ def entity_rearrange(seq, rng, frozen=()):
     perm = np.arange(e)
     movable = [i for i in range(e) if i not in set(frozen)]
     perm[movable] = rng.permutation(movable)
-    return SkeletonSequence(data=seq.data[:, :, :, perm], label=seq.label,
-                            valid_frames=seq.valid_frames, source_id=seq.source_id)
+    return SkeletonSequence(data=seq.data[:, :, :, perm], label=seq.label)
 
 
 def partition(data, window):

@@ -26,7 +26,7 @@ class NumericAbort(RuntimeError):
 
 
 def preprocess(seq, frames):
-    """Dataset-side pipeline: center on the first valid frame, then resample
+    """Dataset-side pipeline: center on the first frame, then resample
     to the configured frame count."""
     return resample_frames(center_sequence(seq), frames)
 

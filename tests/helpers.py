@@ -1,8 +1,10 @@
 """Shared test utilities: a finite-difference oracle kept independent of the
 reverse-mode path it checks, reference primitives (div, sqrt, tanh) and the
-attention score map composed of primitive ops, and malformed checkpoints."""
+attention score map composed of primitive ops, malformed checkpoints, and the
+committed v1 checkpoint fixture."""
 
 import json
+import pathlib
 
 import numpy as np
 
@@ -119,6 +121,11 @@ def _edit_json(edit):
 def _blob(doc, name):
     return next(b for b in doc["blobs"] if b["name"] == name)
 
+
+# the miniature config with frozen_entities (1,), trained one Nesterov step
+# (lr 0.1) on one synthetic sample and saved in the v1 format with a
+# non-default TrainConfig, epoch 1, optimizer velocities and RNG state
+MINIATURE_V1_CHECKPOINT = pathlib.Path(__file__).parent / "data" / "miniature_v1.ckpt"
 
 # case -> (corruption of a saved checkpoint's bytes, expected error text)
 CHECKPOINT_CORRUPTIONS = {

@@ -7,7 +7,8 @@ from istanet import attention, cli, engine
 from istanet.data import serialize_iskel
 from istanet.synth import make_sample
 
-from helpers import CHECKPOINT_CORRUPTIONS, write_corrupt_checkpoint
+from helpers import (CHECKPOINT_CORRUPTIONS, MINIATURE_V1_CHECKPOINT,
+                     write_corrupt_checkpoint)
 
 
 def run_cli(capsys, *argv):
@@ -50,7 +51,7 @@ def corpus(tmp_path_factory):
 
 
 # case -> (command, extra arguments, run-config overrides); each input is
-# refused with exit 2 and one error line
+# refused with exit 2 and one error line, which names each overridden key
 BAD_INPUTS = {
     "train-window-not-int": (["train"], ["--window", "a,1,1"], {}),
     "train-epochs-flag-zero": (["train"], ["--epochs", "0"], {}),
@@ -60,6 +61,35 @@ BAD_INPUTS = {
     "config-epochs-negative": (["train"], [], {"train.epochs": -1}),
     "inspect-window-two-values": (["inspect", "tokens"], ["--window", "1,2"], {}),
     "inspect-window-not-int": (["inspect", "tokens"], ["--window", "a,1,1"], {}),
+    "config-lr-string": (["train"], [], {"train.lr": "x"}),
+    "config-lr-decay-string": (["train"], [], {"train.lr_decay": "x"}),
+    "config-checkpoint-interval-string": (["train"], [], {"train.checkpoint_interval": "x"}),
+    "config-seed-string": (["train"], [], {"train.seed": "x"}),
+    "config-seed-negative": (["train"], [], {"train.seed": -1}),
+    "config-decay-epochs-not-int": (["train"], [], {"train.decay_epochs": ["a"]}),
+    "config-er-enabled-string": (["train"], [], {"train.er_enabled": "no"}),
+    "config-gamma-string": (["train"], [], {"model.gamma": "x"}),
+    "config-frames-float": (["train"], [], {"model.frames": 2.5}),
+    "config-num-classes-float": (["train"], [], {"model.num_classes": 2.5}),
+    "config-embed-channels-string": (["train"], [], {"model.embed_channels": "4"}),
+    "config-frozen-entity-out-of-range": (["train"], [], {"model.frozen_entities": [5]}),
+    "config-frozen-entity-string": (["train"], [], {"model.frozen_entities": ["a"]}),
+    "config-section-not-object": (["train"], [], {"train": 5}),
+}
+
+# case -> command line; {bad} is a file that is not UTF-8, {dir} a directory,
+# {number} a JSON number, {ckpt} a valid checkpoint and {manifest} a manifest
+# listing {bad}. Each is refused with exit 2 and one error line.
+UNREADABLE_INPUTS = {
+    "inspect-sample-not-utf8": ["inspect", "tokens", "{bad}"],
+    "inspect-sample-directory": ["inspect", "tokens", "{dir}"],
+    "train-config-not-utf8": ["train", "{bad}"],
+    "train-config-not-object": ["train", "{number}"],
+    "gradcheck-config-not-utf8": ["gradcheck", "--config", "{bad}"],
+    "eval-manifest-not-utf8": ["eval", "{ckpt}", "{bad}"],
+    "eval-manifest-directory": ["eval", "{ckpt}", "{dir}"],
+    "eval-sample-not-utf8": ["eval", "{ckpt}", "{manifest}"],
+    "eval-checkpoint-directory": ["eval", "{dir}", "{manifest}"],
 }
 
 
@@ -98,6 +128,22 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: "), err
         assert not (tmp_path / "out").exists()
+        for key in overrides:
+            assert key.split(".")[-1] in err.replace(str(tmp_path), ""), err
+
+    @pytest.mark.parametrize("case", sorted(UNREADABLE_INPUTS))
+    def test_undecodable_or_directory_input_is_usage_error(self, capsys, tmp_path, case):
+        paths = {"bad": tmp_path / "bad.iskel", "dir": tmp_path / "d",
+                 "manifest": tmp_path / "manifest.txt", "number": tmp_path / "n.json",
+                 "ckpt": MINIATURE_V1_CHECKPOINT}
+        paths["bad"].write_bytes(b"ISKEL 1\n3 1 1 1 0\n0 0 \xff\n")
+        paths["dir"].mkdir()
+        paths["manifest"].write_text("bad.iskel 0 val\n")
+        paths["number"].write_text("5")
+        argv = [a.format(**paths) for a in UNREADABLE_INPUTS[case]]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
 
     @pytest.mark.parametrize("case", sorted(CHECKPOINT_CORRUPTIONS))
     def test_malformed_checkpoint_is_usage_error(self, capsys, tmp_path, corpus, case):

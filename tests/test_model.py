@@ -16,7 +16,8 @@ from istanet.model import (ISTANet, ModelConfig, NesterovSGD, TrainConfig,
                            ce_label_smoothing, default_block_plan,
                            evaluate_topk, lr_schedule)
 
-from helpers import CHECKPOINT_CORRUPTIONS, write_corrupt_checkpoint
+from helpers import (CHECKPOINT_CORRUPTIONS, MINIATURE_V1_CHECKPOINT,
+                     write_corrupt_checkpoint)
 
 
 def tiny_config(num_classes=3):
@@ -373,6 +374,18 @@ class TestCheckpoint:
         with pytest.raises(UsageError):
             load_checkpoint(path)
 
+    def test_committed_v1_checkpoint_saves_back_byte_identical(self, tmp_path):
+        # pins the header layout that both config serialisers write
+        model, tc, epoch, rng, vel = load_checkpoint(MINIATURE_V1_CHECKPOINT)
+        assert model.config.frozen_entities == (1,) and epoch == 1
+        assert tc.decay_epochs == (2,) and tc.er_enabled is False
+        opt = NesterovSGD(model.parameters())
+        for name, v in vel.items():
+            opt.load_state(name, v)
+        path = tmp_path / "again.ckpt"
+        save_checkpoint(path, model, train_config=tc, optimizer=opt, epoch=epoch, rng=rng)
+        assert path.read_bytes() == MINIATURE_V1_CHECKPOINT.read_bytes()
+
     @pytest.mark.parametrize("case", sorted(CHECKPOINT_CORRUPTIONS))
     def test_malformed_checkpoint_raises_usage_error(self, tmp_path, case):
         path = tmp_path / "m.ckpt"
@@ -387,6 +400,20 @@ class TestFullModelGradients:
         assert not offenders
         assert max(report.values()) <= 1e-4
 
+    def test_channel_doubling_chain_gradcheck_passes(self):
+        # a block fed by another block, and the residual projection that
+        # only a channel-doubling block has
+        cfg = ModelConfig(
+            window=(2, 1, 2), in_channels=3, frames=4, joints=2, entities=2,
+            embed_channels=4, gamma=0.1,
+            blocks=[TSABlockConfig(c_in=4, c_out=4, heads=2, c_qkv=2),
+                    TSABlockConfig(c_in=4, c_out=8, heads=2, c_qkv=2)],
+            num_classes=3)
+        report, offenders = run_gradcheck(cfg, seed=0, tolerance=1e-4)
+        assert {"blocks.1.res.weight", "blocks.1.res.bias"} <= set(report)
+        assert len(report) == 52
+        assert not offenders
+
 
 class TestConfigs:
     def test_block_chain_mismatch_rejected(self):
@@ -395,6 +422,12 @@ class TestConfigs:
                         entities=2, embed_channels=4, gamma=0.1,
                         blocks=[TSABlockConfig(c_in=8, c_out=8, heads=2, c_qkv=2)],
                         num_classes=3)
+
+    def test_block_field_types_checked(self):
+        with pytest.raises(ConfigurationError, match="heads must be an integer"):
+            TSABlockConfig(c_in=4, c_out=4, heads="2", c_qkv=2)
+        with pytest.raises(ConfigurationError, match="gamma must be a number"):
+            TSABlockConfig(c_in=4, c_out=4, heads=2, c_qkv=2, gamma=True)
 
     def test_default_plan_doubles_twice(self):
         blocks = default_block_plan(64)
