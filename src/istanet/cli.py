@@ -15,7 +15,7 @@ import numpy as np
 
 from .checkpoint import load_checkpoint
 from .data import ParseError, ValidationError, load_manifest, parse_iskel, read_text
-from .engine import ConfigurationError, UsageError
+from .engine import ConfigurationError, UsageError, no_grad
 from .gradcheck import run_gradcheck
 from .model import ISTANet, ModelConfig, TrainConfig, evaluate_topk
 from .synth import generate_corpus
@@ -65,15 +65,22 @@ def load_run_config(path):
     except (TypeError, ConfigurationError) as e:
         raise ConfigFileError(f"{path}: {e}") from None
 
-    manifest_path = doc["data"]["manifest"]
+    data = dict(doc["data"])
+    data.setdefault("train_tag", "train")
+    data.setdefault("val_tag", "val")
+    for key in ("manifest", "train_tag", "val_tag"):
+        if not isinstance(data.get(key), str):
+            raise ConfigFileError(f"{path}: data {key} must be a string, got {data.get(key)!r}")
+    num_classes = data.get("num_classes")
+    if num_classes is not None and (type(num_classes) is not int or num_classes < 2):
+        raise ConfigFileError(
+            f"{path}: data num_classes must be an integer >= 2, got {num_classes!r}")
+    manifest_path = data["manifest"]
     if not os.path.isabs(manifest_path):
         manifest_path = os.path.join(os.path.dirname(os.path.abspath(path)), manifest_path)
     if not os.path.exists(manifest_path):
         raise ConfigFileError(f"{path}: manifest not found: {manifest_path}")
-    data = dict(doc["data"])
     data["manifest"] = manifest_path
-    data.setdefault("train_tag", "train")
-    data.setdefault("val_tag", "val")
     return model_config, train_config, data, doc.get("out_dir", "runs/out")
 
 
@@ -190,7 +197,8 @@ def cmd_inspect(args):
     seq = preprocess(seq, model.config.frames)
     tokens = model.tokenize_sample(seq, mode="infer")
     sink = []
-    model.forward_tokens(tokens, mode="infer", score_sink=sink)
+    with no_grad():
+        model.forward_tokens(tokens, mode="infer", score_sink=sink)
     layout = model.config.u_layout()
     print(f"# u_layout,{layout[0]},{layout[1]},{layout[2]}")
     for b, block_scores in enumerate(sink):
@@ -261,6 +269,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed is not None and args.seed < 0:
+            raise UsageError(f"--seed must be an integer >= 0, got {args.seed}")
         return args.fn(args)
     except NumericAbort as e:
         print(f"numeric abort: {e}", file=sys.stderr)

@@ -20,8 +20,14 @@ and score application) view their operands as (..., rows, sites) matrices
 and run as BLAS matmuls, forward and backward; the axis convolution stacks
 its taps with im2col. Train-mode batchnorm is one fused tape node with a
 closed-form backward.
+
+Inside ``with no_grad():`` every op returns a plain Tensor with no parents
+and no backward closure, so a forward records no tape; evaluation runs that
+way. ``mode="infer"`` alone selects batchnorm's running statistics and
+still records a tape whenever a parameter requires grad.
 """
 
+import contextlib
 import dataclasses
 
 import numpy as np
@@ -145,9 +151,23 @@ def _unbroadcast(grad, shape):
     return grad
 
 
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Record no tape inside the block; the previous state is restored on
+    exit, also after an exception or a nested block."""
+    global _grad_enabled
+    saved, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = saved
+
+
 def _make(data, parents, backward_fn):
-    req = any(p.requires_grad for p in parents)
-    if not req:
+    if not (_grad_enabled and any(p.requires_grad for p in parents)):
         return Tensor(data)
     return Tensor(data, requires_grad=True, _parents=tuple(parents), _backward=backward_fn)
 

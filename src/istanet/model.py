@@ -3,6 +3,7 @@ self-attention blocks, global average pooling and a linear classifier,
 plus the loss, optimizer step and schedule used for training.
 """
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -117,6 +118,14 @@ class TrainConfig:
         return cls(**d)
 
 
+# Elements of the largest array of one evaluation chunk: one head's (rows, U, U)
+# score map, or one activation at the widest channel count. At U=400, chunks
+# of 16 or more rows push the score maps out of L2 and run slower than one
+# sample at a time; the activation term keeps a chunk's memory bounded at
+# small U, where the score maps alone would allow thousands of rows.
+EVAL_CHUNK_ELEMENTS = 1 << 20
+
+
 class ISTANet:
     """The network: embed -> L TSA blocks -> GAP over (T_w,S,U) -> FC."""
 
@@ -188,6 +197,25 @@ class ISTANet:
         tokens = self.tokenize_sample(seq, mode, rng=rng)
         return self.forward_tokens(tokens, mode)
 
+    def eval_chunk_rows(self):
+        """Rows per classify_batch chunk: EVAL_CHUNK_ELEMENTS over the larger
+        of one head's (U, U) score map and one (C, t_w, S, U) activation at
+        the widest channel count."""
+        cfg = self.config
+        u = cfg.num_tokens()
+        width = max([cfg.embed_channels] + [b.c_out for b in cfg.blocks])
+        return max(1, EVAL_CHUNK_ELEMENTS // max(u * u, width * math.prod(cfg.window) * u))
+
+    def classify_batch(self, seqs):
+        """Sequences -> infer-mode logits (len(seqs), num_classes) as an
+        ndarray, forwarded in chunks with no tape. Each row's logits equal
+        forward_classify's bit for bit."""
+        tokens = [self.tokenize_sample(seq, mode="infer") for seq in seqs]
+        rows = self.eval_chunk_rows()
+        with engine.no_grad():
+            return np.concatenate([self.forward_tokens(np.stack(tokens[i:i + rows]), "infer").data
+                                   for i in range(0, len(tokens), rows)])
+
 
 def ce_label_smoothing(logits, labels, smoothing, temperature):
     """Cross entropy with smoothed targets over tempered softmax.
@@ -245,19 +273,22 @@ def lr_schedule(epoch, train_config):
     return train_config.lr * (train_config.lr_decay ** passed)
 
 
-def evaluate_topk(model, manifest, entries, k=1, preprocess=None):
-    """Top-k accuracy of eval-mode predictions over manifest entries."""
-    if not entries:
+def topk_accuracy(model, seqs, labels, k=1):
+    """Top-k accuracy of infer-mode predictions over preprocessed sequences,
+    and per-class [hits, total] counts."""
+    if not seqs:
         raise UsageError("cannot evaluate an empty split")
-    hits = 0
+    topk = np.argsort(model.classify_batch(seqs), axis=-1)[:, ::-1][:, :k]
     per_class = np.zeros((model.config.num_classes, 2), dtype=int)  # [hits, total]
-    for entry in entries:
-        seq = manifest.load(entry)
-        if preprocess is not None:
-            seq = preprocess(seq)
-        logits = model.forward_classify(seq, mode="infer").data.reshape(-1)
-        topk = np.argsort(logits)[::-1][:k]
-        hit = int(entry.label in topk)
-        hits += hit
-        per_class[entry.label] += (hit, 1)
-    return hits / len(entries), per_class
+    for label, row in zip(labels, topk):
+        per_class[label] += (int(label in row), 1)
+    return int(per_class[:, 0].sum()) / len(seqs), per_class
+
+
+def evaluate_topk(model, manifest, entries, k=1, preprocess=None):
+    """Top-k accuracy of infer-mode predictions over manifest entries: load
+    and preprocess every entry, then score them with topk_accuracy."""
+    seqs = [manifest.load(entry) for entry in entries]
+    if preprocess is not None:
+        seqs = [preprocess(seq) for seq in seqs]
+    return topk_accuracy(model, seqs, [entry.label for entry in entries], k)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from istanet import attention, cli, engine
-from istanet.data import serialize_iskel
+from istanet.data import load_manifest, serialize_iskel
 from istanet.synth import make_sample
 
 from helpers import (CHECKPOINT_CORRUPTIONS, MINIATURE_V1_CHECKPOINT,
@@ -75,6 +75,23 @@ BAD_INPUTS = {
     "config-frozen-entity-out-of-range": (["train"], [], {"model.frozen_entities": [5]}),
     "config-frozen-entity-string": (["train"], [], {"model.frozen_entities": ["a"]}),
     "config-section-not-object": (["train"], [], {"train": 5}),
+    "config-data-manifest-int": (["train"], [], {"data.manifest": 5}),
+    "config-data-train-tag-int": (["train"], [], {"data.train_tag": 5}),
+    "config-data-val-tag-list": (["train"], [], {"data.val_tag": ["val"]}),
+    "config-data-num-classes-string": (["train"], [], {"data.num_classes": "x"}),
+    "config-data-num-classes-one": (["train"], [], {"data.num_classes": 1}),
+    "config-data-num-classes-bool": (["train"], [], {"data.num_classes": True}),
+}
+
+# subcommand -> its arguments after `--seed -1`; {config} is a valid run
+# config, {ckpt} a valid checkpoint, {manifest} a manifest, {sample} a sample
+# and {new} a directory that must not be created
+NEGATIVE_SEED = {
+    "train": ["train", "{config}"],
+    "eval": ["eval", "{ckpt}", "{manifest}"],
+    "gradcheck": ["gradcheck"],
+    "inspect": ["inspect", "tokens", "{sample}"],
+    "synth": ["synth", "{new}"],
 }
 
 # case -> command line; {bad} is a file that is not UTF-8, {dir} a directory,
@@ -144,6 +161,19 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+    @pytest.mark.parametrize("command", sorted(NEGATIVE_SEED))
+    def test_negative_seed_is_usage_error(self, capsys, tmp_path, corpus, command):
+        man = load_manifest(corpus)
+        paths = {"config": write_run_config(tmp_path, corpus), "ckpt": MINIATURE_V1_CHECKPOINT,
+                 "manifest": corpus, "sample": corpus.parent / man.samples[0].path,
+                 "new": tmp_path / "new"}
+        argv = [a.format(**paths) for a in NEGATIVE_SEED[command]]
+        code, out, err = run_cli(capsys, "--seed", "-1", *argv)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        assert "--seed" in err
+        assert not (tmp_path / "new").exists() and not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("case", sorted(CHECKPOINT_CORRUPTIONS))
     def test_malformed_checkpoint_is_usage_error(self, capsys, tmp_path, corpus, case):

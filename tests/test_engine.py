@@ -472,3 +472,60 @@ def test_constant_operand_gets_no_gradient(op, const):
     assert slots[const] is None
     both = op(*(Tensor(a, requires_grad=True) for a in data))._backward(g)
     assert slots[1 - const].tobytes() == both[1 - const].tobytes()
+
+
+class TestNoGrad:
+    @staticmethod
+    def _model_and_tokens(dtype):
+        from istanet.attention import TSABlockConfig
+        from istanet.model import ISTANet, ModelConfig
+        cfg = ModelConfig(window=(2, 1, 2), in_channels=3, frames=4, joints=2, entities=2,
+                          embed_channels=4, gamma=0.1,
+                          blocks=[TSABlockConfig(c_in=4, c_out=8, heads=2, c_qkv=2)],
+                          num_classes=3)
+        model = ISTANet(cfg, rng=np.random.default_rng(0), dtype=dtype)
+        rng = np.random.default_rng(1)
+        for _, buf in model.buffers():
+            buf[...] = rng.uniform(0.5, 2.0, size=buf.shape)
+        return model, rng.normal(size=(3, 3, 2, 2, 4)).astype(dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_logits_are_byte_equal_to_taped_infer_logits(self, dtype):
+        model, tokens = self._model_and_tokens(dtype)
+        taped = model.forward_tokens(tokens, "infer")
+        assert taped._parents
+        with engine.no_grad():
+            free = model.forward_tokens(tokens, "infer")
+        assert free.dtype == taped.dtype == np.dtype(dtype)
+        assert free.data.tobytes() == taped.data.tobytes()
+
+    def test_output_records_no_tape(self):
+        model, tokens = self._model_and_tokens(np.float32)
+        with engine.no_grad():
+            out = model.forward_tokens(tokens, "infer")
+        assert out._parents == () and out._backward is None
+        assert not out.requires_grad
+
+    def test_state_restored_after_an_exception(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        with pytest.raises(ZeroDivisionError):
+            with engine.no_grad():
+                1 / 0
+        assert (x * 2.0)._parents
+
+    def test_state_restored_after_nested_blocks(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        with engine.no_grad():
+            with engine.no_grad():
+                pass
+            assert not (x * 2.0)._parents
+        assert (x * 2.0)._parents
+
+    def test_backward_on_a_loss_built_without_tape_sets_no_gradient(self):
+        from istanet.model import ce_label_smoothing
+        model, tokens = self._model_and_tokens(np.float64)
+        with engine.no_grad():
+            loss = ce_label_smoothing(model.forward_tokens(tokens, "train"), [0, 1, 2],
+                                      smoothing=0.1, temperature=1.0)
+        loss.backward()
+        assert all(p.grad is None for p in model.parameters())

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from istanet import model as model_module
 from istanet.attention import TSABlockConfig
 from istanet.checkpoint import load_checkpoint, save_checkpoint
 from istanet.data import SkeletonSequence
@@ -14,7 +15,7 @@ from istanet.engine import ConfigurationError, Parameter, Tensor, UsageError
 from istanet.gradcheck import run_gradcheck
 from istanet.model import (ISTANet, ModelConfig, NesterovSGD, TrainConfig,
                            ce_label_smoothing, default_block_plan,
-                           evaluate_topk, lr_schedule)
+                           evaluate_topk, lr_schedule, topk_accuracy)
 
 from helpers import (CHECKPOINT_CORRUPTIONS, MINIATURE_V1_CHECKPOINT,
                      write_corrupt_checkpoint)
@@ -249,8 +250,8 @@ class TestTopK:
         class Fake:
             config = tiny_config(num_classes=3)
 
-            def forward_classify(self, seq, mode):
-                return Tensor(np.array(logits_by_label[seq.label], dtype=float))
+            def classify_batch(self, seqs):
+                return np.array([logits_by_label[seq.label] for seq in seqs], dtype=float)
         return Fake()
 
     def _manifest(self, labels, tmp_path):
@@ -286,6 +287,51 @@ class TestTopK:
         man = self._manifest([0], tmp_path)
         with pytest.raises(UsageError):
             evaluate_topk(self._fixed_model({0: [1, 0, 0]}), man, [], k=1)
+
+
+class TestChunkedEvaluation:
+    @pytest.mark.parametrize("window,rows", [((10, 1, 2), 81), ((1, 1, 1), 6)])
+    def test_chunk_rows_of_the_readme_blocks(self, window, rows):
+        # U=20: one activation (32 channels) bounds the chunk; U=400: one
+        # head's score map does
+        cfg = ModelConfig(window=window, in_channels=3, frames=40, joints=5, entities=2,
+                          embed_channels=16, gamma=0.1,
+                          blocks=[TSABlockConfig(c_in=16, c_out=16, heads=2, c_qkv=4),
+                                  TSABlockConfig(c_in=16, c_out=32, heads=2, c_qkv=4)],
+                          num_classes=4)
+        assert ISTANet(cfg).eval_chunk_rows() == rows
+
+    # with EVAL_CHUNK_ELEMENTS at 1024: U=32 gives U*U = 1024, so one row a
+    # chunk; U=4 gives 4 channels * 32 elements = 128, so eight rows
+    @pytest.mark.parametrize("window,rows", [((1, 1, 1), 1), ((4, 1, 2), 8)])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_accuracy_equals_per_sample_reference(self, monkeypatch, window, rows, k):
+        monkeypatch.setattr(model_module, "EVAL_CHUNK_ELEMENTS", 1024)
+        cfg = ModelConfig(window=window, in_channels=3, frames=8, joints=2, entities=2,
+                          embed_channels=4, gamma=0.1,
+                          blocks=[TSABlockConfig(c_in=4, c_out=4, heads=2, c_qkv=2)],
+                          num_classes=4)
+        model = ISTANet(cfg, rng=np.random.default_rng(0))
+        assert model.eval_chunk_rows() == rows
+        rng = np.random.default_rng(1)
+        for _, buf in model.buffers():
+            buf[...] = rng.uniform(0.5, 2.0, size=buf.shape)
+        labels = rng.integers(0, 4, size=20)
+        seqs = [SkeletonSequence(rng.normal(size=(3, 8, 2, 2)), label=int(y)) for y in labels]
+
+        hits, per_class, single = 0, np.zeros((4, 2), dtype=int), []
+        for seq in seqs:
+            logits = model.forward_classify(seq, mode="infer").data.reshape(-1)
+            single.append(logits)
+            hit = int(seq.label in np.argsort(logits)[::-1][:k])
+            hits += hit
+            per_class[seq.label] += (hit, 1)
+        assert 0 < hits < len(seqs)
+
+        assert model.classify_batch(seqs).tobytes() == np.stack(single).tobytes()
+        acc, got_per_class = topk_accuracy(model, seqs, labels, k=k)
+        assert acc == hits / len(seqs)
+        assert got_per_class.tolist() == per_class.tolist()
 
 
 class TestCheckpoint:

@@ -5,7 +5,7 @@ import pytest
 
 from istanet import engine, training
 from istanet.attention import TSABlockConfig
-from istanet.data import SkeletonSequence, load_manifest, serialize_iskel
+from istanet.data import ParseError, SkeletonSequence, load_manifest, serialize_iskel
 from istanet.model import ISTANet, ModelConfig, TrainConfig
 from istanet.synth import generate_corpus
 from istanet.training import NumericAbort, preprocess, train
@@ -134,4 +134,17 @@ class TestTrainLoop:
         with pytest.raises(NumericAbort, match=r"non-finite gradient at epoch 0 "
                                                r"batch 0 in parameter embed\.weight"):
             train(model, manifest, small_train_config())
+        assert {p.name: p.data.tobytes() for p in model.parameters()} == before
+
+    def test_corrupt_val_file_fails_before_the_first_step(self, tmp_path):
+        path = generate_corpus(tmp_path, num_train=8, num_val=4, t=8, j=2, seed=0)
+        manifest = load_manifest(path, num_classes=4)
+        (tmp_path / manifest.split("val")[-1].path).write_text("ISKEL 1\nnot a header\n")
+        model = ISTANet(small_config(), rng=np.random.default_rng(0))
+        before = {p.name: p.data.tobytes() for p in model.parameters()}
+        records = []
+        with pytest.raises(ParseError):
+            train(model, manifest, small_train_config(), out_dir=tmp_path / "out",
+                  log_sink=lambda record, wall_ms: records.append(record))
+        assert records == []
         assert {p.name: p.data.tobytes() for p in model.parameters()} == before
