@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage/config error,
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -161,6 +162,8 @@ def cmd_eval(args):
 def cmd_gradcheck(args):
     if args.precision == "f32":
         raise UsageError("gradcheck runs in float64; --precision f32 does not apply")
+    if not (math.isfinite(args.tolerance) and args.tolerance > 0):
+        raise UsageError(f"--tolerance must be a finite number > 0, got {args.tolerance}")
     config = None
     if args.config:
         config, _, _, _ = load_run_config(args.config)
@@ -210,6 +213,11 @@ def cmd_inspect(args):
 
 
 def cmd_synth(args):
+    for flag, value, low in (("--num-train", args.num_train, 0), ("--num-val", args.num_val, 0),
+                             ("--folds", args.folds, 0), ("--noise", args.noise, 0),
+                             ("--frames", args.frames, 1), ("--joints", args.joints, 1)):
+        if not (math.isfinite(value) and value >= low):
+            raise UsageError(f"{flag} must be a finite number >= {low}, got {value}")
     path = generate_corpus(args.out, num_train=args.num_train, num_val=args.num_val,
                            t=args.frames, j=args.joints, noise=args.noise,
                            seed=args.seed or 0, folds=args.folds)

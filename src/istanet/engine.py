@@ -6,7 +6,7 @@ backward closure; ``backward()`` on a scalar runs the tape in reverse
 topological order and accumulates gradients over all paths.
 
 Dtype rule: a model computes in the dtype of its parameters, forward and
-backward. In add, sub and mul a scalar operand that is not a Tensor (a
+backward. In add and mul a scalar operand that is not a Tensor (a
 Python float, a NumPy scalar or a 0-d array) takes the other operand's
 dtype, so a constant such as 1/n or eps never promotes float32 to float64.
 Non-scalar arrays keep their own dtype.
@@ -18,13 +18,14 @@ works on the trailing four axes (C, T, S, U), so the channel axis is always
 The contractions (pointwise and axis convolutions, the attention Gram matrix
 and score application) view their operands as (..., rows, sites) matrices
 and run as BLAS matmuls, forward and backward; the axis convolution stacks
-its taps with im2col. Train-mode batchnorm is one fused tape node with a
-closed-form backward.
+its taps with im2col. Batchnorm is one tape node in both modes, its
+per-channel affine included; in train mode its backward is closed-form.
 
 Inside ``with no_grad():`` every op returns a plain Tensor with no parents
-and no backward closure, so a forward records no tape; evaluation runs that
-way. ``mode="infer"`` alone selects batchnorm's running statistics and
-still records a tape whenever a parameter requires grad.
+and no backward closure, so a forward records no tape; evaluation and
+infer-mode ``forward_classify`` run that way. ``mode="infer"`` alone selects
+batchnorm's running statistics and still records a tape whenever a
+parameter requires grad.
 """
 
 import contextlib
@@ -194,16 +195,6 @@ def add(a, b):
     return _make(out, (a, b), bwd)
 
 
-def sub(a, b):
-    a, b = _operands(a, b)
-    out = a.data - b.data
-
-    def bwd(g):
-        return _binary_grads(a, b, lambda: g, lambda: -g)
-
-    return _make(out, (a, b), bwd)
-
-
 def mul(a, b):
     a, b = _operands(a, b)
     out = a.data * b.data
@@ -215,15 +206,23 @@ def mul(a, b):
 
 
 def leaky_relu(a, gamma):
-    """out = x if x >= 0 else gamma*x; the subgradient at 0 is taken as 1."""
+    """out = x if x >= 0 else gamma*x; the subgradient at 0 is taken as 1.
+
+    For gamma > 0 the forward is max(gamma*x, x), min for gamma > 1: the
+    bytes of the select, signed zeros, infinities and NaNs included (gamma*x
+    goes first, so a NaN comes out as gamma*x quiets it). At gamma = 0,
+    gamma*(+inf) is NaN, so that case keeps the select.
+    """
     if gamma < 0:
         raise ConfigurationError(f"leaky_relu slope must be >= 0, got {gamma}")
     a = astensor(a)
-    pos = a.data >= 0
-    out = np.where(pos, a.data, gamma * a.data)
+    if gamma == 0:
+        out = np.where(a.data >= 0, a.data, gamma * a.data)
+    else:
+        out = (np.maximum if gamma <= 1 else np.minimum)(gamma * a.data, a.data)
 
     def bwd(g):
-        return (np.where(pos, g, gamma * g),)
+        return (np.where(a.data >= 0, g, gamma * g),)
 
     return _make(out, (a,), bwd)
 
@@ -510,8 +509,8 @@ class BatchNormState:
 
 
 def _batch_normalize(x, axes, state):
-    """Train-mode xhat = (x - mean) / sqrt(var + eps) over `axes` as one tape
-    node, updating the running stats.
+    """Train-mode xhat = (x - mean) / sqrt(var + eps) over `axes`, updating
+    the running stats; returns xhat and the backward of xhat.
 
     The forward takes the same steps in the same dtypes as a chain of mean,
     subtract, multiply, add, sqrt and divide nodes would (1/n and eps in x's
@@ -533,16 +532,19 @@ def _batch_normalize(x, axes, state):
     def bwd(g):
         gmean = g.sum(axis=axes, keepdims=True) * inv_n
         gxmean = (g * xhat).sum(axis=axes, keepdims=True) * inv_n
-        return ((g - gmean - xhat * gxmean) / std,)
+        return (g - gmean - xhat * gxmean) / std
 
-    return _make(xhat, (x,), bwd)
+    return xhat, bwd
 
 
 def batchnorm(x, state, mode):
-    """Normalize over all axes but the channel axis -4.
+    """Normalize over all axes but the channel axis -4, then apply the
+    per-channel affine scale * xhat + shift, as one tape node.
 
     Train mode uses batch statistics and updates running stats; infer mode
-    uses the stored running stats (initialized to mean 0 / var 1).
+    uses the stored running stats (initialized to mean 0 / var 1) as
+    constants. Forward and backward take the steps of the chain of
+    normalisation, reshape, mul and add nodes, so the bytes are the chain's.
     """
     if mode not in ("train", "infer"):
         raise UsageError(f"batchnorm mode must be 'train' or 'infer', got {mode!r}")
@@ -557,15 +559,20 @@ def batchnorm(x, state, mode):
     axes = tuple(i for i in range(x.ndim) if i != x.ndim - 4)
 
     if mode == "train":
-        xhat = _batch_normalize(x, axes, state)
+        xhat, normalize_bwd = _batch_normalize(x, axes, state)
     else:
-        rm = state.running_mean.reshape(bshape)
-        rv = state.running_var.reshape(bshape)
-        xhat = mul(sub(x, rm), 1.0 / np.sqrt(rv + state.eps))
+        inv = 1.0 / np.sqrt(state.running_var.reshape(bshape) + state.eps)
+        xhat = (x.data - state.running_mean.reshape(bshape)) * inv
+        normalize_bwd = lambda g: g * inv
 
-    scale = reshape(state.scale, bshape)
-    shift = reshape(state.shift, bshape)
-    return add(mul(scale, xhat), shift)
+    scale = state.scale.data.reshape(bshape)
+    out = scale * xhat + state.shift.data.reshape(bshape)
+
+    def bwd(g):
+        return (normalize_bwd(g * scale), _unbroadcast(g * xhat, bshape).reshape(-1),
+                _unbroadcast(g, bshape).reshape(-1))
+
+    return _make(out, (x, state.scale, state.shift), bwd)
 
 
 # ---------------------------------------------------------------------------

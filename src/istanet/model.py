@@ -193,9 +193,13 @@ class ISTANet:
         return linear(pooled, self.fc_weight, self.fc_bias)
 
     def forward_classify(self, seq, mode, rng=None):
-        """Single sequence -> logits (num_classes,). ER only in train mode."""
+        """Single sequence -> logits (num_classes,). ER only in train mode;
+        infer mode records no tape."""
         tokens = self.tokenize_sample(seq, mode, rng=rng)
-        return self.forward_tokens(tokens, mode)
+        if mode == "train":
+            return self.forward_tokens(tokens, mode)
+        with engine.no_grad():
+            return self.forward_tokens(tokens, mode)
 
     def eval_chunk_rows(self):
         """Rows per classify_batch chunk: EVAL_CHUNK_ELEMENTS over the larger

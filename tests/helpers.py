@@ -1,7 +1,7 @@
 """Shared test utilities: a finite-difference oracle kept independent of the
-reverse-mode path it checks, reference primitives (div, sqrt, tanh) and the
-attention score map composed of primitive ops, malformed checkpoints, and the
-committed v1 checkpoint fixture."""
+reverse-mode path it checks, reference primitives (sub, div, sqrt, tanh) and
+the attention score map composed of primitive ops, malformed checkpoints, and
+the committed v1 checkpoint fixture."""
 
 import json
 import pathlib
@@ -61,6 +61,16 @@ def check_op_gradients(op, arrays, eps=1e-6, tol=1e-4, loss="sumsq"):
         worst = max(worst, rel_err(fd, t.grad))
     assert worst <= tol, f"gradient mismatch: rel err {worst:.3e} > {tol}"
     return worst
+
+
+def sub(a, b):
+    """a - b as a tape node, with the engine's scalar-operand dtype rule."""
+    a, b = engine._operands(a, b)
+
+    def bwd(g):
+        return engine._binary_grads(a, b, lambda: g, lambda: -g)
+
+    return engine._make(a.data - b.data, (a, b), bwd)
 
 
 def div(a, b):

@@ -94,6 +94,23 @@ NEGATIVE_SEED = {
     "synth": ["synth", "{new}"],
 }
 
+# case -> (command line, the flag it gets wrong); {new} is a directory that
+# must not be created. Each is refused with exit 2 and one error line.
+BAD_FLAGS = {
+    "gradcheck-tolerance-nan": (["gradcheck", "--tolerance", "nan"], "--tolerance"),
+    "gradcheck-tolerance-inf": (["gradcheck", "--tolerance", "inf"], "--tolerance"),
+    "gradcheck-tolerance-zero": (["gradcheck", "--tolerance", "0"], "--tolerance"),
+    "gradcheck-tolerance-negative": (["gradcheck", "--tolerance", "-1"], "--tolerance"),
+    "synth-noise-negative": (["synth", "{new}", "--noise", "-1"], "--noise"),
+    "synth-noise-nan": (["synth", "{new}", "--noise", "nan"], "--noise"),
+    "synth-noise-inf": (["synth", "{new}", "--noise", "inf"], "--noise"),
+    "synth-num-train-negative": (["synth", "{new}", "--num-train", "-1"], "--num-train"),
+    "synth-num-val-negative": (["synth", "{new}", "--num-val", "-1"], "--num-val"),
+    "synth-folds-negative": (["synth", "{new}", "--folds", "-2"], "--folds"),
+    "synth-frames-negative": (["synth", "{new}", "--frames", "-3"], "--frames"),
+    "synth-joints-zero": (["synth", "{new}", "--joints", "0"], "--joints"),
+}
+
 # case -> command line; {bad} is a file that is not UTF-8, {dir} a directory,
 # {number} a JSON number, {ckpt} a valid checkpoint and {manifest} a manifest
 # listing {bad}. Each is refused with exit 2 and one error line.
@@ -174,6 +191,15 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1 and err.startswith("error: "), err
         assert "--seed" in err
         assert not (tmp_path / "new").exists() and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("case", sorted(BAD_FLAGS))
+    def test_bad_flag_value_is_usage_error(self, capsys, tmp_path, case):
+        argv, flag = BAD_FLAGS[case]
+        code, out, err = run_cli(capsys, *(a.format(new=tmp_path / "new") for a in argv))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        assert flag in err
+        assert not (tmp_path / "new").exists()
 
     @pytest.mark.parametrize("case", sorted(CHECKPOINT_CORRUPTIONS))
     def test_malformed_checkpoint_is_usage_error(self, capsys, tmp_path, corpus, case):

@@ -7,7 +7,7 @@ from istanet.engine import (BatchNormState, ConfigurationError, DimensionError,
                             attention_contract, batchnorm, conv3d_axis,
                             leaky_relu, pointwise_conv3d)
 
-from helpers import check_op_gradients, div, fd_grad, rel_err, sqrt, tanh
+from helpers import check_op_gradients, div, fd_grad, rel_err, sqrt, sub, tanh
 
 
 class TestPointwiseConv:
@@ -131,16 +131,21 @@ class TestConvAxisIm2col:
             assert rel_err(fd, t.grad) <= 1e-8
 
 
-def composed_batchnorm(x, state, channel_axis):
-    """Train-mode batchnorm built from engine primitives, nine tape nodes for
-    the normalisation: the reference the fused op must match bit for bit."""
+def composed_batchnorm(x, state, channel_axis, mode="train"):
+    """Batchnorm built from engine primitives: the reference the fused op must
+    match bit for bit. The normalisation takes nine tape nodes in train mode,
+    and two in infer mode, where the running stats are constants."""
     axes = tuple(i for i in range(x.ndim) if i != channel_axis)
     bshape = [1] * x.ndim
     bshape[channel_axis] = state.channels
-    mu = engine.tensor_mean(x, axis=axes, keepdims=True)
-    xc = engine.sub(x, mu)
-    var = engine.tensor_mean(engine.mul(xc, xc), axis=axes, keepdims=True)
-    xhat = div(xc, sqrt(engine.add(var, state.eps)))
+    if mode == "train":
+        mu = engine.tensor_mean(x, axis=axes, keepdims=True)
+        xc = sub(x, mu)
+        var = engine.tensor_mean(engine.mul(xc, xc), axis=axes, keepdims=True)
+        xhat = div(xc, sqrt(engine.add(var, state.eps)))
+    else:
+        inv = 1.0 / np.sqrt(state.running_var.reshape(bshape) + state.eps)
+        xhat = engine.mul(sub(x, state.running_mean.reshape(bshape)), inv)
     return engine.add(engine.mul(engine.reshape(state.scale, bshape), xhat),
                       engine.reshape(state.shift, bshape))
 
@@ -165,7 +170,14 @@ class TestFusedBatchNorm:
         state = BatchNormState("bn", 3, dtype=dtype)
         state.scale.data = (rng.normal(size=3) + 1.0).astype(dtype)
         state.shift.data = rng.normal(size=3).astype(dtype)
+        state.running_mean = rng.normal(size=3).astype(dtype)
+        state.running_var = rng.uniform(0.5, 2.0, size=3).astype(dtype)
         return state
+
+    @staticmethod
+    def _gradients(out, upstream, tensors):
+        (out * Tensor(upstream)).sum().backward()
+        return [t.grad.tobytes() for t in tensors]
 
     @pytest.mark.parametrize("rank", [4, 5])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -193,13 +205,43 @@ class TestFusedBatchNorm:
             [x], wrt=0, eps=1e-5)
         np.testing.assert_allclose(xt.grad, fd, rtol=1e-6, atol=1e-8)
 
+    @pytest.mark.parametrize("rank", [4, 5])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_train_affine_gradients_are_bit_identical_to_composition(self, rank, dtype):
+        shape, channel_axis = self.SHAPES[rank]
+        rng = np.random.default_rng(16)
+        x = Tensor((rng.normal(size=shape) * 3.0 + 1.0).astype(dtype), requires_grad=True)
+        state = self._state(rng, dtype)
+        upstream = rng.normal(size=shape).astype(dtype)
+        affine = (state.scale, state.shift)
+        fused = self._gradients(batchnorm(x, state, mode="train"), upstream, affine)
+        reference = self._gradients(composed_batchnorm(x, state, channel_axis), upstream, affine)
+        assert fused == reference
+
+    @pytest.mark.parametrize("rank", [4, 5])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_infer_mode_is_one_node_bit_identical_to_composition(self, rank, dtype):
+        shape, channel_axis = self.SHAPES[rank]
+        rng = np.random.default_rng(17)
+        x = Tensor((rng.normal(size=shape) * 3.0 + 1.0).astype(dtype), requires_grad=True)
+        state = self._state(rng, dtype)
+        upstream = rng.normal(size=shape).astype(dtype)
+        tensors = (x, state.scale, state.shift)
+        fused = batchnorm(x, state, mode="infer")
+        reference = composed_batchnorm(x, state, channel_axis, mode="infer")
+        assert tape_nodes(fused) == 1 and tape_nodes(reference) == 6
+        assert fused.dtype == reference.dtype == np.dtype(dtype)
+        assert fused.data.tobytes() == reference.data.tobytes()
+        assert (self._gradients(fused, upstream, tensors)
+                == self._gradients(reference, upstream, tensors))
+
     def test_train_mode_normalisation_is_one_tape_node(self):
         shape, channel_axis = self.SHAPES[5]
         rng = np.random.default_rng(15)
         x = Tensor(rng.normal(size=shape), requires_grad=True)
         state = self._state(rng, np.float64)
-        # normalisation + reshape(scale) + mul + reshape(shift) + add
-        assert tape_nodes(batchnorm(x, state, mode="train")) == 5
+        # normalisation and affine in one node
+        assert tape_nodes(batchnorm(x, state, mode="train")) == 1
         assert tape_nodes(composed_batchnorm(x, state, channel_axis)) == 13
 
 
@@ -279,6 +321,31 @@ class TestLeakyRelu:
     def test_negative_slope_rejected(self):
         with pytest.raises(ConfigurationError):
             leaky_relu(Tensor(np.zeros(2)), gamma=-0.1)
+
+    @staticmethod
+    def _edge_values(dtype):
+        """Signed zeros, infinities, quiet NaNs of both signs, a signaling
+        NaN, subnormals, the extremes and a few ordinary values."""
+        f = np.finfo(dtype)
+        bits = np.uint32 if dtype == np.float32 else np.uint64
+        signaling = (np.array(np.inf, dtype=dtype).view(bits) | bits(1)).view(dtype)
+        values = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, f.tiny, -f.tiny,
+                  f.smallest_subnormal, -f.smallest_subnormal, f.tiny / 3, -f.tiny / 3,
+                  f.max, -f.max, f.eps, -f.eps, 1.0, -1.0, 3.5, -7.25]
+        return np.append(np.array(values, dtype=dtype), signaling)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.1, 1.0, 2.5])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bytes_equal_select_form_at_edge_values(self, gamma, dtype):
+        x = self._edge_values(dtype)
+        g = np.roll(x, 3)
+        with np.errstate(invalid="ignore", over="ignore"):
+            xt = Tensor(x, requires_grad=True)
+            out = leaky_relu(xt, gamma)
+            grad, = out._backward(g)
+            assert out.dtype == grad.dtype == np.dtype(dtype)
+            assert out.data.tobytes() == np.where(x >= 0, x, gamma * x).tobytes()
+            assert grad.tobytes() == np.where(x >= 0, g, gamma * g).tobytes()
 
 
 class TestAttentionContract:
@@ -441,9 +508,10 @@ def test_batch_equals_per_sample_slices(case):
         np.testing.assert_allclose(t.grad, total, rtol=1e-10)
 
 
-# div is the tests' reference primitive; the composed batchnorm is compared
-# with the fused node bit for bit, so it must follow the engine's rule too
-@pytest.mark.parametrize("op", [engine.add, engine.sub, engine.mul, div],
+# sub and div are the tests' reference primitives; the composed batchnorm is
+# compared with the fused node bit for bit, so they must follow the engine's
+# rule too
+@pytest.mark.parametrize("op", [engine.add, sub, engine.mul, div],
                          ids=["add", "sub", "mul", "div"])
 @pytest.mark.parametrize("scalar", [0.5, np.float64(0.5), np.asarray(0.5)],
                          ids=["python-float", "np-float64", "0-d-float64"])
@@ -458,7 +526,7 @@ def test_scalar_operand_takes_the_tensor_dtype(op, scalar):
         assert x.grad.dtype == np.float32, order
 
 
-@pytest.mark.parametrize("op", [engine.add, engine.sub, engine.mul, div],
+@pytest.mark.parametrize("op", [engine.add, sub, engine.mul, div],
                          ids=["add", "sub", "mul", "div"])
 @pytest.mark.parametrize("const", [0, 1], ids=["constant-first", "constant-second"])
 def test_constant_operand_gets_no_gradient(op, const):

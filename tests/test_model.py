@@ -129,6 +129,24 @@ def test_batched_logits_are_bit_equal_to_per_sample_logits(dtype):
         np.testing.assert_array_equal(batched, single, err_msg=f"seed {seed}")
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_infer_forward_classify_records_no_tape(dtype):
+    cfg = wide_config()
+    model = ISTANet(cfg, rng=np.random.default_rng(0), dtype=dtype)
+    rng = np.random.default_rng(1)
+    for _, buf in model.buffers():
+        buf[...] = rng.uniform(0.5, 2.0, size=buf.shape)
+    seq = random_sequence(rng, cfg)
+    logits = model.forward_classify(seq, mode="infer")
+    assert isinstance(logits, Tensor)
+    assert logits._parents == () and logits._backward is None
+    taped = model.forward_tokens(model.tokenize_sample(seq, mode="infer"), "infer")
+    assert taped._parents
+    assert logits.dtype == taped.dtype == np.dtype(dtype)
+    assert logits.data.tobytes() == taped.data.tobytes()
+    assert model.forward_classify(seq, mode="train", rng=rng)._parents
+
+
 def reachable(out):
     """Every tensor on the tape behind `out`, leaves included."""
     seen, stack, found = set(), [out], []
