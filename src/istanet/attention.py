@@ -24,7 +24,7 @@ from . import engine
 from .engine import (BatchNormState, ConfigurationError, Parameter,
                      apply_scores, attention_contract, batchnorm,
                      check_field_types, concat, conv3d_axis, leaky_relu,
-                     pointwise_conv3d)
+                     pointwise_conv3d, uniform_init)
 
 
 @dataclass(frozen=True)
@@ -78,71 +78,51 @@ def positional_encoding(c, t_w, s, u, dtype=np.float64):
     return table
 
 
-def _init_conv(rng, c_out, c_in, k=None):
-    fan_in = c_in * (k if k else 1)
-    bound = 1.0 / np.sqrt(fan_in)
-    shape = (c_out, c_in, k) if k else (c_out, c_in)
-    return rng.uniform(-bound, bound, size=shape)
-
-
 class TSABlockParams:
     """Trainable state of one block; parameter names encode block and head
-    indices for checkpoint round-trips."""
+    indices for checkpoint round-trips. parameters() lists them in the
+    order they are made, which is the order of the init draws."""
 
-    def __init__(self, config, num_tokens, rng=None, dtype=np.float32, name="block"):
-        self.config = config
-        rng = rng if rng is not None else np.random.default_rng(0)
-        cfg = config
-        self.q_weights, self.q_biases = [], []
-        self.k_weights, self.k_biases = [], []
+    def __init__(self, config, num_tokens, rng, dtype=np.float32, name="block"):
+        self.config = cfg = config
+        self._params = []
+        init = functools.partial(uniform_init, rng)
+
+        def param(suffix, data):
+            self._params.append(Parameter(f"{name}.{suffix}", data, dtype=dtype))
+            return self._params[-1]
+
+        def norm(suffix):
+            state = BatchNormState(f"{name}.{suffix}", cfg.c_out, dtype=dtype)
+            self._params += state.parameters()
+            return state
+
+        self.q_weights, self.q_biases, self.k_weights, self.k_biases = [], [], [], []
         self.alphas, self.ms = [], []
         for h in range(cfg.heads):
-            self.q_weights.append(Parameter(f"{name}.head{h}.q_weight",
-                                            _init_conv(rng, cfg.c_qkv, cfg.c_in), dtype=dtype))
-            self.q_biases.append(Parameter(f"{name}.head{h}.q_bias",
-                                           np.zeros(cfg.c_qkv), dtype=dtype))
-            self.k_weights.append(Parameter(f"{name}.head{h}.k_weight",
-                                            _init_conv(rng, cfg.c_qkv, cfg.c_in), dtype=dtype))
-            self.k_biases.append(Parameter(f"{name}.head{h}.k_bias",
-                                           np.zeros(cfg.c_qkv), dtype=dtype))
+            self.q_weights.append(param(f"head{h}.q_weight", init(cfg.c_qkv, cfg.c_in)))
+            self.q_biases.append(param(f"head{h}.q_bias", np.zeros(cfg.c_qkv)))
+            self.k_weights.append(param(f"head{h}.k_weight", init(cfg.c_qkv, cfg.c_in)))
+            self.k_biases.append(param(f"head{h}.k_bias", np.zeros(cfg.c_qkv)))
             # tanh-dominated start: zero M, unit balance factor
-            self.alphas.append(Parameter(f"{name}.head{h}.alpha", np.ones(()), dtype=dtype))
-            self.ms.append(Parameter(f"{name}.head{h}.m",
-                                     np.zeros((num_tokens, num_tokens)), dtype=dtype))
+            self.alphas.append(param(f"head{h}.alpha", np.ones(())))
+            self.ms.append(param(f"head{h}.m", np.zeros((num_tokens, num_tokens))))
 
-        self.ffn_conv_weight = Parameter(f"{name}.ffn_conv.weight",
-                                         _init_conv(rng, cfg.c_out, cfg.c_in, cfg.k_u), dtype=dtype)
-        self.ffn_conv_bias = Parameter(f"{name}.ffn_conv.bias", np.zeros(cfg.c_out), dtype=dtype)
-        self.ffn_norm = BatchNormState(f"{name}.ffn_norm", cfg.c_out, dtype=dtype)
-        self.ffn_pw_weight = Parameter(f"{name}.ffn_pw.weight",
-                                       _init_conv(rng, cfg.c_out, cfg.c_out), dtype=dtype)
-        self.ffn_pw_bias = Parameter(f"{name}.ffn_pw.bias", np.zeros(cfg.c_out), dtype=dtype)
+        self.ffn_conv_weight = param("ffn_conv.weight", init(cfg.c_out, cfg.c_in, cfg.k_u))
+        self.ffn_conv_bias = param("ffn_conv.bias", np.zeros(cfg.c_out))
+        self.ffn_norm = norm("ffn_norm")
+        self.ffn_pw_weight = param("ffn_pw.weight", init(cfg.c_out, cfg.c_out))
+        self.ffn_pw_bias = param("ffn_pw.bias", np.zeros(cfg.c_out))
+        self.res_weight = self.res_bias = None
         if cfg.c_out != cfg.c_in:
-            self.res_weight = Parameter(f"{name}.res.weight",
-                                        _init_conv(rng, cfg.c_out, cfg.c_in), dtype=dtype)
-            self.res_bias = Parameter(f"{name}.res.bias", np.zeros(cfg.c_out), dtype=dtype)
-        else:
-            self.res_weight = None
-            self.res_bias = None
-        self.ta_weight = Parameter(f"{name}.ta.weight",
-                                   _init_conv(rng, cfg.c_out, cfg.c_out, cfg.k_t), dtype=dtype)
-        self.ta_bias = Parameter(f"{name}.ta.bias", np.zeros(cfg.c_out), dtype=dtype)
-        self.ta_norm = BatchNormState(f"{name}.ta_norm", cfg.c_out, dtype=dtype)
+            self.res_weight = param("res.weight", init(cfg.c_out, cfg.c_in))
+            self.res_bias = param("res.bias", np.zeros(cfg.c_out))
+        self.ta_weight = param("ta.weight", init(cfg.c_out, cfg.c_out, cfg.k_t))
+        self.ta_bias = param("ta.bias", np.zeros(cfg.c_out))
+        self.ta_norm = norm("ta_norm")
 
     def parameters(self):
-        params = []
-        for h in range(self.config.heads):
-            params += [self.q_weights[h], self.q_biases[h],
-                       self.k_weights[h], self.k_biases[h],
-                       self.alphas[h], self.ms[h]]
-        params += [self.ffn_conv_weight, self.ffn_conv_bias]
-        params += self.ffn_norm.parameters()
-        params += [self.ffn_pw_weight, self.ffn_pw_bias]
-        if self.res_weight is not None:
-            params += [self.res_weight, self.res_bias]
-        params += [self.ta_weight, self.ta_bias]
-        params += self.ta_norm.parameters()
-        return params
+        return list(self._params)
 
     def buffers(self):
         return self.ffn_norm.buffers() + self.ta_norm.buffers()

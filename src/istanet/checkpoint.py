@@ -4,7 +4,8 @@ Layout:
     line 1: magic "ISTACKPT 1"
     line 2: one-line UTF-8 JSON with the model/train configs, epoch counter,
             rng state and a blob manifest [{name, shape, offset}] where
-            offsets count float32 elements into the binary section
+            offsets count float32 elements into the binary section, each
+            blob starting where the one before it ends
     then:   little-endian float32 blobs, concatenated in manifest order.
 
 save(load(x)) is byte-identical. A save writes a temporary file in the
@@ -116,8 +117,9 @@ def _read_header(path, raw):
 
 
 def _read_blobs(path, manifest, binary):
-    """Map blob name -> float32 array, checking every blob lies inside the
-    payload and the payload holds exactly the manifest's elements."""
+    """Map blob name -> float32 array, checking every blob starts where the
+    one before it ends (as save_checkpoint writes them), lies inside the
+    payload, and the payload holds exactly the manifest's elements."""
     if not isinstance(manifest, list):
         raise UsageError(f"{path}: checkpoint blob manifest is not a list")
     values = {}
@@ -132,6 +134,9 @@ def _read_blobs(path, manifest, binary):
         if not ok:
             raise UsageError(f"{path}: malformed checkpoint blob entry {entry!r}")
         size = math.prod(shape)
+        if offset != total:
+            raise UsageError(f"{path}: blob {name!r} starts at element {offset}, "
+                             f"but the blobs before it end at element {total}")
         if (offset + size) * 4 > len(binary):
             raise UsageError(
                 f"{path}: blob {name!r} runs past the end of the file "

@@ -112,7 +112,9 @@ def cmd_train(args):
     model_config, train_config = _apply_overrides(model_config, train_config, args)
     if args.out is not None:
         out_dir = args.out
-    manifest = load_manifest(data["manifest"], num_classes=data.get("num_classes"))
+    num_classes = min(data.get("num_classes") or model_config.num_classes,
+                      model_config.num_classes)
+    manifest = load_manifest(data["manifest"], num_classes=num_classes)
     rng = np.random.default_rng(train_config.seed)
     model = ISTANet(model_config, rng=rng, dtype=_dtype(args))
     os.makedirs(out_dir, exist_ok=True)
@@ -134,11 +136,14 @@ def cmd_train(args):
 
 def cmd_eval(args):
     model, _, _, _, _ = load_checkpoint(args.checkpoint, dtype=_dtype(args))
-    manifest = load_manifest(args.manifest)
+    manifest = load_manifest(args.manifest, num_classes=model.config.num_classes)
     frames = model.config.frames
     prep = lambda s: preprocess(s, frames)
 
     if args.folds:
+        if not manifest.fold_tags():
+            raise UsageError(f"{args.manifest}: --folds needs fold tags (fold0, fold1, ...), "
+                             f"and the manifest has none")
         accs = []
         for tag in manifest.fold_tags():
             entries = manifest.split(tag)
@@ -198,7 +203,7 @@ def cmd_inspect(args):
         raise UsageError("inspect attention requires --checkpoint")
     model, _, _, _, _ = load_checkpoint(args.checkpoint, dtype=_dtype(args))
     seq = preprocess(seq, model.config.frames)
-    tokens = model.tokenize_sample(seq, mode="infer")
+    tokens = model.tokenize_sample(seq)
     sink = []
     with no_grad():
         model.forward_tokens(tokens, mode="infer", score_sink=sink)

@@ -123,14 +123,11 @@ def resample_frames(seq, target_t):
     if target_t < 1:
         raise ConfigurationError(f"target frame count must be >= 1, got {target_t}")
     n = seq.data.shape[1]
-    if n == 1:
-        out = np.repeat(seq.data, target_t, axis=1)
-    else:
-        pos = np.linspace(0.0, n - 1.0, target_t)
-        lo = np.floor(pos).astype(int)
-        hi = np.minimum(lo + 1, n - 1)
-        frac = (pos - lo).reshape(1, -1, 1, 1)
-        out = seq.data[:, lo] * (1.0 - frac) + seq.data[:, hi] * frac
+    pos = np.linspace(0.0, n - 1.0, target_t)
+    lo = np.floor(pos).astype(int)
+    hi = np.minimum(lo + 1, n - 1)
+    frac = (pos - lo).reshape(1, -1, 1, 1)
+    out = seq.data[:, lo] * (1.0 - frac) + seq.data[:, hi] * frac
     return SkeletonSequence(data=out, label=seq.label)
 
 

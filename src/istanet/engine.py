@@ -30,6 +30,7 @@ parameter requires grad.
 
 import contextlib
 import dataclasses
+import math
 
 import numpy as np
 
@@ -49,7 +50,7 @@ _FIELD_KINDS = {int: (int, "an integer"), float: ((int, float), "a number"),
 def check_field_types(config):
     """Raise ConfigurationError unless each int, float, bool or tuple[int, ...]
     field of the dataclass `config` holds that type. An int passes as a float;
-    a bool passes only as a bool."""
+    a bool passes only as a bool; a float field must be finite."""
     for f in dataclasses.fields(config):
         if f.type not in _FIELD_KINDS:
             continue
@@ -58,6 +59,8 @@ def check_field_types(config):
         items = value if f.type == tuple[int, ...] else (value,)
         if not all(isinstance(v, kind) and isinstance(v, bool) == (f.type is bool) for v in items):
             raise ConfigurationError(f"{f.name} must be {name}, got {value!r}")
+        if f.type is float and not math.isfinite(value):
+            raise ConfigurationError(f"{f.name} must be a finite number, got {value!r}")
 
 
 class UsageError(RuntimeError):
@@ -123,6 +126,13 @@ class Parameter(Tensor):
     def __init__(self, name, data, dtype=None):
         super().__init__(data, requires_grad=True, dtype=dtype)
         self.name = name
+
+
+def uniform_init(rng, c_out, c_in, k=None):
+    """Weights drawn from U(-b, b), b = 1/sqrt(fan_in), shaped (c_out, c_in)
+    or, for a k-tap convolution, (c_out, c_in, k) with fan_in = c_in * k."""
+    bound = 1.0 / np.sqrt(c_in * (k or 1))
+    return rng.uniform(-bound, bound, size=(c_out, c_in, k) if k else (c_out, c_in))
 
 
 def astensor(x, dtype=None):

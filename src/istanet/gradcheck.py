@@ -70,7 +70,7 @@ def run_gradcheck(config=None, seed=0, tolerance=1e-4):
     model = ISTANet(config, rng=rng, dtype=np.float64)
     seq = make_sample(label=0, t=config.frames, j=config.joints,
                       noise=0.05, rng=rng)
-    tokens = model.tokenize_sample(seq, mode="infer")
+    tokens = model.tokenize_sample(seq)
     report = finite_difference_check(model, tokens, label=seq.label)
     offenders = {k: v for k, v in report.items() if v > tolerance}
     return report, offenders

@@ -11,8 +11,8 @@ import numpy as np
 from . import engine
 from .attention import TSABlockConfig, TSABlockParams, tsa_block_forward
 from .engine import (ConfigurationError, Parameter, UsageError,
-                     check_field_types, log_softmax, linear)
-from .tokenizer import EmbedParams, WindowSpec, embed, entity_rearrange, tokenize
+                     check_field_types, log_softmax, linear, uniform_init)
+from .tokenizer import EmbedParams, WindowSpec, embed, tokenize
 
 
 @dataclass
@@ -99,7 +99,8 @@ class TrainConfig:
     def __post_init__(self):
         self.decay_epochs = tuple(self.decay_epochs)
         check_field_types(self)
-        for name, low in (("batch_size", 1), ("epochs", 1), ("seed", 0)):
+        for name, low in (("batch_size", 1), ("epochs", 1), ("seed", 0),
+                          ("checkpoint_interval", 0)):
             if getattr(self, name) < low:
                 raise ConfigurationError(
                     f"{name} must be an integer >= {low}, got {getattr(self, name)!r}")
@@ -135,14 +136,11 @@ class ISTANet:
         rng = rng if rng is not None else np.random.default_rng(0)
         u = config.num_tokens()
         self.embed_params = EmbedParams(config.in_channels, config.embed_channels,
-                                        config.gamma, rng=rng, dtype=dtype)
-        self.blocks = [TSABlockParams(b, u, rng=rng, dtype=dtype, name=f"blocks.{i}")
+                                        config.gamma, rng, dtype=dtype)
+        self.blocks = [TSABlockParams(b, u, rng, dtype=dtype, name=f"blocks.{i}")
                        for i, b in enumerate(config.blocks)]
         c_last = config.blocks[-1].c_out if config.blocks else config.embed_channels
-        bound = 1.0 / np.sqrt(c_last)
-        self.fc_weight = Parameter("fc.weight",
-                                   rng.uniform(-bound, bound,
-                                               size=(config.num_classes, c_last)),
+        self.fc_weight = Parameter("fc.weight", uniform_init(rng, config.num_classes, c_last),
                                    dtype=dtype)
         self.fc_bias = Parameter("fc.bias", np.zeros(config.num_classes), dtype=dtype)
 
@@ -165,18 +163,14 @@ class ISTANet:
         for p in self.parameters():
             p.grad = None
 
-    def tokenize_sample(self, seq, mode, rng=None):
-        """seq -> raw (C,T_w,S,U) token array; applies ER in train mode."""
+    def tokenize_sample(self, seq):
+        """seq -> raw (C,T_w,S,U) token array in the model's dtype."""
         cfg = self.config
         c, t, j, e = seq.data.shape
         if (c, t, j, e) != (cfg.in_channels, cfg.frames, cfg.joints, cfg.entities):
             raise ConfigurationError(
                 f"sequence dims {(c, t, j, e)} do not match model config "
                 f"{(cfg.in_channels, cfg.frames, cfg.joints, cfg.entities)}")
-        if mode == "train":
-            if rng is None:
-                raise UsageError("train-mode tokenization needs an rng for ER")
-            seq = entity_rearrange(seq, rng, frozen=cfg.frozen_entities)
         tokens, _ = tokenize(seq.data, cfg.window_spec)
         return tokens.astype(self.dtype)
 
@@ -192,10 +186,10 @@ class ISTANet:
         pooled = x.mean(axis=(-3, -2, -1))
         return linear(pooled, self.fc_weight, self.fc_bias)
 
-    def forward_classify(self, seq, mode, rng=None):
-        """Single sequence -> logits (num_classes,). ER only in train mode;
-        infer mode records no tape."""
-        tokens = self.tokenize_sample(seq, mode, rng=rng)
+    def forward_classify(self, seq, mode):
+        """Single sequence -> logits (num_classes,). Applies no entity
+        rearrangement (train() does that); infer mode records no tape."""
+        tokens = self.tokenize_sample(seq)
         if mode == "train":
             return self.forward_tokens(tokens, mode)
         with engine.no_grad():
@@ -214,7 +208,7 @@ class ISTANet:
         """Sequences -> infer-mode logits (len(seqs), num_classes) as an
         ndarray, forwarded in chunks with no tape. Each row's logits equal
         forward_classify's bit for bit."""
-        tokens = [self.tokenize_sample(seq, mode="infer") for seq in seqs]
+        tokens = [self.tokenize_sample(seq) for seq in seqs]
         rows = self.eval_chunk_rows()
         with engine.no_grad():
             return np.concatenate([self.forward_tokens(np.stack(tokens[i:i + rows]), "infer").data

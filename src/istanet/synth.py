@@ -59,11 +59,7 @@ def _trajectories(label, t, rng):
 def make_sample(label, t=40, j=5, noise=0.02, rng=None):
     """One (3,t,j,2) sequence of the given class."""
     rng = rng if rng is not None else np.random.default_rng(0)
-    if j > len(_JOINT_OFFSETS):
-        reps = -(-j // len(_JOINT_OFFSETS))
-        offsets = np.tile(_JOINT_OFFSETS, (reps, 1))[:j]
-    else:
-        offsets = _JOINT_OFFSETS[:j]
+    offsets = np.resize(_JOINT_OFFSETS, (j, 3))  # rows repeat cyclically past 5 joints
     anchor, actor = _trajectories(label, t, rng)
     data = np.empty((3, t, j, 2))
     for e, center in enumerate((anchor, actor)):

@@ -16,7 +16,7 @@ from . import engine
 from .data import SkeletonSequence, pad_to_windows
 from .engine import (BatchNormState, ConfigurationError, DimensionError,
                      Parameter, UsageError, batchnorm, leaky_relu,
-                     pointwise_conv3d)
+                     pointwise_conv3d, uniform_init)
 
 
 @dataclass(frozen=True)
@@ -94,21 +94,16 @@ def tokenize(seq_data, window):
 class EmbedParams:
     """Token embedding: pointwise conv C -> C', batchnorm, LeakyReLU."""
 
-    def __init__(self, c_in, c_out, gamma, rng=None, dtype=np.float32, name="embed"):
+    def __init__(self, c_in, c_out, gamma, rng, dtype=np.float32):
         if c_out < c_in:
             raise ConfigurationError(
                 f"embedding must not shrink channels: C'={c_out} < C={c_in}")
         if gamma < 0:
             raise ConfigurationError(f"activation slope must be >= 0, got {gamma}")
-        self.c_in = c_in
-        self.c_out = c_out
         self.gamma = gamma
-        rng = rng if rng is not None else np.random.default_rng(0)
-        bound = 1.0 / np.sqrt(c_in)
-        self.weight = Parameter(f"{name}.weight",
-                                rng.uniform(-bound, bound, size=(c_out, c_in)), dtype=dtype)
-        self.bias = Parameter(f"{name}.bias", np.zeros(c_out), dtype=dtype)
-        self.norm = BatchNormState(f"{name}.norm", c_out, dtype=dtype)
+        self.weight = Parameter("embed.weight", uniform_init(rng, c_out, c_in), dtype=dtype)
+        self.bias = Parameter("embed.bias", np.zeros(c_out), dtype=dtype)
+        self.norm = BatchNormState("embed.norm", c_out, dtype=dtype)
 
     def parameters(self):
         return [self.weight, self.bias] + self.norm.parameters()

@@ -20,6 +20,7 @@ from .data import center_sequence, resample_frames
 # perfbench/run.py wraps training.evaluate_topk.
 from .model import (NesterovSGD, ce_label_smoothing, evaluate_topk,  # noqa: F401
                     lr_schedule, topk_accuracy)
+from .tokenizer import entity_rearrange
 
 
 class NumericAbort(RuntimeError):
@@ -44,7 +45,8 @@ def train(model, manifest, train_config, out_dir=None, train_tag="train",
     """Run the full training procedure; returns the per-epoch metrics list.
 
     Deterministic under a fixed seed: sample shuffling and per-sample ER
-    draws come from dedicated child streams of the seed. Both splits are
+    draws (made here, before tokenization, when er_enabled) come from
+    dedicated child streams of the seed. Both splits are
     loaded and preprocessed once, before the first step; each epoch's
     val_top1 comes from topk_accuracy over the cached val sequences.
     """
@@ -73,7 +75,6 @@ def train(model, manifest, train_config, out_dir=None, train_tag="train",
             if os.path.exists(p):
                 os.remove(p)
 
-    mode_er = "train" if train_config.er_enabled else "infer"
     n = len(train_seqs)
     for epoch in range(train_config.epochs):
         t0 = time.monotonic()
@@ -83,9 +84,11 @@ def train(model, manifest, train_config, out_dir=None, train_tag="train",
         epoch_hits = 0
         for start in range(0, n, train_config.batch_size):
             batch = order[start:start + train_config.batch_size]
-            tokens = np.stack([
-                model.tokenize_sample(train_seqs[i], mode_er, rng=er_rng)
-                for i in batch])
+            seqs = [train_seqs[i] for i in batch]
+            if train_config.er_enabled:
+                seqs = [entity_rearrange(seq, er_rng, frozen=model.config.frozen_entities)
+                        for seq in seqs]
+            tokens = np.stack([model.tokenize_sample(seq) for seq in seqs])
             logits = model.forward_tokens(tokens, mode="train")
             loss = ce_label_smoothing(logits, labels[batch],
                                       train_config.label_smoothing,

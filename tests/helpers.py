@@ -132,6 +132,15 @@ def _blob(doc, name):
     return next(b for b in doc["blobs"] if b["name"] == name)
 
 
+def _swap_offsets(a, b):
+    """Header edit that swaps the offsets of two same-shaped blobs, so the
+    payload length and every bound still check out."""
+    def edit(doc):
+        first, second = _blob(doc, a), _blob(doc, b)
+        first["offset"], second["offset"] = second["offset"], first["offset"]
+    return edit
+
+
 # the miniature config with frozen_entities (1,), trained one Nesterov step
 # (lr 0.1) on one synthetic sample and saved in the v1 format with a
 # non-default TrainConfig, epoch 1, optimizer velocities and RNG state
@@ -159,6 +168,11 @@ CHECKPOINT_CORRUPTIONS = {
     "buffer-wrong-shape": (_edit_json(lambda d: _blob(d, "embed.norm.running_var").update(
         shape=[1, d["model_config"]["embed_channels"]])),
         "buffer 'embed.norm.running_var' has shape"),
+    "blob-offsets-swapped": (_edit_json(_swap_offsets("embed.norm.scale", "embed.norm.shift")),
+                             "blob 'embed.norm.scale' starts at element"),
+    "blob-offset-aliased": (_edit_json(lambda d: _blob(d, "embed.norm.shift").update(
+        offset=_blob(d, "embed.norm.scale")["offset"])),
+        "blob 'embed.norm.shift' starts at element"),
 }
 
 

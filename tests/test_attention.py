@@ -229,7 +229,7 @@ class TestFusedScoreNode:
 
         def loss_and_grads():
             model = ISTANet(cfg, rng=np.random.default_rng(0), dtype=dtype)
-            tokens = np.stack([model.tokenize_sample(s, mode="infer") for s in seqs])
+            tokens = np.stack([model.tokenize_sample(s) for s in seqs])
             loss = ce_label_smoothing(model.forward_tokens(tokens, "train"), [0, 1],
                                       smoothing=0.1, temperature=1.0)
             loss.backward()

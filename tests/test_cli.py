@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from istanet import attention, cli, engine
-from istanet.data import load_manifest, serialize_iskel
+from istanet.data import SkeletonSequence, load_manifest, serialize_iskel
 from istanet.synth import make_sample
 
 from helpers import (CHECKPOINT_CORRUPTIONS, MINIATURE_V1_CHECKPOINT,
@@ -81,6 +81,13 @@ BAD_INPUTS = {
     "config-data-num-classes-string": (["train"], [], {"data.num_classes": "x"}),
     "config-data-num-classes-one": (["train"], [], {"data.num_classes": 1}),
     "config-data-num-classes-bool": (["train"], [], {"data.num_classes": True}),
+    "config-lr-nan": (["train"], [], {"train.lr": float("nan")}),
+    "config-lr-decay-inf": (["train"], [], {"train.lr_decay": float("inf")}),
+    "config-temperature-nan": (["train"], [], {"train.temperature": float("nan")}),
+    "config-gamma-nan": (["train"], [], {"model.gamma": float("nan")}),
+    "config-checkpoint-interval-negative": (["train"], [], {"train.checkpoint_interval": -2}),
+    "train-lr-flag-nan": (["train"], ["--lr", "nan"], {}),
+    "train-lr-flag-inf": (["train"], ["--lr", "inf"], {}),
 }
 
 # subcommand -> its arguments after `--seed -1`; {config} is a valid run
@@ -274,6 +281,51 @@ class TestTrainEval:
                                str(corpus), "--split", "ghost")
         assert code == 2
         assert "ghost" in err
+
+    @pytest.mark.parametrize("extra", [["--split", "fold0"], ["--folds"]])
+    def test_eval_refuses_a_label_the_model_cannot_predict(self, capsys, tmp_path, extra):
+        # the committed v1 checkpoint has 3 classes
+        seq = make_sample(label=0, t=4, j=2, rng=np.random.default_rng(0))
+        (tmp_path / "s.iskel").write_text(serialize_iskel(SkeletonSequence(seq.data, 3)))
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("s.iskel 3 fold0\n")
+        code, out, err = run_cli(capsys, "eval", str(MINIATURE_V1_CHECKPOINT), str(manifest),
+                                 *extra)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "label 3 >= num_classes 3" in err, err
+
+    @pytest.mark.parametrize("data_classes", [None, 6])
+    def test_train_refuses_a_label_the_model_cannot_predict(self, capsys, tmp_path,
+                                                            data_classes):
+        # the model has 4 classes; a val label of 4 is refused before any step,
+        # whether data.num_classes is absent or larger than the model's
+        lines = []
+        for i, label in enumerate([0, 1, 2, 3, 4]):
+            seq = make_sample(label=label % 4, t=8, j=2, rng=np.random.default_rng(i))
+            (tmp_path / f"s{i}.iskel").write_text(
+                serialize_iskel(SkeletonSequence(seq.data, label)))
+            lines.append(f"s{i}.iskel {label} {'val' if label == 4 else 'train'}")
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("\n".join(lines) + "\n")
+        data = {"manifest": str(manifest)}
+        if data_classes is not None:
+            data["num_classes"] = data_classes
+        config = write_run_config(tmp_path, manifest, data=data)
+        code, out, err = run_cli(capsys, "train", str(config))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "label 4 >= num_classes 4" in err, err
+        assert not (tmp_path / "out").exists()
+
+    def test_eval_folds_without_fold_tags_is_usage_error(self, capsys, tmp_path):
+        for name in ("a", "b"):
+            seq = make_sample(label=0, t=4, j=2, rng=np.random.default_rng(0))
+            (tmp_path / f"{name}.iskel").write_text(serialize_iskel(seq))
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("a.iskel 0 train\nb.iskel 0 val\n")
+        code, out, err = run_cli(capsys, "eval", str(MINIATURE_V1_CHECKPOINT), str(manifest),
+                                 "--folds")
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "fold tags" in err, err
 
 
 class TestInspect:

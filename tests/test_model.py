@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import stat
@@ -12,10 +13,11 @@ from istanet.attention import TSABlockConfig
 from istanet.checkpoint import load_checkpoint, save_checkpoint
 from istanet.data import SkeletonSequence
 from istanet.engine import ConfigurationError, Parameter, Tensor, UsageError
-from istanet.gradcheck import run_gradcheck
+from istanet.gradcheck import miniature_config, run_gradcheck
 from istanet.model import (ISTANet, ModelConfig, NesterovSGD, TrainConfig,
                            ce_label_smoothing, default_block_plan,
                            evaluate_topk, lr_schedule, topk_accuracy)
+from istanet.tokenizer import tokenize
 
 from helpers import (CHECKPOINT_CORRUPTIONS, MINIATURE_V1_CHECKPOINT,
                      write_corrupt_checkpoint)
@@ -53,13 +55,17 @@ class TestForward:
             logits = model.forward_classify(seq, mode="infer")
             np.testing.assert_allclose(logits.data, [1.0, -2.0, 0.5], rtol=1e-6)
 
-    def test_eval_forward_ignores_rng(self):
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_tokenize_sample_applies_no_er(self, dtype):
+        # ER is a step of train(); tokenize_sample only checks, tokenizes
+        # and casts
         cfg = tiny_config()
-        model = ISTANet(cfg, rng=np.random.default_rng(0))
+        model = ISTANet(cfg, rng=np.random.default_rng(0), dtype=dtype)
         seq = random_sequence(np.random.default_rng(2), cfg)
-        a = model.forward_classify(seq, mode="infer").data
-        b = model.forward_classify(seq, mode="infer", rng=np.random.default_rng(77)).data
-        assert a.tobytes() == b.tobytes()
+        want = tokenize(seq.data, cfg.window_spec)[0].astype(dtype)
+        got = model.tokenize_sample(seq)
+        assert got.dtype == np.dtype(dtype)
+        assert got.tobytes() == want.tobytes()
 
     def test_dim_mismatch_rejected(self):
         cfg = tiny_config()
@@ -74,7 +80,7 @@ class TestForward:
         cfg = tiny_config()
         model = ISTANet(cfg, rng=np.random.default_rng(0))
         seq = random_sequence(np.random.default_rng(3), cfg)
-        tokens = model.tokenize_sample(seq, mode="infer")
+        tokens = model.tokenize_sample(seq)
         x = model.forward_tokens(tokens, mode="infer")
         from istanet import engine
         from istanet.engine import linear
@@ -94,7 +100,7 @@ def test_batched_logits_equal_per_sample_logits(n, seed, dtype):
     rng = np.random.default_rng(seed + 1)
     for _, buf in model.buffers():
         buf[...] = rng.uniform(0.5, 2.0, size=buf.shape)
-    tokens = [model.tokenize_sample(random_sequence(rng, cfg), mode="infer")
+    tokens = [model.tokenize_sample(random_sequence(rng, cfg))
               for _ in range(n)]
     batched = model.forward_tokens(np.stack(tokens), "infer").data
     single = np.stack([model.forward_tokens(t, "infer").data for t in tokens])
@@ -122,7 +128,7 @@ def test_batched_logits_are_bit_equal_to_per_sample_logits(dtype):
         rng = np.random.default_rng(seed + 1)
         for _, buf in model.buffers():
             buf[...] = rng.uniform(0.5, 2.0, size=buf.shape)
-        tokens = [model.tokenize_sample(random_sequence(rng, cfg), mode="infer")
+        tokens = [model.tokenize_sample(random_sequence(rng, cfg))
                   for _ in range(2 + seed % 5)]
         batched = model.forward_tokens(np.stack(tokens), "infer").data
         single = np.stack([model.forward_tokens(t, "infer").data for t in tokens])
@@ -140,11 +146,11 @@ def test_infer_forward_classify_records_no_tape(dtype):
     logits = model.forward_classify(seq, mode="infer")
     assert isinstance(logits, Tensor)
     assert logits._parents == () and logits._backward is None
-    taped = model.forward_tokens(model.tokenize_sample(seq, mode="infer"), "infer")
+    taped = model.forward_tokens(model.tokenize_sample(seq), "infer")
     assert taped._parents
     assert logits.dtype == taped.dtype == np.dtype(dtype)
     assert logits.data.tobytes() == taped.data.tobytes()
-    assert model.forward_classify(seq, mode="train", rng=rng)._parents
+    assert model.forward_classify(seq, mode="train")._parents
 
 
 def reachable(out):
@@ -164,7 +170,7 @@ def test_model_computes_in_its_parameter_dtype(dtype):
     cfg = wide_config()
     model = ISTANet(cfg, rng=np.random.default_rng(0), dtype=dtype)
     rng = np.random.default_rng(1)
-    tokens = np.stack([model.tokenize_sample(random_sequence(rng, cfg), mode="train", rng=rng)
+    tokens = np.stack([model.tokenize_sample(random_sequence(rng, cfg))
                        for _ in range(3)])
     loss = ce_label_smoothing(model.forward_tokens(tokens, "train"), [0, 1, 2],
                               smoothing=0.1, temperature=2.0)
@@ -175,6 +181,50 @@ def test_model_computes_in_its_parameter_dtype(dtype):
     for x in (tokens, tokens[0]):
         logits = model.forward_tokens(x, "infer")
         assert {t.dtype for t in reachable(logits)} == {np.dtype(dtype)}
+
+
+# SHA-256 over (name, NUL, raw bytes) of each initial parameter in
+# parameters() order, for ISTANet(config, rng=default_rng(0)): this pins the
+# init draws, their order and the checkpoint blob order together
+INIT_DIGESTS = {
+    ("miniature", "float32"): "95f2612e2e6b818dda0509b762de840d278fa2036c52f2299dc772f755ab3daf",
+    ("miniature", "float64"): "321611c9e6cfd9e2a2160a824156e4dc4552740c1f59df65ac7ed485bf9286cf",
+    ("wide", "float32"): "24de06c51f51d02bde9274e1ea0cda4d928b85da3e44a2f3f540363430c66e8f",
+    ("wide", "float64"): "615b608fac7cc341804b6ce0ba70ffd9fa28ae71b31fb6aca023980c39324557",
+}
+
+
+@pytest.mark.parametrize("config,dtype", sorted(INIT_DIGESTS))
+def test_initial_parameters_are_pinned(config, dtype):
+    cfg = miniature_config() if config == "miniature" else wide_config()
+    model = ISTANet(cfg, rng=np.random.default_rng(0), dtype=np.dtype(dtype))
+    digest = hashlib.sha256()
+    for p in model.parameters():
+        digest.update(p.name.encode() + b"\0" + p.data.tobytes())
+    assert digest.hexdigest() == INIT_DIGESTS[config, dtype]
+
+
+def attribute_parameters(obj, seen=None):
+    """Every Parameter reachable from obj's attributes, lists and nested
+    objects, by identity."""
+    seen = {} if seen is None else seen
+    if isinstance(obj, Parameter):
+        seen[id(obj)] = obj
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            attribute_parameters(item, seen)
+    elif hasattr(obj, "__dict__") and not isinstance(obj, type):
+        for value in vars(obj).values():
+            attribute_parameters(value, seen)
+    return seen
+
+
+@pytest.mark.parametrize("cfg", [tiny_config(), wide_config(), miniature_config()])
+def test_parameters_lists_every_attribute_parameter_once(cfg):
+    model = ISTANet(cfg, rng=np.random.default_rng(0))
+    listed = [id(p) for p in model.parameters()]
+    assert len(listed) == len(set(listed))
+    assert set(listed) == set(attribute_parameters(model))
 
 
 class TestLoss:
@@ -389,7 +439,7 @@ class TestCheckpoint:
         cfg = tiny_config()
         model = ISTANet(cfg, rng=np.random.default_rng(0))
         seq = random_sequence(np.random.default_rng(1), cfg)
-        tokens = model.tokenize_sample(seq, mode="infer")
+        tokens = model.tokenize_sample(seq)
         model.forward_tokens(tokens, mode="train")  # update running stats
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, model)
@@ -504,3 +554,15 @@ class TestConfigs:
             TrainConfig(temperature=0.0)
         with pytest.raises(ConfigurationError):
             TrainConfig(momentum=1.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_float_fields_must_be_finite(self, bad):
+        with pytest.raises(ConfigurationError, match="gamma must be a finite number"):
+            TSABlockConfig(c_in=4, c_out=4, heads=2, c_qkv=2, gamma=bad)
+        with pytest.raises(ConfigurationError, match="lr_decay must be a finite number"):
+            TrainConfig(lr_decay=bad)
+
+    def test_checkpoint_interval_zero_allowed_negative_refused(self):
+        assert TrainConfig(checkpoint_interval=0).checkpoint_interval == 0
+        with pytest.raises(ConfigurationError, match="checkpoint_interval must be"):
+            TrainConfig(checkpoint_interval=-2)

@@ -190,7 +190,7 @@ class TestEmbed:
 
     def test_shrinking_channels_rejected(self):
         with pytest.raises(ConfigurationError):
-            EmbedParams(3, 2, gamma=0.1)
+            EmbedParams(3, 2, gamma=0.1, rng=np.random.default_rng(0))
 
 
 class TestTokenRows:

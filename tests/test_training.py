@@ -93,6 +93,24 @@ class TestTrainLoop:
             results.append(json.dumps(metrics, sort_keys=True))
         assert results[0] == results[1]
 
+    @pytest.mark.parametrize("er", [True, False])
+    def test_train_rearranges_each_sample_once_per_epoch(self, corpus, monkeypatch, er):
+        # ER is a step of train(), looked up in its module; nothing else
+        # (tokenization, evaluation) rearranges entities
+        calls = []
+
+        def recording_rearrange(seq, rng, frozen=()):
+            calls.append(frozen)
+            return real_rearrange(seq, rng, frozen=frozen)
+
+        real_rearrange = training.entity_rearrange
+        monkeypatch.setattr(training, "entity_rearrange", recording_rearrange)
+        manifest = load_manifest(corpus, num_classes=4)
+        model = ISTANet(small_config(), rng=np.random.default_rng(0))
+        model.config.frozen_entities = (1,)
+        train(model, manifest, small_train_config(epochs=2, er_enabled=er))
+        assert calls == ([(1,)] * 2 * len(manifest.split("train")) if er else [])
+
     def test_checkpoints_written(self, corpus, tmp_path):
         manifest = load_manifest(corpus, num_classes=4)
         model = ISTANet(small_config(), rng=np.random.default_rng(0))
@@ -102,6 +120,13 @@ class TestTrainLoop:
         assert (tmp_path / "final.ckpt").exists()
         assert (tmp_path / "metrics.jsonl").exists()
         assert (tmp_path / "timings.jsonl").exists()
+
+    def test_checkpoint_interval_zero_writes_only_the_final_checkpoint(self, corpus, tmp_path):
+        manifest = load_manifest(corpus, num_classes=4)
+        model = ISTANet(small_config(), rng=np.random.default_rng(0))
+        train(model, manifest, small_train_config(epochs=3, checkpoint_interval=0),
+              out_dir=tmp_path)
+        assert sorted(p.name for p in tmp_path.glob("*.ckpt")) == ["final.ckpt"]
 
     def test_missing_train_tag_rejected(self, corpus):
         from istanet.engine import UsageError
