@@ -9,13 +9,17 @@ unprojected channel slice of the input, and a bounded score map
 with trainable per-head alpha and (U,U) matrix M. After the Gram matrix
 Q K^T, the score map is one tape node: scale, tanh, alpha and M in one
 forward, the band |scores - M| <= |alpha| made exact in floating point, and
-a closed-form backward. Head outputs are concatenated, passed through a
-token-axis convolution (kernel k_u) and a pointwise FFN with residual
-connections, and finished by temporal aggregation (kernel k_t along the
-within-window time axis, plus residual).
+a closed-form backward. The node works through the map in blocks, so that
+each pass reads a block from cache: the whole (N,U,U) map when it has at
+most SCORE_BLOCK_ELEMENTS entries (up to 655 samples at U=20, one at
+U=400), else one sample's (U,U) map at a time. Head outputs are
+concatenated, passed through a token-axis convolution (kernel k_u) and a
+pointwise FFN with residual connections, and finished by temporal
+aggregation (kernel k_t along the within-window time axis, plus residual).
 """
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +29,10 @@ from .engine import (BatchNormState, ConfigurationError, Parameter,
                      apply_scores, attention_contract, batchnorm,
                      check_field_types, concat, conv3d_axis, leaky_relu,
                      pointwise_conv3d, uniform_init)
+
+# A score map of at most this many entries is worked as one block, a larger
+# one a sample at a time (see attention_scores).
+SCORE_BLOCK_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -146,6 +154,15 @@ def qkv_project(x, params, h):
     return q, k, v
 
 
+def _score_blocks(shape):
+    """Index of each block of a (U,U) or (N,U,U) score map in the order the
+    score node works through them: the whole map when it has at most
+    SCORE_BLOCK_ELEMENTS entries, else one sample's (1,U,U) slice at a time."""
+    if len(shape) == 2 or math.prod(shape) <= SCORE_BLOCK_ELEMENTS:
+        return [slice(None)]
+    return [slice(b, b + 1) for b in range(shape[0])]
+
+
 def attention_scores(q, k, alpha, m, c_beta):
     """scores = alpha * tanh(QK^T / sqrt(c_beta)) + M, as one tape node over
     (QK^T, alpha, M) after the attention_contract node.
@@ -158,27 +175,50 @@ def attention_scores(q, k, alpha, m, c_beta):
     floating point (identity for gradients). The backward is the closed
     form g_QK = g * alpha * (1 - t*t) / sqrt(c_beta), g_alpha = sum(g * t),
     g_M = g, in the chain's rounding order.
+
+    Forward and backward run block by block (_score_blocks): the whole map
+    when it has at most SCORE_BLOCK_ELEMENTS entries, else one sample's
+    (U,U) map at a time, so that every pass over a block reads it from
+    cache. Each entry takes the same steps either way, and the sums over
+    samples for g_alpha and g_M start from the first block and add the
+    others in order, the order of the chain's sum over the batch axis: the
+    bytes do not depend on the blocking.
     """
     gram = attention_contract(q, k)
     radius = abs(float(alpha.data if isinstance(alpha, engine.Tensor) else alpha))
     scale = np.asarray(1.0 / np.sqrt(c_beta), dtype=gram.dtype)
-    t = np.tanh(gram.data * scale)
     alpha = engine._operands(gram, alpha)[1]
-    scaled_t = t * alpha.data
-    m = engine._operands(engine.Tensor(scaled_t), m)[1]
-    out = scaled_t + m.data
-    dev = out - m.data
-    if np.abs(dev, out=dev).max(initial=0) > radius:
-        over = dev > radius
-        while over.any():
-            out[over] = np.nextafter(out[over], np.broadcast_to(m.data, out.shape)[over])
-            over = np.abs(out - m.data) > radius
+    t = np.empty_like(gram.data)
+    # M takes the dtype of alpha * t when it is a scalar, as in an add node
+    m = engine.astensor(m, dtype=np.result_type(t, alpha.data) if np.ndim(m) == 0 else None)
+    out = np.empty(t.shape, dtype=np.result_type(t, alpha.data, m.data))
+    blocks = _score_blocks(t.shape)
+    for blk in blocks:
+        t_b, out_b = t[blk], out[blk]
+        np.tanh(np.multiply(gram.data[blk], scale, out=t_b), out=t_b)
+        np.multiply(t_b, alpha.data, out=out_b)
+        out_b += m.data
+        dev = out_b - m.data
+        if np.abs(dev, out=dev).max(initial=0) > radius:
+            over = dev > radius
+            while over.any():
+                out_b[over] = np.nextafter(out_b[over], np.broadcast_to(m.data, out_b.shape)[over])
+                over = np.abs(out_b - m.data) > radius
 
     def bwd(g):
-        g_t = engine._unbroadcast(g, t.shape)
-        return (g_t * alpha.data * (1.0 - t * t) * scale if gram.requires_grad else None,
-                engine._unbroadcast(g_t * t, alpha.shape) if alpha.requires_grad else None,
-                engine._unbroadcast(g, m.shape) if m.requires_grad else None)
+        g_gram = np.empty(t.shape, np.result_type(g, alpha.data, t)) if gram.requires_grad else None
+        g_alpha = g_m = None
+        for i, blk in enumerate(blocks):
+            g_b, t_b = g[blk], t[blk]
+            if gram.requires_grad:
+                np.multiply(g_b * alpha.data * (1.0 - t_b * t_b), scale, out=g_gram[blk])
+            if alpha.requires_grad:
+                g_alpha = g_b * t_b if i == 0 else np.add(g_alpha, g_b * t_b, out=g_alpha)
+            if m.requires_grad:  # a view of g until the second block's add copies it
+                g_m = g_b if i == 0 else np.add(g_m, g_b, out=None if i == 1 else g_m)
+        return (g_gram,
+                engine._unbroadcast(g_alpha, alpha.shape) if alpha.requires_grad else None,
+                engine._unbroadcast(g_m, m.shape) if m.requires_grad else None)
 
     return engine._make(out, (gram, alpha, m), bwd)
 

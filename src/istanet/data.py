@@ -175,7 +175,6 @@ class ManifestEntry:
 @dataclass
 class DatasetManifest:
     samples: list
-    num_classes: int
     root: str = "."
 
     def split(self, tag):
@@ -194,7 +193,8 @@ class DatasetManifest:
 
 
 def load_manifest(path, num_classes=None):
-    """Parse a manifest file; sample order follows the file deterministically."""
+    """Parse a manifest file; sample order follows the file deterministically.
+    Given num_classes, a label of num_classes or more is a ValidationError."""
     root = os.path.dirname(os.path.abspath(path))
     entries = []
     seen = set()
@@ -219,11 +219,8 @@ def load_manifest(path, num_classes=None):
         seen.add(rel)
         entries.append(ManifestEntry(path=rel, label=label, tag=tag))
 
-    inferred = max((e.label for e in entries), default=-1) + 1
-    if num_classes is None:
-        num_classes = max(inferred, 2)
     for e in entries:
-        if e.label >= num_classes:
+        if num_classes is not None and e.label >= num_classes:
             raise ValidationError(
                 f"{e.path}: label {e.label} >= num_classes {num_classes}")
-    return DatasetManifest(samples=entries, num_classes=num_classes, root=root)
+    return DatasetManifest(samples=entries, root=root)

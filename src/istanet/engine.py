@@ -18,8 +18,13 @@ works on the trailing four axes (C, T, S, U), so the channel axis is always
 The contractions (pointwise and axis convolutions, the attention Gram matrix
 and score application) view their operands as (..., rows, sites) matrices
 and run as BLAS matmuls, forward and backward; the axis convolution stacks
-its taps with im2col. Batchnorm is one tape node in both modes, its
-per-channel affine included; in train mode its backward is closed-form.
+its taps with im2col. The products of a (..., rows, U) matrix with a
+transposed (U,U) one (score application's forward, the Gram matrix's
+q-gradient) run in the faster order for their shape, with the same bytes:
+as (S @ a^T)^T when rows < U, else as a @ S^T. The transposed result is
+made contiguous before it is reshaped (_matmul_transposed). Batchnorm is
+one tape node in both modes, its per-channel affine included; in train
+mode its backward is closed-form.
 
 Inside ``with no_grad():`` every op returns a plain Tensor with no parents
 and no backward closure, so a forward records no tape; evaluation and
@@ -449,6 +454,20 @@ def conv3d_axis(x, weight, bias, axis, k):
     return _make(out, (x, weight, bias), bwd)
 
 
+def _matmul_transposed(a, s):
+    """a @ s^T for a (..., rows, U) and s (..., U, U), as a contiguous array.
+
+    With fewer rows than tokens, OpenBLAS computes (s @ a^T)^T about twice
+    as fast, and with more rows about half as fast, so the order follows the
+    shape. Both orders give the same bytes. The transposed result is made
+    contiguous: reshaped as a strided view, it would make the GEMMs that
+    read it round differently.
+    """
+    if a.shape[-2] < a.shape[-1]:
+        return np.ascontiguousarray((s @ a.swapaxes(-1, -2)).swapaxes(-1, -2))
+    return a @ s.swapaxes(-1, -2)
+
+
 def attention_contract(q, k):
     """Token Gram matrix: out[u,v] = sum_{c,t,s} q[c,t,s,u] * k[c,t,s,v]."""
     q, k = astensor(q), astensor(k)
@@ -461,7 +480,7 @@ def attention_contract(q, k):
     out = qf.swapaxes(-1, -2) @ kf
 
     def bwd(g):
-        gq = (kf @ g.swapaxes(-1, -2)).reshape(q.shape)
+        gq = _matmul_transposed(kf, g).reshape(q.shape)
         gk = (qf @ g).reshape(k.shape)
         return gq, gk
 
@@ -478,7 +497,7 @@ def apply_scores(scores, v):
             f"apply_scores: scores shape {scores.shape} != (...,U,U)={expected}")
     flat_shape = v.shape[:-4] + (-1, v.shape[-1])
     vf = v.data.reshape(flat_shape)
-    out = (vf @ scores.data.swapaxes(-1, -2)).reshape(v.shape)
+    out = _matmul_transposed(vf, scores.data).reshape(v.shape)
 
     def bwd(g):
         gf = g.reshape(flat_shape)

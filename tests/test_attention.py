@@ -130,6 +130,19 @@ def scores_and_grads(fn, q, k, alpha, m, upstream, c_beta=12):
     return out, [x.grad if isinstance(x, Tensor) else None for x in leaves]
 
 
+def record_blocks(monkeypatch):
+    """Make attention._score_blocks record the blocks of every call; returns
+    the list of recorded block lists."""
+    calls, score_blocks = [], attention._score_blocks
+
+    def spy(shape):
+        calls.append(score_blocks(shape))
+        return calls[-1]
+
+    monkeypatch.setattr(attention, "_score_blocks", spy)
+    return calls
+
+
 def tape_nodes(out):
     """Op nodes (tensors with parents) reachable from `out`."""
     seen, stack = set(), [out]
@@ -158,7 +171,20 @@ class TestFusedScoreNode:
     @pytest.mark.parametrize("rank", [4, 5])
     @pytest.mark.parametrize("operands", ["tensors", "float-alpha-ndarray-m"])
     def test_bytes_equal_composed_chain(self, dtype, rank, operands):
-        q, k, alpha, m, upstream = score_inputs(np.random.default_rng(rank), dtype, rank)
+        self.check_bytes_equal_composed_chain(dtype, rank, operands, seed=rank, n=2)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("operands", ["tensors", "float-alpha-ndarray-m"])
+    def test_per_sample_blocks_equal_composed_chain(self, dtype, operands, monkeypatch):
+        # a map larger than SCORE_BLOCK_ELEMENTS is worked a sample at a time
+        monkeypatch.setattr(attention, "SCORE_BLOCK_ELEMENTS", 3 * 5 * 5)
+        blocks = record_blocks(monkeypatch)
+        self.check_bytes_equal_composed_chain(dtype, 5, operands, seed=5, n=4)
+        assert blocks == [[slice(b, b + 1) for b in range(4)]]
+
+    @staticmethod
+    def check_bytes_equal_composed_chain(dtype, rank, operands, seed, n):
+        q, k, alpha, m, upstream = score_inputs(np.random.default_rng(seed), dtype, rank, n=n)
         if operands == "tensors":
             alpha, m = Parameter("alpha", alpha), Parameter("m", m)
         else:
@@ -172,6 +198,28 @@ class TestFusedScoreNode:
                 assert got is None
             else:
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_per_sample_blocks_nudge_a_later_sample(self, dtype, monkeypatch):
+        # only sample 2 saturates the tanh, at entry (0, 0); alpha lies between
+        # half an ulp and one ulp of M = 1 there, so alpha + 1 rounds up to
+        # 1 + ulp, out of band, and the nudge has to act in block 2
+        monkeypatch.setattr(attention, "SCORE_BLOCK_ELEMENTS", 0)
+        blocks = record_blocks(monkeypatch)
+        q = np.zeros((3, 1, 1, 4, 2), dtype=dtype)
+        q[2, 0, 0, :, 0] = 10.0
+        alpha = np.asarray(0.6 * np.finfo(dtype).eps, dtype=dtype)
+        m = np.ones((2, 2), dtype=dtype)
+        assert np.abs(alpha + m - m)[0, 0] > alpha
+        upstream = np.random.default_rng(0).normal(size=(3, 2, 2)).astype(dtype)
+        args = (q, q.copy(), Parameter("alpha", alpha), Parameter("m", m), upstream)
+        fused, fused_grads = scores_and_grads(attention_scores, *args, c_beta=4)
+        assert len(blocks[0]) == 3
+        ref, ref_grads = scores_and_grads(composed_attention_scores, *args, c_beta=4)
+        assert fused.data.tobytes() == ref.data.tobytes()
+        assert (fused.data == 1).all()
+        for got, want in zip(fused_grads, ref_grads):
+            assert got.tobytes() == want.tobytes()
 
     def test_out_of_band_entry_is_nudged_into_band(self):
         # tanh saturates to exactly 1 at entry (0, 0), and 1 + 7e-8 rounds up
@@ -235,7 +283,10 @@ class TestFusedScoreNode:
             loss.backward()
             return loss.data.tobytes(), {p.name: p.grad.tobytes() for p in model.parameters()}
 
+        # U = 400 and N = 2: each (2, U, U) map is worked a sample at a time
+        blocks = record_blocks(monkeypatch)
         fused = loss_and_grads()
+        assert blocks and all(b == [slice(0, 1), slice(1, 2)] for b in blocks)
         monkeypatch.setattr(attention, "attention_scores", composed_attention_scores)
         assert loss_and_grads() == fused
 

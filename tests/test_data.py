@@ -186,4 +186,7 @@ class TestManifest:
             files=["a.iskel", "b.iskel"])
         man = load_manifest(mpath)
         assert [s.path for s in man.samples] == ["b.iskel", "a.iskel"]
-        assert man.num_classes == 2
+        # the largest label, 1, needs two classes
+        load_manifest(mpath, num_classes=2)
+        with pytest.raises(ValidationError, match="label 1 >= num_classes 1"):
+            load_manifest(mpath, num_classes=1)

@@ -400,6 +400,29 @@ class TestApplyScores:
             assert rel_err(fd, t.grad) <= 1e-6
 
 
+# (C, T, S, U) with fewer rows C*T*S than tokens U, where a @ s^T runs as
+# (s @ a^T)^T (T = S = 1 gives a transposed view), rank 4 and 5, and one
+# with more rows
+CONTRACTION_SHAPES = [(2, 1, 1, 6), (1, 2, 2, 5), (3, 2, 1, 1, 7), (2, 1, 2, 1, 5), (3, 2, 2, 4)]
+
+
+@pytest.mark.parametrize("shape", CONTRACTION_SHAPES)
+def test_contractions_match_einsum_and_finite_differences(shape):
+    rng = np.random.default_rng(12)
+    q, k, v = (rng.normal(size=shape) for _ in range(3))
+    s = rng.normal(size=shape[:-4] + (shape[-1], shape[-1]))
+    gram = attention_contract(Tensor(q), Tensor(k)).data
+    mixed = apply_scores(Tensor(s), Tensor(v)).data
+    np.testing.assert_allclose(gram, np.einsum("...ctsu,...ctsw->...uw", q, k), rtol=1e-12)
+    np.testing.assert_allclose(mixed, np.einsum("...uw,...ctsw->...ctsu", s, v), rtol=1e-12)
+    assert mixed.flags.c_contiguous
+    check_op_gradients(attention_contract, [q, k])
+    check_op_gradients(apply_scores, [s, v])
+    qt, kt = Tensor(q, requires_grad=True), Tensor(k, requires_grad=True)
+    attention_contract(qt, kt).sum().backward()
+    assert qt.grad.flags.c_contiguous and kt.grad.flags.c_contiguous
+
+
 class TestBackward:
     def test_sum_gives_ones(self):
         x = Tensor(np.arange(6, dtype=np.float64), requires_grad=True)

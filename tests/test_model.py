@@ -19,7 +19,7 @@ from istanet.model import (ISTANet, ModelConfig, NesterovSGD, TrainConfig,
                            evaluate_topk, lr_schedule, topk_accuracy)
 from istanet.tokenizer import tokenize
 
-from helpers import (CHECKPOINT_CORRUPTIONS, MINIATURE_V1_CHECKPOINT,
+from helpers import (CHECKPOINT_CORRUPTIONS, MINIATURE_V1_CHECKPOINT, rel_err,
                      write_corrupt_checkpoint)
 
 
@@ -225,6 +225,37 @@ def test_parameters_lists_every_attribute_parameter_once(cfg):
     listed = [id(p) for p in model.parameters()]
     assert len(listed) == len(set(listed))
     assert set(listed) == set(attribute_parameters(model))
+
+
+class TestEntityOrder:
+    """With windows (t_w, 1, E) every token holds all E entities on its S
+    axis, and no op mixes along S in an order-dependent way (the convolutions
+    run along U and T, the Gram matrix sums over S, batchnorm and pooling are
+    per channel): the logits do not depend on entity order beyond rounding.
+    With e_w < E the entities sit in different tokens, and order matters."""
+
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16), data=st.data())
+    def test_logits_invariant_iff_one_window_spans_every_entity(self, seed, data):
+        entities = data.draw(st.sampled_from([2, 3]))
+        perm = data.draw(st.permutations(range(entities)).filter(
+            lambda p: list(p) != sorted(p)))
+        rng = np.random.default_rng(seed)
+        seq = SkeletonSequence(rng.normal(size=(3, 40, 5, entities)), label=0)
+        permuted = SkeletonSequence(seq.data[..., perm], label=0)
+        for e_w in (entities, 1):
+            config = ModelConfig(
+                window=(10, 1, e_w), in_channels=3, frames=40, joints=5, entities=entities,
+                embed_channels=8, gamma=0.1,
+                blocks=[TSABlockConfig(c_in=8, c_out=8, heads=2, c_qkv=2),
+                        TSABlockConfig(c_in=8, c_out=16, heads=2, c_qkv=2)],
+                num_classes=4)
+            model = ISTANet(config, rng=np.random.default_rng(seed), dtype=np.float64)
+            logits, permuted_logits = model.classify_batch([seq, permuted])
+            if e_w == entities:
+                assert rel_err(logits, permuted_logits) <= 1e-12
+            else:
+                assert rel_err(logits, permuted_logits) > 1e-6
 
 
 class TestLoss:
