@@ -12,7 +12,10 @@ forward, the band |scores - M| <= |alpha| made exact in floating point, and
 a closed-form backward. The node works through the map in blocks, so that
 each pass reads a block from cache: the whole (N,U,U) map when it has at
 most SCORE_BLOCK_ELEMENTS entries (up to 655 samples at U=20, one at
-U=400), else one sample's (U,U) map at a time. Head outputs are
+U=400), else one sample's (U,U) map at a time. A whole map is always
+scanned for entries out of band; a per-sample block is scanned only when
+a rounding bound from its max|tanh|, |alpha| and max|M| cannot prove it in
+band (attention_scores gives the bound). Head outputs are
 concatenated, passed through a token-axis convolution (kernel k_u) and a
 pointwise FFN with residual connections, and finished by temporal
 aggregation (kernel k_t along the within-window time axis, plus residual).
@@ -163,6 +166,37 @@ def _score_blocks(shape):
     return [slice(b, b + 1) for b in range(shape[0])]
 
 
+def _scan_band(out, center, radius):
+    """The full band scan of one block: every entry of `out` more than
+    `radius` from `center` is stepped toward it by ulps until
+    |out - center| <= radius holds in floating point."""
+    dev = out - center
+    if np.abs(dev, out=dev).max(initial=0) > radius:
+        over = dev > radius
+        while over.any():
+            out[over] = np.nextafter(out[over], np.broadcast_to(center, out.shape)[over])
+            over = np.abs(out - center) > radius
+
+
+def _band_pretest(t_dtype, out_dtype, alpha, m, radius):
+    """The pre-test of a per-sample block (see attention_scores): tau ->
+    True when the rounding bound proves every |fl(fl(fl(alpha * t) + M) - M)|
+    of a block whose max|t| is tau within radius as the scan compares it;
+    None, so that every block is scanned, when M is not finite."""
+    fi = max(np.finfo(t_dtype), np.finfo(out_dtype), key=lambda f: f.eps)
+    mu = max(float(m.max()), -float(m.min()))
+    if not math.isfinite(mu):
+        return None
+    u, eta, abs_alpha = float(fi.eps), float(fi.smallest_subnormal), abs(float(alpha))
+    threshold = float(out_dtype.type(radius))
+
+    def in_band(tau):
+        a = abs_alpha * tau * (1 + u) + eta
+        return (a + u * (a + mu)) * (1 + u) + eta <= threshold
+
+    return in_band
+
+
 def attention_scores(q, k, alpha, m, c_beta):
     """scores = alpha * tanh(QK^T / sqrt(c_beta)) + M, as one tape node over
     (QK^T, alpha, M) after the attention_contract node.
@@ -183,6 +217,34 @@ def attention_scores(q, k, alpha, m, c_beta):
     samples for g_alpha and g_M start from the first block and add the
     others in order, the order of the chain's sum over the batch axis: the
     bytes do not depend on the blocking.
+
+    The band check (_scan_band: out - M, abs, max, then the nudge) runs on
+    every whole-map block. A per-sample block first takes
+    tau = max(max t, -min t), two reductions while it is in cache, and
+    skips the scan when
+
+        (a + u*(a + mu)) * (1 + u) + eta <= radius,
+        a = |alpha^| * tau * (1 + u) + eta,
+
+    with alpha^ alpha as cast into the chain, mu = max|M| (once per call),
+    u and eta the eps and smallest subnormal of the least precise of t's
+    and the output's dtypes, and radius cast to the output's dtype, the
+    threshold the scan compares with (_band_pretest). A NaN tau makes the
+    bound NaN, and a NaN or inf mu takes no bound, so the scan runs.
+
+    The bound holds for every entry the scan would see. With eps = u/2 the
+    unit roundoff, each of p = fl(alpha^ t), s = fl(p + M) and
+    d = fl(s - M) rounds by at most a relative eps, or an absolute eta/2
+    for a subnormal product (sums and differences are exact there), so
+    |p| <= |alpha^| tau (1 + eps) + eta/2, |s - M| <= |p| + eps (|p| + mu)
+    and |d| <= |s - M| (1 + eps). Each u term is twice what that needs,
+    which absorbs the rounding of the bound's own float64 evaluation when
+    the chain rounds in float32. In a float64 chain that margin is of the
+    order of the evaluation's own rounding, and monotone rounding carries
+    the proof instead: fl(|alpha^| tau) is at least every |p|, times
+    (1 + u) it rounds up by at least one ulp, and the steps after it round
+    to floats no smaller than the bound on |s - M| they stand for, so
+    |d| = fl(|s - M|) is at most the bound.
     """
     gram = attention_contract(q, k)
     radius = abs(float(alpha.data if isinstance(alpha, engine.Tensor) else alpha))
@@ -193,27 +255,35 @@ def attention_scores(q, k, alpha, m, c_beta):
     m = engine.astensor(m, dtype=np.result_type(t, alpha.data) if np.ndim(m) == 0 else None)
     out = np.empty(t.shape, dtype=np.result_type(t, alpha.data, m.data))
     blocks = _score_blocks(t.shape)
+    in_band = (_band_pretest(t.dtype, out.dtype, alpha.data, m.data, radius)
+               if len(blocks) > 1 else None)
     for blk in blocks:
         t_b, out_b = t[blk], out[blk]
         np.tanh(np.multiply(gram.data[blk], scale, out=t_b), out=t_b)
         np.multiply(t_b, alpha.data, out=out_b)
         out_b += m.data
-        dev = out_b - m.data
-        if np.abs(dev, out=dev).max(initial=0) > radius:
-            over = dev > radius
-            while over.any():
-                out_b[over] = np.nextafter(out_b[over], np.broadcast_to(m.data, out_b.shape)[over])
-                over = np.abs(out_b - m.data) > radius
+        if in_band is None or not in_band(float(max(t_b.max(), -t_b.min()))):
+            _scan_band(out_b, m.data, radius)
 
     def bwd(g):
         g_gram = np.empty(t.shape, np.result_type(g, alpha.data, t)) if gram.requires_grad else None
         g_alpha = g_m = None
+        # block-sized scratch reused across blocks: 1 - t*t for g_gram, and
+        # g*t for g_alpha after the first block, which starts the sum
+        shape = t[blocks[0]].shape
+        one_minus_tt = np.empty(shape, t.dtype) if gram.requires_grad else None
+        g_t = (np.empty(shape, np.result_type(g, t))
+               if alpha.requires_grad and len(blocks) > 1 else None)
         for i, blk in enumerate(blocks):
             g_b, t_b = g[blk], t[blk]
             if gram.requires_grad:
-                np.multiply(g_b * alpha.data * (1.0 - t_b * t_b), scale, out=g_gram[blk])
+                g_gram_b = np.multiply(g_b, alpha.data, out=g_gram[blk])
+                np.subtract(1.0, np.multiply(t_b, t_b, out=one_minus_tt), out=one_minus_tt)
+                g_gram_b *= one_minus_tt
+                g_gram_b *= scale
             if alpha.requires_grad:
-                g_alpha = g_b * t_b if i == 0 else np.add(g_alpha, g_b * t_b, out=g_alpha)
+                g_t_b = np.multiply(g_b, t_b, out=None if i == 0 else g_t)
+                g_alpha = g_t_b if i == 0 else np.add(g_alpha, g_t_b, out=g_alpha)
             if m.requires_grad:  # a view of g until the second block's add copies it
                 g_m = g_b if i == 0 else np.add(g_m, g_b, out=None if i == 1 else g_m)
         return (g_gram,

@@ -73,9 +73,14 @@ def read_text(path, error=ParseError):
 
 
 def parse_iskel(raw):
-    """Parse `.iskel` bytes or text into a SkeletonSequence."""
+    """Parse `.iskel` bytes or text into a SkeletonSequence; bytes that are
+    not UTF-8 raise ParseError."""
     if isinstance(raw, bytes):
-        raw = raw.decode("utf-8")
+        try:
+            raw = raw.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise ParseError(f"not UTF-8 text ({e.reason} at byte {e.start})",
+                             line=raw.count(b"\n", 0, e.start) + 1) from None
     lines = raw.split("\n")
     if not lines or lines[0].strip() != _MAGIC:
         raise ParseError(f"bad magic, expected {_MAGIC!r}", line=1)

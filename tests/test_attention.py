@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from istanet import attention
 from istanet.attention import (TSABlockConfig, TSABlockParams,
@@ -143,6 +145,20 @@ def record_blocks(monkeypatch):
     return calls
 
 
+def record_scans(monkeypatch):
+    """Make attention._scan_band record, for every full scan it runs,
+    whether the scan changed its block; returns the list of records."""
+    scans, scan_band = [], attention._scan_band
+
+    def spy(out, center, radius):
+        before = out.copy()
+        scan_band(out, center, radius)
+        scans.append(not np.array_equal(before, out))
+
+    monkeypatch.setattr(attention, "_scan_band", spy)
+    return scans
+
+
 def tape_nodes(out):
     """Op nodes (tensors with parents) reachable from `out`."""
     seen, stack = set(), [out]
@@ -161,6 +177,19 @@ def readme_blocks_config():
         blocks=[TSABlockConfig(c_in=16, c_out=16, heads=2, c_qkv=4),
                 TSABlockConfig(c_in=16, c_out=32, heads=2, c_qkv=4)],
         num_classes=4)
+
+
+def readme_blocks_train_step(dtype):
+    """Loss bytes and gradient bytes of one train step of the README blocks
+    at window (1,1,1), so U = 400, on two random samples."""
+    rng = np.random.default_rng(3)
+    seqs = [SkeletonSequence(rng.normal(size=(3, 40, 5, 2)), label=c) for c in (0, 1)]
+    model = ISTANet(readme_blocks_config(), rng=np.random.default_rng(0), dtype=dtype)
+    tokens = np.stack([model.tokenize_sample(s) for s in seqs])
+    loss = ce_label_smoothing(model.forward_tokens(tokens, "train"), [0, 1],
+                              smoothing=0.1, temperature=1.0)
+    loss.backward()
+    return loss.data.tobytes(), {p.name: p.grad.tobytes() for p in model.parameters()}
 
 
 class TestFusedScoreNode:
@@ -206,6 +235,7 @@ class TestFusedScoreNode:
         # 1 + ulp, out of band, and the nudge has to act in block 2
         monkeypatch.setattr(attention, "SCORE_BLOCK_ELEMENTS", 0)
         blocks = record_blocks(monkeypatch)
+        scans = record_scans(monkeypatch)
         q = np.zeros((3, 1, 1, 4, 2), dtype=dtype)
         q[2, 0, 0, :, 0] = 10.0
         alpha = np.asarray(0.6 * np.finfo(dtype).eps, dtype=dtype)
@@ -214,16 +244,17 @@ class TestFusedScoreNode:
         upstream = np.random.default_rng(0).normal(size=(3, 2, 2)).astype(dtype)
         args = (q, q.copy(), Parameter("alpha", alpha), Parameter("m", m), upstream)
         fused, fused_grads = scores_and_grads(attention_scores, *args, c_beta=4)
-        assert len(blocks[0]) == 3
+        assert len(blocks[0]) == 3 and any(scans)
         ref, ref_grads = scores_and_grads(composed_attention_scores, *args, c_beta=4)
         assert fused.data.tobytes() == ref.data.tobytes()
         assert (fused.data == 1).all()
         for got, want in zip(fused_grads, ref_grads):
             assert got.tobytes() == want.tobytes()
 
-    def test_out_of_band_entry_is_nudged_into_band(self):
+    def test_out_of_band_entry_is_nudged_into_band(self, monkeypatch):
         # tanh saturates to exactly 1 at entry (0, 0), and 1 + 7e-8 rounds up
         # to the next float32 after 1, 1.19e-7 away from M: out of band
+        scans = record_scans(monkeypatch)
         q = np.zeros((1, 1, 4, 2), dtype=np.float32)
         q[0, 0, :, 0] = 10.0
         alpha = np.asarray(7e-8, dtype=np.float32)
@@ -233,6 +264,7 @@ class TestFusedScoreNode:
         upstream = np.random.default_rng(0).normal(size=(2, 2)).astype(np.float32)
         args = (q, q.copy(), Parameter("alpha", alpha), Parameter("m", m), upstream)
         fused, fused_grads = scores_and_grads(attention_scores, *args, c_beta=4)
+        assert scans == [True]
         ref, ref_grads = scores_and_grads(composed_attention_scores, *args, c_beta=4)
         assert fused.data.tobytes() == ref.data.tobytes()
         assert (np.abs(fused.data - m) <= alpha).all()
@@ -240,15 +272,16 @@ class TestFusedScoreNode:
         for got, want in zip(fused_grads, ref_grads):
             assert got.tobytes() == want.tobytes()
 
-    def test_python_float_m_is_nudged_in_the_score_dtype(self):
+    def test_python_float_m_is_nudged_in_the_score_dtype(self, monkeypatch):
         # the same saturated entry with M = 1.0 given as a Python float: the
         # nudge must step in float32, where M takes the scores' dtype (a
         # float64 step rounds back to the same float32 and never ends)
+        scans = record_scans(monkeypatch)
         q = np.zeros((1, 1, 4, 2), dtype=np.float32)
         q[0, 0, :, 0] = 10.0
         alpha = Parameter("alpha", np.asarray(7e-8, dtype=np.float32))
         out = attention_scores(Parameter("q", q), Parameter("k", q), alpha, 1.0, c_beta=4)
-        assert out.dtype == np.float32
+        assert out.dtype == np.float32 and scans == [True]
         np.testing.assert_array_equal(out.data, np.ones((2, 2), dtype=np.float32))
 
     def test_adds_two_tape_nodes(self):
@@ -271,24 +304,78 @@ class TestFusedScoreNode:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_readme_blocks_train_step_equals_composed_chain(self, dtype, monkeypatch):
-        cfg = readme_blocks_config()
-        rng = np.random.default_rng(3)
-        seqs = [SkeletonSequence(rng.normal(size=(3, 40, 5, 2)), label=c) for c in (0, 1)]
-
-        def loss_and_grads():
-            model = ISTANet(cfg, rng=np.random.default_rng(0), dtype=dtype)
-            tokens = np.stack([model.tokenize_sample(s) for s in seqs])
-            loss = ce_label_smoothing(model.forward_tokens(tokens, "train"), [0, 1],
-                                      smoothing=0.1, temperature=1.0)
-            loss.backward()
-            return loss.data.tobytes(), {p.name: p.grad.tobytes() for p in model.parameters()}
-
         # U = 400 and N = 2: each (2, U, U) map is worked a sample at a time
         blocks = record_blocks(monkeypatch)
-        fused = loss_and_grads()
+        fused = readme_blocks_train_step(dtype)
         assert blocks and all(b == [slice(0, 1), slice(1, 2)] for b in blocks)
         monkeypatch.setattr(attention, "attention_scores", composed_attention_scores)
-        assert loss_and_grads() == fused
+        assert readme_blocks_train_step(dtype) == fused
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_readme_blocks_train_step_runs_no_full_scan(self, dtype, monkeypatch):
+        # at init M = 0 and no tanh comes within a few ulps of 1, so the
+        # bound clears every sample block
+        blocks, scans = record_blocks(monkeypatch), record_scans(monkeypatch)
+        readme_blocks_train_step(dtype)
+        assert len(blocks) == 4 and scans == []
+
+    @given(case=st.fixed_dictionaries(dict(
+        seed=st.integers(0, 2 ** 32 - 1),
+        chain=st.sampled_from(["f32", "f64", "f32-qk-f64-m"]),
+        float_alpha=st.booleans(),
+        gram_sign=st.sampled_from(["mixed", "positive", "negative"]),
+        gram_scale=st.floats(-3, 1.5),
+        alpha_scale=st.floats(-3, 0.3),
+        subnormal_alpha=st.sampled_from([None, None, None, 1, 3, 8, 61]),
+        alpha_sign=st.sampled_from([1.0, -1.0]),
+        m_over_alpha=st.floats(0, 1),
+        n=st.integers(2, 4),
+        u=st.integers(2, 6))))
+    # float32 products round up onto a one-subnormal alpha^ for t > 0.5, and
+    # a float64 + M of alpha's size can then round past the band
+    @example(case=dict(seed=0, chain="f32-qk-f64-m", float_alpha=False, gram_sign="positive",
+                       gram_scale=0.0, alpha_scale=0.0, subnormal_alpha=1, alpha_sign=1.0,
+                       m_over_alpha=0.3, n=4, u=6))
+    @settings(max_examples=300, deadline=None)
+    def test_per_sample_blocks_equal_composed_chain_property(self, case):
+        """Every sample is its own block, so the max|tanh| pre-test decides
+        each one. The Gram matrix runs from linear (1e-3) to saturated (30,
+        where tanh rounds to exactly +-1) and can be all of one sign;
+        |alpha| is 1e-3 to 2, or a few subnormals of q's dtype (where a
+        float32 product can round up to alpha^ itself), with either sign;
+        max|M| runs from 1e-3 |alpha| up to |alpha| / (0.6 eps) of the
+        chain's least precise dtype, where the rounding of + M alone can
+        leave the band. alpha is a Parameter or a Python float exact in q's
+        dtype (a float alpha the cast rounds up would put saturated entries
+        up to ~2^28 float64 ulps out of band when M is float64, and the ulp
+        nudge would take that many steps)."""
+        rng = np.random.default_rng(case["seed"])
+        qk_dtype = np.float64 if case["chain"] == "f64" else np.float32
+        m_dtype = np.float32 if case["chain"] == "f32" else np.float64
+        shape = (case["n"], 2, 2, 2, case["u"])
+        q, k = rng.normal(size=shape), rng.normal(size=shape)
+        if case["gram_sign"] != "mixed":
+            q, k = np.abs(q), np.abs(k) * (1.0 if case["gram_sign"] == "positive" else -1.0)
+        gram_scale = 10.0 ** (case["gram_scale"] / 2)
+        alpha = float(qk_dtype(case["alpha_sign"] * (
+            10.0 ** case["alpha_scale"] if case["subnormal_alpha"] is None else
+            case["subnormal_alpha"] * np.finfo(qk_dtype).smallest_subnormal)))
+        lowest = np.log10(1.0 / (0.6 * np.finfo(qk_dtype).eps))
+        m = rng.normal(size=(case["u"], case["u"])) * abs(alpha) * 10.0 ** (
+            -3 + case["m_over_alpha"] * (lowest + 3))
+        upstream = rng.normal(size=(case["n"], case["u"], case["u"]))
+        alpha = alpha if case["float_alpha"] else Parameter("alpha", alpha, dtype=qk_dtype)
+        args = (np.asarray(q * gram_scale, qk_dtype), np.asarray(k * gram_scale, qk_dtype),
+                alpha, Parameter("m", m, dtype=m_dtype), np.asarray(upstream, qk_dtype))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(attention, "SCORE_BLOCK_ELEMENTS", 0)
+            fused, fused_grads = scores_and_grads(attention_scores, *args, c_beta=8)
+        ref, ref_grads = scores_and_grads(composed_attention_scores, *args, c_beta=8)
+        assert fused.dtype == ref.dtype == m_dtype
+        assert fused.data.tobytes() == ref.data.tobytes()
+        for got, want in zip(fused_grads, ref_grads):
+            assert (got is None) == (want is None)
+            assert got is None or (got.dtype == want.dtype and got.tobytes() == want.tobytes())
 
 
 class TestTemporalAggregate:

@@ -49,6 +49,31 @@ class TestParseIskel:
         seq = parse_iskel(make_iskel_text(2, 1, 1, 1, 0, [1.5, -2.5]).encode())
         np.testing.assert_array_equal(seq.data.reshape(-1), [1.5, -2.5])
 
+    def test_bytes_not_utf8(self):
+        raw = make_iskel_text(2, 1, 1, 1, 0, [1.5, -2.5]).encode()
+        with pytest.raises(ParseError, match="line 3: not UTF-8 text .* at byte 19"):
+            parse_iskel(raw[:19] + b"\xff" + raw[20:])
+
+    @given(st.lists(st.tuples(st.sampled_from(["flip", "insert", "delete"]),
+                              st.integers(0, 10 ** 6), st.integers(0, 255)),
+                    min_size=1, max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_byte_mutations_raise_only_typed_errors(self, edits):
+        # flip, insert and delete bytes of a valid file: parse_iskel returns
+        # a sequence or raises ParseError or ValidationError, nothing else
+        raw = bytearray(make_iskel_text(3, 2, 2, 1, 4, np.linspace(-2, 2, 12)).encode())
+        for kind, pos, byte in edits:  # 8 edits cannot empty the 223-byte file
+            if kind == "insert":
+                raw.insert(pos % (len(raw) + 1), byte)
+            elif kind == "flip":
+                raw[pos % len(raw)] ^= byte or 0x80
+            else:
+                del raw[pos % len(raw)]
+        try:
+            parse_iskel(bytes(raw))
+        except (ParseError, ValidationError):
+            pass
+
     @given(st.integers(0, 2 ** 31), st.sampled_from([2, 3]),
            st.integers(1, 4), st.integers(1, 3), st.integers(1, 3))
     @settings(max_examples=30, deadline=None)
