@@ -9,16 +9,18 @@ unprojected channel slice of the input, and a bounded score map
 with trainable per-head alpha and (U,U) matrix M. After the Gram matrix
 Q K^T, the score map is one tape node: scale, tanh, alpha and M in one
 forward, the band |scores - M| <= |alpha| made exact in floating point, and
-a closed-form backward. The node works through the map in blocks, so that
-each pass reads a block from cache: the whole (N,U,U) map when it has at
-most SCORE_BLOCK_ELEMENTS entries (up to 655 samples at U=20, one at
-U=400), else one sample's (U,U) map at a time. A whole map is always
-scanned for entries out of band; a per-sample block is scanned only when
-a rounding bound from its max|tanh|, |alpha| and max|M| cannot prove it in
-band (attention_scores gives the bound). Head outputs are
-concatenated, passed through a token-axis convolution (kernel k_u) and a
-pointwise FFN with residual connections, and finished by temporal
-aggregation (kernel k_t along the within-window time axis, plus residual).
+a closed-form backward. The node takes the model's own operands, alpha a
+0-d Tensor and M a Tensor, both in the Gram matrix's dtype (UsageError
+otherwise), and works through the map in blocks, so that each pass reads
+a block from cache: the whole (N,U,U) map when it has at most
+SCORE_BLOCK_ELEMENTS entries (up to 655 samples at U=20, one at U=400),
+else one sample's (U,U) map at a time. A whole map is always scanned for
+entries out of band; a per-sample block is scanned only when a rounding
+bound from its max|tanh|, |alpha| and max|M| cannot prove it in band
+(attention_scores gives the bound). Head outputs are concatenated, passed
+through a token-axis convolution (kernel k_u) and a pointwise FFN with
+residual connections, and finished by temporal aggregation (kernel k_t
+along the within-window time axis, plus residual).
 """
 
 import functools
@@ -29,7 +31,7 @@ import numpy as np
 
 from . import engine
 from .engine import (BatchNormState, ConfigurationError, Parameter,
-                     apply_scores, attention_contract, batchnorm,
+                     UsageError, apply_scores, attention_contract, batchnorm,
                      check_field_types, concat, conv3d_axis, leaky_relu,
                      pointwise_conv3d, uniform_init)
 
@@ -138,15 +140,10 @@ class TSABlockParams:
     def buffers(self):
         return self.ffn_norm.buffers() + self.ta_norm.buffers()
 
-    def c_beta(self, t_w, s):
-        # per-head feature length: T_w * J_w * E_w * c_qkv, with S = J_w*E_w
-        return t_w * s * self.config.c_qkv
-
 
 def qkv_project(x, params, h):
     """Per-head Q/K projections of (input + positional encoding); V is the
     h-th unprojected channel slice of the input."""
-    x = engine.astensor(x)
     c, t_w, s, u = x.shape[-4:]
     pe = positional_encoding(c, t_w, s, u, dtype=x.dtype)
     xpe = engine.add(x, engine.Tensor(pe))
@@ -178,21 +175,20 @@ def _scan_band(out, center, radius):
             over = np.abs(out - center) > radius
 
 
-def _band_pretest(t_dtype, out_dtype, alpha, m, radius):
+def _band_pretest(dtype, m, radius):
     """The pre-test of a per-sample block (see attention_scores): tau ->
     True when the rounding bound proves every |fl(fl(fl(alpha * t) + M) - M)|
-    of a block whose max|t| is tau within radius as the scan compares it;
-    None, so that every block is scanned, when M is not finite."""
-    fi = max(np.finfo(t_dtype), np.finfo(out_dtype), key=lambda f: f.eps)
+    of a block whose max|t| is tau within radius = |alpha|; None, so that
+    every block is scanned, when M is not finite."""
+    fi = np.finfo(dtype)
     mu = max(float(m.max()), -float(m.min()))
     if not math.isfinite(mu):
         return None
-    u, eta, abs_alpha = float(fi.eps), float(fi.smallest_subnormal), abs(float(alpha))
-    threshold = float(out_dtype.type(radius))
+    u, eta = float(fi.eps), float(fi.smallest_subnormal)
 
     def in_band(tau):
-        a = abs_alpha * tau * (1 + u) + eta
-        return (a + u * (a + mu)) * (1 + u) + eta <= threshold
+        a = radius * tau * (1 + u) + eta
+        return (a + u * (a + mu)) * (1 + u) + eta <= radius
 
     return in_band
 
@@ -201,13 +197,14 @@ def attention_scores(q, k, alpha, m, c_beta):
     """scores = alpha * tanh(QK^T / sqrt(c_beta)) + M, as one tape node over
     (QK^T, alpha, M) after the attention_contract node.
 
-    The forward takes the composed steps in the same dtypes (the scale in
-    the Gram matrix's dtype, alpha and M by the engine's operand rule), so
-    it is bit-identical to mul, tanh, mul and add. The tanh range keeps
-    every entry within +-|alpha| of M; an entry the final rounding puts
-    outside is nudged toward M by ulps until the bound holds exactly in
-    floating point (identity for gradients). The backward is the closed
-    form g_QK = g * alpha * (1 - t*t) / sqrt(c_beta), g_alpha = sum(g * t),
+    alpha must be a 0-d Tensor and M a Tensor, both in the Gram matrix's
+    dtype as the model's Parameters are (else UsageError), so every step
+    runs in that one dtype, in the order of the composed steps: the forward
+    is bit-identical to mul, tanh, mul and add. The tanh range keeps every
+    entry within +-|alpha| of M; an entry the final rounding puts outside is
+    nudged toward M by ulps until the bound holds exactly in floating point
+    (identity for gradients). The backward is the closed form
+    g_QK = g * alpha * (1 - t*t) / sqrt(c_beta), g_alpha = sum(g * t),
     g_M = g, in the chain's rounding order.
 
     Forward and backward run block by block (_score_blocks): the whole map
@@ -223,40 +220,37 @@ def attention_scores(q, k, alpha, m, c_beta):
     tau = max(max t, -min t), two reductions while it is in cache, and
     skips the scan when
 
-        (a + u*(a + mu)) * (1 + u) + eta <= radius,
-        a = |alpha^| * tau * (1 + u) + eta,
+        (a + u*(a + mu)) * (1 + u) + eta <= |alpha|,
+        a = |alpha| * tau * (1 + u) + eta,
 
-    with alpha^ alpha as cast into the chain, mu = max|M| (once per call),
-    u and eta the eps and smallest subnormal of the least precise of t's
-    and the output's dtypes, and radius cast to the output's dtype, the
-    threshold the scan compares with (_band_pretest). A NaN tau makes the
-    bound NaN, and a NaN or inf mu takes no bound, so the scan runs.
+    with mu = max|M| (once per call), and u and eta the eps and smallest
+    subnormal of the dtype (_band_pretest). A NaN tau makes the bound NaN,
+    and a NaN or inf mu takes no bound, so the scan runs.
 
     The bound holds for every entry the scan would see. With eps = u/2 the
-    unit roundoff, each of p = fl(alpha^ t), s = fl(p + M) and
+    unit roundoff, each of p = fl(alpha t), s = fl(p + M) and
     d = fl(s - M) rounds by at most a relative eps, or an absolute eta/2
     for a subnormal product (sums and differences are exact there), so
-    |p| <= |alpha^| tau (1 + eps) + eta/2, |s - M| <= |p| + eps (|p| + mu)
+    |p| <= |alpha| tau (1 + eps) + eta/2, |s - M| <= |p| + eps (|p| + mu)
     and |d| <= |s - M| (1 + eps). Each u term is twice what that needs,
     which absorbs the rounding of the bound's own float64 evaluation when
     the chain rounds in float32. In a float64 chain that margin is of the
     order of the evaluation's own rounding, and monotone rounding carries
-    the proof instead: fl(|alpha^| tau) is at least every |p|, times
+    the proof instead: fl(|alpha| tau) is at least every |p|, times
     (1 + u) it rounds up by at least one ulp, and the steps after it round
     to floats no smaller than the bound on |s - M| they stand for, so
     |d| = fl(|s - M|) is at most the bound.
     """
     gram = attention_contract(q, k)
-    radius = abs(float(alpha.data if isinstance(alpha, engine.Tensor) else alpha))
+    if not (isinstance(alpha, engine.Tensor) and isinstance(m, engine.Tensor)
+            and alpha.ndim == 0 and alpha.dtype == m.dtype == gram.dtype):
+        raise UsageError(f"alpha must be a 0-d Tensor and M a Tensor, both {gram.dtype}")
+    radius = abs(float(alpha.data))
     scale = np.asarray(1.0 / np.sqrt(c_beta), dtype=gram.dtype)
-    alpha = engine._operands(gram, alpha)[1]
     t = np.empty_like(gram.data)
-    # M takes the dtype of alpha * t when it is a scalar, as in an add node
-    m = engine.astensor(m, dtype=np.result_type(t, alpha.data) if np.ndim(m) == 0 else None)
-    out = np.empty(t.shape, dtype=np.result_type(t, alpha.data, m.data))
+    out = np.empty_like(t)
     blocks = _score_blocks(t.shape)
-    in_band = (_band_pretest(t.dtype, out.dtype, alpha.data, m.data, radius)
-               if len(blocks) > 1 else None)
+    in_band = _band_pretest(t.dtype, m.data, radius) if len(blocks) > 1 else None
     for blk in blocks:
         t_b, out_b = t[blk], out[blk]
         np.tanh(np.multiply(gram.data[blk], scale, out=t_b), out=t_b)
@@ -266,14 +260,13 @@ def attention_scores(q, k, alpha, m, c_beta):
             _scan_band(out_b, m.data, radius)
 
     def bwd(g):
-        g_gram = np.empty(t.shape, np.result_type(g, alpha.data, t)) if gram.requires_grad else None
+        g_gram = np.empty_like(t) if gram.requires_grad else None
         g_alpha = g_m = None
         # block-sized scratch reused across blocks: 1 - t*t for g_gram, and
         # g*t for g_alpha after the first block, which starts the sum
         shape = t[blocks[0]].shape
         one_minus_tt = np.empty(shape, t.dtype) if gram.requires_grad else None
-        g_t = (np.empty(shape, np.result_type(g, t))
-               if alpha.requires_grad and len(blocks) > 1 else None)
+        g_t = np.empty(shape, t.dtype) if alpha.requires_grad and len(blocks) > 1 else None
         for i, blk in enumerate(blocks):
             g_b, t_b = g[blk], t[blk]
             if gram.requires_grad:
@@ -298,19 +291,19 @@ def temporal_aggregate(x, weight, bias, k_t):
     return engine.add(conv3d_axis(x, weight, bias, axis="T", k=k_t), x)
 
 
-def tsa_block_forward(x, params, config, mode, score_sink=None):
+def tsa_block_forward(x, params, mode, score_sink=None):
     """One block: multi-head scores on values, head concat, token-axis FFN
-    with residuals, then temporal aggregation. Accepts (C,T_w,S,U) or a
-    batched (N,C,T_w,S,U) input; output has c_out channels, other axes kept.
+    with residuals, then temporal aggregation. Takes a (C,T_w,S,U) or a
+    batched (N,C,T_w,S,U) Tensor; output has c_out channels, other axes kept.
 
     If `score_sink` is a list, the per-head score arrays are appended to it
     (for attention export).
     """
-    x = engine.astensor(x)
-    cb = params.c_beta(x.shape[-3], x.shape[-2])
+    # per-head feature length: T_w * J_w * E_w * c_qkv, with S = J_w*E_w
+    cb = x.shape[-3] * x.shape[-2] * params.config.c_qkv
 
     heads = []
-    for h in range(config.heads):
+    for h in range(params.config.heads):
         q, k, v = qkv_project(x, params, h)
         scores = attention_scores(q, k, params.alphas[h], params.ms[h], cb)
         if score_sink is not None:
@@ -320,8 +313,8 @@ def tsa_block_forward(x, params, config, mode, score_sink=None):
 
     # token-axis convolution, normalized and activated
     xhat = conv3d_axis(xh, params.ffn_conv_weight, params.ffn_conv_bias,
-                       axis="U", k=config.k_u)
-    xhat = leaky_relu(batchnorm(xhat, params.ffn_norm, mode), config.gamma)
+                       axis="U", k=params.config.k_u)
+    xhat = leaky_relu(batchnorm(xhat, params.ffn_norm, mode), params.config.gamma)
 
     if params.res_weight is not None:
         res = pointwise_conv3d(x, params.res_weight, params.res_bias)
@@ -330,5 +323,5 @@ def tsa_block_forward(x, params, config, mode, score_sink=None):
     ffn_in = engine.add(xhat, res)
     xacc = engine.add(pointwise_conv3d(ffn_in, params.ffn_pw_weight, params.ffn_pw_bias), res)
 
-    out = temporal_aggregate(xacc, params.ta_weight, params.ta_bias, config.k_t)
-    return leaky_relu(batchnorm(out, params.ta_norm, mode), config.gamma)
+    out = temporal_aggregate(xacc, params.ta_weight, params.ta_bias, params.config.k_t)
+    return leaky_relu(batchnorm(out, params.ta_norm, mode), params.config.gamma)

@@ -173,15 +173,14 @@ def load_checkpoint(path, dtype=np.float32):
         raw = f.read()
     header, binary = _read_header(path, raw)
     try:
-        config = ModelConfig.from_dict(header["model_config"])
+        model = ISTANet(ModelConfig.from_dict(header["model_config"]), dtype=dtype)
         train_config = (TrainConfig.from_dict(header["train_config"])
                         if header.get("train_config") else None)
         rng = _rng_from_json(header["rng_state"]) if header.get("rng_state") else None
-    except (TypeError, ValueError, KeyError) as e:
+    except (TypeError, ValueError, KeyError, OverflowError) as e:
         raise UsageError(f"{path}: bad config or rng state in checkpoint header ({e!r})") from None
     values = _read_blobs(path, header["blobs"], binary)
 
-    model = ISTANet(config, dtype=dtype)
     for p in model.parameters():
         p.data = _stored(path, values, p.name, p.shape, "parameter").astype(p.data.dtype)
     for name, buf in model.buffers():

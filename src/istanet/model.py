@@ -32,16 +32,19 @@ class ModelConfig:
         self.window = tuple(self.window)
         self.frozen_entities = tuple(self.frozen_entities)
         check_field_types(self)
-        if len(self.window) != 3:
+        if len(self.window) != 3 or min(self.window) < 1:
             raise ConfigurationError(
-                f"window must be three integers t,j,e, got {list(self.window)}")
+                f"window must be three integers t,j,e, each >= 1, got {list(self.window)}")
+        for name, low in (("in_channels", 1), ("frames", 1), ("joints", 1), ("entities", 1),
+                          ("embed_channels", 1), ("num_classes", 2)):
+            if getattr(self, name) < low:
+                raise ConfigurationError(
+                    f"{name} must be an integer >= {low}, got {getattr(self, name)!r}")
         if not all(0 <= e < self.entities for e in self.frozen_entities):
             raise ConfigurationError(f"frozen_entities must be entity indices in "
                                      f"[0,{self.entities}), got {list(self.frozen_entities)}")
         self.blocks = [b if isinstance(b, TSABlockConfig) else TSABlockConfig(**b)
                        for b in self.blocks]
-        if self.num_classes < 2:
-            raise ConfigurationError(f"num_classes must be >= 2, got {self.num_classes}")
         prev = self.embed_channels
         for i, b in enumerate(self.blocks):
             if b.c_in != prev:
@@ -131,18 +134,22 @@ class ISTANet:
     """The network: embed -> L TSA blocks -> GAP over (T_w,S,U) -> FC."""
 
     def __init__(self, config, rng=None, dtype=np.float32):
+        """A size that numpy refuses to allocate raises ConfigurationError."""
         self.config = config
         self.dtype = np.dtype(dtype).type
         rng = rng if rng is not None else np.random.default_rng(0)
-        u = config.num_tokens()
-        self.embed_params = EmbedParams(config.in_channels, config.embed_channels,
-                                        config.gamma, rng, dtype=dtype)
-        self.blocks = [TSABlockParams(b, u, rng, dtype=dtype, name=f"blocks.{i}")
-                       for i, b in enumerate(config.blocks)]
-        c_last = config.blocks[-1].c_out if config.blocks else config.embed_channels
-        self.fc_weight = Parameter("fc.weight", uniform_init(rng, config.num_classes, c_last),
-                                   dtype=dtype)
-        self.fc_bias = Parameter("fc.bias", np.zeros(config.num_classes), dtype=dtype)
+        try:
+            u = config.num_tokens()
+            self.embed_params = EmbedParams(config.in_channels, config.embed_channels,
+                                            config.gamma, rng, dtype=dtype)
+            self.blocks = [TSABlockParams(b, u, rng, dtype=dtype, name=f"blocks.{i}")
+                           for i, b in enumerate(config.blocks)]
+            c_last = config.blocks[-1].c_out if config.blocks else config.embed_channels
+            self.fc_weight = Parameter("fc.weight", uniform_init(rng, config.num_classes, c_last),
+                                       dtype=dtype)
+            self.fc_bias = Parameter("fc.bias", np.zeros(config.num_classes), dtype=dtype)
+        except ValueError as e:
+            raise ConfigurationError(f"cannot build the model ({e}): {config}") from None
 
     def parameters(self):
         params = self.embed_params.parameters()
@@ -177,12 +184,12 @@ class ISTANet:
     def forward_tokens(self, tokens, mode, score_sink=None):
         """Raw token array (or batch) -> logits Tensor."""
         x = embed(engine.Tensor(tokens), self.embed_params, mode)
-        for params, bcfg in zip(self.blocks, self.config.blocks):
+        for params in self.blocks:
             sink = None
             if score_sink is not None:
                 sink = []
                 score_sink.append(sink)
-            x = tsa_block_forward(x, params, bcfg, mode, score_sink=sink)
+            x = tsa_block_forward(x, params, mode, score_sink=sink)
         pooled = x.mean(axis=(-3, -2, -1))
         return linear(pooled, self.fc_weight, self.fc_bias)
 

@@ -56,9 +56,8 @@ def _trajectories(label, t, rng):
     return anchor, actor
 
 
-def make_sample(label, t=40, j=5, noise=0.02, rng=None):
+def make_sample(label, rng, t=40, j=5, noise=0.02):
     """One (3,t,j,2) sequence of the given class."""
-    rng = rng if rng is not None else np.random.default_rng(0)
     offsets = np.resize(_JOINT_OFFSETS, (j, 3))  # rows repeat cyclically past 5 joints
     anchor, actor = _trajectories(label, t, rng)
     data = np.empty((3, t, j, 2))

@@ -1,12 +1,13 @@
 """Shared test utilities: a finite-difference oracle kept independent of the
 reverse-mode path it checks, reference primitives (sub, div, sqrt, tanh) and
-the attention score map composed of primitive ops, malformed checkpoints, and
-the committed v1 checkpoint fixture."""
+the attention score map composed of primitive ops, malformed checkpoints,
+byte mutations of input files, and the committed v1 checkpoint fixture."""
 
 import json
 import pathlib
 
 import numpy as np
+from hypothesis import strategies as st
 
 from istanet import engine
 from istanet.attention import TSABlockConfig
@@ -157,6 +158,17 @@ CHECKPOINT_CORRUPTIONS = {
                                 "bad config or rng state"),
     "rng-state-malformed": (_edit_json(lambda d: d.update(rng_state={"state": 1})),
                             "bad config or rng state"),
+    "rng-state-overflow": (_edit_json(lambda d: d.update(rng_state={
+        "bit_generator": "PCG64", "state": {"state": 2 ** 200, "inc": 1},
+        "has_uint32": 0, "uinteger": 0})), "bad config or rng state"),
+    "model-config-in-channels-zero": (_edit_json(lambda d: d["model_config"].update(
+        in_channels=0)), "in_channels must be an integer >= 1"),
+    "model-config-num-classes-huge": (_edit_json(lambda d: d["model_config"].update(
+        num_classes=2 ** 70)), "cannot build the model"),
+    "model-config-joints-huge": (_edit_json(lambda d: d["model_config"].update(
+        joints=2 ** 70)), "cannot build the model"),
+    "model-config-c-qkv-huge": (_edit_json(lambda d: d["model_config"]["blocks"][0].update(
+        c_qkv=2 ** 70)), "cannot build the model"),
     "header-without-end": (lambda raw: raw[:raw.index(b"\n", raw.index(b"\n") + 1)],
                            "no end of header"),
     "blob-entry-malformed": (_edit_json(lambda d: d["blobs"][0].pop("offset")),
@@ -187,3 +199,25 @@ def write_corrupt_checkpoint(path, case):
     corrupt, message = CHECKPOINT_CORRUPTIONS[case]
     path.write_bytes(corrupt(path.read_bytes()))
     return message
+
+
+# 1 to 8 edits of a file's bytes, each (kind, position, byte) for apply_byte_edits
+BYTE_EDITS = st.lists(st.tuples(st.sampled_from(["flip", "insert", "delete"]),
+                                st.integers(0, 10 ** 6), st.integers(0, 255)),
+                      min_size=1, max_size=8)
+
+
+def apply_byte_edits(raw, edits):
+    """raw with each edit applied in turn: a flip xors the byte at the
+    position with `byte` (0x80 for 0), an insert puts `byte` there, a delete
+    drops it; positions wrap around the current length. Eight deletes cannot
+    empty a file of more than eight bytes."""
+    raw = bytearray(raw)
+    for kind, pos, byte in edits:
+        if kind == "insert":
+            raw.insert(pos % (len(raw) + 1), byte)
+        elif kind == "flip":
+            raw[pos % len(raw)] ^= byte or 0x80
+        else:
+            del raw[pos % len(raw)]
+    return bytes(raw)

@@ -9,7 +9,7 @@ from istanet.attention import (TSABlockConfig, TSABlockParams,
                                qkv_project, temporal_aggregate,
                                tsa_block_forward)
 from istanet.data import SkeletonSequence
-from istanet.engine import ConfigurationError, Parameter, Tensor
+from istanet.engine import ConfigurationError, Parameter, Tensor, UsageError
 from istanet.model import ISTANet, ModelConfig, ce_label_smoothing
 
 from helpers import composed_attention_scores, fd_grad, rel_err
@@ -198,35 +198,27 @@ class TestFusedScoreNode:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("rank", [4, 5])
-    @pytest.mark.parametrize("operands", ["tensors", "float-alpha-ndarray-m"])
-    def test_bytes_equal_composed_chain(self, dtype, rank, operands):
-        self.check_bytes_equal_composed_chain(dtype, rank, operands, seed=rank, n=2)
+    def test_bytes_equal_composed_chain(self, dtype, rank):
+        self.check_bytes_equal_composed_chain(dtype, rank, seed=rank, n=2)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("operands", ["tensors", "float-alpha-ndarray-m"])
-    def test_per_sample_blocks_equal_composed_chain(self, dtype, operands, monkeypatch):
+    def test_per_sample_blocks_equal_composed_chain(self, dtype, monkeypatch):
         # a map larger than SCORE_BLOCK_ELEMENTS is worked a sample at a time
         monkeypatch.setattr(attention, "SCORE_BLOCK_ELEMENTS", 3 * 5 * 5)
         blocks = record_blocks(monkeypatch)
-        self.check_bytes_equal_composed_chain(dtype, 5, operands, seed=5, n=4)
+        self.check_bytes_equal_composed_chain(dtype, 5, seed=5, n=4)
         assert blocks == [[slice(b, b + 1) for b in range(4)]]
 
     @staticmethod
-    def check_bytes_equal_composed_chain(dtype, rank, operands, seed, n):
+    def check_bytes_equal_composed_chain(dtype, rank, seed, n):
         q, k, alpha, m, upstream = score_inputs(np.random.default_rng(seed), dtype, rank, n=n)
-        if operands == "tensors":
-            alpha, m = Parameter("alpha", alpha), Parameter("m", m)
-        else:
-            alpha = float(alpha)
+        alpha, m = Parameter("alpha", alpha), Parameter("m", m)
         fused, fused_grads = scores_and_grads(attention_scores, q, k, alpha, m, upstream)
         ref, ref_grads = scores_and_grads(composed_attention_scores, q, k, alpha, m, upstream)
         assert fused.dtype == ref.dtype == dtype
         assert fused.data.tobytes() == ref.data.tobytes()
         for got, want in zip(fused_grads, ref_grads):
-            if want is None:
-                assert got is None
-            else:
-                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_per_sample_blocks_nudge_a_later_sample(self, dtype, monkeypatch):
@@ -272,17 +264,26 @@ class TestFusedScoreNode:
         for got, want in zip(fused_grads, ref_grads):
             assert got.tobytes() == want.tobytes()
 
-    def test_python_float_m_is_nudged_in_the_score_dtype(self, monkeypatch):
-        # the same saturated entry with M = 1.0 given as a Python float: the
-        # nudge must step in float32, where M takes the scores' dtype (a
-        # float64 step rounds back to the same float32 and never ends)
-        scans = record_scans(monkeypatch)
+    @pytest.mark.parametrize("operands", ["python-float-m", "float-alpha-f64-m",
+                                          "f32-alpha-f64-m"])
+    def test_refuses_operands_outside_the_contract(self, operands, monkeypatch):
+        # alpha and M must be Tensors of the Gram matrix's dtype (float32
+        # here). "float-alpha-f64-m" is a float alpha that the float32 cast
+        # rounds up, with a float64 M: its saturated entry lies ~2^26 float64
+        # ulps out of band, which an ulp-by-ulp nudge would take that long to
+        # close, so the refusal has to come before any scan
+        def no_scan(out, center, radius):
+            raise AssertionError("the full band scan ran")
+
+        monkeypatch.setattr(attention, "_scan_band", no_scan)
         q = np.zeros((1, 1, 4, 2), dtype=np.float32)
         q[0, 0, :, 0] = 10.0
-        alpha = Parameter("alpha", np.asarray(7e-8, dtype=np.float32))
-        out = attention_scores(Parameter("q", q), Parameter("k", q), alpha, 1.0, c_beta=4)
-        assert out.dtype == np.float32 and scans == [True]
-        np.testing.assert_array_equal(out.data, np.ones((2, 2), dtype=np.float32))
+        m64 = Parameter("m", np.zeros((2, 2)))
+        alpha, m = {"python-float-m": (Parameter("alpha", np.float32(7e-8)), 1.0),
+                    "float-alpha-f64-m": (1 + 0.9 * 2.0 ** -23, m64),
+                    "f32-alpha-f64-m": (Parameter("alpha", np.float32(1)), m64)}[operands]
+        with pytest.raises(UsageError, match="0-d Tensor"):
+            attention_scores(Parameter("q", q), Parameter("k", q), alpha, m, c_beta=4)
 
     def test_adds_two_tape_nodes(self):
         q, k, alpha, m, _ = score_inputs(np.random.default_rng(1), np.float32, 5)
@@ -321,8 +322,7 @@ class TestFusedScoreNode:
 
     @given(case=st.fixed_dictionaries(dict(
         seed=st.integers(0, 2 ** 32 - 1),
-        chain=st.sampled_from(["f32", "f64", "f32-qk-f64-m"]),
-        float_alpha=st.booleans(),
+        dtype=st.sampled_from([np.float32, np.float64]),
         gram_sign=st.sampled_from(["mixed", "positive", "negative"]),
         gram_scale=st.floats(-3, 1.5),
         alpha_scale=st.floats(-3, 0.3),
@@ -331,51 +331,48 @@ class TestFusedScoreNode:
         m_over_alpha=st.floats(0, 1),
         n=st.integers(2, 4),
         u=st.integers(2, 6))))
-    # float32 products round up onto a one-subnormal alpha^ for t > 0.5, and
-    # a float64 + M of alpha's size can then round past the band
-    @example(case=dict(seed=0, chain="f32-qk-f64-m", float_alpha=False, gram_sign="positive",
-                       gram_scale=0.0, alpha_scale=0.0, subnormal_alpha=1, alpha_sign=1.0,
+    # a one-subnormal alpha in each dtype: products alpha * t round up onto
+    # alpha itself for t > 0.5, the case the bound's eta term covers
+    @example(case=dict(seed=0, dtype=np.float32, gram_sign="positive", gram_scale=0.0,
+                       alpha_scale=0.0, subnormal_alpha=1, alpha_sign=1.0,
+                       m_over_alpha=0.3, n=4, u=6))
+    @example(case=dict(seed=0, dtype=np.float64, gram_sign="positive", gram_scale=0.0,
+                       alpha_scale=0.0, subnormal_alpha=1, alpha_sign=1.0,
                        m_over_alpha=0.3, n=4, u=6))
     @settings(max_examples=300, deadline=None)
     def test_per_sample_blocks_equal_composed_chain_property(self, case):
         """Every sample is its own block, so the max|tanh| pre-test decides
         each one. The Gram matrix runs from linear (1e-3) to saturated (30,
         where tanh rounds to exactly +-1) and can be all of one sign;
-        |alpha| is 1e-3 to 2, or a few subnormals of q's dtype (where a
-        float32 product can round up to alpha^ itself), with either sign;
-        max|M| runs from 1e-3 |alpha| up to |alpha| / (0.6 eps) of the
-        chain's least precise dtype, where the rounding of + M alone can
-        leave the band. alpha is a Parameter or a Python float exact in q's
-        dtype (a float alpha the cast rounds up would put saturated entries
-        up to ~2^28 float64 ulps out of band when M is float64, and the ulp
-        nudge would take that many steps)."""
+        |alpha| is 1e-3 to 2, or a few subnormals of the dtype (where a
+        product can round up to alpha itself), with either sign; max|M|
+        runs from 1e-3 |alpha| up to |alpha| / (0.6 eps), where the rounding
+        of + M alone can leave the band. q, k, alpha and M share the dtype."""
         rng = np.random.default_rng(case["seed"])
-        qk_dtype = np.float64 if case["chain"] == "f64" else np.float32
-        m_dtype = np.float32 if case["chain"] == "f32" else np.float64
+        dtype = case["dtype"]
         shape = (case["n"], 2, 2, 2, case["u"])
         q, k = rng.normal(size=shape), rng.normal(size=shape)
         if case["gram_sign"] != "mixed":
             q, k = np.abs(q), np.abs(k) * (1.0 if case["gram_sign"] == "positive" else -1.0)
         gram_scale = 10.0 ** (case["gram_scale"] / 2)
-        alpha = float(qk_dtype(case["alpha_sign"] * (
+        alpha = float(dtype(case["alpha_sign"] * (
             10.0 ** case["alpha_scale"] if case["subnormal_alpha"] is None else
-            case["subnormal_alpha"] * np.finfo(qk_dtype).smallest_subnormal)))
-        lowest = np.log10(1.0 / (0.6 * np.finfo(qk_dtype).eps))
+            case["subnormal_alpha"] * np.finfo(dtype).smallest_subnormal)))
+        lowest = np.log10(1.0 / (0.6 * np.finfo(dtype).eps))
         m = rng.normal(size=(case["u"], case["u"])) * abs(alpha) * 10.0 ** (
             -3 + case["m_over_alpha"] * (lowest + 3))
         upstream = rng.normal(size=(case["n"], case["u"], case["u"]))
-        alpha = alpha if case["float_alpha"] else Parameter("alpha", alpha, dtype=qk_dtype)
-        args = (np.asarray(q * gram_scale, qk_dtype), np.asarray(k * gram_scale, qk_dtype),
-                alpha, Parameter("m", m, dtype=m_dtype), np.asarray(upstream, qk_dtype))
+        args = (np.asarray(q * gram_scale, dtype), np.asarray(k * gram_scale, dtype),
+                Parameter("alpha", alpha, dtype=dtype), Parameter("m", m, dtype=dtype),
+                np.asarray(upstream, dtype))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(attention, "SCORE_BLOCK_ELEMENTS", 0)
             fused, fused_grads = scores_and_grads(attention_scores, *args, c_beta=8)
         ref, ref_grads = scores_and_grads(composed_attention_scores, *args, c_beta=8)
-        assert fused.dtype == ref.dtype == m_dtype
+        assert fused.dtype == ref.dtype == dtype
         assert fused.data.tobytes() == ref.data.tobytes()
         for got, want in zip(fused_grads, ref_grads):
-            assert (got is None) == (want is None)
-            assert got is None or (got.dtype == want.dtype and got.tobytes() == want.tobytes())
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestTemporalAggregate:
@@ -412,7 +409,7 @@ class TestBlockForward:
     def test_single_token_degenerate(self):
         cfg, params = make_block(u=1)
         x = Tensor(np.random.default_rng(8).normal(size=(4, 2, 2, 1)))
-        out = tsa_block_forward(x, params, cfg, mode="infer")
+        out = tsa_block_forward(x, params, mode="infer")
         assert out.shape == (4, 2, 2, 1)
         assert np.isfinite(out.data).all()
 
@@ -420,20 +417,20 @@ class TestBlockForward:
     def test_output_shape(self, c_out):
         cfg, params = make_block(c_out=c_out)
         x = Tensor(np.random.default_rng(9).normal(size=(4, 2, 2, 4)))
-        out = tsa_block_forward(x, params, cfg, mode="infer")
+        out = tsa_block_forward(x, params, mode="infer")
         assert out.shape == (c_out, 2, 2, 4)
 
     def test_batched_output_shape(self):
         cfg, params = make_block(c_out=8)
         x = Tensor(np.random.default_rng(10).normal(size=(3, 4, 2, 2, 4)))
-        out = tsa_block_forward(x, params, cfg, mode="train")
+        out = tsa_block_forward(x, params, mode="train")
         assert out.shape == (3, 8, 2, 2, 4)
 
     def test_determinism(self):
         cfg, params = make_block()
         x = Tensor(np.random.default_rng(11).normal(size=(4, 2, 2, 4)))
-        a = tsa_block_forward(x, params, cfg, mode="infer").data
-        b = tsa_block_forward(x, params, cfg, mode="infer").data
+        a = tsa_block_forward(x, params, mode="infer").data
+        b = tsa_block_forward(x, params, mode="infer").data
         assert a.tobytes() == b.tobytes()
 
     def test_residual_dominated_golden_values(self):
@@ -452,7 +449,7 @@ class TestBlockForward:
         params.ffn_norm.eps = params.ta_norm.eps = 1e-14
         rng = np.random.default_rng(12)
         x = rng.normal(size=(4, 2, 2, 4))
-        out = tsa_block_forward(Tensor(x), params, cfg, mode="infer")
+        out = tsa_block_forward(Tensor(x), params, mode="infer")
         gamma = cfg.gamma
         act = lambda v: np.where(v >= 0, v, gamma * v)
         # the token-conv branch dies in the zeroed pointwise conv, so the
@@ -464,7 +461,7 @@ class TestBlockForward:
     def test_every_parameter_receives_gradient(self):
         cfg, params = make_block(c_out=8)  # includes the residual projection
         x = Tensor(np.random.default_rng(13).normal(size=(4, 2, 2, 4)))
-        out = tsa_block_forward(x, params, cfg, mode="train")
+        out = tsa_block_forward(x, params, mode="train")
         (out * out).sum().backward()
         for p in params.parameters():
             assert p.grad is not None, p.name
@@ -480,12 +477,12 @@ class TestBlockForward:
         def loss_with(p, name, value):
             old = p.data
             p.data = value
-            res = tsa_block_forward(Tensor(x4), params, cfg, mode="train")
+            res = tsa_block_forward(Tensor(x4), params, mode="train")
             out = float((res.data ** 2).sum())
             p.data = old
             return out
 
-        out = tsa_block_forward(Tensor(x4), params, cfg, mode="train")
+        out = tsa_block_forward(Tensor(x4), params, mode="train")
         (out * out).sum().backward()
         worst = 0.0
         for p in params.parameters():

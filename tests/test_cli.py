@@ -2,13 +2,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from istanet import attention, cli, engine
 from istanet.data import SkeletonSequence, load_manifest, serialize_iskel
 from istanet.synth import make_sample
 
-from helpers import (CHECKPOINT_CORRUPTIONS, MINIATURE_V1_CHECKPOINT,
-                     write_corrupt_checkpoint)
+from helpers import (BYTE_EDITS, CHECKPOINT_CORRUPTIONS, MINIATURE_V1_CHECKPOINT,
+                     apply_byte_edits, write_corrupt_checkpoint)
 
 
 def run_cli(capsys, *argv):
@@ -56,6 +57,7 @@ BAD_INPUTS = {
     "train-window-not-int": (["train"], ["--window", "a,1,1"], {}),
     "train-epochs-flag-zero": (["train"], ["--epochs", "0"], {}),
     "config-window-two-values": (["train"], [], {"model.window": [1, 2]}),
+    "config-window-zero": (["train"], [], {"model.window": [0, 1, 2]}),
     "config-batch-size-zero": (["train"], [], {"train.batch_size": 0}),
     "config-epochs-zero": (["train"], [], {"train.epochs": 0}),
     "config-epochs-negative": (["train"], [], {"train.epochs": -1}),
@@ -86,6 +88,12 @@ BAD_INPUTS = {
     "config-temperature-nan": (["train"], [], {"train.temperature": float("nan")}),
     "config-gamma-nan": (["train"], [], {"model.gamma": float("nan")}),
     "config-checkpoint-interval-negative": (["train"], [], {"train.checkpoint_interval": -2}),
+    "config-in-channels-zero": (["train"], [], {"model.in_channels": 0}),
+    "config-entities-zero": (["train"], [], {"model.entities": 0}),
+    "config-num-classes-huge": (["train"], [], {"model.num_classes": 2 ** 70}),
+    "config-joints-huge": (["train"], [], {"model.joints": 2 ** 70}),
+    "config-c-qkv-huge": (["train"], [], {"model.blocks": [
+        {"c_in": 4, "c_out": 4, "heads": 2, "c_qkv": 2 ** 70}]}),
     "train-lr-flag-nan": (["train"], ["--lr", "nan"], {}),
     "train-lr-flag-inf": (["train"], ["--lr", "inf"], {}),
 }
@@ -155,6 +163,20 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "train", str(path))
         assert code == 2
         assert key.split(".")[1] in err
+
+    @given(BYTE_EDITS)
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_run_config_byte_mutations_raise_only_config_file_error(self, tmp_path, corpus,
+                                                                    edits):
+        # flip, insert and delete bytes of a valid run config: load_run_config
+        # returns its sections or raises ConfigFileError, nothing else
+        path = write_run_config(tmp_path, corpus)
+        path.write_bytes(apply_byte_edits(path.read_bytes(), edits))
+        try:
+            cli.load_run_config(str(path))
+        except cli.ConfigFileError:
+            pass
 
     @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
     def test_bad_window_or_train_length_is_usage_error(self, capsys, tmp_path, corpus, case):

@@ -1,6 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from istanet.data import (ParseError, SkeletonSequence,
@@ -8,6 +10,8 @@ from istanet.data import (ParseError, SkeletonSequence,
                           load_manifest, pad_to_windows, parse_iskel,
                           resample_frames, serialize_iskel)
 from istanet.engine import ConfigurationError
+
+from helpers import BYTE_EDITS, apply_byte_edits
 
 
 def make_iskel_text(c, t, j, e, label, values):
@@ -54,23 +58,14 @@ class TestParseIskel:
         with pytest.raises(ParseError, match="line 3: not UTF-8 text .* at byte 19"):
             parse_iskel(raw[:19] + b"\xff" + raw[20:])
 
-    @given(st.lists(st.tuples(st.sampled_from(["flip", "insert", "delete"]),
-                              st.integers(0, 10 ** 6), st.integers(0, 255)),
-                    min_size=1, max_size=8))
+    @given(BYTE_EDITS)
     @settings(max_examples=300, deadline=None)
     def test_byte_mutations_raise_only_typed_errors(self, edits):
         # flip, insert and delete bytes of a valid file: parse_iskel returns
         # a sequence or raises ParseError or ValidationError, nothing else
-        raw = bytearray(make_iskel_text(3, 2, 2, 1, 4, np.linspace(-2, 2, 12)).encode())
-        for kind, pos, byte in edits:  # 8 edits cannot empty the 223-byte file
-            if kind == "insert":
-                raw.insert(pos % (len(raw) + 1), byte)
-            elif kind == "flip":
-                raw[pos % len(raw)] ^= byte or 0x80
-            else:
-                del raw[pos % len(raw)]
+        raw = make_iskel_text(3, 2, 2, 1, 4, np.linspace(-2, 2, 12)).encode()
         try:
-            parse_iskel(bytes(raw))
+            parse_iskel(apply_byte_edits(raw, edits))
         except (ParseError, ValidationError):
             pass
 
@@ -194,6 +189,24 @@ class TestManifest:
         with pytest.warns(UserWarning, match="more than once"):
             man = load_manifest(mpath)
         assert len(man.samples) == 2
+
+    @given(BYTE_EDITS)
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_byte_mutations_raise_only_typed_errors(self, tmp_path, edits):
+        # flip, insert and delete bytes of a valid manifest: load_manifest
+        # returns a manifest (warning of a path listed twice) or raises
+        # ParseError or ValidationError, nothing else
+        files = [f"s{i}.iskel" for i in range(4)]
+        mpath = self._write_corpus(tmp_path, ["# corpus"] + [
+            f"{f} {i} {'train' if i < 3 else 'val'}" for i, f in enumerate(files)], files)
+        mpath.write_bytes(apply_byte_edits(mpath.read_bytes(), edits))
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "manifest lists .* more than once", UserWarning)
+            try:
+                load_manifest(mpath, num_classes=4)
+            except (ParseError, ValidationError):
+                pass
 
     def test_missing_file_names_path(self, tmp_path):
         mpath = self._write_corpus(tmp_path, ["ghost.iskel 0 train"])
