@@ -4,9 +4,8 @@ interactive action recognition, built on a minimal numpy autodiff engine."""
 from .data import SkeletonSequence, compute_padding, parse_iskel, serialize_iskel
 from .engine import Parameter, Tensor
 from .model import ISTANet, ModelConfig, TrainConfig
-from .tokenizer import WindowSpec
 
 __all__ = [
     "SkeletonSequence", "compute_padding", "parse_iskel", "serialize_iskel",
-    "Parameter", "Tensor", "ISTANet", "ModelConfig", "TrainConfig", "WindowSpec",
+    "Parameter", "Tensor", "ISTANet", "ModelConfig", "TrainConfig",
 ]

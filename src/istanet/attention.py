@@ -184,11 +184,11 @@ def _band_pretest(dtype, m, radius):
     mu = max(float(m.max()), -float(m.min()))
     if not math.isfinite(mu):
         return None
-    u, eta = float(fi.eps), float(fi.smallest_subnormal)
+    u = float(fi.eps)
 
     def in_band(tau):
-        a = radius * tau * (1 + u) + eta
-        return (a + u * (a + mu)) * (1 + u) + eta <= radius
+        a = radius * tau * (1 + u)
+        return (a + u * (a + mu)) * (1 + u) <= radius
 
     return in_band
 
@@ -220,26 +220,30 @@ def attention_scores(q, k, alpha, m, c_beta):
     tau = max(max t, -min t), two reductions while it is in cache, and
     skips the scan when
 
-        (a + u*(a + mu)) * (1 + u) + eta <= |alpha|,
-        a = |alpha| * tau * (1 + u) + eta,
+        (a + u*(a + mu)) * (1 + u) <= |alpha|,    a = |alpha| * tau * (1 + u),
 
-    with mu = max|M| (once per call), and u and eta the eps and smallest
-    subnormal of the dtype (_band_pretest). A NaN tau makes the bound NaN,
-    and a NaN or inf mu takes no bound, so the scan runs.
+    with mu = max|M| (once per call) and u the eps of the dtype
+    (_band_pretest). A NaN tau makes the bound NaN, and a NaN or inf mu
+    takes no bound, so the scan runs.
 
     The bound holds for every entry the scan would see. With eps = u/2 the
-    unit roundoff, each of p = fl(alpha t), s = fl(p + M) and
-    d = fl(s - M) rounds by at most a relative eps, or an absolute eta/2
-    for a subnormal product (sums and differences are exact there), so
-    |p| <= |alpha| tau (1 + eps) + eta/2, |s - M| <= |p| + eps (|p| + mu)
-    and |d| <= |s - M| (1 + eps). Each u term is twice what that needs,
-    which absorbs the rounding of the bound's own float64 evaluation when
-    the chain rounds in float32. In a float64 chain that margin is of the
-    order of the evaluation's own rounding, and monotone rounding carries
-    the proof instead: fl(|alpha| tau) is at least every |p|, times
-    (1 + u) it rounds up by at least one ulp, and the steps after it round
-    to floats no smaller than the bound on |s - M| they stand for, so
-    |d| = fl(|s - M|) is at most the bound.
+    unit roundoff, p = fl(alpha t), s = fl(p + M) and d = fl(s - M): a sum
+    or difference rounds by at most a relative eps, and not at all when its
+    result is subnormal, so |s - M| <= |p| + eps (|p| + mu) and
+    |d| <= |s - M| (1 + eps). Rounding is monotone and |alpha t| <=
+    |alpha| tau, so |p| <= P = fl(|alpha| tau) <= |alpha| in the chain's one
+    dtype; a normal P is at most |alpha| tau (1 + eps). Each u term is twice
+    what that needs, which absorbs the rounding of the bound's own float64
+    evaluation when the chain rounds in float32. In a float64 chain that
+    margin is of the order of the evaluation's own rounding, and monotone
+    rounding carries the proof instead: a is at least P, and the steps
+    after it round to floats no smaller than the bound on |s - M| they
+    stand for, so |d| = fl(|s - M|) is at most the bound. Below the
+    smallest normal, tiny, rounding is absolute, up to eta/2 with eta the
+    smallest subnormal: a float32 a can fall eta/2 short of a subnormal P,
+    and u (a + mu) can round down. If a + mu >= tiny, the spare
+    eps (a + mu) >= eta/2 covers that; else every p and M is a multiple of
+    eta below 2 tiny, so s and d are exact and |d| = |p| <= |alpha|.
     """
     gram = attention_contract(q, k)
     if not (isinstance(alpha, engine.Tensor) and isinstance(m, engine.Tensor)

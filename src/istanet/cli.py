@@ -193,7 +193,7 @@ def cmd_inspect(args):
         window = _parse_window(args.window)
         tokens, u_layout = tokenize(seq.data, window)
         print("u,t_block,j_block,e_block,s,c,value")
-        for row in token_rows(tokens, u_layout, window):
+        for row in token_rows(tokens, u_layout):
             *idx, value = row
             print(",".join(str(v) for v in idx) + f",{value!r}")
         return EXIT_OK
@@ -289,7 +289,8 @@ def main(argv=None):
         print(f"numeric abort: {e}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ConfigFileError, ConfigurationError, ParseError, ValidationError,
-            UsageError, FileNotFoundError) as e:
+            UsageError, FileNotFoundError, FileExistsError, NotADirectoryError,
+            IsADirectoryError, PermissionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

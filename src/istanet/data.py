@@ -72,17 +72,11 @@ def read_text(path, error=ParseError):
             raise error(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
 
 
-def parse_iskel(raw):
-    """Parse `.iskel` bytes or text into a SkeletonSequence; bytes that are
-    not UTF-8 raise ParseError."""
-    if isinstance(raw, bytes):
-        try:
-            raw = raw.decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise ParseError(f"not UTF-8 text ({e.reason} at byte {e.start})",
-                             line=raw.count(b"\n", 0, e.start) + 1) from None
-    lines = raw.split("\n")
-    if not lines or lines[0].strip() != _MAGIC:
+def parse_iskel(text):
+    """Parse `.iskel` text (a str; `read_text` decodes a file) into a
+    SkeletonSequence."""
+    lines = text.split("\n")
+    if lines[0].strip() != _MAGIC:
         raise ParseError(f"bad magic, expected {_MAGIC!r}", line=1)
     if len(lines) < 2:
         raise ParseError("missing header line", line=2)

@@ -12,7 +12,7 @@ from . import engine
 from .attention import TSABlockConfig, TSABlockParams, tsa_block_forward
 from .engine import (ConfigurationError, Parameter, UsageError,
                      check_field_types, log_softmax, linear, uniform_init)
-from .tokenizer import EmbedParams, WindowSpec, embed, tokenize
+from .tokenizer import EmbedParams, embed, tokenize, u_layout
 
 
 @dataclass
@@ -52,12 +52,8 @@ class ModelConfig:
                     f"block {i} expects c_in={b.c_in} but the chain provides {prev}")
             prev = b.c_out
 
-    @property
-    def window_spec(self):
-        return WindowSpec(*self.window)
-
     def u_layout(self):
-        return self.window_spec.u_layout(self.frames, self.joints, self.entities)
+        return u_layout((self.frames, self.joints, self.entities), self.window)
 
     def num_tokens(self):
         nt, nj, ne = self.u_layout()
@@ -178,7 +174,7 @@ class ISTANet:
             raise ConfigurationError(
                 f"sequence dims {(c, t, j, e)} do not match model config "
                 f"{(cfg.in_channels, cfg.frames, cfg.joints, cfg.entities)}")
-        tokens, _ = tokenize(seq.data, cfg.window_spec)
+        tokens, _ = tokenize(seq.data, cfg.window)
         return tokens.astype(self.dtype)
 
     def forward_tokens(self, tokens, mode, score_sink=None):

@@ -1,14 +1,14 @@
 """Interactive spatiotemporal tokenization with entity rearrangement.
 
-A 3D non-overlapping window of size (t_w, j_w, e_w) slides over the
-(T, J, E) axes of a padded skeleton tensor, producing U tokens of shape
-(C, t_w, S) with S = j_w * e_w. Token index layout is frozen: the temporal
-block is outermost, then the joint block, then the entity block, and
-within-token flattening is joint-major / entity-minor. The positional
-encoding downstream depends on this ordering.
+A 3D non-overlapping window (t_w, j_w, e_w), a plain tuple of three
+integers, slides over the (T, J, E) axes of a padded skeleton tensor,
+producing U tokens of shape (C, t_w, S) with S = j_w * e_w. The functions
+here trust the window: `ModelConfig` refuses a length below 1 for a model,
+and `data.compute_padding` for a bare `tokenize` call. Token index layout is
+frozen: the temporal block is outermost, then the joint block, then the
+entity block, and within-token flattening is joint-major / entity-minor. The
+positional encoding downstream depends on this ordering.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,22 +19,9 @@ from .engine import (BatchNormState, ConfigurationError, DimensionError,
                      pointwise_conv3d, uniform_init)
 
 
-@dataclass(frozen=True)
-class WindowSpec:
-    t_w: int
-    j_w: int
-    e_w: int
-
-    def __post_init__(self):
-        if min(self.t_w, self.j_w, self.e_w) < 1:
-            raise ConfigurationError(f"window lengths must all be >= 1, got {self}")
-
-    def as_tuple(self):
-        return (self.t_w, self.j_w, self.e_w)
-
-    def u_layout(self, t, j, e):
-        """(temporal blocks, joint blocks, entity blocks) for raw dims."""
-        return (-(-t // self.t_w), -(-j // self.j_w), -(-e // self.e_w))
+def u_layout(dims, window):
+    """(temporal blocks, joint blocks, entity blocks) for raw dims (T,J,E)."""
+    return tuple(-(-n // w) for n, w in zip(dims, window))
 
 
 def entity_rearrange(seq, rng, frozen=()):
@@ -56,39 +43,37 @@ def partition(data, window):
     Bijective on scalar positions: token u = (tau*nJ + jb)*nE + eb for block
     indices (tau, jb, eb); within-token index s = local_j*e_w + local_e.
     """
-    w = window if isinstance(window, WindowSpec) else WindowSpec(*window)
+    t_w, j_w, e_w = window
     c, t, j, e = data.shape
-    for name, n, wlen in (("T", t, w.t_w), ("J", j, w.j_w), ("E", e, w.e_w)):
+    for name, n, wlen in (("T", t, t_w), ("J", j, j_w), ("E", e, e_w)):
         if n % wlen:
             raise UsageError(
                 f"axis {name} of length {n} is not divisible by window {wlen}; pad first")
-    nt, nj, ne = t // w.t_w, j // w.j_w, e // w.e_w
-    out = data.reshape(c, nt, w.t_w, nj, w.j_w, ne, w.e_w)
+    nt, nj, ne = t // t_w, j // j_w, e // e_w
+    out = data.reshape(c, nt, t_w, nj, j_w, ne, e_w)
     out = out.transpose(0, 2, 4, 6, 1, 3, 5)
-    return np.ascontiguousarray(out.reshape(c, w.t_w, w.j_w * w.e_w, nt * nj * ne))
+    return np.ascontiguousarray(out.reshape(c, t_w, j_w * e_w, nt * nj * ne))
 
 
 def unpartition(tokens, window, dims):
     """Inverse of `partition` for padded dims (T',J',E')."""
-    w = window if isinstance(window, WindowSpec) else WindowSpec(*window)
+    t_w, j_w, e_w = window
     t, j, e = dims
     c = tokens.shape[0]
-    nt, nj, ne = t // w.t_w, j // w.j_w, e // w.e_w
-    expected = (c, w.t_w, w.j_w * w.e_w, nt * nj * ne)
+    nt, nj, ne = t // t_w, j // j_w, e // e_w
+    expected = (c, t_w, j_w * e_w, nt * nj * ne)
     if tokens.shape != expected:
         raise DimensionError(
             f"unpartition: token shape {tokens.shape} does not match layout {expected}")
-    out = tokens.reshape(c, w.t_w, w.j_w, w.e_w, nt, nj, ne)
+    out = tokens.reshape(c, t_w, j_w, e_w, nt, nj, ne)
     out = out.transpose(0, 4, 1, 5, 2, 6, 3)
     return np.ascontiguousarray(out.reshape(c, t, j, e))
 
 
 def tokenize(seq_data, window):
     """pad -> partition; returns (tokens, u_layout) for raw (C,T,J,E) data."""
-    w = window if isinstance(window, WindowSpec) else WindowSpec(*window)
-    _, t, j, e = seq_data.shape
-    padded = pad_to_windows(seq_data, w.as_tuple())
-    return partition(padded, w), w.u_layout(t, j, e)
+    padded = pad_to_windows(seq_data, window)
+    return partition(padded, window), u_layout(seq_data.shape[1:], window)
 
 
 class EmbedParams:
@@ -120,11 +105,10 @@ def embed(tokens, params, mode):
     return leaky_relu(out, params.gamma)
 
 
-def token_rows(tokens, u_layout, window):
+def token_rows(tokens, layout):
     """Iterate (u, t_block, j_block, e_block, s, c, value) over raw tokens;
     drives the inspect-tokens CSV."""
-    w = window if isinstance(window, WindowSpec) else WindowSpec(*window)
-    _, nj, ne = u_layout
+    _, nj, ne = layout
     c_dim, t_w, s_dim, u_dim = tokens.shape
     for u in range(u_dim):
         eb = u % ne

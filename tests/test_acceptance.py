@@ -14,8 +14,7 @@ from istanet.engine import Parameter, Tensor
 from istanet.gradcheck import run_gradcheck
 from istanet.model import ISTANet, ModelConfig, NesterovSGD, TrainConfig
 from istanet.synth import generate_corpus
-from istanet.tokenizer import (WindowSpec, entity_rearrange, partition,
-                               tokenize, unpartition)
+from istanet.tokenizer import entity_rearrange, partition, tokenize, unpartition
 from istanet.training import preprocess, train
 
 
@@ -46,9 +45,9 @@ def test_tokenization_bijection():
         t = int(rng.integers(1, 51))
         j = int(rng.integers(1, 31))
         e = int(rng.integers(1, 5))
-        w = WindowSpec(*(int(rng.integers(1, n + 1)) for n in (t, j, e)))
+        w = tuple(int(rng.integers(1, n + 1)) for n in (t, j, e))
         x = rng.normal(size=(c, t, j, e))
-        padded = pad_to_windows(x, w.as_tuple())
+        padded = pad_to_windows(x, w)
         tokens = partition(padded, w)
         back = unpartition(tokens, w, padded.shape[1:])
         ok &= np.array_equal(back, padded)
@@ -110,7 +109,7 @@ def test_tokenizer_equivariance():
         for _ in range(20):
             t, j = int(rng.integers(2, 8)), int(rng.integers(1, 6))
             x = rng.normal(size=(3, t, j, e))
-            w = WindowSpec(int(rng.integers(1, t + 1)), int(rng.integers(1, j + 1)), e)
+            w = (int(rng.integers(1, t + 1)), int(rng.integers(1, j + 1)), e)
             perm = rng.permutation(e)
             tok_orig, _ = tokenize(x, w)
             tok_perm, _ = tokenize(x[:, :, :, perm], w)

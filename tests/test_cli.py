@@ -63,6 +63,7 @@ BAD_INPUTS = {
     "config-epochs-negative": (["train"], [], {"train.epochs": -1}),
     "inspect-window-two-values": (["inspect", "tokens"], ["--window", "1,2"], {}),
     "inspect-window-not-int": (["inspect", "tokens"], ["--window", "a,1,1"], {}),
+    "inspect-window-zero": (["inspect", "tokens"], ["--window", "0,1,1"], {}),
     "config-lr-string": (["train"], [], {"train.lr": "x"}),
     "config-lr-decay-string": (["train"], [], {"train.lr_decay": "x"}),
     "config-checkpoint-interval-string": (["train"], [], {"train.checkpoint_interval": "x"}),
@@ -141,6 +142,24 @@ UNREADABLE_INPUTS = {
     "eval-checkpoint-directory": ["eval", "{dir}", "{manifest}"],
 }
 
+# case -> command line; {file} is a regular file, so a path through it is not
+# a directory, {outdir} a directory whose config.resolved.json is a directory,
+# {config} a valid run config, {ckpt} a valid checkpoint, {manifest} a
+# manifest and {sample} a sample. Each is refused with exit 2 and one error
+# line. (A PermissionError is caught the same way; no row provokes one,
+# because a suite run as root can open any file.)
+PATH_ERRORS = {
+    "train-out-is-file": ["train", "{config}", "--out", "{file}"],
+    "train-out-under-file": ["train", "{config}", "--out", "{file}/sub"],
+    "train-out-config-is-directory": ["train", "{config}", "--out", "{outdir}"],
+    "synth-out-under-file": ["synth", "{file}/sub"],
+    "eval-checkpoint-under-file": ["eval", "{file}/x.ckpt", "{manifest}"],
+    "eval-manifest-under-file": ["eval", "{ckpt}", "{file}/manifest.txt"],
+    "inspect-tokens-sample-under-file": ["inspect", "tokens", "{file}/x.iskel"],
+    "inspect-attention-checkpoint-under-file": [
+        "inspect", "attention", "{sample}", "--checkpoint", "{file}/x.ckpt"],
+}
+
 
 class TestExitCodes:
     def test_missing_config_names_path(self, capsys):
@@ -207,6 +226,20 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+    @pytest.mark.parametrize("case", sorted(PATH_ERRORS))
+    def test_path_through_a_file_is_usage_error(self, capsys, tmp_path, corpus, case):
+        man = load_manifest(corpus)
+        paths = {"file": tmp_path / "file", "outdir": tmp_path / "outdir",
+                 "config": write_run_config(tmp_path, corpus), "ckpt": MINIATURE_V1_CHECKPOINT,
+                 "manifest": corpus, "sample": corpus.parent / man.samples[0].path}
+        paths["file"].write_text("not a directory\n")
+        (paths["outdir"] / "config.resolved.json").mkdir(parents=True)
+        argv = [a.format(**paths) for a in PATH_ERRORS[case]]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", sorted(NEGATIVE_SEED))
     def test_negative_seed_is_usage_error(self, capsys, tmp_path, corpus, command):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from istanet.data import (ParseError, SkeletonSequence,
                           ValidationError, center_sequence, compute_padding,
                           load_manifest, pad_to_windows, parse_iskel,
-                          resample_frames, serialize_iskel)
+                          read_text, resample_frames, serialize_iskel)
 from istanet.engine import ConfigurationError
 
 from helpers import BYTE_EDITS, apply_byte_edits
@@ -49,23 +49,32 @@ class TestParseIskel:
         expect = vals.reshape(2, 2, 1, 2).transpose(3, 0, 1, 2)
         np.testing.assert_array_equal(seq.data, expect)
 
-    def test_bytes_accepted(self):
-        seq = parse_iskel(make_iskel_text(2, 1, 1, 1, 0, [1.5, -2.5]).encode())
+    def test_crlf_file_read_through_read_text(self, tmp_path):
+        path = tmp_path / "s.iskel"
+        path.write_bytes(make_iskel_text(2, 1, 1, 1, 0, [1.5, -2.5]).replace("\n", "\r\n")
+                         .encode())
+        seq = parse_iskel(read_text(path))
         np.testing.assert_array_equal(seq.data.reshape(-1), [1.5, -2.5])
 
-    def test_bytes_not_utf8(self):
+    def test_file_not_utf8(self, tmp_path):
+        path = tmp_path / "s.iskel"
         raw = make_iskel_text(2, 1, 1, 1, 0, [1.5, -2.5]).encode()
-        with pytest.raises(ParseError, match="line 3: not UTF-8 text .* at byte 19"):
-            parse_iskel(raw[:19] + b"\xff" + raw[20:])
+        path.write_bytes(raw[:19] + b"\xff" + raw[20:])
+        with pytest.raises(ParseError, match="s.iskel: not UTF-8 text .* at byte 19"):
+            parse_iskel(read_text(path))
 
     @given(BYTE_EDITS)
-    @settings(max_examples=300, deadline=None)
-    def test_byte_mutations_raise_only_typed_errors(self, edits):
-        # flip, insert and delete bytes of a valid file: parse_iskel returns
-        # a sequence or raises ParseError or ValidationError, nothing else
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_byte_mutations_raise_only_typed_errors(self, tmp_path, edits):
+        # flip, insert and delete bytes of a valid file: reading and parsing
+        # it returns a sequence or raises ParseError or ValidationError,
+        # nothing else
+        path = tmp_path / "s.iskel"
         raw = make_iskel_text(3, 2, 2, 1, 4, np.linspace(-2, 2, 12)).encode()
+        path.write_bytes(apply_byte_edits(raw, edits))
         try:
-            parse_iskel(apply_byte_edits(raw, edits))
+            parse_iskel(read_text(path))
         except (ParseError, ValidationError):
             pass
 

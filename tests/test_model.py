@@ -62,7 +62,7 @@ class TestForward:
         cfg = tiny_config()
         model = ISTANet(cfg, rng=np.random.default_rng(0), dtype=dtype)
         seq = random_sequence(np.random.default_rng(2), cfg)
-        want = tokenize(seq.data, cfg.window_spec)[0].astype(dtype)
+        want = tokenize(seq.data, cfg.window)[0].astype(dtype)
         got = model.tokenize_sample(seq)
         assert got.dtype == np.dtype(dtype)
         assert got.tobytes() == want.tobytes()

@@ -3,9 +3,9 @@ import pytest
 
 from istanet.data import SkeletonSequence, pad_to_windows
 from istanet.engine import ConfigurationError, UsageError
-from istanet.tokenizer import (EmbedParams, WindowSpec, embed,
-                               entity_rearrange, partition, tokenize,
-                               token_rows, unpartition)
+from istanet.tokenizer import (EmbedParams, embed, entity_rearrange,
+                               partition, tokenize, token_rows, u_layout,
+                               unpartition)
 
 from helpers import fd_grad, rel_err
 
@@ -61,14 +61,14 @@ class TestPartition:
     def test_full_window_is_single_token(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(2, 3, 2, 2))
-        out = partition(x, WindowSpec(3, 2, 2))
+        out = partition(x, (3, 2, 2))
         assert out.shape == (2, 3, 4, 1)
         np.testing.assert_array_equal(unpartition(out, (3, 2, 2), (3, 2, 2)), x)
 
     def test_token_count_for_reference_window(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(3, 120, 25, 2))
-        out = partition(x, WindowSpec(20, 1, 2))
+        out = partition(x, (20, 1, 2))
         assert out.shape == (3, 20, 2, 150)
 
     def test_scalar_multiset_preserved(self):
@@ -76,20 +76,20 @@ class TestPartition:
         for _ in range(20):
             c = int(rng.integers(2, 4))
             t, j, e = (int(rng.integers(1, 12)) for _ in range(3))
-            w = WindowSpec(*(int(rng.integers(1, n + 1)) for n in (t, j, e)))
+            w = tuple(int(rng.integers(1, n + 1)) for n in (t, j, e))
             x = rng.normal(size=(c, t, j, e))
-            padded = pad_to_windows(x, w.as_tuple())
+            padded = pad_to_windows(x, w)
             tokens = partition(padded, w)
             assert sorted(tokens.reshape(-1)) == sorted(padded.reshape(-1))
 
     def test_divisibility_enforced(self):
         with pytest.raises(UsageError, match="pad"):
-            partition(np.zeros((2, 5, 2, 2)), WindowSpec(2, 1, 1))
+            partition(np.zeros((2, 5, 2, 2)), (2, 1, 1))
 
     def test_block_ordering_temporal_outermost(self):
         # distinct values per (t,j,e) block let us read the u layout directly
         t, j, e = 4, 2, 2
-        w = WindowSpec(2, 1, 1)
+        w = (2, 1, 1)
         x = np.zeros((2, t, j, e))
         for tb in range(2):
             for jb in range(2):
@@ -106,28 +106,28 @@ class TestUnpartition:
         for _ in range(20):
             c = int(rng.integers(2, 4))
             t, j, e = (int(rng.integers(1, 10)) for _ in range(3))
-            w = WindowSpec(*(int(rng.integers(1, n + 1)) for n in (t, j, e)))
-            x = pad_to_windows(rng.normal(size=(c, t, j, e)), w.as_tuple())
+            w = tuple(int(rng.integers(1, n + 1)) for n in (t, j, e))
+            x = pad_to_windows(rng.normal(size=(c, t, j, e)), w)
             np.testing.assert_array_equal(unpartition(partition(x, w), w, x.shape[1:]), x)
 
     def test_single_window_is_reshape_inverse(self):
         rng = np.random.default_rng(9)
         x = rng.normal(size=(3, 2, 3, 2))
-        w = WindowSpec(2, 3, 2)
+        w = (2, 3, 2)
         np.testing.assert_array_equal(unpartition(partition(x, w), w, (2, 3, 2)), x)
 
     def test_round_trip_after_permutation_gives_permuted(self):
         rng = np.random.default_rng(10)
         seq = random_seq(rng, t=4, j=2, e=2)
         permuted = entity_rearrange(seq, np.random.default_rng(3))
-        w = WindowSpec(2, 1, 2)
+        w = (2, 1, 2)
         back = unpartition(partition(permuted.data, w), w, permuted.data.shape[1:])
         np.testing.assert_array_equal(back, permuted.data)
 
     def test_layout_mismatch_rejected(self):
         from istanet.engine import DimensionError
         with pytest.raises(DimensionError):
-            unpartition(np.zeros((2, 2, 2, 3)), WindowSpec(2, 1, 2), (4, 1, 2))
+            unpartition(np.zeros((2, 2, 2, 3)), (2, 1, 2), (4, 1, 2))
 
 
 class TestEquivariance:
@@ -137,7 +137,7 @@ class TestEquivariance:
         for _ in range(20):
             t, j = int(rng.integers(2, 8)), int(rng.integers(1, 6))
             seq = random_seq(rng, t=t, j=j, e=e)
-            w = WindowSpec(int(rng.integers(1, t + 1)), int(rng.integers(1, j + 1)), e)
+            w = (int(rng.integers(1, t + 1)), int(rng.integers(1, j + 1)), e)
             perm = rng.permutation(e)
             permuted = seq.data[:, :, :, perm]
             tok_orig, _ = tokenize(seq.data, w)
@@ -193,10 +193,17 @@ class TestEmbed:
             EmbedParams(3, 2, gamma=0.1, rng=np.random.default_rng(0))
 
 
+class TestULayout:
+    def test_blocks_per_axis_round_up_and_match_tokenize(self):
+        assert u_layout((5, 25, 2), (2, 1, 2)) == (3, 25, 1)
+        tokens, layout = tokenize(np.zeros((3, 5, 25, 2)), (2, 1, 2))
+        assert layout == (3, 25, 1) and tokens.shape[3] == 3 * 25 * 1
+
+
 class TestTokenRows:
     def test_row_count_and_columns(self):
         tokens, layout = tokenize(np.zeros((3, 2, 2, 2)), (1, 2, 2))
-        rows = list(token_rows(tokens, layout, (1, 2, 2)))
+        rows = list(token_rows(tokens, layout))
         assert len(rows) == 24
         assert all(len(r) == 7 for r in rows)
         assert {r[0] for r in rows} == {0, 1}
