@@ -5,11 +5,12 @@ float64 for gradient checking). Each operation records its parents and a
 backward closure; ``backward()`` on a scalar runs the tape in reverse
 topological order and accumulates gradients over all paths.
 
-Dtype rule: a model computes in the dtype of its parameters, forward and
-backward. In add and mul a scalar operand that is not a Tensor (a
+Operands are Tensors; an array becomes one through ``Tensor(...)``. Only add
+and mul also take a constant. Dtype rule: a model computes in the dtype of
+its parameters, forward and backward. In add and mul a scalar constant (a
 Python float, a NumPy scalar or a 0-d array) takes the other operand's
-dtype, so a constant such as 1/n or eps never promotes float32 to float64.
-Non-scalar arrays keep their own dtype.
+dtype, so a constant such as 1/n or eps never promotes float32 to float64;
+a non-scalar array keeps its own dtype.
 
 Shape convention for the model-facing ops: each op has one body that
 works on the trailing four axes (C, T, S, U), so the channel axis is always
@@ -230,7 +231,6 @@ def leaky_relu(a, gamma):
     """
     if gamma < 0:
         raise ConfigurationError(f"leaky_relu slope must be >= 0, got {gamma}")
-    a = astensor(a)
     if gamma == 0:
         out = np.where(a.data >= 0, a.data, gamma * a.data)
     else:
@@ -243,7 +243,6 @@ def leaky_relu(a, gamma):
 
 
 def reshape(a, shape):
-    a = astensor(a)
     out = a.data.reshape(shape)
     in_shape = a.shape
 
@@ -254,7 +253,6 @@ def reshape(a, shape):
 
 
 def getitem(a, idx):
-    a = astensor(a)
     out = a.data[idx]
     in_shape, in_dtype = a.shape, a.data.dtype
 
@@ -267,7 +265,6 @@ def getitem(a, idx):
 
 
 def concat(tensors, axis):
-    tensors = [astensor(t) for t in tensors]
     out = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.shape[axis] for t in tensors]
     splits = np.cumsum(sizes)[:-1]
@@ -279,7 +276,6 @@ def concat(tensors, axis):
 
 
 def tensor_sum(a, axis=None, keepdims=False):
-    a = astensor(a)
     out = a.data.sum(axis=axis, keepdims=keepdims)
     in_shape = a.shape
 
@@ -293,7 +289,6 @@ def tensor_sum(a, axis=None, keepdims=False):
 
 
 def tensor_mean(a, axis=None, keepdims=False):
-    a = astensor(a)
     if axis is None:
         n = a.data.size
     else:
@@ -303,7 +298,6 @@ def tensor_mean(a, axis=None, keepdims=False):
 
 
 def log_softmax(a, axis=-1):
-    a = astensor(a)
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     out = shifted - lse
@@ -323,7 +317,6 @@ def linear(x, weight, bias):
     (gemv for one row, gemm for several) and so rounding would depend on the
     number of rows: a batch gives bit-for-bit the logits of its samples.
     """
-    x, weight, bias = astensor(x), astensor(weight), astensor(bias)
     if x.shape[-1] != weight.shape[1]:
         raise DimensionError(
             f"linear: input feature axis {x.shape[-1]} != weight fan-in {weight.shape[1]}")
@@ -363,7 +356,6 @@ def pointwise_conv3d(x, weight, bias):
 
     out[o,t,s,u] = bias[o] + sum_i weight[o,i] * x[i,t,s,u]
     """
-    x, weight, bias = astensor(x), astensor(weight), astensor(bias)
     _check_rank(x, "pointwise_conv3d")
     if weight.ndim != 2:
         raise DimensionError(f"pointwise_conv3d: weight must be rank 2 (C_out,C_in), got rank {weight.ndim}")
@@ -406,7 +398,6 @@ def conv3d_axis(x, weight, bias, axis, k):
         raise ConfigurationError(f"conv3d_axis: axis must be one of T/S/U, got {axis!r}")
     if k % 2 == 0 or k < 1:
         raise ConfigurationError(f"conv3d_axis: kernel length must be odd and >= 1, got {k}")
-    x, weight, bias = astensor(x), astensor(weight), astensor(bias)
     _check_rank(x, "conv3d_axis")
     if weight.ndim != 3 or weight.shape[2] != k:
         raise DimensionError(
@@ -470,7 +461,6 @@ def _matmul_transposed(a, s):
 
 def attention_contract(q, k):
     """Token Gram matrix: out[u,v] = sum_{c,t,s} q[c,t,s,u] * k[c,t,s,v]."""
-    q, k = astensor(q), astensor(k)
     if q.shape != k.shape:
         raise DimensionError(f"attention_contract: q shape {q.shape} != k shape {k.shape}")
     _check_rank(q, "attention_contract")
@@ -489,7 +479,6 @@ def attention_contract(q, k):
 
 def apply_scores(scores, v):
     """Mix tokens by a score matrix: out[c,t,s,u] = sum_w scores[u,w] * v[c,t,s,w]."""
-    scores, v = astensor(scores), astensor(v)
     _check_rank(v, "apply_scores")
     expected = v.shape[:-4] + (v.shape[-1], v.shape[-1])
     if scores.shape != expected:
@@ -577,7 +566,6 @@ def batchnorm(x, state, mode):
     """
     if mode not in ("train", "infer"):
         raise UsageError(f"batchnorm mode must be 'train' or 'infer', got {mode!r}")
-    x = astensor(x)
     _check_rank(x, "batchnorm")
     c = x.shape[-4]
     if c != state.channels:

@@ -29,8 +29,9 @@ def miniature_config(num_classes=3):
 
 
 def _loss(model, tokens, label):
-    logits = model.forward_tokens(tokens, mode="train")
-    return ce_label_smoothing(logits, label, smoothing=0.1, temperature=1.0)
+    """Loss of one (C,T_w,S,U) token array, forwarded as a batch of one."""
+    logits = model.forward_tokens(tokens[None], mode="train")
+    return ce_label_smoothing(logits, [label], smoothing=0.1, temperature=1.0)
 
 
 def finite_difference_check(model, tokens, label):

@@ -66,21 +66,6 @@ class ModelConfig:
         return cls(**d)
 
 
-def default_block_plan(embed_channels, depth=6, heads=4, k_u=3, k_t=3, gamma=0.1,
-                       double_at=(2, 4)):
-    """Channel plan [C',C',2C',2C',4C',4C'] for depth 6; doubling blocks are
-    listed by index."""
-    blocks = []
-    c = embed_channels
-    for i in range(depth):
-        c_out = 2 * c if i in double_at else c
-        blocks.append(TSABlockConfig(c_in=c, c_out=c_out, heads=heads,
-                                     c_qkv=max(1, c // 4), k_u=k_u, k_t=k_t,
-                                     gamma=gamma))
-        c = c_out
-    return blocks
-
-
 @dataclass
 class TrainConfig:
     lr: float = 0.1
@@ -219,17 +204,10 @@ class ISTANet:
 
 
 def ce_label_smoothing(logits, labels, smoothing, temperature):
-    """Cross entropy with smoothed targets over tempered softmax.
-
-    logits: (K,) or (N,K); labels: int or (N,) ints. Returns the mean loss.
-    """
+    """Mean cross entropy with smoothed targets over tempered softmax, for
+    (N,K) logits, a Tensor or an ndarray, and N integer labels."""
     logits = engine.astensor(logits)
-    single = logits.ndim == 1
-    if single:
-        logits = logits.reshape(1, -1)
-        labels = np.array([labels])
-    else:
-        labels = np.asarray(labels)
+    labels = np.asarray(labels)
     n, k = logits.shape
     if (labels < 0).any() or (labels >= k).any():
         raise UsageError(f"labels must lie in [0,{k}), got {labels}")

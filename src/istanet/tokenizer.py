@@ -12,7 +12,6 @@ positional encoding downstream depends on this ordering.
 
 import numpy as np
 
-from . import engine
 from .data import SkeletonSequence, pad_to_windows
 from .engine import (BatchNormState, ConfigurationError, DimensionError,
                      Parameter, UsageError, batchnorm, leaky_relu,
@@ -98,9 +97,8 @@ class EmbedParams:
 
 
 def embed(tokens, params, mode):
-    """Embed raw tokens (C,T_w,S,U) or a batch (N,C,T_w,S,U) to C' channels."""
-    x = engine.astensor(tokens)
-    out = pointwise_conv3d(x, params.weight, params.bias)
+    """Embed a raw token Tensor (C,T_w,S,U) or (N,C,T_w,S,U) to C' channels."""
+    out = pointwise_conv3d(tokens, params.weight, params.bias)
     out = batchnorm(out, params.norm, mode)
     return leaky_relu(out, params.gamma)
 

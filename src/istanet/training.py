@@ -67,8 +67,16 @@ def train(model, manifest, train_config, out_dir=None, train_tag="train",
     optimizer = NesterovSGD(model.parameters(), momentum=train_config.momentum)
     metrics = []
     metrics_path = timings_path = None
+    checkpoints = {}  # epoch -> path of the checkpoint saved after it
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
+        last, interval = train_config.epochs - 1, train_config.checkpoint_interval
+        checkpoints = {e: os.path.join(out_dir, f"epoch_{e:04d}.ckpt")
+                       for e in (range(interval - 1, last, interval) if interval else ())}
+        checkpoints[last] = os.path.join(out_dir, "final.ckpt")
+        for path in checkpoints.values():
+            if os.path.isdir(path):
+                raise engine.UsageError(f"checkpoint target {path} is a directory")
         metrics_path = os.path.join(out_dir, "metrics.jsonl")
         timings_path = os.path.join(out_dir, "timings.jsonl")
         for p in (metrics_path, timings_path):
@@ -127,11 +135,8 @@ def train(model, manifest, train_config, out_dir=None, train_tag="train",
         if log_sink is not None:
             log_sink(record, wall_ms)
 
-        last = epoch == train_config.epochs - 1
-        interval = train_config.checkpoint_interval
-        if out_dir is not None and ((interval and (epoch + 1) % interval == 0) or last):
-            name = "final.ckpt" if last else f"epoch_{epoch:04d}.ckpt"
-            save_checkpoint(os.path.join(out_dir, name), model,
+        if epoch in checkpoints:
+            save_checkpoint(checkpoints[epoch], model,
                             train_config=train_config, optimizer=optimizer,
                             epoch=epoch + 1, rng=er_rng)
     return metrics

@@ -241,6 +241,16 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1 and err.startswith("error: "), err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("target", ["final.ckpt", "epoch_0000.ckpt"])
+    def test_checkpoint_target_directory_is_refused_before_training(self, capsys, tmp_path,
+                                                                    corpus, target):
+        config = write_run_config(tmp_path, corpus, **{"train.checkpoint_interval": 1})
+        (tmp_path / "out" / target).mkdir(parents=True)
+        code, out, err = run_cli(capsys, "train", str(config), "--epochs", "2")
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        assert target in err and not (tmp_path / "out" / "metrics.jsonl").exists()
+
     @pytest.mark.parametrize("command", sorted(NEGATIVE_SEED))
     def test_negative_seed_is_usage_error(self, capsys, tmp_path, corpus, command):
         man = load_manifest(corpus)

@@ -15,8 +15,7 @@ from istanet.data import SkeletonSequence
 from istanet.engine import ConfigurationError, Parameter, Tensor, UsageError
 from istanet.gradcheck import miniature_config, run_gradcheck
 from istanet.model import (ISTANet, ModelConfig, NesterovSGD, TrainConfig,
-                           ce_label_smoothing, default_block_plan,
-                           evaluate_topk, lr_schedule, topk_accuracy)
+                           ce_label_smoothing, evaluate_topk, lr_schedule, topk_accuracy)
 from istanet.tokenizer import tokenize
 
 from helpers import (CHECKPOINT_CORRUPTIONS, MINIATURE_V1_CHECKPOINT, rel_err,
@@ -260,35 +259,45 @@ class TestEntityOrder:
 
 class TestLoss:
     def test_uniform_logits_give_log_k(self):
-        loss = ce_label_smoothing(Tensor(np.zeros(2)), 0, 0.0, 1.0)
+        loss = ce_label_smoothing(Tensor(np.zeros((1, 2))), [0], 0.0, 1.0)
         assert math.isclose(loss.item(), math.log(2), rel_tol=1e-12)
-        loss = ce_label_smoothing(Tensor(np.zeros(2)), 1, 0.0, 1.0)
+        loss = ce_label_smoothing(Tensor(np.zeros((1, 2))), [1], 0.0, 1.0)
         assert math.isclose(loss.item(), math.log(2), rel_tol=1e-12)
 
     def test_hand_softmax(self):
-        loss = ce_label_smoothing(Tensor(np.array([math.log(3), 0.0])), 0, 0.0, 1.0)
+        loss = ce_label_smoothing(Tensor(np.array([[math.log(3), 0.0]])), [0], 0.0, 1.0)
         assert math.isclose(loss.item(), -math.log(0.75), rel_tol=1e-12)
 
     def test_smoothing_invariant_at_uniform_prediction(self):
-        loss = ce_label_smoothing(Tensor(np.zeros(2)), 0, 0.1, 1.0)
+        loss = ce_label_smoothing(Tensor(np.zeros((1, 2))), [0], 0.1, 1.0)
         assert math.isclose(loss.item(), math.log(2), rel_tol=1e-12)
 
     def test_temperature_flattens(self):
-        logits = Tensor(np.array([2.0, 0.0]))
-        sharp = ce_label_smoothing(logits, 1, 0.0, 0.5).item()
-        flat = ce_label_smoothing(logits, 1, 0.0, 4.0).item()
+        logits = Tensor(np.array([[2.0, 0.0]]))
+        sharp = ce_label_smoothing(logits, [1], 0.0, 0.5).item()
+        flat = ce_label_smoothing(logits, [1], 0.0, 4.0).item()
         assert sharp > flat > math.log(2) * 0.2
 
     def test_loss_nonnegative(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
-            logits = Tensor(rng.normal(size=4))
-            loss = ce_label_smoothing(logits, int(rng.integers(4)), 0.1, 1.0)
+            logits = Tensor(rng.normal(size=(1, 4)))
+            loss = ce_label_smoothing(logits, [int(rng.integers(4))], 0.1, 1.0)
             assert loss.item() >= 0.0
 
     def test_bad_label_rejected(self):
         with pytest.raises(UsageError):
-            ce_label_smoothing(Tensor(np.zeros(3)), 3, 0.0, 1.0)
+            ce_label_smoothing(Tensor(np.zeros((1, 3))), [3], 0.0, 1.0)
+
+    def test_ndarray_logits_match_tensor_logits(self):
+        rng = np.random.default_rng(6)
+        for dtype in (np.float32, np.float64):
+            logits = rng.normal(size=(5, 4)).astype(dtype)
+            labels = np.array([0, 3, 1, 2, 3])
+            from_array = ce_label_smoothing(logits, labels, 0.1, 1.5).data
+            from_tensor = ce_label_smoothing(Tensor(logits), labels, 0.1, 1.5).data
+            assert from_array.dtype == dtype
+            assert from_array.tobytes() == from_tensor.tobytes()
 
 
 class TestNesterov:
@@ -573,10 +582,6 @@ class TestConfigs:
             TSABlockConfig(c_in=4, c_out=4, heads="2", c_qkv=2)
         with pytest.raises(ConfigurationError, match="gamma must be a number"):
             TSABlockConfig(c_in=4, c_out=4, heads=2, c_qkv=2, gamma=True)
-
-    def test_default_plan_doubles_twice(self):
-        blocks = default_block_plan(64)
-        assert [b.c_out for b in blocks] == [64, 64, 128, 128, 256, 256]
 
     def test_train_config_validation(self):
         with pytest.raises(ConfigurationError):

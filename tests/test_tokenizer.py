@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from istanet.data import SkeletonSequence, pad_to_windows
-from istanet.engine import ConfigurationError, UsageError
+from istanet.engine import ConfigurationError, Tensor, UsageError
 from istanet.tokenizer import (EmbedParams, embed, entity_rearrange,
                                partition, tokenize, token_rows, u_layout,
                                unpartition)
@@ -152,20 +152,20 @@ class TestEquivariance:
 class TestEmbed:
     def test_identity_extension_keeps_input_channels(self):
         rng = np.random.default_rng(12)
-        tokens = np.abs(rng.normal(size=(3, 2, 2, 4)))  # nonnegative
+        tokens = Tensor(np.abs(rng.normal(size=(3, 2, 2, 4))))  # nonnegative
         p = EmbedParams(3, 5, gamma=0.1, rng=rng, dtype=np.float64)
         p.weight.data = np.zeros((5, 3))
         p.weight.data[:3, :3] = np.eye(3)
         p.bias.data[:] = 0.0
         p.norm.eps = 1e-14
         out = embed(tokens, p, mode="infer")
-        np.testing.assert_allclose(out.data[:3], tokens, rtol=1e-6)
+        np.testing.assert_allclose(out.data[:3], tokens.data, rtol=1e-6)
 
     def test_zero_input_gives_activated_shifted_bias(self):
         rng = np.random.default_rng(13)
         p = EmbedParams(3, 4, gamma=0.2, rng=rng, dtype=np.float64)
         p.bias.data = np.array([1.0, -1.0, 0.5, -0.5])
-        tokens = np.zeros((3, 2, 2, 2))
+        tokens = Tensor(np.zeros((3, 2, 2, 2)))
         out = embed(tokens, p, mode="infer")
         expect = np.where(p.bias.data >= 0, p.bias.data, 0.2 * p.bias.data)
         np.testing.assert_allclose(out.data, np.broadcast_to(
@@ -173,7 +173,7 @@ class TestEmbed:
 
     def test_gradient_through_embed(self):
         rng = np.random.default_rng(14)
-        tokens = rng.normal(size=(3, 2, 2, 3))
+        tokens = Tensor(rng.normal(size=(3, 2, 2, 3)))
         p = EmbedParams(3, 4, gamma=0.1, rng=rng, dtype=np.float64)
 
         def loss_np(w, b):

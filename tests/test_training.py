@@ -116,8 +116,7 @@ class TestTrainLoop:
         model = ISTANet(small_config(), rng=np.random.default_rng(0))
         train(model, manifest, small_train_config(epochs=3, checkpoint_interval=2),
               out_dir=tmp_path)
-        assert (tmp_path / "epoch_0001.ckpt").exists()
-        assert (tmp_path / "final.ckpt").exists()
+        assert sorted(p.name for p in tmp_path.glob("*.ckpt")) == ["epoch_0001.ckpt", "final.ckpt"]
         assert (tmp_path / "metrics.jsonl").exists()
         assert (tmp_path / "timings.jsonl").exists()
 
