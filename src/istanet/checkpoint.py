@@ -2,11 +2,18 @@
 
 Layout:
     line 1: magic "ISTACKPT 1"
-    line 2: one-line UTF-8 JSON with the model/train configs, epoch counter,
-            rng state and a blob manifest [{name, shape, offset}] where
-            offsets count float32 elements into the binary section, each
-            blob starting where the one before it ends
-    then:   little-endian float32 blobs, concatenated in manifest order.
+    line 2: one-line UTF-8 JSON with the model/train configs, epoch counter
+            and a blob manifest [{name, shape, offset}] where offsets count
+            float32 elements into the binary section, each blob starting
+            where the one before it ends
+    then:   little-endian float32 blobs, concatenated in manifest order: one
+            per parameter, then one per batchnorm running statistic.
+
+A checkpoint holds the model only; it carries the network to evaluation and
+inspection, and training cannot resume from it. Files written by earlier
+versions also hold the optimizer velocities (blobs named "opt.*", after the
+model's) and an "rng_state" header key; they load, and those parts are
+ignored.
 
 save(load(x)) is byte-identical. A save writes a temporary file in the
 target's directory, fsyncs it, renames it over the target and fsyncs the
@@ -30,25 +37,8 @@ from .model import ISTANet, ModelConfig, TrainConfig
 MAGIC = b"ISTACKPT 1"
 
 
-def _rng_state_to_json(rng):
-    state = rng.bit_generator.state
-    return json.loads(json.dumps(state, default=int))
-
-
-def _rng_from_json(state):
-    rng = np.random.default_rng(0)
-    rng.bit_generator.state = state
-    return rng
-
-
-def save_checkpoint(path, model, train_config=None, optimizer=None, epoch=0, rng=None):
-    blobs = []
-    for p in model.parameters():
-        blobs.append((p.name, p.data))
-    for name, buf in model.buffers():
-        blobs.append((name, buf))
-    if optimizer is not None:
-        blobs.extend(optimizer.state_blobs())
+def save_checkpoint(path, model, train_config=None, epoch=0):
+    blobs = [(p.name, p.data) for p in model.parameters()] + model.buffers()
 
     manifest = []
     offset = 0
@@ -63,7 +53,6 @@ def save_checkpoint(path, model, train_config=None, optimizer=None, epoch=0, rng
         "model_config": model.config.to_dict(),
         "train_config": train_config.to_dict() if train_config else None,
         "epoch": epoch,
-        "rng_state": _rng_state_to_json(rng) if rng is not None else None,
         "blobs": manifest,
     }
     tmp = f"{path}.{os.getpid()}.tmp"
@@ -106,7 +95,7 @@ def _read_header(path, raw):
         raise UsageError(f"{path}: truncated checkpoint (no end of header)")
     try:
         header = json.loads(raw[nl1 + 1:nl2].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except ValueError as e:  # not UTF-8, not JSON, or an integer over Python's digit limit
         raise UsageError(f"{path}: corrupt checkpoint header ({e})") from None
     if not isinstance(header, dict):
         raise UsageError(f"{path}: checkpoint header is not a JSON object")
@@ -162,10 +151,12 @@ def _stored(path, values, name, shape, kind):
 
 
 def load_checkpoint(path, dtype=np.float32):
-    """Rebuild the model (and optional train config / rng / epoch) from disk.
+    """Rebuild the model from disk; returns (model, train_config or None,
+    epoch, None, {}).
 
     A file that is not a well-formed checkpoint for its own model config
-    raises UsageError.
+    raises UsageError. Blobs the model has no parameter or buffer for (the
+    optimizer velocities of older files) are ignored.
     """
     if os.path.isdir(path):
         raise UsageError(f"{path} is a directory, not a checkpoint")
@@ -176,9 +167,8 @@ def load_checkpoint(path, dtype=np.float32):
         model = ISTANet(ModelConfig.from_dict(header["model_config"]), dtype=dtype)
         train_config = (TrainConfig.from_dict(header["train_config"])
                         if header.get("train_config") else None)
-        rng = _rng_from_json(header["rng_state"]) if header.get("rng_state") else None
-    except (TypeError, ValueError, KeyError, OverflowError) as e:
-        raise UsageError(f"{path}: bad config or rng state in checkpoint header ({e!r})") from None
+    except (TypeError, ValueError) as e:
+        raise UsageError(f"{path}: bad config in checkpoint header ({e!r})") from None
     values = _read_blobs(path, header["blobs"], binary)
 
     for p in model.parameters():
@@ -186,5 +176,5 @@ def load_checkpoint(path, dtype=np.float32):
     for name, buf in model.buffers():
         buf[...] = _stored(path, values, name, buf.shape, "buffer")
 
-    velocities = {n: v for n, v in values.items() if n.startswith("opt.")}
-    return model, train_config, header.get("epoch", 0), rng, velocities
+    # perfbench/run.py unpacks five values, so the last two stay
+    return model, train_config, header.get("epoch", 0), None, {}

@@ -44,9 +44,10 @@ def load_run_config(path):
     referenced paths must exist."""
     if not os.path.exists(path):
         raise ConfigFileError(f"config file not found: {path}")
+    text = read_text(path, error=ConfigFileError)
     try:
-        doc = json.loads(read_text(path, error=ConfigFileError))
-    except json.JSONDecodeError as e:
+        doc = json.loads(text)
+    except ValueError as e:  # not JSON, or an integer over Python's digit limit
         raise ConfigFileError(f"{path}: invalid JSON ({e})") from None
     if not isinstance(doc, dict):
         raise ConfigFileError(f"{path}: a run config must be a JSON object")
@@ -135,7 +136,7 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    model, _, _, _, _ = load_checkpoint(args.checkpoint, dtype=_dtype(args))
+    model = load_checkpoint(args.checkpoint, dtype=_dtype(args))[0]
     manifest = load_manifest(args.manifest, num_classes=model.config.num_classes)
     frames = model.config.frames
     prep = lambda s: preprocess(s, frames)
@@ -201,7 +202,7 @@ def cmd_inspect(args):
     # attention: forward the sample through a checkpoint, dump score matrices
     if not args.checkpoint:
         raise UsageError("inspect attention requires --checkpoint")
-    model, _, _, _, _ = load_checkpoint(args.checkpoint, dtype=_dtype(args))
+    model = load_checkpoint(args.checkpoint, dtype=_dtype(args))[0]
     seq = preprocess(seq, model.config.frames)
     tokens = model.tokenize_sample(seq)
     sink = []
@@ -221,7 +222,7 @@ def cmd_synth(args):
     for flag, value, low in (("--num-train", args.num_train, 0), ("--num-val", args.num_val, 0),
                              ("--folds", args.folds, 0), ("--noise", args.noise, 0),
                              ("--frames", args.frames, 1), ("--joints", args.joints, 1)):
-        if not (math.isfinite(value) and value >= low):
+        if not low <= value <= sys.float_info.max:
             raise UsageError(f"{flag} must be a finite number >= {low}, got {value}")
     path = generate_corpus(args.out, num_train=args.num_train, num_val=args.num_val,
                            t=args.frames, j=args.joints, noise=args.noise,

@@ -9,8 +9,7 @@ Operands are Tensors; an array becomes one through ``Tensor(...)``. Only add
 and mul also take a constant. Dtype rule: a model computes in the dtype of
 its parameters, forward and backward. In add and mul a scalar constant (a
 Python float, a NumPy scalar or a 0-d array) takes the other operand's
-dtype, so a constant such as 1/n or eps never promotes float32 to float64;
-a non-scalar array keeps its own dtype.
+dtype, so a constant such as 1/n or eps never promotes float32 to float64.
 
 Shape convention for the model-facing ops: each op has one body that
 works on the trailing four axes (C, T, S, U), so the channel axis is always
@@ -36,7 +35,7 @@ parameter requires grad.
 
 import contextlib
 import dataclasses
-import math
+import sys
 
 import numpy as np
 
@@ -56,7 +55,8 @@ _FIELD_KINDS = {int: (int, "an integer"), float: ((int, float), "a number"),
 def check_field_types(config):
     """Raise ConfigurationError unless each int, float, bool or tuple[int, ...]
     field of the dataclass `config` holds that type. An int passes as a float;
-    a bool passes only as a bool; a float field must be finite."""
+    a bool passes only as a bool; a float field must be finite, and an int
+    there must fit in a float."""
     for f in dataclasses.fields(config):
         if f.type not in _FIELD_KINDS:
             continue
@@ -65,7 +65,7 @@ def check_field_types(config):
         items = value if f.type == tuple[int, ...] else (value,)
         if not all(isinstance(v, kind) and isinstance(v, bool) == (f.type is bool) for v in items):
             raise ConfigurationError(f"{f.name} must be {name}, got {value!r}")
-        if f.type is float and not math.isfinite(value):
+        if f.type is float and not abs(value) <= sys.float_info.max:
             raise ConfigurationError(f"{f.name} must be a finite number, got {value!r}")
 
 
@@ -148,12 +148,16 @@ def astensor(x, dtype=None):
 
 
 def _operands(a, b):
-    """Wrap the operands of a binary op; a non-Tensor scalar takes the dtype
-    of the other operand when that is a Tensor (astensor leaves Tensors as
-    they are)."""
-    if isinstance(b, Tensor) and np.ndim(a) == 0:
+    """The operands of add or mul as Tensors. Each is a Tensor or a scalar
+    constant, which takes the dtype of the other operand when that is a
+    Tensor (astensor leaves Tensors as they are)."""
+    for x in (a, b):
+        if not isinstance(x, Tensor) and np.ndim(x) != 0:
+            raise UsageError(f"add and mul take Tensors and scalar constants, "
+                             f"got a {type(x).__name__} of shape {np.shape(x)}")
+    if isinstance(b, Tensor):
         a = astensor(a, dtype=b.dtype)
-    if isinstance(a, Tensor) and np.ndim(b) == 0:
+    if isinstance(a, Tensor):
         b = astensor(b, dtype=a.dtype)
     return astensor(a), astensor(b)
 

@@ -236,15 +236,6 @@ class NesterovSGD:
             self.velocity[p.name] = v
             p.data = p.data - lr * (g + mu * v)
 
-    def state_blobs(self):
-        return [(f"opt.{p.name}", self.velocity[p.name]) for p in self.params]
-
-    def load_state(self, name, value):
-        key = name[len("opt."):]
-        if key not in self.velocity:
-            raise UsageError(f"unknown optimizer state {name!r}")
-        self.velocity[key] = value.astype(self.velocity[key].dtype)
-
 
 def lr_schedule(epoch, train_config):
     """Step decay: initial lr times decay^(milestones passed)."""

@@ -137,6 +137,5 @@ def train(model, manifest, train_config, out_dir=None, train_tag="train",
 
         if epoch in checkpoints:
             save_checkpoint(checkpoints[epoch], model,
-                            train_config=train_config, optimizer=optimizer,
-                            epoch=epoch + 1, rng=er_rng)
+                            train_config=train_config, epoch=epoch + 1)
     return metrics

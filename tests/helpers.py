@@ -144,7 +144,9 @@ def _swap_offsets(a, b):
 
 # the miniature config with frozen_entities (1,), trained one Nesterov step
 # (lr 0.1) on one synthetic sample and saved in the v1 format with a
-# non-default TrainConfig, epoch 1, optimizer velocities and RNG state
+# non-default TrainConfig and epoch 1. It predates model-only checkpoints, so
+# it also holds the optimizer velocities (its last blobs, named "opt.*") and
+# an "rng_state" header key, which loading ignores.
 MINIATURE_V1_CHECKPOINT = pathlib.Path(__file__).parent / "data" / "miniature_v1.ckpt"
 
 # case -> (corruption of a saved checkpoint's bytes, expected error text)
@@ -155,12 +157,16 @@ CHECKPOINT_CORRUPTIONS = {
                                     "no 'model_config'"),
     "header-without-blobs": (_edit_json(lambda d: d.pop("blobs")), "no 'blobs'"),
     "model-config-not-object": (_edit_json(lambda d: d.update(model_config=[1])),
-                                "bad config or rng state"),
-    "rng-state-malformed": (_edit_json(lambda d: d.update(rng_state={"state": 1})),
-                            "bad config or rng state"),
-    "rng-state-overflow": (_edit_json(lambda d: d.update(rng_state={
-        "bit_generator": "PCG64", "state": {"state": 2 ** 200, "inc": 1},
-        "has_uint32": 0, "uinteger": 0})), "bad config or rng state"),
+                                "bad config in checkpoint header"),
+    "header-integer-over-digit-limit": (_edit_header(lambda h: h.replace(
+        b'"epoch":0', b'"epoch":' + b"1" * 5000)), "corrupt checkpoint header"),
+    "model-config-gamma-too-big-for-float": (_edit_json(lambda d: d["model_config"].update(
+        gamma=10 ** 400)), "gamma must be a finite number"),
+    "model-config-block-gamma-too-big-for-float": (_edit_json(
+        lambda d: d["model_config"]["blocks"][0].update(gamma=-10 ** 400)),
+        "gamma must be a finite number"),
+    "train-config-lr-too-big-for-float": (_edit_json(lambda d: d.update(
+        train_config={"lr": 10 ** 400})), "lr must be a finite number"),
     "model-config-in-channels-zero": (_edit_json(lambda d: d["model_config"].update(
         in_channels=0)), "in_channels must be an integer >= 1"),
     "model-config-num-classes-huge": (_edit_json(lambda d: d["model_config"].update(

@@ -52,7 +52,8 @@ def corpus(tmp_path_factory):
 
 
 # case -> (command, extra arguments, run-config overrides); each input is
-# refused with exit 2 and one error line, which names each overridden key
+# refused with exit 2 and one error line, which names each overridden key.
+# `train` and `gradcheck --config` take a run config, `inspect tokens` a sample.
 BAD_INPUTS = {
     "train-window-not-int": (["train"], ["--window", "a,1,1"], {}),
     "train-epochs-flag-zero": (["train"], ["--epochs", "0"], {}),
@@ -95,6 +96,14 @@ BAD_INPUTS = {
     "config-joints-huge": (["train"], [], {"model.joints": 2 ** 70}),
     "config-c-qkv-huge": (["train"], [], {"model.blocks": [
         {"c_in": 4, "c_out": 4, "heads": 2, "c_qkv": 2 ** 70}]}),
+    "config-gamma-too-big-for-float": (["train"], [], {"model.gamma": 10 ** 400}),
+    "config-lr-too-big-for-float": (["train"], [], {"train.lr": -10 ** 400}),
+    "config-label-smoothing-too-big-for-float": (
+        ["train"], [], {"train.label_smoothing": 10 ** 400}),
+    "gradcheck-config-gamma-too-big-for-float": (
+        ["gradcheck", "--config"], [], {"model.gamma": 10 ** 400}),
+    "gradcheck-config-lr-too-big-for-float": (
+        ["gradcheck", "--config"], [], {"train.lr": 10 ** 400}),
     "train-lr-flag-nan": (["train"], ["--lr", "nan"], {}),
     "train-lr-flag-inf": (["train"], ["--lr", "inf"], {}),
 }
@@ -122,20 +131,25 @@ BAD_FLAGS = {
     "synth-noise-inf": (["synth", "{new}", "--noise", "inf"], "--noise"),
     "synth-num-train-negative": (["synth", "{new}", "--num-train", "-1"], "--num-train"),
     "synth-num-val-negative": (["synth", "{new}", "--num-val", "-1"], "--num-val"),
+    "synth-num-train-too-big-for-float": (["synth", "{new}", "--num-train", "9" * 401],
+                                          "--num-train"),
     "synth-folds-negative": (["synth", "{new}", "--folds", "-2"], "--folds"),
     "synth-frames-negative": (["synth", "{new}", "--frames", "-3"], "--frames"),
     "synth-joints-zero": (["synth", "{new}", "--joints", "0"], "--joints"),
 }
 
 # case -> command line; {bad} is a file that is not UTF-8, {dir} a directory,
-# {number} a JSON number, {ckpt} a valid checkpoint and {manifest} a manifest
-# listing {bad}. Each is refused with exit 2 and one error line.
+# {number} a JSON number, {huge} a run config holding an integer of more
+# digits than Python converts, {ckpt} a valid checkpoint and {manifest} a
+# manifest listing {bad}. Each is refused with exit 2 and one error line.
 UNREADABLE_INPUTS = {
     "inspect-sample-not-utf8": ["inspect", "tokens", "{bad}"],
     "inspect-sample-directory": ["inspect", "tokens", "{dir}"],
     "train-config-not-utf8": ["train", "{bad}"],
     "train-config-not-object": ["train", "{number}"],
     "gradcheck-config-not-utf8": ["gradcheck", "--config", "{bad}"],
+    "train-config-integer-over-digit-limit": ["train", "{huge}"],
+    "gradcheck-config-integer-over-digit-limit": ["gradcheck", "--config", "{huge}"],
     "eval-manifest-not-utf8": ["eval", "{ckpt}", "{bad}"],
     "eval-manifest-directory": ["eval", "{ckpt}", "{dir}"],
     "eval-sample-not-utf8": ["eval", "{ckpt}", "{manifest}"],
@@ -200,7 +214,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
     def test_bad_window_or_train_length_is_usage_error(self, capsys, tmp_path, corpus, case):
         command, extra, overrides = BAD_INPUTS[case]
-        if command[0] == "train":
+        if command[0] in ("train", "gradcheck"):
             target = write_run_config(tmp_path, corpus, **overrides)
         else:
             target = tmp_path / "s.iskel"
@@ -217,11 +231,13 @@ class TestExitCodes:
     def test_undecodable_or_directory_input_is_usage_error(self, capsys, tmp_path, case):
         paths = {"bad": tmp_path / "bad.iskel", "dir": tmp_path / "d",
                  "manifest": tmp_path / "manifest.txt", "number": tmp_path / "n.json",
-                 "ckpt": MINIATURE_V1_CHECKPOINT}
+                 "huge": tmp_path / "huge.json", "ckpt": MINIATURE_V1_CHECKPOINT}
         paths["bad"].write_bytes(b"ISKEL 1\n3 1 1 1 0\n0 0 \xff\n")
         paths["dir"].mkdir()
         paths["manifest"].write_text("bad.iskel 0 val\n")
         paths["number"].write_text("5")
+        # json.dumps cannot write this integer, so the text is written as is
+        paths["huge"].write_text('{"train": {"seed": ' + "1" * 5000 + "}}")
         argv = [a.format(**paths) for a in UNREADABLE_INPUTS[case]]
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""

@@ -144,8 +144,8 @@ def composed_batchnorm(x, state, channel_axis, mode="train"):
         var = engine.tensor_mean(engine.mul(xc, xc), axis=axes, keepdims=True)
         xhat = div(xc, sqrt(engine.add(var, state.eps)))
     else:
-        inv = 1.0 / np.sqrt(state.running_var.reshape(bshape) + state.eps)
-        xhat = engine.mul(sub(x, state.running_mean.reshape(bshape)), inv)
+        inv = Tensor(1.0 / np.sqrt(state.running_var.reshape(bshape) + state.eps))
+        xhat = engine.mul(sub(x, Tensor(state.running_mean.reshape(bshape))), inv)
     return engine.add(engine.mul(engine.reshape(state.scale, bshape), xhat),
                       engine.reshape(state.shift, bshape))
 
@@ -547,6 +547,18 @@ def test_scalar_operand_takes_the_tensor_dtype(op, scalar):
         assert out.dtype == np.float32, order
         out.sum().backward()
         assert x.grad.dtype == np.float32, order
+
+
+@pytest.mark.parametrize("op", [engine.add, sub, engine.mul, div],
+                         ids=["add", "sub", "mul", "div"])
+@pytest.mark.parametrize("other", [np.ones(3), [1.0, 2.0, 4.0], np.ones((1, 1))],
+                         ids=["ndarray", "list", "1x1-ndarray"])
+def test_non_scalar_non_tensor_operand_is_refused(op, other):
+    """Only a scalar constant is wrapped; an array must come as a Tensor."""
+    x = Tensor(np.array([1.0, 2.0, 4.0], dtype=np.float32))
+    for operands in ((x, other), (other, x)):
+        with pytest.raises(UsageError, match="Tensors and scalar constants"):
+            op(*operands)
 
 
 @pytest.mark.parametrize("op", [engine.add, sub, engine.mul, div],

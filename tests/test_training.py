@@ -120,6 +120,16 @@ class TestTrainLoop:
         assert (tmp_path / "metrics.jsonl").exists()
         assert (tmp_path / "timings.jsonl").exists()
 
+    def test_checkpoint_holds_the_model_only(self, corpus, tmp_path):
+        # no optimizer velocities and no RNG state: nothing reads them back
+        manifest = load_manifest(corpus, num_classes=4)
+        model = ISTANet(small_config(), rng=np.random.default_rng(0))
+        train(model, manifest, small_train_config(epochs=1), out_dir=tmp_path)
+        header = json.loads((tmp_path / "final.ckpt").read_bytes().split(b"\n")[1])
+        assert sorted(header) == ["blobs", "epoch", "model_config", "train_config"]
+        assert [b["name"] for b in header["blobs"]] == (
+            [p.name for p in model.parameters()] + [name for name, _ in model.buffers()])
+
     def test_checkpoint_interval_zero_writes_only_the_final_checkpoint(self, corpus, tmp_path):
         manifest = load_manifest(corpus, num_classes=4)
         model = ISTANet(small_config(), rng=np.random.default_rng(0))
