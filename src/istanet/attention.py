@@ -150,7 +150,7 @@ def qkv_project(x, params, h):
     q = pointwise_conv3d(xpe, params.q_weights[h], params.q_biases[h])
     k = pointwise_conv3d(xpe, params.k_weights[h], params.k_biases[h])
     vc = params.config.v_channels
-    v = x[..., h * vc:(h + 1) * vc, :, :, :]
+    v = engine.getitem(x, np.s_[..., h * vc:(h + 1) * vc, :, :, :])
     return q, k, v
 
 
@@ -264,28 +264,23 @@ def attention_scores(q, k, alpha, m, c_beta):
             _scan_band(out_b, m.data, radius)
 
     def bwd(g):
-        g_gram = np.empty_like(t) if gram.requires_grad else None
-        g_alpha = g_m = None
         # block-sized scratch reused across blocks: 1 - t*t for g_gram, and
         # g*t for g_alpha after the first block, which starts the sum
+        g_gram = np.empty_like(t)
         shape = t[blocks[0]].shape
-        one_minus_tt = np.empty(shape, t.dtype) if gram.requires_grad else None
-        g_t = np.empty(shape, t.dtype) if alpha.requires_grad and len(blocks) > 1 else None
+        one_minus_tt = np.empty(shape, t.dtype)
+        g_t = np.empty(shape, t.dtype) if len(blocks) > 1 else None
         for i, blk in enumerate(blocks):
             g_b, t_b = g[blk], t[blk]
-            if gram.requires_grad:
-                g_gram_b = np.multiply(g_b, alpha.data, out=g_gram[blk])
-                np.subtract(1.0, np.multiply(t_b, t_b, out=one_minus_tt), out=one_minus_tt)
-                g_gram_b *= one_minus_tt
-                g_gram_b *= scale
-            if alpha.requires_grad:
-                g_t_b = np.multiply(g_b, t_b, out=None if i == 0 else g_t)
-                g_alpha = g_t_b if i == 0 else np.add(g_alpha, g_t_b, out=g_alpha)
-            if m.requires_grad:  # a view of g until the second block's add copies it
-                g_m = g_b if i == 0 else np.add(g_m, g_b, out=None if i == 1 else g_m)
-        return (g_gram,
-                engine._unbroadcast(g_alpha, alpha.shape) if alpha.requires_grad else None,
-                engine._unbroadcast(g_m, m.shape) if m.requires_grad else None)
+            g_gram_b = np.multiply(g_b, alpha.data, out=g_gram[blk])
+            np.subtract(1.0, np.multiply(t_b, t_b, out=one_minus_tt), out=one_minus_tt)
+            g_gram_b *= one_minus_tt
+            g_gram_b *= scale
+            g_t_b = np.multiply(g_b, t_b, out=None if i == 0 else g_t)
+            g_alpha = g_t_b if i == 0 else np.add(g_alpha, g_t_b, out=g_alpha)
+            # g_m is a view of g until the second block's add copies it
+            g_m = g_b if i == 0 else np.add(g_m, g_b, out=None if i == 1 else g_m)
+        return g_gram, engine._unbroadcast(g_alpha, alpha.shape), engine._unbroadcast(g_m, m.shape)
 
     return engine._make(out, (gram, alpha, m), bwd)
 

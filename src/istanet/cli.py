@@ -20,7 +20,7 @@ from .engine import ConfigurationError, UsageError, no_grad
 from .gradcheck import run_gradcheck
 from .model import ISTANet, ModelConfig, TrainConfig, evaluate_topk
 from .synth import generate_corpus
-from .tokenizer import token_rows, tokenize
+from .tokenizer import check_window, token_rows, tokenize
 from .training import NumericAbort, preprocess, train
 
 EXIT_OK = 0
@@ -192,11 +192,11 @@ def cmd_inspect(args):
 
     if args.what == "tokens":
         window = _parse_window(args.window)
+        check_window(window, seq.data.shape[1:])
         tokens, u_layout = tokenize(seq.data, window)
-        print("u,t_block,j_block,e_block,s,c,value")
-        for row in token_rows(tokens, u_layout):
-            *idx, value = row
-            print(",".join(str(v) for v in idx) + f",{value!r}")
+        print("u,t_block,j_block,e_block,t_offset,s,c,value")
+        for *idx, value in token_rows(tokens, u_layout):
+            print(",".join(str(v) for v in idx) + f",{float(value)!r}")
         return EXIT_OK
 
     # attention: forward the sample through a checkpoint, dump score matrices

@@ -1,9 +1,10 @@
 """Minimal dense tensor engine with reverse-mode automatic differentiation.
 
 Everything is backed by contiguous numpy arrays (float32 for training,
-float64 for gradient checking). Each operation records its parents and a
-backward closure; ``backward()`` on a scalar runs the tape in reverse
-topological order and accumulates gradients over all paths.
+float64 for gradient checking). The ops are this module's functions; a
+Tensor holds data and tape links and has no op methods. Each op records its
+parents and a backward closure; ``backward(loss)`` on a scalar runs the tape
+in reverse topological order and accumulates gradients over all paths.
 
 Operands are Tensors; an array becomes one through ``Tensor(...)``. Only add
 and mul also take a constant. Dtype rule: a model computes in the dtype of
@@ -99,28 +100,6 @@ class Tensor:
 
     def item(self):
         return float(self.data)
-
-    # operator sugar -------------------------------------------------------
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __getitem__(self, idx):
-        return getitem(self, idx)
-
-    def reshape(self, *shape):
-        return reshape(self, shape)
-
-    def sum(self, axis=None, keepdims=False):
-        return tensor_sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tensor_mean(self, axis=axis, keepdims=keepdims)
-
-    def backward(self):
-        backward(self)
 
 
 class Parameter(Tensor):
@@ -242,16 +221,6 @@ def leaky_relu(a, gamma):
 
     def bwd(g):
         return (np.where(a.data >= 0, g, gamma * g),)
-
-    return _make(out, (a,), bwd)
-
-
-def reshape(a, shape):
-    out = a.data.reshape(shape)
-    in_shape = a.shape
-
-    def bwd(g):
-        return (g.reshape(in_shape),)
 
     return _make(out, (a,), bwd)
 

@@ -12,6 +12,7 @@ config at seed 3 fails on 10 parameters, and passes with every slope at 1.0.
 
 import numpy as np
 
+from . import engine
 from .attention import TSABlockConfig
 from .model import ISTANet, ModelConfig, ce_label_smoothing
 from .synth import make_sample
@@ -42,7 +43,7 @@ def finite_difference_check(model, tokens, label):
     eps = 1e-5
     loss = _loss(model, tokens, label)
     model.zero_grad()
-    loss.backward()
+    engine.backward(loss)
     analytic = {p.name: np.array(p.grad, dtype=np.float64) for p in model.parameters()}
 
     report = {}

@@ -12,7 +12,7 @@ from . import engine
 from .attention import TSABlockConfig, TSABlockParams, tsa_block_forward
 from .engine import (ConfigurationError, Parameter, UsageError,
                      check_field_types, log_softmax, linear, uniform_init)
-from .tokenizer import EmbedParams, embed, tokenize, u_layout
+from .tokenizer import EmbedParams, check_window, embed, tokenize, u_layout
 
 
 @dataclass
@@ -40,11 +40,17 @@ class ModelConfig:
             if getattr(self, name) < low:
                 raise ConfigurationError(
                     f"{name} must be an integer >= {low}, got {getattr(self, name)!r}")
+        check_window(self.window, (self.frames, self.joints, self.entities))
         if not all(0 <= e < self.entities for e in self.frozen_entities):
             raise ConfigurationError(f"frozen_entities must be entity indices in "
                                      f"[0,{self.entities}), got {list(self.frozen_entities)}")
-        self.blocks = [b if isinstance(b, TSABlockConfig) else TSABlockConfig(**b)
-                       for b in self.blocks]
+        blocks = []
+        for i, b in enumerate(self.blocks):
+            try:
+                blocks.append(b if isinstance(b, TSABlockConfig) else TSABlockConfig(**b))
+            except ConfigurationError as e:
+                raise ConfigurationError(f"blocks[{i}]: {e}") from None
+        self.blocks = blocks
         prev = self.embed_channels
         for i, b in enumerate(self.blocks):
             if b.c_in != prev:
@@ -171,7 +177,7 @@ class ISTANet:
                 sink = []
                 score_sink.append(sink)
             x = tsa_block_forward(x, params, mode, score_sink=sink)
-        pooled = x.mean(axis=(-3, -2, -1))
+        pooled = engine.tensor_mean(x, axis=(-3, -2, -1))
         return linear(pooled, self.fc_weight, self.fc_bias)
 
     def forward_classify(self, seq, mode):
@@ -215,7 +221,7 @@ def ce_label_smoothing(logits, labels, smoothing, temperature):
     target = np.full((n, k), smoothing / k, dtype=logits.dtype)
     target[np.arange(n), labels] += 1.0 - smoothing
     per_sample = engine.tensor_sum(engine.mul(logp, engine.Tensor(-target)), axis=-1)
-    return per_sample.mean()
+    return engine.tensor_mean(per_sample)
 
 
 class NesterovSGD:

@@ -3,11 +3,12 @@
 A 3D non-overlapping window (t_w, j_w, e_w), a plain tuple of three
 integers, slides over the (T, J, E) axes of a padded skeleton tensor,
 producing U tokens of shape (C, t_w, S) with S = j_w * e_w. The functions
-here trust the window: `ModelConfig` refuses a length below 1 for a model,
-and `data.compute_padding` for a bare `tokenize` call. Token index layout is
-frozen: the temporal block is outermost, then the joint block, then the
-entity block, and within-token flattening is joint-major / entity-minor. The
-positional encoding downstream depends on this ordering.
+here trust the window: `ModelConfig` refuses a length below 1 or above its
+axis for a model, and `data.compute_padding` a length below 1 for a bare
+`tokenize` call. Token index layout is frozen: the temporal block is
+outermost, then the joint block, then the entity block, and within-token
+flattening is joint-major / entity-minor. The positional encoding downstream
+depends on this ordering.
 """
 
 import numpy as np
@@ -16,6 +17,15 @@ from .data import SkeletonSequence, pad_to_windows
 from .engine import (BatchNormState, ConfigurationError, DimensionError,
                      Parameter, UsageError, batchnorm, leaky_relu,
                      pointwise_conv3d, uniform_init)
+
+
+def check_window(window, dims):
+    """Raise ConfigurationError if a window length exceeds its axis length in
+    dims (T, J, E): padding would repeat the axis to the window's length,
+    which for a huge window asks for gigabytes."""
+    if any(w > n for w, n in zip(window, dims)):
+        raise ConfigurationError(
+            f"window {list(window)} exceeds the axis lengths (T, J, E) = {tuple(dims)}")
 
 
 def u_layout(dims, window):
@@ -104,8 +114,9 @@ def embed(tokens, params, mode):
 
 
 def token_rows(tokens, layout):
-    """Iterate (u, t_block, j_block, e_block, s, c, value) over raw tokens;
-    drives the inspect-tokens CSV."""
+    """Iterate (u, t_block, j_block, e_block, t_offset, s, c, value) over raw
+    tokens, t_offset being the frame within the window; drives the
+    inspect-tokens CSV."""
     _, nj, ne = layout
     c_dim, t_w, s_dim, u_dim = tokens.shape
     for u in range(u_dim):
@@ -115,4 +126,4 @@ def token_rows(tokens, layout):
         for s in range(s_dim):
             for c in range(c_dim):
                 for lt in range(t_w):
-                    yield u, tb, jb, eb, s, c, tokens[c, lt, s, u]
+                    yield u, tb, jb, eb, lt, s, c, tokens[c, lt, s, u]

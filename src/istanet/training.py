@@ -108,7 +108,7 @@ def train(model, manifest, train_config, out_dir=None, train_tag="train",
                     f"non-finite loss at {where}; "
                     f"largest parameters: {_param_norm_report(model)}")
             model.zero_grad()
-            loss.backward()
+            engine.backward(loss)
             bad = next((p.name for p in optimizer.params
                         if p.grad is not None and not np.isfinite(p.grad).all()), None)
             if bad is not None:

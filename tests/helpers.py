@@ -1,7 +1,8 @@
 """Shared test utilities: a finite-difference oracle kept independent of the
-reverse-mode path it checks, reference primitives (sub, div, sqrt, tanh) and
-the attention score map composed of primitive ops, malformed checkpoints,
-byte mutations of input files, and the committed v1 checkpoint fixture."""
+reverse-mode path it checks, reference primitives (sub, div, sqrt, reshape,
+tanh) and the attention score map composed of primitive ops, malformed
+checkpoints, byte mutations of input files, and the committed v1 checkpoint
+fixture."""
 
 import json
 import pathlib
@@ -49,8 +50,8 @@ def check_op_gradients(op, arrays, eps=1e-6, tol=1e-4, loss="sumsq"):
     tensors = [engine.Tensor(np.array(a, dtype=np.float64), requires_grad=True)
                for a in arrays]
     out = op(*tensors)
-    scalar = (out * out).sum() if loss == "sumsq" else out.sum()
-    scalar.backward()
+    scalar = engine.tensor_sum(engine.mul(out, out) if loss == "sumsq" else out)
+    engine.backward(scalar)
 
     def forward_np(*arrs):
         res = op(*[engine.Tensor(a) for a in arrs]).data
@@ -88,6 +89,11 @@ def div(a, b):
 def sqrt(a):
     out = np.sqrt(a.data)
     return engine._make(out, (a,), lambda g: (g * 0.5 / out,))
+
+
+def reshape(a, shape):
+    in_shape = a.shape
+    return engine._make(a.data.reshape(shape), (a,), lambda g: (g.reshape(in_shape),))
 
 
 def tanh(a):
@@ -167,6 +173,8 @@ CHECKPOINT_CORRUPTIONS = {
         "gamma must be a finite number"),
     "train-config-lr-too-big-for-float": (_edit_json(lambda d: d.update(
         train_config={"lr": 10 ** 400})), "lr must be a finite number"),
+    "model-config-window-longer-than-frames": (_edit_json(lambda d: d["model_config"].update(
+        window=[5, 1, 2])), "exceeds the axis lengths"),
     "model-config-in-channels-zero": (_edit_json(lambda d: d["model_config"].update(
         in_channels=0)), "in_channels must be an integer >= 1"),
     "model-config-num-classes-huge": (_edit_json(lambda d: d["model_config"].update(

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from istanet import attention
+from istanet import attention, engine
 from istanet.attention import (TSABlockConfig, TSABlockParams,
                                attention_scores, positional_encoding,
                                qkv_project, temporal_aggregate,
@@ -75,7 +75,7 @@ class TestQKVProject:
 
         params.q_weights[0].data = w0
         q, _, _ = qkv_project(Tensor(x), params, 0)
-        (q * q).sum().backward()
+        engine.backward(engine.tensor_sum(engine.mul(q, q)))
         fd = fd_grad(loss_np, [w0], wrt=0)
         assert rel_err(fd, params.q_weights[0].grad) <= 1e-4
         params.q_weights[0].data = w0
@@ -128,7 +128,7 @@ def scores_and_grads(fn, q, k, alpha, m, upstream, c_beta=12):
     input that is a Tensor (None for the others)."""
     leaves = [Parameter("q", q), Parameter("k", k), alpha, m]
     out = fn(*leaves, c_beta=c_beta)
-    (out * Tensor(upstream)).sum().backward()
+    engine.backward(engine.tensor_sum(engine.mul(out, Tensor(upstream))))
     return out, [x.grad if isinstance(x, Tensor) else None for x in leaves]
 
 
@@ -188,7 +188,7 @@ def readme_blocks_train_step(dtype):
     tokens = np.stack([model.tokenize_sample(s) for s in seqs])
     loss = ce_label_smoothing(model.forward_tokens(tokens, "train"), [0, 1],
                               smoothing=0.1, temperature=1.0)
-    loss.backward()
+    engine.backward(loss)
     return loss.data.tobytes(), {p.name: p.grad.tobytes() for p in model.parameters()}
 
 
@@ -397,7 +397,7 @@ class TestTemporalAggregate:
         b = rng.normal(size=2)
         xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
         out = temporal_aggregate(xt, wt, bt, k_t=3)
-        (out * out).sum().backward()
+        engine.backward(engine.tensor_sum(engine.mul(out, out)))
         for i, t in enumerate((xt, wt, bt)):
             fd = fd_grad(lambda a, bb, c: float(
                 (temporal_aggregate(Tensor(a), Tensor(bb), Tensor(c), k_t=3).data ** 2).sum()),
@@ -462,7 +462,7 @@ class TestBlockForward:
         cfg, params = make_block(c_out=8)  # includes the residual projection
         x = Tensor(np.random.default_rng(13).normal(size=(4, 2, 2, 4)))
         out = tsa_block_forward(x, params, mode="train")
-        (out * out).sum().backward()
+        engine.backward(engine.tensor_sum(engine.mul(out, out)))
         for p in params.parameters():
             assert p.grad is not None, p.name
             assert np.abs(p.grad).max() > 0, f"dead parameter {p.name}"
@@ -483,7 +483,7 @@ class TestBlockForward:
             return out
 
         out = tsa_block_forward(Tensor(x4), params, mode="train")
-        (out * out).sum().backward()
+        engine.backward(engine.tensor_sum(engine.mul(out, out)))
         worst = 0.0
         for p in params.parameters():
             base = p.data.copy()

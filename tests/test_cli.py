@@ -5,8 +5,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from istanet import attention, cli, engine
-from istanet.data import SkeletonSequence, load_manifest, serialize_iskel
+from istanet.data import SkeletonSequence, load_manifest, parse_iskel, serialize_iskel
 from istanet.synth import make_sample
+from istanet.tokenizer import tokenize
 
 from helpers import (BYTE_EDITS, CHECKPOINT_CORRUPTIONS, MINIATURE_V1_CHECKPOINT,
                      apply_byte_edits, write_corrupt_checkpoint)
@@ -65,6 +66,18 @@ BAD_INPUTS = {
     "inspect-window-two-values": (["inspect", "tokens"], ["--window", "1,2"], {}),
     "inspect-window-not-int": (["inspect", "tokens"], ["--window", "a,1,1"], {}),
     "inspect-window-zero": (["inspect", "tokens"], ["--window", "0,1,1"], {}),
+    "train-window-flag-longer-than-frames": (["train"], ["--window", "2000000000,1,1"], {}),
+    "train-window-flag-over-int64": (["train"], ["--window", "99999999999999999999,1,1"], {}),
+    "config-window-longer-than-joints": (["train"], [], {"model.window": [4, 3, 2]}),
+    "gradcheck-config-window-longer-than-frames": (
+        ["gradcheck", "--config"], [], {"model.window": [9, 1, 2]}),
+    "inspect-window-longer-than-frames": (["inspect", "tokens"], ["--window", "3,1,1"], {}),
+    "inspect-window-over-int64": (
+        ["inspect", "tokens"], ["--window", "99999999999999999999,1,1"], {}),
+    "config-block-gamma-too-big-for-float": (["train"], [], {"model.blocks": [
+        {"c_in": 4, "c_out": 4, "heads": 2, "c_qkv": 2, "gamma": 10 ** 400}]}),
+    "config-block-gamma-nan": (["train"], [], {"model.blocks": [
+        {"c_in": 4, "c_out": 4, "heads": 2, "c_qkv": 2, "gamma": float("nan")}]}),
     "config-lr-string": (["train"], [], {"train.lr": "x"}),
     "config-lr-decay-string": (["train"], [], {"train.lr_decay": "x"}),
     "config-checkpoint-interval-string": (["train"], [], {"train.checkpoint_interval": "x"}),
@@ -411,15 +424,27 @@ class TestTrainEval:
 
 class TestInspect:
     def test_tokens_csv(self, capsys, tmp_path):
-        seq = make_sample(label=0, t=2, j=2, rng=np.random.default_rng(0))
+        # every (c, t_offset, s, u) index once, with its value's exact float
+        # text: the rows rebuild tokenize's array bit for bit
+        seq = make_sample(label=0, t=4, j=2, rng=np.random.default_rng(0))
         sample = tmp_path / "s.iskel"
         sample.write_text(serialize_iskel(seq))
         code, out, _ = run_cli(capsys, "inspect", "tokens", str(sample),
-                               "--window", "1,2,2")
+                               "--window", "2,1,2")
         assert code == 0
         lines = out.strip().splitlines()
-        assert lines[0] == "u,t_block,j_block,e_block,s,c,value"
-        assert len(lines) == 1 + 3 * 2 * 2 * 2  # header + C*T*J*E values
+        assert lines[0] == "u,t_block,j_block,e_block,t_offset,s,c,value"
+        expect, (_, nj, ne) = tokenize(parse_iskel(sample.read_text()).data, (2, 1, 2))
+        rebuilt, seen = np.full_like(expect, np.nan), set()
+        for line in lines[1:]:
+            *idx, value = line.split(",")
+            u, tb, jb, eb, lt, s, c = map(int, idx)
+            assert (tb, jb, eb) == (u // (nj * ne), u // ne % nj, u % ne)
+            assert (c, lt, s, u) not in seen
+            seen.add((c, lt, s, u))
+            rebuilt[c, lt, s, u] = float(value)
+        assert len(seen) == expect.size
+        assert rebuilt.tobytes() == expect.tobytes()
 
     def test_attention_requires_checkpoint(self, capsys, tmp_path):
         seq = make_sample(label=0, t=8, j=2, rng=np.random.default_rng(0))

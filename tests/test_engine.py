@@ -7,7 +7,8 @@ from istanet.engine import (BatchNormState, ConfigurationError, DimensionError,
                             attention_contract, batchnorm, conv3d_axis,
                             leaky_relu, pointwise_conv3d)
 
-from helpers import check_op_gradients, div, fd_grad, rel_err, sqrt, sub, tanh
+from helpers import (check_op_gradients, div, fd_grad, rel_err, reshape, sqrt, sub,
+                     tanh)
 
 
 class TestPointwiseConv:
@@ -28,7 +29,7 @@ class TestPointwiseConv:
         w = rng.normal(size=(3, 2))
         b = rng.normal(size=3)
         xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
-        pointwise_conv3d(xt, wt, bt).sum().backward()
+        engine.backward(engine.tensor_sum(pointwise_conv3d(xt, wt, bt)))
         fd = fd_grad(lambda x_, w_, b_: float(
             pointwise_conv3d(Tensor(x_), Tensor(w_), Tensor(b_)).data.sum()),
             [x, w, b], wrt=1)
@@ -79,7 +80,7 @@ class TestConvAxis:
         w = rng.normal(size=(2, 2, 3))
         b = rng.normal(size=2)
         xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
-        conv3d_axis(xt, wt, bt, axis=axis, k=3).sum().backward()
+        engine.backward(engine.tensor_sum(conv3d_axis(xt, wt, bt, axis=axis, k=3)))
         for i, t in enumerate((xt, wt, bt)):
             fd = fd_grad(lambda x_, w_, b_: float(
                 conv3d_axis(Tensor(x_), Tensor(w_), Tensor(b_), axis=axis, k=3).data.sum()),
@@ -121,7 +122,7 @@ class TestConvAxisIm2col:
         np.testing.assert_allclose(out.data, conv_axis_reference(x, w, b, axis, k),
                                    rtol=1e-12, atol=1e-12)
         upstream = rng.normal(size=out.shape)
-        (out * Tensor(upstream)).sum().backward()
+        engine.backward(engine.tensor_sum(engine.mul(out, Tensor(upstream))))
         # the loss is linear in each input, so a wide step adds no truncation
         # error and keeps rounding error small
         for i, t in enumerate((xt, wt, bt)):
@@ -146,8 +147,8 @@ def composed_batchnorm(x, state, channel_axis, mode="train"):
     else:
         inv = Tensor(1.0 / np.sqrt(state.running_var.reshape(bshape) + state.eps))
         xhat = engine.mul(sub(x, Tensor(state.running_mean.reshape(bshape))), inv)
-    return engine.add(engine.mul(engine.reshape(state.scale, bshape), xhat),
-                      engine.reshape(state.shift, bshape))
+    return engine.add(engine.mul(reshape(state.scale, bshape), xhat),
+                      reshape(state.shift, bshape))
 
 
 def tape_nodes(out):
@@ -176,7 +177,7 @@ class TestFusedBatchNorm:
 
     @staticmethod
     def _gradients(out, upstream, tensors):
-        (out * Tensor(upstream)).sum().backward()
+        engine.backward(engine.tensor_sum(engine.mul(out, Tensor(upstream))))
         return [t.grad.tobytes() for t in tensors]
 
     @pytest.mark.parametrize("rank", [4, 5])
@@ -199,7 +200,8 @@ class TestFusedBatchNorm:
         state = self._state(rng, np.float64)
         upstream = rng.normal(size=shape)
         xt = Tensor(x, requires_grad=True)
-        (batchnorm(xt, state, mode="train") * Tensor(upstream)).sum().backward()
+        out = batchnorm(xt, state, mode="train")
+        engine.backward(engine.tensor_sum(engine.mul(out, Tensor(upstream))))
         fd = fd_grad(lambda a: float(
             (batchnorm(Tensor(a), state, mode="train").data * upstream).sum()),
             [x], wrt=0, eps=1e-5)
@@ -291,7 +293,7 @@ class TestBatchNorm:
         xt = Tensor(x, requires_grad=True)
         st = Tensor(scale0, requires_grad=True)
         ht = Tensor(shift0, requires_grad=True)
-        (run(xt, st, ht) * run(xt, st, ht)).sum().backward()
+        engine.backward(engine.tensor_sum(engine.mul(run(xt, st, ht), run(xt, st, ht))))
         # x-gradients through normalization nearly cancel, so allow a small
         # absolute slack on top of the relative tolerance
         for i, t in enumerate((xt, st, ht)):
@@ -314,7 +316,7 @@ class TestLeakyRelu:
     def test_gradient_away_from_kink(self):
         x = np.array([1.5, -2.5, 0.75])
         xt = Tensor(x, requires_grad=True)
-        leaky_relu(xt, 0.1).sum().backward()
+        engine.backward(engine.tensor_sum(leaky_relu(xt, 0.1)))
         fd = fd_grad(lambda a: float(leaky_relu(Tensor(a), 0.1).data.sum()), [x], wrt=0)
         assert rel_err(fd, xt.grad) <= 1e-8
 
@@ -393,7 +395,7 @@ class TestApplyScores:
         s = rng.normal(size=(3, 3))
         v = rng.normal(size=(2, 2, 2, 3))
         st, vt = Tensor(s, requires_grad=True), Tensor(v, requires_grad=True)
-        apply_scores(st, vt).sum().backward()
+        engine.backward(engine.tensor_sum(apply_scores(st, vt)))
         for i, t in enumerate((st, vt)):
             fd = fd_grad(lambda a, b: float(
                 apply_scores(Tensor(a), Tensor(b)).data.sum()), [s, v], wrt=i)
@@ -419,30 +421,30 @@ def test_contractions_match_einsum_and_finite_differences(shape):
     check_op_gradients(attention_contract, [q, k])
     check_op_gradients(apply_scores, [s, v])
     qt, kt = Tensor(q, requires_grad=True), Tensor(k, requires_grad=True)
-    attention_contract(qt, kt).sum().backward()
+    engine.backward(engine.tensor_sum(attention_contract(qt, kt)))
     assert qt.grad.flags.c_contiguous and kt.grad.flags.c_contiguous
 
 
 class TestBackward:
     def test_sum_gives_ones(self):
         x = Tensor(np.arange(6, dtype=np.float64), requires_grad=True)
-        x.sum().backward()
+        engine.backward(engine.tensor_sum(x))
         np.testing.assert_array_equal(x.grad, np.ones(6))
 
     def test_quadratic(self):
         x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
-        (x * x).sum().backward()
+        engine.backward(engine.tensor_sum(engine.mul(x, x)))
         np.testing.assert_allclose(x.grad, [2.0, -4.0])
 
     def test_non_scalar_rejected(self):
         x = Tensor(np.zeros(3), requires_grad=True)
         with pytest.raises(UsageError):
-            (x * 2.0).backward()
+            engine.backward(engine.mul(x, 2.0))
 
     def test_gradients_sum_over_paths(self):
         x = Tensor(np.array([2.0]), requires_grad=True)
-        y = x * x + x * 3.0
-        y.sum().backward()
+        y = engine.add(engine.mul(x, x), engine.mul(x, 3.0))
+        engine.backward(engine.tensor_sum(y))
         np.testing.assert_allclose(x.grad, [7.0])  # 2x + 3
 
 
@@ -481,7 +483,7 @@ class TestEngineProperties:
         # gradient of tanh(2x) built from two ops equals the fused derivative
         x = np.linspace(-1.0, 1.0, 7)
         xt = Tensor(x, requires_grad=True)
-        tanh(xt * 2.0).sum().backward()
+        engine.backward(engine.tensor_sum(tanh(engine.mul(xt, 2.0))))
         fused = 2.0 * (1.0 - np.tanh(2.0 * x) ** 2)
         np.testing.assert_allclose(xt.grad, fused, rtol=1e-12)
 
@@ -514,14 +516,14 @@ def test_batch_equals_per_sample_slices(case):
     tensors = [Tensor(a, requires_grad=True) for a in batched + shared]
     out = op(*tensors)
     upstream = rng.normal(size=out.shape)
-    (out * Tensor(upstream)).sum().backward()
+    engine.backward(engine.tensor_sum(engine.mul(out, Tensor(upstream))))
 
     shared_sums = [np.zeros_like(a) for a in shared]
     for i in range(n):
         ts = [Tensor(a[i], requires_grad=True) for a in batched]
         ts += [Tensor(a, requires_grad=True) for a in shared]
         o = op(*ts)
-        (o * Tensor(upstream[i])).sum().backward()
+        engine.backward(engine.tensor_sum(engine.mul(o, Tensor(upstream[i]))))
         np.testing.assert_allclose(out.data[i], o.data, rtol=1e-12)
         for bt, st in zip(tensors, ts[:len(batched)]):
             np.testing.assert_allclose(bt.grad[i], st.grad, rtol=1e-12)
@@ -545,7 +547,7 @@ def test_scalar_operand_takes_the_tensor_dtype(op, scalar):
         x = Tensor(np.array([1.0, 2.0, 4.0], dtype=np.float32), requires_grad=True)
         out = op(x, scalar) if order == "tensor-first" else op(scalar, x)
         assert out.dtype == np.float32, order
-        out.sum().backward()
+        engine.backward(engine.tensor_sum(out))
         assert x.grad.dtype == np.float32, order
 
 
@@ -614,15 +616,15 @@ class TestNoGrad:
         with pytest.raises(ZeroDivisionError):
             with engine.no_grad():
                 1 / 0
-        assert (x * 2.0)._parents
+        assert engine.mul(x, 2.0)._parents
 
     def test_state_restored_after_nested_blocks(self):
         x = Tensor(np.ones(3), requires_grad=True)
         with engine.no_grad():
             with engine.no_grad():
                 pass
-            assert not (x * 2.0)._parents
-        assert (x * 2.0)._parents
+            assert not engine.mul(x, 2.0)._parents
+        assert engine.mul(x, 2.0)._parents
 
     def test_backward_on_a_loss_built_without_tape_sets_no_gradient(self):
         from istanet.model import ce_label_smoothing
@@ -630,5 +632,5 @@ class TestNoGrad:
         with engine.no_grad():
             loss = ce_label_smoothing(model.forward_tokens(tokens, "train"), [0, 1, 2],
                                       smoothing=0.1, temperature=1.0)
-        loss.backward()
+        engine.backward(loss)
         assert all(p.grad is None for p in model.parameters())

@@ -6,9 +6,10 @@ import stat
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from istanet import engine
 from istanet import model as model_module
 from istanet.attention import TSABlockConfig
 from istanet.checkpoint import load_checkpoint, save_checkpoint
@@ -19,7 +20,7 @@ from istanet.model import (ISTANet, ModelConfig, NesterovSGD, TrainConfig,
                            ce_label_smoothing, evaluate_topk, lr_schedule, topk_accuracy)
 from istanet.tokenizer import tokenize
 
-from helpers import (CHECKPOINT_CORRUPTIONS, MINIATURE_V1_CHECKPOINT, rel_err,
+from helpers import (CHECKPOINT_CORRUPTIONS, MINIATURE_V1_CHECKPOINT,
                      write_corrupt_checkpoint)
 
 
@@ -82,12 +83,11 @@ class TestForward:
         seq = random_sequence(np.random.default_rng(3), cfg)
         tokens = model.tokenize_sample(seq)
         x = model.forward_tokens(tokens, mode="infer")
-        from istanet import engine
         from istanet.engine import linear
         # pool scaled activations directly
         feats = engine.Tensor(np.random.default_rng(4).normal(size=(6, 4)))
-        pooled1 = feats.mean(axis=0)
-        pooled2 = (feats * 3.0).mean(axis=0)
+        pooled1 = engine.tensor_mean(feats, axis=0)
+        pooled2 = engine.tensor_mean(engine.mul(feats, 3.0), axis=0)
         np.testing.assert_allclose(pooled2.data, 3.0 * pooled1.data, rtol=1e-12)
 
 
@@ -175,7 +175,7 @@ def test_model_computes_in_its_parameter_dtype(dtype):
     loss = ce_label_smoothing(model.forward_tokens(tokens, "train"), [0, 1, 2],
                               smoothing=0.1, temperature=2.0)
     model.zero_grad()
-    loss.backward()
+    engine.backward(loss)
     assert {t.dtype for t in reachable(loss)} == {np.dtype(dtype)}
     assert {p.grad.dtype for p in model.parameters()} == {np.dtype(dtype)}
     for x in (tokens, tokens[0]):
@@ -232,14 +232,18 @@ class TestEntityOrder:
     axis, and no op mixes along S in an order-dependent way (the convolutions
     run along U and T, the Gram matrix sums over S, batchnorm and pooling are
     per channel): the logits do not depend on entity order beyond rounding.
-    With e_w < E the entities sit in different tokens, and order matters."""
+    With e_w < E the entities sit in different tokens, and order matters.
+    The error is normwise, max|a - b| / max|a| over the logit row: a logit
+    near zero would make an element-wise relative error read rounding as a
+    large change."""
 
     @settings(max_examples=8, deadline=None)
-    @given(seed=st.integers(0, 2 ** 16), data=st.data())
-    def test_logits_invariant_iff_one_window_spans_every_entity(self, seed, data):
-        entities = data.draw(st.sampled_from([2, 3]))
-        perm = data.draw(st.permutations(range(entities)).filter(
-            lambda p: list(p) != sorted(p)))
+    @given(seed=st.integers(0, 2 ** 16),
+           perm=st.sampled_from([2, 3]).flatmap(lambda e: st.permutations(range(e)).filter(
+               lambda p: list(p) != sorted(p))))
+    @example(seed=53343, perm=[2, 1, 0])  # a logit of 6.5e-6 in the row
+    def test_logits_invariant_iff_one_window_spans_every_entity(self, seed, perm):
+        entities = len(perm)
         rng = np.random.default_rng(seed)
         seq = SkeletonSequence(rng.normal(size=(3, 40, 5, entities)), label=0)
         permuted = SkeletonSequence(seq.data[..., perm], label=0)
@@ -252,10 +256,11 @@ class TestEntityOrder:
                 num_classes=4)
             model = ISTANet(config, rng=np.random.default_rng(seed), dtype=np.float64)
             logits, permuted_logits = model.classify_batch([seq, permuted])
+            err = np.abs(logits - permuted_logits).max() / np.abs(logits).max()
             if e_w == entities:
-                assert rel_err(logits, permuted_logits) <= 1e-12
+                assert err <= 1e-12
             else:
-                assert rel_err(logits, permuted_logits) > 1e-6
+                assert err > 1e-6
 
 
 class TestLoss:

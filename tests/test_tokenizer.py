@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from istanet import engine
 from istanet.data import SkeletonSequence, pad_to_windows
 from istanet.engine import ConfigurationError, Tensor, UsageError
 from istanet.tokenizer import (EmbedParams, embed, entity_rearrange,
@@ -182,7 +183,7 @@ class TestEmbed:
 
         w0, b0 = p.weight.data.copy(), p.bias.data.copy()
         out = embed(tokens, p, mode="infer")
-        (out * out).sum().backward()
+        engine.backward(engine.tensor_sum(engine.mul(out, out)))
         for param, arr, i in ((p.weight, w0, 0), (p.bias, b0, 1)):
             fd = fd_grad(lambda w, b: loss_np(w, b), [w0, b0], wrt=i)
             assert rel_err(fd, param.grad) <= 1e-4
@@ -205,5 +206,5 @@ class TestTokenRows:
         tokens, layout = tokenize(np.zeros((3, 2, 2, 2)), (1, 2, 2))
         rows = list(token_rows(tokens, layout))
         assert len(rows) == 24
-        assert all(len(r) == 7 for r in rows)
+        assert all(len(r) == 8 for r in rows)
         assert {r[0] for r in rows} == {0, 1}
