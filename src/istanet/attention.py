@@ -65,7 +65,7 @@ class TSABlockConfig:
             if k < 1 or k % 2 == 0:
                 raise ConfigurationError(f"conv kernels must be odd and >= 1, got {k}")
         if self.gamma < 0:
-            raise ConfigurationError(f"activation slope must be >= 0, got {self.gamma}")
+            raise ConfigurationError(f"gamma (activation slope) must be >= 0, got {self.gamma}")
 
     @property
     def v_channels(self):

@@ -2,7 +2,7 @@
 
 Commands: train, eval, gradcheck, inspect, synth.
 Exit codes: 0 success, 1 verification failure, 2 usage/config error,
-3 numeric abort.
+3 numeric abort, 141 output pipe closed.
 """
 
 import argparse
@@ -27,10 +27,7 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
-
-
-class ConfigFileError(ValueError):
-    pass
+EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer whose reader left
 
 
 _TOP_KEYS = {"model", "train", "data", "out_dir"}
@@ -43,45 +40,45 @@ def load_run_config(path):
     """Strictly parse a run-config JSON file; unknown keys are rejected and
     referenced paths must exist."""
     if not os.path.exists(path):
-        raise ConfigFileError(f"config file not found: {path}")
-    text = read_text(path, error=ConfigFileError)
+        raise ConfigurationError(f"config file not found: {path}")
+    text = read_text(path, error=ConfigurationError)
     try:
         doc = json.loads(text)
     except ValueError as e:  # not JSON, or an integer over Python's digit limit
-        raise ConfigFileError(f"{path}: invalid JSON ({e})") from None
+        raise ConfigurationError(f"{path}: invalid JSON ({e})") from None
     if not isinstance(doc, dict):
-        raise ConfigFileError(f"{path}: a run config must be a JSON object")
+        raise ConfigurationError(f"{path}: a run config must be a JSON object")
     unknown = set(doc) - _TOP_KEYS
     if unknown:
-        raise ConfigFileError(f"{path}: unknown top-level keys {sorted(unknown)}")
+        raise ConfigurationError(f"{path}: unknown top-level keys {sorted(unknown)}")
     for key, known in _SECTION_KEYS.items():
         if not isinstance(doc.get(key), dict):
-            raise ConfigFileError(f"{path}: section {key!r} is missing or not a JSON object")
+            raise ConfigurationError(f"{path}: section {key!r} is missing or not a JSON object")
         bad = set(doc[key]) - known
         if bad:
-            raise ConfigFileError(f"{path}: unknown {key} keys {sorted(bad)}")
+            raise ConfigurationError(f"{path}: unknown {key} keys {sorted(bad)}")
 
     try:
         model_config = ModelConfig.from_dict(doc["model"])
         train_config = TrainConfig.from_dict(doc["train"])
     except (TypeError, ConfigurationError) as e:
-        raise ConfigFileError(f"{path}: {e}") from None
+        raise ConfigurationError(f"{path}: {e}") from None
 
     data = dict(doc["data"])
     data.setdefault("train_tag", "train")
     data.setdefault("val_tag", "val")
     for key in ("manifest", "train_tag", "val_tag"):
         if not isinstance(data.get(key), str):
-            raise ConfigFileError(f"{path}: data {key} must be a string, got {data.get(key)!r}")
+            raise ConfigurationError(f"{path}: data {key} must be a string, got {data.get(key)!r}")
     num_classes = data.get("num_classes")
     if num_classes is not None and (type(num_classes) is not int or num_classes < 2):
-        raise ConfigFileError(
+        raise ConfigurationError(
             f"{path}: data num_classes must be an integer >= 2, got {num_classes!r}")
     manifest_path = data["manifest"]
     if not os.path.isabs(manifest_path):
         manifest_path = os.path.join(os.path.dirname(os.path.abspath(path)), manifest_path)
     if not os.path.exists(manifest_path):
-        raise ConfigFileError(f"{path}: manifest not found: {manifest_path}")
+        raise ConfigurationError(f"{path}: manifest not found: {manifest_path}")
     data["manifest"] = manifest_path
     return model_config, train_config, data, doc.get("out_dir", "runs/out")
 
@@ -90,7 +87,7 @@ def _parse_window(text):
     try:
         t, j, e = (int(v) for v in text.split(","))
     except ValueError:
-        raise ConfigFileError(f"--window expects three integers t,j,e, got {text!r}") from None
+        raise ConfigurationError(f"--window expects three integers t,j,e, got {text!r}") from None
     return t, j, e
 
 
@@ -285,13 +282,18 @@ def main(argv=None):
     try:
         if args.seed is not None and args.seed < 0:
             raise UsageError(f"--seed must be an integer >= 0, got {args.seed}")
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader of stdout is gone: the exit flush goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except NumericAbort as e:
         print(f"numeric abort: {e}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ConfigFileError, ConfigurationError, ParseError, ValidationError,
-            UsageError, FileNotFoundError, FileExistsError, NotADirectoryError,
-            IsADirectoryError, PermissionError) as e:
+    except (ConfigurationError, ParseError, ValidationError, UsageError, FileNotFoundError,
+            FileExistsError, NotADirectoryError, IsADirectoryError, PermissionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

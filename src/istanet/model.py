@@ -32,14 +32,13 @@ class ModelConfig:
         self.window = tuple(self.window)
         self.frozen_entities = tuple(self.frozen_entities)
         check_field_types(self)
-        if len(self.window) != 3 or min(self.window) < 1:
-            raise ConfigurationError(
-                f"window must be three integers t,j,e, each >= 1, got {list(self.window)}")
         for name, low in (("in_channels", 1), ("frames", 1), ("joints", 1), ("entities", 1),
-                          ("embed_channels", 1), ("num_classes", 2)):
+                          ("embed_channels", self.in_channels), ("num_classes", 2)):
             if getattr(self, name) < low:
                 raise ConfigurationError(
                     f"{name} must be an integer >= {low}, got {getattr(self, name)!r}")
+        if self.gamma < 0:
+            raise ConfigurationError(f"gamma (activation slope) must be >= 0, got {self.gamma}")
         check_window(self.window, (self.frames, self.joints, self.entities))
         if not all(0 <= e < self.entities for e in self.frozen_entities):
             raise ConfigurationError(f"frozen_entities must be entity indices in "

@@ -3,12 +3,12 @@
 A 3D non-overlapping window (t_w, j_w, e_w), a plain tuple of three
 integers, slides over the (T, J, E) axes of a padded skeleton tensor,
 producing U tokens of shape (C, t_w, S) with S = j_w * e_w. The functions
-here trust the window: `ModelConfig` refuses a length below 1 or above its
-axis for a model, and `data.compute_padding` a length below 1 for a bare
-`tokenize` call. Token index layout is frozen: the temporal block is
-outermost, then the joint block, then the entity block, and within-token
-flattening is joint-major / entity-minor. The positional encoding downstream
-depends on this ordering.
+here trust the window: `check_window` holds the rule, which `ModelConfig`
+and `inspect tokens` apply, and `data.compute_padding` refuses a length
+below 1 for a bare `tokenize` call. Token index layout is frozen: the
+temporal block is outermost, then the joint block, then the entity block,
+and within-token flattening is joint-major / entity-minor. The positional
+encoding downstream depends on this ordering.
 """
 
 import numpy as np
@@ -20,12 +20,12 @@ from .engine import (BatchNormState, ConfigurationError, DimensionError,
 
 
 def check_window(window, dims):
-    """Raise ConfigurationError if a window length exceeds its axis length in
-    dims (T, J, E): padding would repeat the axis to the window's length,
-    which for a huge window asks for gigabytes."""
-    if any(w > n for w, n in zip(window, dims)):
-        raise ConfigurationError(
-            f"window {list(window)} exceeds the axis lengths (T, J, E) = {tuple(dims)}")
+    """Raise ConfigurationError unless window is three lengths, each >= 1 and
+    at most its axis length in dims (T, J, E): padding repeats an axis to the
+    window's length, which for a huge window asks for gigabytes."""
+    if len(window) != 3 or not all(1 <= w <= n for w, n in zip(window, dims)):
+        raise ConfigurationError(f"window {list(window)} must be three lengths t,j,e, each >= 1 "
+                                 f"and at most its axis in (T, J, E) = {tuple(dims)}")
 
 
 def u_layout(dims, window):
@@ -89,11 +89,6 @@ class EmbedParams:
     """Token embedding: pointwise conv C -> C', batchnorm, LeakyReLU."""
 
     def __init__(self, c_in, c_out, gamma, rng, dtype=np.float32):
-        if c_out < c_in:
-            raise ConfigurationError(
-                f"embedding must not shrink channels: C'={c_out} < C={c_in}")
-        if gamma < 0:
-            raise ConfigurationError(f"activation slope must be >= 0, got {gamma}")
         self.gamma = gamma
         self.weight = Parameter("embed.weight", uniform_init(rng, c_out, c_in), dtype=dtype)
         self.bias = Parameter("embed.bias", np.zeros(c_out), dtype=dtype)

@@ -24,8 +24,8 @@ from .tokenizer import entity_rearrange
 
 
 class NumericAbort(RuntimeError):
-    """Training hit a non-finite loss or gradient; message carries
-    diagnostics."""
+    """Training hit a non-finite loss, gradient or stepped parameter; message
+    carries diagnostics."""
 
 
 def preprocess(seq, frames):
@@ -114,6 +114,9 @@ def train(model, manifest, train_config, out_dir=None, train_tag="train",
             if bad is not None:
                 raise NumericAbort(f"non-finite gradient at {where} in parameter {bad}")
             optimizer.step(lr)
+            bad = next((p.name for p in optimizer.params if not np.isfinite(p.data).all()), None)
+            if bad is not None:
+                raise NumericAbort(f"non-finite parameter after the step at {where}: {bad}")
             epoch_loss += loss_val * len(batch)
             epoch_hits += int((logits.data.argmax(axis=1) == labels[batch]).sum())
 

@@ -174,7 +174,7 @@ CHECKPOINT_CORRUPTIONS = {
     "train-config-lr-too-big-for-float": (_edit_json(lambda d: d.update(
         train_config={"lr": 10 ** 400})), "lr must be a finite number"),
     "model-config-window-longer-than-frames": (_edit_json(lambda d: d["model_config"].update(
-        window=[5, 1, 2])), "exceeds the axis lengths"),
+        window=[5, 1, 2])), "at most its axis"),
     "model-config-in-channels-zero": (_edit_json(lambda d: d["model_config"].update(
         in_channels=0)), "in_channels must be an integer >= 1"),
     "model-config-num-classes-huge": (_edit_json(lambda d: d["model_config"].update(

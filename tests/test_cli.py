@@ -1,4 +1,8 @@
 import json
+import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -213,15 +217,15 @@ class TestExitCodes:
     @given(BYTE_EDITS)
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_run_config_byte_mutations_raise_only_config_file_error(self, tmp_path, corpus,
-                                                                    edits):
+    def test_run_config_byte_mutations_raise_only_configuration_error(self, tmp_path, corpus,
+                                                                      edits):
         # flip, insert and delete bytes of a valid run config: load_run_config
-        # returns its sections or raises ConfigFileError, nothing else
+        # returns its sections or raises ConfigurationError, nothing else
         path = write_run_config(tmp_path, corpus)
         path.write_bytes(apply_byte_edits(path.read_bytes(), edits))
         try:
             cli.load_run_config(str(path))
-        except cli.ConfigFileError:
+        except engine.ConfigurationError:
             pass
 
     @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
@@ -239,6 +243,20 @@ class TestExitCodes:
         assert not (tmp_path / "out").exists()
         for key in overrides:
             assert key.split(".")[-1] in err.replace(str(tmp_path), ""), err
+
+    @pytest.mark.parametrize("command", [["train"], ["gradcheck", "--config"]])
+    @pytest.mark.parametrize("field,value", [("gamma", -0.1), ("embed_channels", 2)])
+    def test_bad_model_field_names_the_file_before_the_manifest_is_read(
+            self, capsys, tmp_path, command, field, value):
+        # the manifest is not one: reading it would fail with a ParseError
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("not a manifest line\n")
+        config = write_run_config(tmp_path, manifest, **{f"model.{field}": value})
+        code, out, err = run_cli(capsys, *command, str(config))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {config}: {field} "), err
+        assert "cannot build the model" not in err and "ModelConfig(" not in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("case", sorted(UNREADABLE_INPUTS))
     def test_undecodable_or_directory_input_is_usage_error(self, capsys, tmp_path, case):
@@ -305,10 +323,11 @@ class TestExitCodes:
     @pytest.mark.parametrize("case", sorted(CHECKPOINT_CORRUPTIONS))
     def test_malformed_checkpoint_is_usage_error(self, capsys, tmp_path, corpus, case):
         path = tmp_path / "bad.ckpt"
-        write_corrupt_checkpoint(path, case)
+        message = write_corrupt_checkpoint(path, case)
         code, _, err = run_cli(capsys, "eval", str(path), str(corpus))
         assert code == 2
         assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        assert re.search(message, err), err
 
     def test_gradcheck_default_passes(self, capsys):
         code, out, _ = run_cli(capsys, "gradcheck")
@@ -338,6 +357,28 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "gradcheck")
         assert code == 1
         assert "FAIL" in err
+
+
+@pytest.mark.parametrize("command", ["inspect", "eval"])
+def test_closed_output_pipe_exits_141_quietly(tmp_path, command):
+    # the read end of stdout's pipe is closed before the program writes, as
+    # when a reader such as `head` has already exited
+    seq = make_sample(label=0, t=4, j=2, rng=np.random.default_rng(0))
+    (tmp_path / "s.iskel").write_text(serialize_iskel(seq))
+    (tmp_path / "manifest.txt").write_text("s.iskel 0 val\n")
+    argv = {"inspect": ["inspect", "tokens", str(tmp_path / "s.iskel")],
+            "eval": ["eval", str(MINIATURE_V1_CHECKPOINT), str(tmp_path / "manifest.txt")]}
+    # stdout block-buffered, as by default for a pipe: the write fails at a flush
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "istanet", *argv[command]], env=env,
+                              stdout=write_end, stderr=subprocess.PIPE, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141 and proc.stderr == b"", proc.stderr.decode()
 
 
 class TestTrainEval:

@@ -579,6 +579,22 @@ class TestConfigs:
                         blocks=[TSABlockConfig(c_in=8, c_out=8, heads=2, c_qkv=2)],
                         num_classes=3)
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("embed_channels", 2, "embed_channels must be an integer >= 3, got 2"),
+        ("gamma", -0.1, r"gamma \(activation slope\) must be >= 0, got -0.1"),
+        ("window", (0, 1, 2), r"window \[0, 1, 2\] must be three lengths"),
+        ("window", (1, 2), r"window \[1, 2\] must be three lengths"),
+        ("window", (5, 1, 2), r"at most its axis in \(T, J, E\) = \(4, 2, 2\)"),
+    ], ids=["embed-narrower-than-input", "gamma-negative", "window-zero", "window-two-values",
+            "window-longer-than-frames"])
+    def test_model_config_refuses_a_bad_field(self, field, value, message):
+        fields = dict(window=(2, 1, 2), in_channels=3, frames=4, joints=2, entities=2,
+                      embed_channels=4, gamma=0.1,
+                      blocks=[TSABlockConfig(c_in=4, c_out=4, heads=2, c_qkv=2)],
+                      num_classes=3)
+        with pytest.raises(ConfigurationError, match=message):
+            ModelConfig(**{**fields, field: value})
+
     def test_block_field_types_checked(self):
         with pytest.raises(ConfigurationError, match="heads must be an integer"):
             TSABlockConfig(c_in=4, c_out=4, heads="2", c_qkv=2)

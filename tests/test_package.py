@@ -1,4 +1,12 @@
+import importlib
+import importlib.util
+import pathlib
+import pkgutil
+import sys
+
 import istanet
+
+TRACER = pathlib.Path(__file__).parents[1] / "perfbench" / "tracer.py"
 
 
 def test_every_exported_name_imports():
@@ -6,3 +14,37 @@ def test_every_exported_name_imports():
     namespace = {}
     exec("from istanet import *", namespace)
     assert set(istanet.__all__) <= set(namespace)
+
+
+def test_benchmark_tracer_finds_and_restores_every_traced_attribute():
+    # the benchmark's tracer wraps program functions and methods by name; a
+    # rename fails here instead of only breaking a traced benchmark run. The
+    # tracer is loaded by path: the benchmark's runner tunes BLAS on import.
+    spec = importlib.util.spec_from_file_location("benchmark_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for info in pkgutil.iter_modules(istanet.__path__):
+        if info.name != "__main__":  # running it would start the CLI
+            importlib.import_module(f"istanet.{info.name}")
+    missing = [f"{module}.{attr}" for module, attr, _ in tracer.FUNCTIONS
+               if not hasattr(sys.modules[f"istanet.{module}"], attr)]
+    missing += [f"{module}.{cls}.{meth}" for module, cls, meth, _ in tracer.METHODS
+                if meth not in vars(getattr(sys.modules[f"istanet.{module}"], cls, object))]
+    assert missing == []
+
+    traced = [(sys.modules[f"istanet.{module}"], attr) for module, attr, _ in tracer.FUNCTIONS]
+    traced += [(getattr(sys.modules[f"istanet.{module}"], cls), meth)
+               for module, cls, meth, _ in tracer.METHODS]
+    modules = [m for n, m in sys.modules.items() if n == "istanet" or n.startswith("istanet.")]
+    before = [(owner, dict(vars(owner))) for owner in modules + [o for o, _ in traced]]
+    originals = [vars(owner)[attr] for owner, attr in traced]
+    t = tracer.Tracer("istanet")
+    try:
+        t.install()
+        assert all(vars(owner)[attr] is not original
+                   for (owner, attr), original in zip(traced, originals))
+    finally:
+        t.uninstall()
+    for owner, attrs in before:
+        changed = [k for k, v in attrs.items() if vars(owner).get(k) is not v]
+        assert changed == [], (owner, changed)

@@ -3,7 +3,7 @@ import pytest
 
 from istanet import engine
 from istanet.data import SkeletonSequence, pad_to_windows
-from istanet.engine import ConfigurationError, Tensor, UsageError
+from istanet.engine import Tensor, UsageError
 from istanet.tokenizer import (EmbedParams, embed, entity_rearrange,
                                partition, tokenize, token_rows, u_layout,
                                unpartition)
@@ -188,10 +188,6 @@ class TestEmbed:
             fd = fd_grad(lambda w, b: loss_np(w, b), [w0, b0], wrt=i)
             assert rel_err(fd, param.grad) <= 1e-4
         p.weight.data, p.bias.data = w0, b0
-
-    def test_shrinking_channels_rejected(self):
-        with pytest.raises(ConfigurationError):
-            EmbedParams(3, 2, gamma=0.1, rng=np.random.default_rng(0))
 
 
 class TestULayout:

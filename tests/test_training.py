@@ -170,6 +170,20 @@ class TestTrainLoop:
             train(model, manifest, small_train_config())
         assert {p.name: p.data.tobytes() for p in model.parameters()} == before
 
+    def test_step_that_overflows_a_parameter_aborts_before_validation(self, corpus, tmp_path):
+        # at lr 1e39 one float32 step leaves the parameters non-finite; the
+        # abort comes before that epoch's validation, metrics line and checkpoint
+        manifest = load_manifest(corpus, num_classes=4)
+        model = ISTANet(small_config(), rng=np.random.default_rng(0))
+        config = small_train_config(lr=1e39, batch_size=16, epochs=3, checkpoint_interval=1)
+        records = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericAbort, match=r"non-finite parameter after the step at "
+                                                   r"epoch 0 batch 0: embed\.weight"):
+                train(model, manifest, config, out_dir=tmp_path / "out",
+                      log_sink=lambda record, wall_ms: records.append(record))
+        assert records == [] and list((tmp_path / "out").iterdir()) == []
+
     def test_corrupt_val_file_fails_before_the_first_step(self, tmp_path):
         path = generate_corpus(tmp_path, num_train=8, num_val=4, t=8, j=2, seed=0)
         manifest = load_manifest(path, num_classes=4)
