@@ -18,10 +18,11 @@ ignored.
 save(load(x)) is byte-identical. A save writes a temporary file in the
 target's directory, fsyncs it, renames it over the target and fsyncs the
 directory, so the path holds either the old checkpoint or the new one, never
-a partial file, and the rename survives a power cut. On load, parameter and
-buffer names and shapes are validated against the config-built model, and
-the blob manifest against the payload length; a malformed file raises
-UsageError.
+a partial file, and the rename survives a power cut. On load, the blob
+manifest is validated against the payload length, a header config whose
+model holds more elements than the payload is refused before the model is
+built, and parameter and buffer names and shapes are validated against the
+config-built model; a malformed file raises UsageError.
 """
 
 import contextlib
@@ -32,7 +33,7 @@ import os
 import numpy as np
 
 from .engine import UsageError
-from .model import ISTANet, ModelConfig, TrainConfig
+from .model import ISTANet, ModelConfig, TrainConfig, state_elements
 
 MAGIC = b"ISTACKPT 1"
 
@@ -158,18 +159,21 @@ def load_checkpoint(path, dtype=np.float32):
     raises UsageError. Blobs the model has no parameter or buffer for (the
     optimizer velocities of older files) are ignored.
     """
-    if os.path.isdir(path):
-        raise UsageError(f"{path} is a directory, not a checkpoint")
     with open(path, "rb") as f:
         raw = f.read()
     header, binary = _read_header(path, raw)
+    values = _read_blobs(path, header["blobs"], binary)
     try:
-        model = ISTANet(ModelConfig.from_dict(header["model_config"]), dtype=dtype)
+        config = ModelConfig.from_dict(header["model_config"])
+        need, have = state_elements(config), len(binary) // 4
+        if need > have:  # refused before a single array of it is allocated
+            raise UsageError(f"{path}: cannot build the model in the checkpoint header: "
+                             f"it holds {need} elements, the payload {have}")
+        model = ISTANet(config, dtype=dtype)
         train_config = (TrainConfig.from_dict(header["train_config"])
                         if header.get("train_config") else None)
     except (TypeError, ValueError) as e:
         raise UsageError(f"{path}: bad config in checkpoint header ({e!r})") from None
-    values = _read_blobs(path, header["blobs"], binary)
 
     for p in model.parameters():
         p.data = _stored(path, values, p.name, p.shape, "parameter").astype(p.data.dtype)

@@ -37,10 +37,8 @@ _SECTION_KEYS = {"model": set(ModelConfig.__dataclass_fields__),
 
 
 def load_run_config(path):
-    """Strictly parse a run-config JSON file; unknown keys are rejected and
-    referenced paths must exist."""
-    if not os.path.exists(path):
-        raise ConfigurationError(f"config file not found: {path}")
+    """Strictly parse a run-config JSON file; unknown keys are rejected and a
+    relative manifest path is resolved against the config's directory."""
     text = read_text(path, error=ConfigurationError)
     try:
         doc = json.loads(text)
@@ -77,8 +75,6 @@ def load_run_config(path):
     manifest_path = data["manifest"]
     if not os.path.isabs(manifest_path):
         manifest_path = os.path.join(os.path.dirname(os.path.abspath(path)), manifest_path)
-    if not os.path.exists(manifest_path):
-        raise ConfigurationError(f"{path}: manifest not found: {manifest_path}")
     data["manifest"] = manifest_path
     return model_config, train_config, data, doc.get("out_dir", "runs/out")
 
@@ -292,8 +288,7 @@ def main(argv=None):
     except NumericAbort as e:
         print(f"numeric abort: {e}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ConfigurationError, ParseError, ValidationError, UsageError, FileNotFoundError,
-            FileExistsError, NotADirectoryError, IsADirectoryError, PermissionError) as e:
+    except (ConfigurationError, ParseError, ValidationError, UsageError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -61,10 +61,8 @@ _MAGIC = "ISKEL 1"
 
 def read_text(path, error=ParseError):
     """Contents of a user-supplied UTF-8 text file, newlines translated as
-    in text mode. A directory, or bytes that are not UTF-8, raise `error`,
-    the caller's typed input error."""
-    if os.path.isdir(path):
-        raise error(f"{path} is a directory, not a file")
+    in text mode. Bytes that are not UTF-8 raise `error`, the caller's typed
+    input error; a path `open` refuses raises its OSError."""
     with open(path, "r", encoding="utf-8") as f:
         try:
             return f.read()

@@ -116,6 +116,21 @@ class TrainConfig:
 EVAL_CHUNK_ELEMENTS = 1 << 20
 
 
+def state_elements(config):
+    """Elements of the parameters and buffers ISTANet(config) holds, counted
+    from the config without allocating them."""
+    c_e, u = config.embed_channels, config.num_tokens()
+    total = c_e * (config.in_channels + 5)  # conv weight and bias, batchnorm's four
+    for b in config.blocks:
+        total += b.heads * (2 * b.c_qkv * (b.c_in + 1) + 1 + u * u)  # q, k, alpha, M
+        # ffn conv, ffn pointwise and ta conv weights; their biases and both batchnorms
+        total += b.c_out * (b.c_in * b.k_u + b.c_out * (1 + b.k_t) + 11)
+        if b.c_out != b.c_in:
+            total += b.c_out * (b.c_in + 1)
+    c_last = config.blocks[-1].c_out if config.blocks else c_e
+    return total + config.num_classes * (c_last + 1)
+
+
 class ISTANet:
     """The network: embed -> L TSA blocks -> GAP over (T_w,S,U) -> FC."""
 
@@ -232,14 +247,17 @@ class NesterovSGD:
         self.velocity = {p.name: np.zeros_like(p.data) for p in self.params}
 
     def step(self, lr):
+        """Steps every parameter. A step that overflows is not warned about:
+        train() checks the stepped parameters and aborts on a non-finite one."""
         mu = self.momentum
-        for p in self.params:
-            if p.grad is None:
-                raise UsageError(f"parameter {p.name} has no gradient; run backward first")
-            g = p.grad.astype(p.data.dtype, copy=False)
-            v = mu * self.velocity[p.name] + g
-            self.velocity[p.name] = v
-            p.data = p.data - lr * (g + mu * v)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for p in self.params:
+                if p.grad is None:
+                    raise UsageError(f"parameter {p.name} has no gradient; run backward first")
+                g = p.grad.astype(p.data.dtype, copy=False)
+                v = mu * self.velocity[p.name] + g
+                self.velocity[p.name] = v
+                p.data = p.data - lr * (g + mu * v)
 
 
 def lr_schedule(epoch, train_config):

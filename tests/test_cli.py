@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -10,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 
 from istanet import attention, cli, engine
 from istanet.data import SkeletonSequence, load_manifest, parse_iskel, serialize_iskel
+from istanet.gradcheck import miniature_config
 from istanet.synth import make_sample
 from istanet.tokenizer import tokenize
 
@@ -191,6 +193,22 @@ PATH_ERRORS = {
         "inspect", "attention", "{sample}", "--checkpoint", "{file}/x.ckpt"],
 }
 
+# case -> command line that meets a path the system refuses with an error no
+# other table provokes; {long} is a path whose last component is 300 bytes,
+# longer than a file system allows, {loop} a symlink to itself, {config} a
+# valid run config, {loop_config} a run config whose manifest is {loop},
+# {ckpt} a valid checkpoint and {manifest} a manifest. Each is refused with
+# exit 2 and one error line, and nothing is created.
+REFUSED_PATHS = {
+    "eval-checkpoint-name-too-long": ["eval", "{long}", "{manifest}"],
+    "inspect-tokens-sample-name-too-long": ["inspect", "tokens", "{long}"],
+    "synth-out-name-too-long": ["synth", "{long}"],
+    "train-out-name-too-long": ["train", "{config}", "--out", "{long}"],
+    "inspect-tokens-sample-symlink-loop": ["inspect", "tokens", "{loop}"],
+    "eval-manifest-symlink-loop": ["eval", "{ckpt}", "{loop}"],
+    "train-manifest-symlink-loop": ["train", "{loop_config}"],
+}
+
 
 class TestExitCodes:
     def test_missing_config_names_path(self, capsys):
@@ -287,6 +305,38 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: "), err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("case", sorted(REFUSED_PATHS))
+    def test_name_too_long_or_symlink_loop_is_usage_error(self, capsys, tmp_path, corpus, case):
+        (tmp_path / "ok").mkdir()
+        (tmp_path / "looped").mkdir()
+        paths = {"long": tmp_path / ("n" * 300), "loop": tmp_path / "loop",
+                 "config": write_run_config(tmp_path / "ok", corpus),
+                 "loop_config": write_run_config(tmp_path / "looped", tmp_path / "loop"),
+                 "ckpt": MINIATURE_V1_CHECKPOINT, "manifest": corpus}
+        paths["loop"].symlink_to("loop")
+        before = sorted(tmp_path.rglob("*"))
+        argv = [a.format(**paths) for a in REFUSED_PATHS[case]]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_gradcheck_config_does_not_read_the_manifest(self, capsys, tmp_path):
+        model = dataclasses.asdict(miniature_config())
+        config = write_run_config(tmp_path, tmp_path / "absent.txt", model=model)
+        code, out, err = run_cli(capsys, "gradcheck", "--config", str(config))
+        assert code == 0, err
+        assert out.splitlines()[-1].startswith("OK: ")
+
+    def test_overflowing_step_aborts_with_one_line(self, capsys, tmp_path, corpus):
+        # no errstate here: a numpy warning from the step is an error under
+        # this suite's filters, and would print to stderr outside it
+        config = write_run_config(tmp_path, corpus)
+        code, _, err = run_cli(capsys, "--seed", "7", "train", str(config), "--epochs", "3",
+                               "--lr", "1e39")
+        assert code == 3
+        assert len(err.splitlines()) == 1 and err.startswith("numeric abort: "), err
 
     @pytest.mark.parametrize("target", ["final.ckpt", "epoch_0000.ckpt"])
     def test_checkpoint_target_directory_is_refused_before_training(self, capsys, tmp_path,

@@ -1,12 +1,14 @@
+import dataclasses
 import hashlib
 import json
 import math
 import os
 import stat
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from istanet import engine
@@ -17,11 +19,12 @@ from istanet.data import SkeletonSequence
 from istanet.engine import ConfigurationError, Parameter, Tensor, UsageError
 from istanet.gradcheck import miniature_config, run_gradcheck
 from istanet.model import (ISTANet, ModelConfig, NesterovSGD, TrainConfig,
-                           ce_label_smoothing, evaluate_topk, lr_schedule, topk_accuracy)
+                           ce_label_smoothing, evaluate_topk, lr_schedule, state_elements,
+                           topk_accuracy)
 from istanet.tokenizer import tokenize
 
-from helpers import (CHECKPOINT_CORRUPTIONS, MINIATURE_V1_CHECKPOINT,
-                     write_corrupt_checkpoint)
+from helpers import (BYTE_EDITS, CHECKPOINT_CORRUPTIONS, MINIATURE_V1_CHECKPOINT,
+                     apply_byte_edits, write_corrupt_checkpoint)
 
 
 def tiny_config(num_classes=3):
@@ -548,6 +551,69 @@ class TestCheckpoint:
         message = write_corrupt_checkpoint(path, case)
         with pytest.raises(UsageError, match=message):
             load_checkpoint(path)
+
+    def test_header_model_larger_than_its_payload_is_refused_before_it_is_built(self, tmp_path):
+        # frames 4 -> 4000 makes U 4000, so each head's (U, U) M 16e6
+        # elements; the payload still holds the miniature model
+        raw = MINIATURE_V1_CHECKPOINT.read_bytes()
+        assert raw.count(b'"frames":4,') == 1
+        path = tmp_path / "big.ckpt"
+        path.write_bytes(raw.replace(b'"frames":4,', b'"frames":4000,'))
+        tracemalloc.start()
+        try:
+            with pytest.raises(UsageError, match="cannot build the model"):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20, peak
+
+    @given(BYTE_EDITS)
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_byte_mutations_raise_only_usage_error(self, tmp_path, edits):
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(apply_byte_edits(MINIATURE_V1_CHECKPOINT.read_bytes(), edits))
+        try:
+            load_checkpoint(path)
+        except UsageError:
+            pass
+
+
+@st.composite
+def model_configs(draw):
+    """Small valid ModelConfigs: zero to three blocks, each keeping or
+    doubling its input channels."""
+    dims = [draw(st.integers(1, n)) for n in (6, 3, 2)]
+    window = tuple(draw(st.integers(1, n)) for n in dims)
+    in_channels = draw(st.integers(2, 3))
+    c = embed_channels = draw(st.integers(in_channels, 6))
+    blocks = []
+    for _ in range(draw(st.integers(0, 3))):
+        c_out = draw(st.sampled_from([c, 2 * c]))
+        blocks.append(TSABlockConfig(
+            c_in=c, c_out=c_out, heads=draw(st.sampled_from([h for h in range(1, c + 1)
+                                                             if c % h == 0])),
+            c_qkv=draw(st.integers(1, 3)), k_u=draw(st.sampled_from([1, 3, 5])),
+            k_t=draw(st.sampled_from([1, 3, 5]))))
+        c = c_out
+    return ModelConfig(window=window, in_channels=in_channels, frames=dims[0], joints=dims[1],
+                       entities=dims[2], embed_channels=embed_channels, gamma=0.1,
+                       blocks=blocks, num_classes=draw(st.integers(2, 5)))
+
+
+@given(model_configs())
+@example(tiny_config())
+@example(dataclasses.replace(tiny_config(), blocks=[]))
+@example(dataclasses.replace(tiny_config(), blocks=[
+    TSABlockConfig(c_in=4, c_out=8, heads=2, c_qkv=2),
+    TSABlockConfig(c_in=8, c_out=8, heads=4, c_qkv=1)]))
+@settings(max_examples=60, deadline=None)
+def test_state_elements_counts_every_parameter_and_buffer(config):
+    model = ISTANet(config, rng=np.random.default_rng(0))
+    held = (sum(p.data.size for p in model.parameters())
+            + sum(buf.size for _, buf in model.buffers()))
+    assert state_elements(config) == held
 
 
 class TestFullModelGradients:
