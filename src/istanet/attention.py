@@ -17,14 +17,20 @@ SCORE_BLOCK_ELEMENTS entries (up to 655 samples at U=20, one at U=400),
 else one sample's (U,U) map at a time. A whole map is always scanned for
 entries out of band; a per-sample block is scanned only when a rounding
 bound from its max|tanh|, |alpha| and max|M| cannot prove it in band
-(attention_scores gives the bound). Head outputs are concatenated, passed
-through a token-axis convolution (kernel k_u) and a pointwise FFN with
-residual connections, and finished by temporal aggregation (kernel k_t
-along the within-window time axis, plus residual).
+(attention_scores gives the bound). Per-sample blocks run on THREADS
+threads, the calling one and a pool's: the forward splits the samples, the
+backward the rows of the (U,U) map. THREADS is the number of CPUs in the
+process's affinity mask (`taskset -c 0` gives one), apart from the BLAS
+thread count, and the bytes do not depend on it. Head outputs are
+concatenated, passed through a token-axis convolution (kernel k_u) and a
+pointwise FFN with residual connections, and finished by temporal
+aggregation (kernel k_t along the within-window time axis, plus residual).
 """
 
+import contextvars
 import functools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +44,11 @@ from .engine import (BatchNormState, ConfigurationError, Parameter,
 # A score map of at most this many entries is worked as one block, a larger
 # one a sample at a time (see attention_scores).
 SCORE_BLOCK_ELEMENTS = 1 << 18
+
+# Threads that work a call's per-sample blocks, the calling thread included.
+THREADS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+           else os.cpu_count() or 1)
+_pool = None  # executor of THREADS - 1 workers, made on first use
 
 
 @dataclass(frozen=True)
@@ -100,6 +111,7 @@ class TSABlockParams:
         self.config = cfg = config
         self._params = []
         init = functools.partial(uniform_init, rng)
+        zeros = functools.partial(np.zeros, dtype=dtype)
 
         def param(suffix, data):
             self._params.append(Parameter(f"{name}.{suffix}", data, dtype=dtype))
@@ -114,24 +126,24 @@ class TSABlockParams:
         self.alphas, self.ms = [], []
         for h in range(cfg.heads):
             self.q_weights.append(param(f"head{h}.q_weight", init(cfg.c_qkv, cfg.c_in)))
-            self.q_biases.append(param(f"head{h}.q_bias", np.zeros(cfg.c_qkv)))
+            self.q_biases.append(param(f"head{h}.q_bias", zeros(cfg.c_qkv)))
             self.k_weights.append(param(f"head{h}.k_weight", init(cfg.c_qkv, cfg.c_in)))
-            self.k_biases.append(param(f"head{h}.k_bias", np.zeros(cfg.c_qkv)))
+            self.k_biases.append(param(f"head{h}.k_bias", zeros(cfg.c_qkv)))
             # tanh-dominated start: zero M, unit balance factor
             self.alphas.append(param(f"head{h}.alpha", np.ones(())))
-            self.ms.append(param(f"head{h}.m", np.zeros((num_tokens, num_tokens))))
+            self.ms.append(param(f"head{h}.m", zeros((num_tokens, num_tokens))))
 
         self.ffn_conv_weight = param("ffn_conv.weight", init(cfg.c_out, cfg.c_in, cfg.k_u))
-        self.ffn_conv_bias = param("ffn_conv.bias", np.zeros(cfg.c_out))
+        self.ffn_conv_bias = param("ffn_conv.bias", zeros(cfg.c_out))
         self.ffn_norm = norm("ffn_norm")
         self.ffn_pw_weight = param("ffn_pw.weight", init(cfg.c_out, cfg.c_out))
-        self.ffn_pw_bias = param("ffn_pw.bias", np.zeros(cfg.c_out))
+        self.ffn_pw_bias = param("ffn_pw.bias", zeros(cfg.c_out))
         self.res_weight = self.res_bias = None
         if cfg.c_out != cfg.c_in:
             self.res_weight = param("res.weight", init(cfg.c_out, cfg.c_in))
-            self.res_bias = param("res.bias", np.zeros(cfg.c_out))
+            self.res_bias = param("res.bias", zeros(cfg.c_out))
         self.ta_weight = param("ta.weight", init(cfg.c_out, cfg.c_out, cfg.k_t))
-        self.ta_bias = param("ta.bias", np.zeros(cfg.c_out))
+        self.ta_bias = param("ta.bias", zeros(cfg.c_out))
         self.ta_norm = norm("ta_norm")
 
     def parameters(self):
@@ -193,6 +205,30 @@ def _band_pretest(dtype, m, radius):
     return in_band
 
 
+def _in_threads(work, count):
+    """work(lo, hi) over min(THREADS, count) contiguous ranges that cover
+    range(count): the first on the calling thread, the others on the pool,
+    each in a copy of the caller's context, so that its np.errstate holds
+    there too. Returns when every range is done, raising the error of the
+    first range that failed."""
+    global _pool
+    parts = min(THREADS, count)
+    if parts == 1:
+        return work(0, count)
+    import concurrent.futures
+    if _pool is None:
+        _pool = concurrent.futures.ThreadPoolExecutor(THREADS - 1)
+    ends = [count * p // parts for p in range(parts + 1)]
+    futures = [_pool.submit(contextvars.copy_context().run, work, lo, hi)
+               for lo, hi in zip(ends[1:-1], ends[2:])]
+    try:
+        work(0, ends[1])
+    finally:
+        concurrent.futures.wait(futures)
+    for future in futures:
+        future.result()
+
+
 def attention_scores(q, k, alpha, m, c_beta):
     """scores = alpha * tanh(QK^T / sqrt(c_beta)) + M, as one tape node over
     (QK^T, alpha, M) after the attention_contract node.
@@ -214,6 +250,14 @@ def attention_scores(q, k, alpha, m, c_beta):
     samples for g_alpha and g_M start from the first block and add the
     others in order, the order of the chain's sum over the batch axis: the
     bytes do not depend on the blocking.
+
+    Per-sample blocks run on THREADS threads (_in_threads), each writing
+    only its own slices. The forward gives each thread a range of samples,
+    so every block takes the steps above whole. The backward gives each a
+    range of rows of the (U,U) map, which it works through the samples in
+    order, so each entry of the g_alpha and g_M sums still adds its blocks
+    first to last: the bytes do not depend on THREADS either. A whole map
+    stays on the calling thread.
 
     The band check (_scan_band: out - M, abs, max, then the nudge) runs on
     every whole-map block. A per-sample block first takes
@@ -255,31 +299,45 @@ def attention_scores(q, k, alpha, m, c_beta):
     out = np.empty_like(t)
     blocks = _score_blocks(t.shape)
     in_band = _band_pretest(t.dtype, m.data, radius) if len(blocks) > 1 else None
-    for blk in blocks:
-        t_b, out_b = t[blk], out[blk]
-        np.tanh(np.multiply(gram.data[blk], scale, out=t_b), out=t_b)
-        np.multiply(t_b, alpha.data, out=out_b)
-        out_b += m.data
-        if in_band is None or not in_band(float(max(t_b.max(), -t_b.min()))):
-            _scan_band(out_b, m.data, radius)
+
+    def forward(lo, hi):
+        for blk in blocks[lo:hi]:
+            t_b, out_b = t[blk], out[blk]
+            np.tanh(np.multiply(gram.data[blk], scale, out=t_b), out=t_b)
+            np.multiply(t_b, alpha.data, out=out_b)
+            out_b += m.data
+            if in_band is None or not in_band(float(max(t_b.max(), -t_b.min()))):
+                _scan_band(out_b, m.data, radius)
+
+    _in_threads(forward, len(blocks))
 
     def bwd(g):
-        # block-sized scratch reused across blocks: 1 - t*t for g_gram, and
-        # g*t for g_alpha after the first block, which starts the sum
         g_gram = np.empty_like(t)
-        shape = t[blocks[0]].shape
-        one_minus_tt = np.empty(shape, t.dtype)
-        g_t = np.empty(shape, t.dtype) if len(blocks) > 1 else None
-        for i, blk in enumerate(blocks):
-            g_b, t_b = g[blk], t[blk]
-            g_gram_b = np.multiply(g_b, alpha.data, out=g_gram[blk])
-            np.subtract(1.0, np.multiply(t_b, t_b, out=one_minus_tt), out=one_minus_tt)
-            g_gram_b *= one_minus_tt
-            g_gram_b *= scale
-            g_t_b = np.multiply(g_b, t_b, out=None if i == 0 else g_t)
-            g_alpha = g_t_b if i == 0 else np.add(g_alpha, g_t_b, out=g_alpha)
-            # g_m is a view of g until the second block's add copies it
-            g_m = g_b if i == 0 else np.add(g_m, g_b, out=None if i == 1 else g_m)
+        many = len(blocks) > 1
+        # per-sample blocks sum g*t and g into one (1,U,U) array each, which
+        # the first block fills and the others add to in block order
+        g_alpha, g_m = np.empty((2,) + t[:1].shape, t.dtype) if many else (g * t, g)
+
+        def rows(lo, hi):
+            r = np.s_[..., lo:hi, :]
+            scratch = np.empty(t[blocks[0]][r].shape, t.dtype)  # 1 - t*t, then g*t
+            for i, blk in enumerate(blocks):
+                g_b, t_b = g[blk][r], t[blk][r]
+                g_gram_b = np.multiply(g_b, alpha.data, out=g_gram[blk][r])
+                np.subtract(1.0, np.multiply(t_b, t_b, out=scratch), out=scratch)
+                g_gram_b *= scratch
+                g_gram_b *= scale
+                if many and i == 0:
+                    np.multiply(g_b, t_b, out=g_alpha[r])
+                    g_m[r] = g_b
+                elif many:
+                    g_alpha[r] += np.multiply(g_b, t_b, out=scratch)
+                    g_m[r] += g_b
+
+        if many:
+            _in_threads(rows, t.shape[-2])
+        else:
+            rows(0, t.shape[-2])
         return g_gram, engine._unbroadcast(g_alpha, alpha.shape), engine._unbroadcast(g_m, m.shape)
 
     return engine._make(out, (gram, alpha, m), bwd)

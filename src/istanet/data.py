@@ -209,7 +209,7 @@ def load_manifest(path, num_classes=None):
         except ValueError:
             raise ParseError(f"non-integer label {label_s!r}", line=lineno) from None
         full = os.path.join(root, rel)
-        if not os.path.exists(full):
+        if not os.path.lexists(full):
             raise ValidationError(f"manifest references missing file: {full}")
         if rel in seen:
             warnings.warn(f"manifest lists {rel} more than once; loading it twice")

@@ -14,9 +14,9 @@ encoding downstream depends on this ordering.
 import numpy as np
 
 from .data import SkeletonSequence, pad_to_windows
-from .engine import (BatchNormState, ConfigurationError, DimensionError,
-                     Parameter, UsageError, batchnorm, leaky_relu,
-                     pointwise_conv3d, uniform_init)
+from .engine import (BatchNormState, ConfigurationError, Parameter,
+                     UsageError, batchnorm, leaky_relu, pointwise_conv3d,
+                     uniform_init)
 
 
 def check_window(window, dims):
@@ -62,21 +62,6 @@ def partition(data, window):
     out = data.reshape(c, nt, t_w, nj, j_w, ne, e_w)
     out = out.transpose(0, 2, 4, 6, 1, 3, 5)
     return np.ascontiguousarray(out.reshape(c, t_w, j_w * e_w, nt * nj * ne))
-
-
-def unpartition(tokens, window, dims):
-    """Inverse of `partition` for padded dims (T',J',E')."""
-    t_w, j_w, e_w = window
-    t, j, e = dims
-    c = tokens.shape[0]
-    nt, nj, ne = t // t_w, j // j_w, e // e_w
-    expected = (c, t_w, j_w * e_w, nt * nj * ne)
-    if tokens.shape != expected:
-        raise DimensionError(
-            f"unpartition: token shape {tokens.shape} does not match layout {expected}")
-    out = tokens.reshape(c, t_w, j_w, e_w, nt, nj, ne)
-    out = out.transpose(0, 4, 1, 5, 2, 6, 3)
-    return np.ascontiguousarray(out.reshape(c, t, j, e))
 
 
 def tokenize(seq_data, window):

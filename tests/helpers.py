@@ -1,8 +1,8 @@
 """Shared test utilities: a finite-difference oracle kept independent of the
 reverse-mode path it checks, reference primitives (sub, div, sqrt, reshape,
-tanh) and the attention score map composed of primitive ops, malformed
-checkpoints, byte mutations of input files, and the committed v1 checkpoint
-fixture."""
+tanh), the inverse of the tokenizer's partition, the attention score map
+composed of primitive ops, malformed checkpoints, byte mutations of input
+files, and the committed v1 checkpoint fixture."""
 
 import json
 import pathlib
@@ -99,6 +99,21 @@ def reshape(a, shape):
 def tanh(a):
     out = np.tanh(a.data)
     return engine._make(out, (a,), lambda g: (g * (1.0 - out * out),))
+
+
+def unpartition(tokens, window, dims):
+    """Inverse of tokenizer.partition for padded dims (T',J',E')."""
+    t_w, j_w, e_w = window
+    t, j, e = dims
+    c = tokens.shape[0]
+    nt, nj, ne = t // t_w, j // j_w, e // e_w
+    expected = (c, t_w, j_w * e_w, nt * nj * ne)
+    if tokens.shape != expected:
+        raise engine.DimensionError(
+            f"unpartition: token shape {tokens.shape} does not match layout {expected}")
+    out = tokens.reshape(c, t_w, j_w, e_w, nt, nj, ne)
+    out = out.transpose(0, 4, 1, 5, 2, 6, 3)
+    return np.ascontiguousarray(out.reshape(c, t, j, e))
 
 
 def composed_attention_scores(q, k, alpha, m, c_beta):

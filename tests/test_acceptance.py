@@ -14,8 +14,10 @@ from istanet.engine import Parameter, Tensor
 from istanet.gradcheck import run_gradcheck
 from istanet.model import ISTANet, ModelConfig, NesterovSGD, TrainConfig
 from istanet.synth import generate_corpus
-from istanet.tokenizer import entity_rearrange, partition, tokenize, unpartition
+from istanet.tokenizer import entity_rearrange, partition, tokenize
 from istanet.training import preprocess, train
+
+from helpers import unpartition
 
 
 def report(name, ok, detail=""):

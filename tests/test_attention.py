@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -159,6 +162,23 @@ def record_scans(monkeypatch):
     return scans
 
 
+def record_threads(monkeypatch):
+    """Make the per-sample band pre-test record the thread that runs each
+    block; returns the set of thread idents."""
+    idents, band_pretest = set(), attention._band_pretest
+
+    def spy(dtype, m, radius):
+        in_band = band_pretest(dtype, m, radius)
+
+        def recorded(tau):
+            idents.add(threading.get_ident())
+            return in_band(tau)
+        return recorded
+
+    monkeypatch.setattr(attention, "_band_pretest", spy)
+    return idents
+
+
 def tape_nodes(out):
     """Op nodes (tensors with parents) reachable from `out`."""
     seen, stack = set(), [out]
@@ -219,6 +239,53 @@ class TestFusedScoreNode:
         assert fused.data.tobytes() == ref.data.tobytes()
         for got, want in zip(fused_grads, ref_grads):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_threaded_blocks_equal_composed_chain(self, dtype, threads, n, monkeypatch):
+        # every sample is its own block, and THREADS is set here, not read
+        # from the host, so a one-CPU host runs the pool too (the pool may
+        # run its ranges on one worker); U = 7 is odd, so the backward's row
+        # ranges differ in length. A short switch interval makes the threads
+        # interleave within each block
+        monkeypatch.setattr(attention, "SCORE_BLOCK_ELEMENTS", 0)
+        monkeypatch.setattr(attention, "THREADS", threads)
+        idents = record_threads(monkeypatch)
+        q, k, alpha, m, upstream = score_inputs(np.random.default_rng(n), dtype, 5, u=7, n=n)
+        alpha, m = Parameter("alpha", alpha), Parameter("m", m)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            fused, fused_grads = scores_and_grads(attention_scores, q, k, alpha, m, upstream)
+        finally:
+            sys.setswitchinterval(interval)
+        assert (len(idents) > 1) == (threads > 1 and n > 1)
+        ref, ref_grads = scores_and_grads(composed_attention_scores, q, k, alpha, m, upstream)
+        assert fused.data.tobytes() == ref.data.tobytes()
+        for got, want in zip(fused_grads, ref_grads):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("invalid", ["raise", "ignore"])
+    def test_workers_keep_the_callers_errstate(self, invalid, monkeypatch):
+        # alpha = inf: sample 0's tanh is positive, so alpha * t = inf, but
+        # sample 1's q is zero, so alpha * tanh(0) = inf * 0 is invalid, on
+        # the worker's block only. Under numpy's default state the worker
+        # would warn, which this suite's filters make an error
+        monkeypatch.setattr(attention, "SCORE_BLOCK_ELEMENTS", 0)
+        monkeypatch.setattr(attention, "THREADS", 2)
+        idents = record_threads(monkeypatch)
+        q = np.zeros((2, 1, 1, 2, 3))
+        q[0] = 1.0
+        args = (Tensor(q), Tensor(q), Tensor(np.asarray(np.inf)), Tensor(np.zeros((3, 3))))
+        with np.errstate(invalid=invalid):
+            if invalid == "raise":
+                with pytest.raises(FloatingPointError):
+                    attention_scores(*args, c_beta=4)
+            else:
+                out = attention_scores(*args, c_beta=4)
+                assert len(idents) == 2
+                assert np.isposinf(out.data[0]).all() and np.isnan(out.data[1]).all()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_per_sample_blocks_nudge_a_later_sample(self, dtype, monkeypatch):
@@ -347,7 +414,9 @@ class TestFusedScoreNode:
         |alpha| is 1e-3 to 2, or a few subnormals of the dtype (where a
         product can round up to alpha itself), with either sign; max|M|
         runs from 1e-3 |alpha| up to |alpha| / (0.6 eps), where the rounding
-        of + M alone can leave the band. q, k, alpha and M share the dtype."""
+        of + M alone can leave the band. q, k, alpha and M share the dtype.
+        The blocks run on two threads, so the samples and the rows split
+        unevenly for odd N and U."""
         rng = np.random.default_rng(case["seed"])
         dtype = case["dtype"]
         shape = (case["n"], 2, 2, 2, case["u"])
@@ -367,6 +436,7 @@ class TestFusedScoreNode:
                 np.asarray(upstream, dtype))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(attention, "SCORE_BLOCK_ELEMENTS", 0)
+            mp.setattr(attention, "THREADS", 2)
             fused, fused_grads = scores_and_grads(attention_scores, *args, c_beta=8)
         ref, ref_grads = scores_and_grads(composed_attention_scores, *args, c_beta=8)
         assert fused.dtype == ref.dtype == dtype

@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import json
 import os
 import re
@@ -321,6 +322,16 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: "), err
         assert sorted(tmp_path.rglob("*")) == before
+
+    def test_manifest_naming_a_symlink_loop_gives_the_system_message(self, capsys, tmp_path):
+        # a looping link does not exist to os.path.exists; the manifest must
+        # not call it missing, so that opening it reports the loop
+        (tmp_path / "loop.iskel").symlink_to("loop.iskel")
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("loop.iskel 0 val\n")
+        code, out, err = run_cli(capsys, "eval", str(MINIATURE_V1_CHECKPOINT), str(manifest))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and os.strerror(errno.ELOOP) in err, err
 
     def test_gradcheck_config_does_not_read_the_manifest(self, capsys, tmp_path):
         model = dataclasses.asdict(miniature_config())

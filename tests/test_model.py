@@ -207,6 +207,25 @@ def test_initial_parameters_are_pinned(config, dtype):
     assert digest.hexdigest() == INIT_DIGESTS[config, dtype]
 
 
+def test_building_a_large_model_allocates_no_more_than_it_keeps():
+    # the README config at frames 4000: U = 2000, so each of the four heads
+    # keeps a 15.3 MiB float32 M; a float64 zero M cast to float32 would lift
+    # the peak by half of what the model holds
+    cfg = ModelConfig(window=(10, 1, 2), in_channels=3, frames=4000, joints=5, entities=2,
+                      embed_channels=16, gamma=0.1,
+                      blocks=[TSABlockConfig(c_in=16, c_out=16, heads=2, c_qkv=4),
+                              TSABlockConfig(c_in=16, c_out=32, heads=2, c_qkv=4)],
+                      num_classes=4)
+    tracemalloc.start()
+    try:
+        model = ISTANet(cfg, rng=np.random.default_rng(0))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(p.data.nbytes for p in model.parameters()) > 60 * 2 ** 20
+    assert peak < 1.05 * held, (peak, held)
+
+
 def attribute_parameters(obj, seen=None):
     """Every Parameter reachable from obj's attributes, lists and nested
     objects, by identity."""

@@ -5,10 +5,9 @@ from istanet import engine
 from istanet.data import SkeletonSequence, pad_to_windows
 from istanet.engine import Tensor, UsageError
 from istanet.tokenizer import (EmbedParams, embed, entity_rearrange,
-                               partition, tokenize, token_rows, u_layout,
-                               unpartition)
+                               partition, tokenize, token_rows, u_layout)
 
-from helpers import fd_grad, rel_err
+from helpers import fd_grad, rel_err, unpartition
 
 
 def random_seq(rng, c=3, t=6, j=4, e=2):
