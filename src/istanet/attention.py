@@ -13,24 +13,30 @@ a closed-form backward. The node takes the model's own operands, alpha a
 0-d Tensor and M a Tensor, both in the Gram matrix's dtype (UsageError
 otherwise), and works through the map in blocks, so that each pass reads
 a block from cache: the whole (N,U,U) map when it has at most
-SCORE_BLOCK_ELEMENTS entries (up to 655 samples at U=20, one at U=400),
-else one sample's (U,U) map at a time. A whole map is always scanned for
-entries out of band; a per-sample block is scanned only when a rounding
-bound from its max|tanh|, |alpha| and max|M| cannot prove it in band
-(attention_scores gives the bound). Per-sample blocks run on THREADS
-threads, the calling one and a pool's: the forward splits the samples, the
-backward the rows of the (U,U) map. THREADS is the number of CPUs in the
-process's affinity mask (`taskset -c 0` gives one), apart from the BLAS
-thread count, and the bytes do not depend on it. Head outputs are
-concatenated, passed through a token-axis convolution (kernel k_u) and a
-pointwise FFN with residual connections, and finished by temporal
-aggregation (kernel k_t along the within-window time axis, plus residual).
+engine.SCORE_BLOCK_ELEMENTS entries (up to 655 samples at U=20, one at
+U=400), else one sample's (U,U) map at a time. A whole map is always
+scanned for entries out of band; a per-sample block is scanned only when a
+rounding bound from its max|tanh|, |alpha| and max|M| cannot prove it in
+band (attention_scores gives the bound).
+
+Threads: at a map over that threshold, the head's three map-sized steps
+split their work over engine.THREADS threads, the calling one and a pool's
+(engine._in_threads), forward and backward. The Gram matrix
+(attention_contract) and score application (apply_scores) split the
+samples; the score node's forward splits the samples and its backward the
+rows of the (U,U) map. THREADS is the number of CPUs in the process's
+affinity mask (`taskset -c 0` gives one), apart from the BLAS thread
+count, and the bytes do not depend on it. A whole map stays on the calling
+thread.
+
+Head outputs are concatenated, passed through a token-axis convolution
+(kernel k_u) and a pointwise FFN with residual connections, and finished by
+temporal aggregation (kernel k_t along the within-window time axis, plus
+residual).
 """
 
-import contextvars
 import functools
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,16 +46,6 @@ from .engine import (BatchNormState, ConfigurationError, Parameter,
                      UsageError, apply_scores, attention_contract, batchnorm,
                      check_field_types, concat, conv3d_axis, leaky_relu,
                      pointwise_conv3d, uniform_init)
-
-# A score map of at most this many entries is worked as one block, a larger
-# one a sample at a time (see attention_scores).
-SCORE_BLOCK_ELEMENTS = 1 << 18
-
-# Threads that work a call's per-sample blocks, the calling thread included.
-THREADS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-           else os.cpu_count() or 1)
-_pool = None  # executor of THREADS - 1 workers, made on first use
-
 
 @dataclass(frozen=True)
 class TSABlockConfig:
@@ -168,9 +164,10 @@ def qkv_project(x, params, h):
 
 def _score_blocks(shape):
     """Index of each block of a (U,U) or (N,U,U) score map in the order the
-    score node works through them: the whole map when it has at most
-    SCORE_BLOCK_ELEMENTS entries, else one sample's (1,U,U) slice at a time."""
-    if len(shape) == 2 or math.prod(shape) <= SCORE_BLOCK_ELEMENTS:
+    score node works through them: one sample's (1,U,U) slice at a time when
+    the engine's contraction works the map a sample at a time
+    (engine._per_sample), else the whole map."""
+    if not engine._per_sample(shape):
         return [slice(None)]
     return [slice(b, b + 1) for b in range(shape[0])]
 
@@ -205,30 +202,6 @@ def _band_pretest(dtype, m, radius):
     return in_band
 
 
-def _in_threads(work, count):
-    """work(lo, hi) over min(THREADS, count) contiguous ranges that cover
-    range(count): the first on the calling thread, the others on the pool,
-    each in a copy of the caller's context, so that its np.errstate holds
-    there too. Returns when every range is done, raising the error of the
-    first range that failed."""
-    global _pool
-    parts = min(THREADS, count)
-    if parts == 1:
-        return work(0, count)
-    import concurrent.futures
-    if _pool is None:
-        _pool = concurrent.futures.ThreadPoolExecutor(THREADS - 1)
-    ends = [count * p // parts for p in range(parts + 1)]
-    futures = [_pool.submit(contextvars.copy_context().run, work, lo, hi)
-               for lo, hi in zip(ends[1:-1], ends[2:])]
-    try:
-        work(0, ends[1])
-    finally:
-        concurrent.futures.wait(futures)
-    for future in futures:
-        future.result()
-
-
 def attention_scores(q, k, alpha, m, c_beta):
     """scores = alpha * tanh(QK^T / sqrt(c_beta)) + M, as one tape node over
     (QK^T, alpha, M) after the attention_contract node.
@@ -244,20 +217,21 @@ def attention_scores(q, k, alpha, m, c_beta):
     g_M = g, in the chain's rounding order.
 
     Forward and backward run block by block (_score_blocks): the whole map
-    when it has at most SCORE_BLOCK_ELEMENTS entries, else one sample's
+    when it has at most engine.SCORE_BLOCK_ELEMENTS entries, else one sample's
     (U,U) map at a time, so that every pass over a block reads it from
     cache. Each entry takes the same steps either way, and the sums over
     samples for g_alpha and g_M start from the first block and add the
     others in order, the order of the chain's sum over the batch axis: the
     bytes do not depend on the blocking.
 
-    Per-sample blocks run on THREADS threads (_in_threads), each writing
-    only its own slices. The forward gives each thread a range of samples,
-    so every block takes the steps above whole. The backward gives each a
-    range of rows of the (U,U) map, which it works through the samples in
-    order, so each entry of the g_alpha and g_M sums still adds its blocks
-    first to last: the bytes do not depend on THREADS either. A whole map
-    stays on the calling thread.
+    Per-sample blocks run on engine.THREADS threads (engine._in_threads),
+    as the contraction before them does, each writing only its own slices.
+    The forward gives each thread a range of samples, so every block takes
+    the steps above whole. The backward gives each a range of rows of the
+    (U,U) map, which it works through the samples in order, so each entry
+    of the g_alpha and g_M sums still adds its blocks first to last: the
+    bytes do not depend on THREADS either. A whole map stays on the calling
+    thread.
 
     The band check (_scan_band: out - M, abs, max, then the nudge) runs on
     every whole-map block. A per-sample block first takes
@@ -309,7 +283,7 @@ def attention_scores(q, k, alpha, m, c_beta):
             if in_band is None or not in_band(float(max(t_b.max(), -t_b.min()))):
                 _scan_band(out_b, m.data, radius)
 
-    _in_threads(forward, len(blocks))
+    engine._in_threads(forward, len(blocks))
 
     def bwd(g):
         g_gram = np.empty_like(t)
@@ -335,7 +309,7 @@ def attention_scores(q, k, alpha, m, c_beta):
                     g_m[r] += g_b
 
         if many:
-            _in_threads(rows, t.shape[-2])
+            engine._in_threads(rows, t.shape[-2])
         else:
             rows(0, t.shape[-2])
         return g_gram, engine._unbroadcast(g_alpha, alpha.shape), engine._unbroadcast(g_m, m.shape)

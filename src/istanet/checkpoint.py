@@ -18,8 +18,9 @@ ignored.
 save(load(x)) is byte-identical. A save writes a temporary file in the
 target's directory, fsyncs it, renames it over the target and fsyncs the
 directory, so the path holds either the old checkpoint or the new one, never
-a partial file, and the rename survives a power cut. On load, the blob
-manifest is validated against the payload length, a header config whose
+a partial file, and the rename survives a power cut. On load, a file that
+is not a regular file (a pipe or a device) is refused before it is read, the
+blob manifest is validated against the payload length, a header config whose
 model holds more elements than the payload is refused before the model is
 built, and parameter and buffer names and shapes are validated against the
 config-built model; a malformed file raises UsageError.
@@ -32,6 +33,7 @@ import os
 
 import numpy as np
 
+from .data import check_regular_file
 from .engine import UsageError
 from .model import ISTANet, ModelConfig, TrainConfig, state_elements
 
@@ -155,11 +157,12 @@ def load_checkpoint(path, dtype=np.float32):
     """Rebuild the model from disk; returns (model, train_config or None,
     epoch, None, {}).
 
-    A file that is not a well-formed checkpoint for its own model config
-    raises UsageError. Blobs the model has no parameter or buffer for (the
+    A file that is not a regular file, or not a well-formed checkpoint for
+    its own model config, raises UsageError. Blobs the model has no parameter or buffer for (the
     optimizer velocities of older files) are ignored.
     """
     with open(path, "rb") as f:
+        check_regular_file(f, path, UsageError)
         raw = f.read()
     header, binary = _read_header(path, raw)
     values = _read_blobs(path, header["blobs"], binary)

@@ -12,6 +12,7 @@ tags (fold0, fold1, ...).
 """
 
 import os
+import stat
 import warnings
 from dataclasses import dataclass
 
@@ -59,11 +60,20 @@ class SkeletonSequence:
 _MAGIC = "ISKEL 1"
 
 
+def check_regular_file(f, path, error):
+    """Raise `error` unless the open file `f` is a regular file. A pipe or a
+    device has no size that bounds a read of it: /dev/zero never ends."""
+    if not stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+        raise error(f"{path}: not a regular file")
+
+
 def read_text(path, error=ParseError):
     """Contents of a user-supplied UTF-8 text file, newlines translated as
-    in text mode. Bytes that are not UTF-8 raise `error`, the caller's typed
-    input error; a path `open` refuses raises its OSError."""
+    in text mode. Bytes that are not UTF-8, or a file that is not a regular
+    file, raise `error`, the caller's typed input error; a path `open`
+    refuses raises its OSError."""
     with open(path, "r", encoding="utf-8") as f:
+        check_regular_file(f, path, error)
         try:
             return f.read()
         except UnicodeDecodeError as e:

@@ -27,6 +27,18 @@ made contiguous before it is reshaped (_matmul_transposed). Batchnorm is
 one tape node in both modes, its per-channel affine included; in train
 mode its backward is closed-form.
 
+Threads: the Gram matrix (attention_contract) and score application
+(apply_scores) split the samples of a batched (N,U,U) map of more than
+SCORE_BLOCK_ELEMENTS entries over THREADS threads, forward and backward,
+the calling thread and a pool's (_in_threads). Each thread runs the same
+per-sample GEMMs on its own samples and writes only its slices of
+preallocated outputs, so the bytes do not depend on THREADS. A smaller map,
+or a rank-4 input, runs as one numpy call on the calling thread. The score
+node between them (attention.attention_scores) splits its per-sample blocks
+by the same rule. THREADS is the number of CPUs in the process's affinity
+mask (`taskset -c 0` gives one), apart from the BLAS thread count, which
+should be one: BLAS threads of their own compete with these (README).
+
 Inside ``with no_grad():`` every op returns a plain Tensor with no parents
 and no backward closure, so a forward records no tape; evaluation and
 infer-mode ``forward_classify`` run that way. ``mode="infer"`` alone selects
@@ -35,10 +47,24 @@ parameter requires grad.
 """
 
 import contextlib
+import contextvars
 import dataclasses
+import math
+import os
 import sys
 
 import numpy as np
+
+
+# A score map of at most this many entries is worked whole on the calling
+# thread, a larger batched one a sample at a time, its samples split over
+# THREADS threads (_per_sample).
+SCORE_BLOCK_ELEMENTS = 1 << 18
+
+# Threads that work a call's samples, the calling thread included.
+THREADS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+           else os.cpu_count() or 1)
+_pool = None  # executor of THREADS - 1 workers, made on first use
 
 
 class DimensionError(ValueError):
@@ -418,8 +444,56 @@ def conv3d_axis(x, weight, bias, axis, k):
     return _make(out, (x, weight, bias), bwd)
 
 
-def _matmul_transposed(a, s):
-    """a @ s^T for a (..., rows, U) and s (..., U, U), as a contiguous array.
+def _per_sample(shape):
+    """Whether the ops on a score map of `shape`, (U,U) or (N,U,U), work it a
+    sample at a time on THREADS threads: a batched map of more than
+    SCORE_BLOCK_ELEMENTS entries."""
+    return len(shape) == 3 and math.prod(shape) > SCORE_BLOCK_ELEMENTS
+
+
+def _in_threads(work, count):
+    """work(lo, hi) over min(THREADS, count) contiguous ranges that cover
+    range(count): the first on the calling thread, the others on the pool,
+    each in a copy of the caller's context, so that its np.errstate holds
+    there too. Returns when every range is done, raising the error of the
+    first range that failed. `work` calls numpy only: the benchmark's tracer,
+    which wraps the engine ops, keeps one thread's call stack."""
+    global _pool
+    parts = min(THREADS, count)
+    if parts == 1:
+        return work(0, count)
+    import concurrent.futures
+    if _pool is None:
+        _pool = concurrent.futures.ThreadPoolExecutor(THREADS - 1)
+    ends = [count * p // parts for p in range(parts + 1)]
+    futures = [_pool.submit(contextvars.copy_context().run, work, lo, hi)
+               for lo, hi in zip(ends[1:-1], ends[2:])]
+    try:
+        work(0, ends[1])
+    finally:
+        concurrent.futures.wait(futures)
+    for future in futures:
+        future.result()
+
+
+def _matmul_by_sample(a, b):
+    """a @ b with the samples of the leading batch axis, which a and b share,
+    on THREADS threads (_in_threads), each writing its own slice of one
+    preallocated output with the GEMMs of the whole call."""
+    out = np.empty(a.shape[:-1] + b.shape[-1:], np.result_type(a, b))
+    _in_threads(lambda lo, hi: np.matmul(a[lo:hi], b[lo:hi], out=out[lo:hi]), len(out))
+    return out
+
+
+def _matmul_for(map_shape):
+    """The matmul of the ops on a score map of `map_shape`: _matmul_by_sample
+    when _per_sample splits it, else np.matmul, the one numpy call."""
+    return _matmul_by_sample if _per_sample(map_shape) else np.matmul
+
+
+def _matmul_transposed(a, s, matmul):
+    """a @ s^T for a (..., rows, U) and s (..., U, U), as a contiguous array
+    computed with `matmul` (np.matmul or _matmul_by_sample).
 
     With fewer rows than tokens, OpenBLAS computes (s @ a^T)^T about twice
     as fast, and with more rows about half as fast, so the order follows the
@@ -428,8 +502,8 @@ def _matmul_transposed(a, s):
     read it round differently.
     """
     if a.shape[-2] < a.shape[-1]:
-        return np.ascontiguousarray((s @ a.swapaxes(-1, -2)).swapaxes(-1, -2))
-    return a @ s.swapaxes(-1, -2)
+        return np.ascontiguousarray(matmul(s, a.swapaxes(-1, -2)).swapaxes(-1, -2))
+    return matmul(a, s.swapaxes(-1, -2))
 
 
 def attention_contract(q, k):
@@ -440,11 +514,12 @@ def attention_contract(q, k):
     flat_shape = q.shape[:-4] + (-1, q.shape[-1])
     qf = q.data.reshape(flat_shape)
     kf = k.data.reshape(flat_shape)
-    out = qf.swapaxes(-1, -2) @ kf
+    matmul = _matmul_for(q.shape[:-4] + (q.shape[-1], q.shape[-1]))
+    out = matmul(qf.swapaxes(-1, -2), kf)
 
     def bwd(g):
-        gq = _matmul_transposed(kf, g).reshape(q.shape)
-        gk = (qf @ g).reshape(k.shape)
+        gq = _matmul_transposed(kf, g, matmul).reshape(q.shape)
+        gk = matmul(qf, g).reshape(k.shape)
         return gq, gk
 
     return _make(out, (q, k), bwd)
@@ -459,12 +534,13 @@ def apply_scores(scores, v):
             f"apply_scores: scores shape {scores.shape} != (...,U,U)={expected}")
     flat_shape = v.shape[:-4] + (-1, v.shape[-1])
     vf = v.data.reshape(flat_shape)
-    out = _matmul_transposed(vf, scores.data).reshape(v.shape)
+    matmul = _matmul_for(scores.shape)
+    out = _matmul_transposed(vf, scores.data, matmul).reshape(v.shape)
 
     def bwd(g):
         gf = g.reshape(flat_shape)
-        gs = gf.swapaxes(-1, -2) @ vf
-        gv = (gf @ scores.data).reshape(v.shape)
+        gs = matmul(gf.swapaxes(-1, -2), vf)
+        gv = matmul(gf, scores.data).reshape(v.shape)
         return gs, gv
 
     return _make(out, (scores, v), bwd)

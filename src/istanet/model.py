@@ -135,7 +135,8 @@ class ISTANet:
     """The network: embed -> L TSA blocks -> GAP over (T_w,S,U) -> FC."""
 
     def __init__(self, config, rng=None, dtype=np.float32):
-        """A size that numpy refuses to allocate raises ConfigurationError."""
+        """A size that numpy refuses to allocate, or that does not fit in
+        memory, raises ConfigurationError."""
         self.config = config
         self.dtype = np.dtype(dtype).type
         rng = rng if rng is not None else np.random.default_rng(0)
@@ -151,6 +152,10 @@ class ISTANet:
             self.fc_bias = Parameter("fc.bias", np.zeros(config.num_classes), dtype=dtype)
         except ValueError as e:
             raise ConfigurationError(f"cannot build the model ({e}): {config}") from None
+        except MemoryError:
+            raise ConfigurationError(
+                f"cannot build the model: its {state_elements(config)} parameter and "
+                f"buffer elements do not fit in memory: {config}") from None
 
     def parameters(self):
         params = self.embed_params.parameters()

@@ -1,11 +1,13 @@
 """Shared test utilities: a finite-difference oracle kept independent of the
 reverse-mode path it checks, reference primitives (sub, div, sqrt, reshape,
 tanh), the inverse of the tokenizer's partition, the attention score map
-composed of primitive ops, malformed checkpoints, byte mutations of input
-files, and the committed v1 checkpoint fixture."""
+composed of primitive ops, a recorder of the threads that run the engine's
+per-sample work, malformed checkpoints, byte mutations of input files, and
+the committed v1 checkpoint fixture."""
 
 import json
 import pathlib
+import threading
 
 import numpy as np
 from hypothesis import strategies as st
@@ -114,6 +116,26 @@ def unpartition(tokens, window, dims):
     out = tokens.reshape(c, t_w, j_w, e_w, nt, nj, ne)
     out = out.transpose(0, 4, 1, 5, 2, 6, 3)
     return np.ascontiguousarray(out.reshape(c, t, j, e))
+
+
+def record_threads(monkeypatch, owner=""):
+    """Make engine._in_threads record the thread that runs each range of the
+    work whose __qualname__ starts with `owner` (say "attention_scores" for
+    the score node's; any work by default); returns the set of thread
+    idents. It stays empty when no such work reaches _in_threads."""
+    idents, in_threads = set(), engine._in_threads
+
+    def spy(work, count):
+        if not work.__qualname__.startswith(owner):
+            return in_threads(work, count)
+
+        def recorded(lo, hi):
+            idents.add(threading.get_ident())
+            return work(lo, hi)
+        return in_threads(recorded, count)
+
+    monkeypatch.setattr(engine, "_in_threads", spy)
+    return idents
 
 
 def composed_attention_scores(q, k, alpha, m, c_beta):

@@ -1,5 +1,4 @@
 import sys
-import threading
 
 import numpy as np
 import pytest
@@ -15,7 +14,7 @@ from istanet.data import SkeletonSequence
 from istanet.engine import ConfigurationError, Parameter, Tensor, UsageError
 from istanet.model import ISTANet, ModelConfig, ce_label_smoothing
 
-from helpers import composed_attention_scores, fd_grad, rel_err
+from helpers import composed_attention_scores, fd_grad, record_threads, rel_err
 
 
 def make_block(c_in=4, c_out=4, heads=2, c_qkv=2, u=4, seed=0, dtype=np.float64,
@@ -162,23 +161,6 @@ def record_scans(monkeypatch):
     return scans
 
 
-def record_threads(monkeypatch):
-    """Make the per-sample band pre-test record the thread that runs each
-    block; returns the set of thread idents."""
-    idents, band_pretest = set(), attention._band_pretest
-
-    def spy(dtype, m, radius):
-        in_band = band_pretest(dtype, m, radius)
-
-        def recorded(tau):
-            idents.add(threading.get_ident())
-            return in_band(tau)
-        return recorded
-
-    monkeypatch.setattr(attention, "_band_pretest", spy)
-    return idents
-
-
 def tape_nodes(out):
     """Op nodes (tensors with parents) reachable from `out`."""
     seen, stack = set(), [out]
@@ -224,7 +206,7 @@ class TestFusedScoreNode:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_per_sample_blocks_equal_composed_chain(self, dtype, monkeypatch):
         # a map larger than SCORE_BLOCK_ELEMENTS is worked a sample at a time
-        monkeypatch.setattr(attention, "SCORE_BLOCK_ELEMENTS", 3 * 5 * 5)
+        monkeypatch.setattr(engine, "SCORE_BLOCK_ELEMENTS", 3 * 5 * 5)
         blocks = record_blocks(monkeypatch)
         self.check_bytes_equal_composed_chain(dtype, 5, seed=5, n=4)
         assert blocks == [[slice(b, b + 1) for b in range(4)]]
@@ -249,9 +231,9 @@ class TestFusedScoreNode:
         # run its ranges on one worker); U = 7 is odd, so the backward's row
         # ranges differ in length. A short switch interval makes the threads
         # interleave within each block
-        monkeypatch.setattr(attention, "SCORE_BLOCK_ELEMENTS", 0)
-        monkeypatch.setattr(attention, "THREADS", threads)
-        idents = record_threads(monkeypatch)
+        monkeypatch.setattr(engine, "SCORE_BLOCK_ELEMENTS", 0)
+        monkeypatch.setattr(engine, "THREADS", threads)
+        idents = record_threads(monkeypatch, "attention_scores")
         q, k, alpha, m, upstream = score_inputs(np.random.default_rng(n), dtype, 5, u=7, n=n)
         alpha, m = Parameter("alpha", alpha), Parameter("m", m)
         interval = sys.getswitchinterval()
@@ -272,9 +254,9 @@ class TestFusedScoreNode:
         # sample 1's q is zero, so alpha * tanh(0) = inf * 0 is invalid, on
         # the worker's block only. Under numpy's default state the worker
         # would warn, which this suite's filters make an error
-        monkeypatch.setattr(attention, "SCORE_BLOCK_ELEMENTS", 0)
-        monkeypatch.setattr(attention, "THREADS", 2)
-        idents = record_threads(monkeypatch)
+        monkeypatch.setattr(engine, "SCORE_BLOCK_ELEMENTS", 0)
+        monkeypatch.setattr(engine, "THREADS", 2)
+        idents = record_threads(monkeypatch, "attention_scores")
         q = np.zeros((2, 1, 1, 2, 3))
         q[0] = 1.0
         args = (Tensor(q), Tensor(q), Tensor(np.asarray(np.inf)), Tensor(np.zeros((3, 3))))
@@ -292,7 +274,7 @@ class TestFusedScoreNode:
         # only sample 2 saturates the tanh, at entry (0, 0); alpha lies between
         # half an ulp and one ulp of M = 1 there, so alpha + 1 rounds up to
         # 1 + ulp, out of band, and the nudge has to act in block 2
-        monkeypatch.setattr(attention, "SCORE_BLOCK_ELEMENTS", 0)
+        monkeypatch.setattr(engine, "SCORE_BLOCK_ELEMENTS", 0)
         blocks = record_blocks(monkeypatch)
         scans = record_scans(monkeypatch)
         q = np.zeros((3, 1, 1, 4, 2), dtype=dtype)
@@ -435,8 +417,8 @@ class TestFusedScoreNode:
                 Parameter("alpha", alpha, dtype=dtype), Parameter("m", m, dtype=dtype),
                 np.asarray(upstream, dtype))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(attention, "SCORE_BLOCK_ELEMENTS", 0)
-            mp.setattr(attention, "THREADS", 2)
+            mp.setattr(engine, "SCORE_BLOCK_ELEMENTS", 0)
+            mp.setattr(engine, "THREADS", 2)
             fused, fused_grads = scores_and_grads(attention_scores, *args, c_beta=8)
         ref, ref_grads = scores_and_grads(composed_attention_scores, *args, c_beta=8)
         assert fused.dtype == ref.dtype == dtype

@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from istanet import attention, cli, engine
 from istanet.data import SkeletonSequence, load_manifest, parse_iskel, serialize_iskel
 from istanet.gradcheck import miniature_config
+from istanet.model import ModelConfig, state_elements
 from istanet.synth import make_sample
 from istanet.tokenizer import tokenize
 
@@ -211,6 +212,46 @@ REFUSED_PATHS = {
 }
 
 
+# case -> command line that names a device for one file the program reads;
+# {zero} is /dev/zero, {zero_config} a run config whose manifest is {zero},
+# {zero_manifest} a manifest whose one sample is a link to {zero}, {ckpt} a
+# valid checkpoint, {manifest} a manifest and {sample} a sample. A read of
+# {zero} never ends, so each is refused before it starts.
+DEVICE_INPUTS = {
+    "eval-checkpoint": ["eval", "{zero}", "{manifest}"],
+    "eval-manifest": ["eval", "{ckpt}", "{zero}"],
+    "eval-sample": ["eval", "{ckpt}", "{zero_manifest}"],
+    "train-config": ["train", "{zero}"],
+    "train-manifest": ["train", "{zero_config}"],
+    "inspect-tokens-sample": ["inspect", "tokens", "{zero}"],
+    "inspect-attention-checkpoint": ["inspect", "attention", "{sample}", "--checkpoint", "{zero}"],
+}
+
+# the address space of a capped CLI run: the interpreter and numpy need
+# about 150 MiB of it
+CAP_BYTES = 512 << 20
+
+# caps the address space at sys.argv[1] bytes, then runs `python -m istanet`
+# on the rest of the arguments
+CAPPED_MAIN = ("import resource, runpy, sys; cap = int(sys.argv.pop(1)); "
+               "resource.setrlimit(resource.RLIMIT_AS, (cap, cap)); "
+               "runpy.run_module('istanet', run_name='__main__', alter_sys=True)")
+
+
+def run_capped(argv):
+    """(exit code, stdout, stderr) of the CLI in a subprocess whose address
+    space is capped at CAP_BYTES, so that a read or an allocation without
+    bound fails there, not in the test process. The child sets its own
+    limit, so no Python runs between fork and exec: the test process may
+    hold the engine's thread pool, and Python documents preexec_fn as
+    unsafe in a process with threads."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.run([sys.executable, "-c", CAPPED_MAIN, str(CAP_BYTES), *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
 class TestExitCodes:
     def test_missing_config_names_path(self, capsys):
         code, _, err = run_cli(capsys, "train", "/nope/absent.json")
@@ -332,6 +373,37 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "eval", str(MINIATURE_V1_CHECKPOINT), str(manifest))
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and os.strerror(errno.ELOOP) in err, err
+
+    @pytest.mark.parametrize("case", sorted(DEVICE_INPUTS))
+    def test_device_input_is_refused_before_it_is_read(self, tmp_path, corpus, case):
+        man = load_manifest(corpus)
+        (tmp_path / "zero.iskel").symlink_to("/dev/zero")
+        (tmp_path / "manifest.txt").write_text("zero.iskel 0 val\n")
+        paths = {"zero": "/dev/zero", "zero_config": write_run_config(tmp_path, "/dev/zero"),
+                 "zero_manifest": tmp_path / "manifest.txt", "ckpt": MINIATURE_V1_CHECKPOINT,
+                 "manifest": corpus, "sample": corpus.parent / man.samples[0].path}
+        argv = [a.format(**paths) for a in DEVICE_INPUTS[case]]
+        code, out, err = run_capped(argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.endswith(": not a regular file\n"), err
+        assert len(err.splitlines()) == 1, err
+
+    def test_model_too_large_for_memory_is_usage_error(self, tmp_path, corpus):
+        # the README config at 40000 frames has U = 20000 tokens, and each
+        # head's M takes 1.5 GiB; the model is built before anything is
+        # written
+        model = {"window": [10, 1, 2], "in_channels": 3, "frames": 40, "joints": 5,
+                 "entities": 2, "embed_channels": 16, "gamma": 0.1,
+                 "blocks": [{"c_in": 16, "c_out": 16, "heads": 2, "c_qkv": 4},
+                            {"c_in": 16, "c_out": 32, "heads": 2, "c_qkv": 4}],
+                 "num_classes": 4}
+        config = write_run_config(tmp_path, corpus, model=model)
+        code, out, err = run_capped(["--seed", "7", "train", str(config), "--frames", "40000"])
+        need = state_elements(ModelConfig.from_dict(dict(model, frames=40000)))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        assert f" {need} parameter and buffer elements do not fit in memory" in err, err
+        assert not (tmp_path / "out").exists()
 
     def test_gradcheck_config_does_not_read_the_manifest(self, capsys, tmp_path):
         model = dataclasses.asdict(miniature_config())

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -7,8 +10,8 @@ from istanet.engine import (BatchNormState, ConfigurationError, DimensionError,
                             attention_contract, batchnorm, conv3d_axis,
                             leaky_relu, pointwise_conv3d)
 
-from helpers import (check_op_gradients, div, fd_grad, rel_err, reshape, sqrt, sub,
-                     tanh)
+from helpers import (check_op_gradients, div, fd_grad, record_threads, rel_err, reshape,
+                     sqrt, sub, tanh)
 
 
 class TestPointwiseConv:
@@ -423,6 +426,70 @@ def test_contractions_match_einsum_and_finite_differences(shape):
     qt, kt = Tensor(q, requires_grad=True), Tensor(k, requires_grad=True)
     engine.backward(engine.tensor_sum(attention_contract(qt, kt)))
     assert qt.grad.flags.c_contiguous and kt.grad.flags.c_contiguous
+
+
+def contraction_bytes(shape, dtype):
+    """Output and gradient bytes of attention_contract and apply_scores on
+    random operands of `shape`, (N,C,T,S,U) or (C,T,S,U), under random
+    upstream gradients."""
+    rng = np.random.default_rng(13)
+    q, k, v = (rng.normal(size=shape).astype(dtype) for _ in range(3))
+    s = rng.normal(size=shape[:-4] + (shape[-1], shape[-1])).astype(dtype)
+    result = []
+    for op, a, b in ((attention_contract, q, k), (apply_scores, s, v)):
+        ta, tb = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
+        out = op(ta, tb)
+        upstream = Tensor(rng.normal(size=out.shape).astype(dtype))
+        engine.backward(engine.tensor_sum(engine.mul(out, upstream)))
+        result += [x.tobytes() for x in (out.data, ta.grad, tb.grad)]
+    return result
+
+
+class TestContractionsBySample:
+    """A batched (N,U,U) map of more than SCORE_BLOCK_ELEMENTS entries
+    splits the samples of attention_contract and apply_scores over
+    engine.THREADS threads, forward and backward; the bytes must be those of
+    the one numpy call."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    @pytest.mark.parametrize("rows", [(2, 1, 1), (3, 2, 2)])
+    def test_bytes_do_not_depend_on_threads(self, dtype, threads, n, rows, monkeypatch):
+        # (2,1,1) rows against U = 7 take a @ s^T in the transposed order,
+        # (3,2,2) the direct one. THREADS is set here, not read from the
+        # host, so a one-CPU host runs the pool too, and a short switch
+        # interval makes the threads interleave
+        shape = (n,) + rows + (7,)
+        whole = contraction_bytes(shape, dtype)
+        monkeypatch.setattr(engine, "SCORE_BLOCK_ELEMENTS", 0)
+        monkeypatch.setattr(engine, "THREADS", threads)
+        idents = record_threads(monkeypatch, "_matmul_by_sample")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            split = contraction_bytes(shape, dtype)
+        finally:
+            sys.setswitchinterval(interval)
+        assert split == whole
+        assert (len(idents) > 1) == (threads > 1 and n > 1)
+
+    @pytest.mark.parametrize("shape, threshold, splits", [
+        ((3, 2, 1, 1, 7), 3 * 7 * 7, False),
+        ((3, 2, 1, 1, 7), 3 * 7 * 7 - 1, True),
+        ((2, 1, 1, 7), 0, False)])
+    def test_only_a_batched_map_over_the_threshold_leaves_the_calling_thread(
+            self, shape, threshold, splits, monkeypatch):
+        # a map at the threshold, or a rank-4 input at any threshold, runs
+        # the one numpy call and never reaches _in_threads
+        monkeypatch.setattr(engine, "SCORE_BLOCK_ELEMENTS", threshold)
+        monkeypatch.setattr(engine, "THREADS", 2)
+        idents = record_threads(monkeypatch, "_matmul_by_sample")
+        contraction_bytes(shape, np.float32)
+        if splits:
+            assert threading.get_ident() in idents and len(idents) > 1
+        else:
+            assert idents == set()
 
 
 class TestBackward:

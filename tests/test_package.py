@@ -9,6 +9,8 @@ import numpy as np
 import istanet
 from istanet import attention, engine
 
+from helpers import record_threads
+
 TRACER = pathlib.Path(__file__).parents[1] / "perfbench" / "tracer.py"
 
 
@@ -58,24 +60,39 @@ def test_benchmark_tracer_finds_and_restores_every_traced_attribute():
         assert changed == [], (owner, changed)
 
 
-def test_threaded_score_node_keeps_the_benchmark_tracer_stack(monkeypatch):
-    # the tracer's span stack is the call stack of one thread, so the score
-    # node's workers must call no traced function. The backward is taken
-    # from before install, so the only spans are the forward's
-    monkeypatch.setattr(attention, "SCORE_BLOCK_ELEMENTS", 0)
-    monkeypatch.setattr(attention, "THREADS", 2)
+def test_threaded_block_keeps_the_benchmark_tracer_stack(monkeypatch):
+    # the tracer's span stack is the call stack of one thread, so the work
+    # that the engine's contractions and the score node hand to other
+    # threads must call no traced function, forward or backward
+    monkeypatch.setattr(engine, "SCORE_BLOCK_ELEMENTS", 0)
+    monkeypatch.setattr(engine, "THREADS", 2)
+    idents = record_threads(monkeypatch)
     rng = np.random.default_rng(0)
-    q, k = (engine.Parameter(name, rng.normal(size=(4, 3, 2, 2, 6))) for name in "qk")
-    alpha, m = engine.Parameter("alpha", 1.5), engine.Parameter("m", rng.normal(size=(6, 6)))
-    backward = engine.backward
+    cfg = attention.TSABlockConfig(c_in=4, c_out=8, heads=2, c_qkv=2)
+    params = attention.TSABlockParams(cfg, 6, rng, dtype=np.float64, name="blocks.0")
+    x = engine.Parameter("x", rng.normal(size=(3, 4, 2, 1, 6)))
+    upstream = engine.Tensor(rng.normal(size=(3, 8, 2, 1, 6)))
     t = load_tracer().Tracer("istanet")
     try:
         t.install()
-        out = attention.attention_scores(q, k, alpha, m, c_beta=12)
-        backward(engine.tensor_sum(engine.mul(out, engine.Tensor(rng.normal(size=out.shape)))))
+        out = attention.tsa_block_forward(x, params, "train")
+        engine.backward(engine.tensor_sum(engine.mul(out, upstream)))
     finally:
         t.uninstall()
-    assert t._stack == []
-    assert [(name, parent) for _, parent, _, name, _, _ in t.spans] == [
-        ("attention.attention_scores", None), ("engine.attention_contract", 0)]
-    assert all(p.grad is not None for p in (q, k, alpha, m))
+    assert t._stack == [] and len(idents) > 1
+    head = [("attention.qkv_project", "attention.block0"),
+            ("engine.pointwise_conv3d", "attention.qkv_project"),
+            ("engine.pointwise_conv3d", "attention.qkv_project"),
+            ("attention.attention_scores", "attention.block0"),
+            ("engine.attention_contract", "attention.attention_scores"),
+            ("engine.apply_scores", "attention.block0")]
+    tail = ["engine.conv3d_axis", "engine.batchnorm", "engine.pointwise_conv3d",
+            "engine.pointwise_conv3d", "engine.conv3d_axis", "engine.batchnorm"]
+    spans = {sid: (name, parent, start, end) for sid, parent, _, name, start, end in t.spans}
+    assert [(name, spans[parent][0] if parent is not None else None)
+            for name, parent, _, _ in spans.values()] == (
+        [("attention.block0", None)] + 2 * head + [(n, "attention.block0") for n in tail]
+        + [("bench.tape_count", None), ("engine.backward", None)])
+    for name, parent, start, end in spans.values():
+        assert parent is None or spans[parent][2] <= start <= end <= spans[parent][3]
+    assert all(p.grad is not None for p in [x] + params.parameters())

@@ -10,6 +10,8 @@ from istanet.model import ISTANet, ModelConfig, TrainConfig
 from istanet.synth import generate_corpus
 from istanet.training import NumericAbort, preprocess, train
 
+from helpers import record_threads
+
 
 def small_config(entities=2, frames=8, joints=2):
     return ModelConfig(
@@ -63,6 +65,27 @@ class TestTrainLoop:
                   out_dir=tmp_path / run)
             logs.append((tmp_path / run / "metrics.jsonl").read_bytes())
         assert logs[0] == logs[1]
+
+    def test_thread_count_leaves_training_bytes_unchanged(self, tmp_path, monkeypatch):
+        # window (1,1,1) over 40 frames, 5 joints and 2 entities gives
+        # U = 400, so a batch of 8 has a (8,400,400) map, over
+        # SCORE_BLOCK_ELEMENTS: the contractions and the score node split
+        # their samples at the host's default threshold
+        manifest = load_manifest(generate_corpus(tmp_path, num_train=16, num_val=4, seed=0),
+                                 num_classes=4)
+        config = ModelConfig(window=(1, 1, 1), in_channels=3, frames=40, joints=5,
+                             entities=2, embed_channels=4, gamma=0.1,
+                             blocks=[TSABlockConfig(c_in=4, c_out=4, heads=2, c_qkv=2)],
+                             num_classes=4)
+        runs = []
+        for threads in (1, 2):
+            monkeypatch.setattr(engine, "THREADS", threads)
+            idents = record_threads(monkeypatch)
+            model = ISTANet(config, rng=np.random.default_rng(0))
+            metrics = train(model, manifest, small_train_config(epochs=1, seed=5))
+            assert (len(idents) > 1) == (threads > 1) and idents
+            runs.append((metrics, [p.data.tobytes() for p in model.parameters()]))
+        assert runs[0] == runs[1]
 
     def test_different_seed_changes_trajectory(self, corpus):
         manifest = load_manifest(corpus, num_classes=4)
