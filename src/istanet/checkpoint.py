@@ -18,12 +18,13 @@ ignored.
 save(load(x)) is byte-identical. A save writes a temporary file in the
 target's directory, fsyncs it, renames it over the target and fsyncs the
 directory, so the path holds either the old checkpoint or the new one, never
-a partial file, and the rename survives a power cut. On load, a file that
-is not a regular file (a pipe or a device) is refused before it is read, the
-blob manifest is validated against the payload length, a header config whose
-model holds more elements than the payload is refused before the model is
-built, and parameter and buffer names and shapes are validated against the
-config-built model; a malformed file raises UsageError.
+a partial file, and the rename survives a power cut. A load builds a
+float32 model. It refuses a file that is not a regular file (a pipe, a FIFO
+or a device) before reading it, and one without the magic before reading
+past it; it validates the blob manifest against the payload length, refuses
+a header config whose model holds more elements than the payload before
+building the model, and validates parameter and buffer names and shapes
+against the config-built model; a malformed file raises UsageError.
 """
 
 import contextlib
@@ -33,7 +34,7 @@ import os
 
 import numpy as np
 
-from .data import check_regular_file
+from .data import open_regular
 from .engine import UsageError
 from .model import ISTANet, ModelConfig, TrainConfig, state_elements
 
@@ -89,15 +90,14 @@ def _fsync_directory(path):
         os.close(fd)
 
 
-def _read_header(path, raw):
-    nl1 = raw.find(b"\n")
-    if nl1 < 0 or raw[:nl1] != MAGIC:
+def _read_header(path, f):
+    if f.read(len(MAGIC) + 1) != MAGIC + b"\n":
         raise UsageError(f"{path}: not a checkpoint (bad magic)")
-    nl2 = raw.find(b"\n", nl1 + 1)
-    if nl2 < 0:
+    line = f.readline()
+    if not line.endswith(b"\n"):
         raise UsageError(f"{path}: truncated checkpoint (no end of header)")
     try:
-        header = json.loads(raw[nl1 + 1:nl2].decode("utf-8"))
+        header = json.loads(line[:-1].decode("utf-8"))
     except ValueError as e:  # not UTF-8, not JSON, or an integer over Python's digit limit
         raise UsageError(f"{path}: corrupt checkpoint header ({e})") from None
     if not isinstance(header, dict):
@@ -105,7 +105,7 @@ def _read_header(path, raw):
     for key in ("model_config", "blobs"):
         if key not in header:
             raise UsageError(f"{path}: checkpoint header has no {key!r}")
-    return header, raw[nl2 + 1:]
+    return header
 
 
 def _read_blobs(path, manifest, binary):
@@ -153,18 +153,18 @@ def _stored(path, values, name, shape, kind):
     return stored
 
 
-def load_checkpoint(path, dtype=np.float32):
-    """Rebuild the model from disk; returns (model, train_config or None,
-    epoch, None, {}).
+def load_checkpoint(path):
+    """Rebuild the float32 model from disk; returns (model, train_config or
+    None, epoch, None, {}).
 
     A file that is not a regular file, or not a well-formed checkpoint for
-    its own model config, raises UsageError. Blobs the model has no parameter or buffer for (the
-    optimizer velocities of older files) are ignored.
+    its own model config, raises UsageError. Blobs the model has no
+    parameter or buffer for (the optimizer velocities of older files) are
+    ignored.
     """
-    with open(path, "rb") as f:
-        check_regular_file(f, path, UsageError)
-        raw = f.read()
-    header, binary = _read_header(path, raw)
+    with open_regular(path, "rb", UsageError) as f:
+        header = _read_header(path, f)
+        binary = f.read()
     values = _read_blobs(path, header["blobs"], binary)
     try:
         config = ModelConfig.from_dict(header["model_config"])
@@ -172,7 +172,7 @@ def load_checkpoint(path, dtype=np.float32):
         if need > have:  # refused before a single array of it is allocated
             raise UsageError(f"{path}: cannot build the model in the checkpoint header: "
                              f"it holds {need} elements, the payload {have}")
-        model = ISTANet(config, dtype=dtype)
+        model = ISTANet(config)
         train_config = (TrainConfig.from_dict(header["train_config"])
                         if header.get("train_config") else None)
     except (TypeError, ValueError) as e:

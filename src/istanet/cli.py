@@ -97,10 +97,6 @@ def _apply_overrides(model_config, train_config, args):
             dataclasses.replace(train_config, **given(train)))
 
 
-def _dtype(args):
-    return np.float64 if args.precision == "f64" else np.float32
-
-
 def cmd_train(args):
     model_config, train_config, data, out_dir = load_run_config(args.config)
     model_config, train_config = _apply_overrides(model_config, train_config, args)
@@ -110,7 +106,7 @@ def cmd_train(args):
                       model_config.num_classes)
     manifest = load_manifest(data["manifest"], num_classes=num_classes)
     rng = np.random.default_rng(train_config.seed)
-    model = ISTANet(model_config, rng=rng, dtype=_dtype(args))
+    model = ISTANet(model_config, rng=rng)
     os.makedirs(out_dir, exist_ok=True)
     snapshot = {"model": model_config.to_dict(), "train": train_config.to_dict(),
                 "data": data, "out_dir": out_dir}
@@ -129,7 +125,7 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    model = load_checkpoint(args.checkpoint, dtype=_dtype(args))[0]
+    model = load_checkpoint(args.checkpoint)[0]
     manifest = load_manifest(args.manifest, num_classes=model.config.num_classes)
     frames = model.config.frames
     prep = lambda s: preprocess(s, frames)
@@ -159,8 +155,6 @@ def cmd_eval(args):
 
 
 def cmd_gradcheck(args):
-    if args.precision == "f32":
-        raise UsageError("gradcheck runs in float64; --precision f32 does not apply")
     if not (math.isfinite(args.tolerance) and args.tolerance > 0):
         raise UsageError(f"--tolerance must be a finite number > 0, got {args.tolerance}")
     config = None
@@ -195,7 +189,7 @@ def cmd_inspect(args):
     # attention: forward the sample through a checkpoint, dump score matrices
     if not args.checkpoint:
         raise UsageError("inspect attention requires --checkpoint")
-    model = load_checkpoint(args.checkpoint, dtype=_dtype(args))[0]
+    model = load_checkpoint(args.checkpoint)[0]
     seq = preprocess(seq, model.config.frames)
     tokens = model.tokenize_sample(seq)
     sink = []
@@ -228,8 +222,6 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="istanet",
                                      description="Interactive spatiotemporal token attention harness")
     parser.add_argument("--seed", type=int, default=None, help="global seed override")
-    parser.add_argument("--precision", choices=("f32", "f64"), default=None,
-                        help="model dtype (default f32; gradcheck always runs in f64)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="train a model from a run config")

@@ -60,20 +60,26 @@ class SkeletonSequence:
 _MAGIC = "ISKEL 1"
 
 
-def check_regular_file(f, path, error):
-    """Raise `error` unless the open file `f` is a regular file. A pipe or a
-    device has no size that bounds a read of it: /dev/zero never ends."""
+def _open_nonblocking(path, flags):
+    return os.open(path, flags | getattr(os, "O_NONBLOCK", 0))  # a regular file ignores it
+
+
+def open_regular(path, mode, error, encoding=None):
+    """Open a user-supplied input file to read. One that is not a regular
+    file raises `error`: a pipe or a device has no size that bounds a read
+    (/dev/zero never ends), and a FIFO, opened non-blocking, is not waited on."""
+    f = open(path, mode, encoding=encoding, opener=_open_nonblocking)
     if not stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+        f.close()
         raise error(f"{path}: not a regular file")
+    return f
 
 
 def read_text(path, error=ParseError):
-    """Contents of a user-supplied UTF-8 text file, newlines translated as
-    in text mode. Bytes that are not UTF-8, or a file that is not a regular
-    file, raise `error`, the caller's typed input error; a path `open`
-    refuses raises its OSError."""
-    with open(path, "r", encoding="utf-8") as f:
-        check_regular_file(f, path, error)
+    """Contents of a user-supplied UTF-8 text file (`open_regular`), newlines
+    translated as in text mode. Bytes that are not UTF-8 raise `error`, the
+    caller's typed input error, as does a file that is not a regular file."""
+    with open_regular(path, "r", error, encoding="utf-8") as f:
         try:
             return f.read()
         except UnicodeDecodeError as e:

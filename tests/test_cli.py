@@ -1,7 +1,9 @@
+import argparse
 import dataclasses
 import errno
 import json
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -212,11 +214,13 @@ REFUSED_PATHS = {
 }
 
 
-# case -> command line that names a device for one file the program reads;
-# {zero} is /dev/zero, {zero_config} a run config whose manifest is {zero},
-# {zero_manifest} a manifest whose one sample is a link to {zero}, {ckpt} a
-# valid checkpoint, {manifest} a manifest and {sample} a sample. A read of
-# {zero} never ends, so each is refused before it starts.
+# case -> command line that names a device or a FIFO for one file the
+# program reads; {zero} is /dev/zero, {zero_config} a run config whose
+# manifest is {zero}, {zero_manifest} a manifest whose one sample is a link
+# to {zero}, {fifo} a FIFO that nothing writes to, {ckpt} a valid
+# checkpoint, {manifest} a manifest and {sample} a sample. A read of {zero}
+# never ends and an open of {fifo} waits for a writer, so each is refused
+# before either starts.
 DEVICE_INPUTS = {
     "eval-checkpoint": ["eval", "{zero}", "{manifest}"],
     "eval-manifest": ["eval", "{ckpt}", "{zero}"],
@@ -225,6 +229,10 @@ DEVICE_INPUTS = {
     "train-manifest": ["train", "{zero_config}"],
     "inspect-tokens-sample": ["inspect", "tokens", "{zero}"],
     "inspect-attention-checkpoint": ["inspect", "attention", "{sample}", "--checkpoint", "{zero}"],
+    "fifo-eval-checkpoint": ["eval", "{fifo}", "{manifest}"],
+    "fifo-eval-manifest": ["eval", "{ckpt}", "{fifo}"],
+    "fifo-train-config": ["train", "{fifo}"],
+    "fifo-inspect-tokens-sample": ["inspect", "tokens", "{fifo}"],
 }
 
 # the address space of a capped CLI run: the interpreter and numpy need
@@ -241,14 +249,15 @@ CAPPED_MAIN = ("import resource, runpy, sys; cap = int(sys.argv.pop(1)); "
 def run_capped(argv):
     """(exit code, stdout, stderr) of the CLI in a subprocess whose address
     space is capped at CAP_BYTES, so that a read or an allocation without
-    bound fails there, not in the test process. The child sets its own
+    bound fails there, not in the test process, and a run that waits fails
+    the test at the timeout rather than hanging it. The child sets its own
     limit, so no Python runs between fork and exec: the test process may
     hold the engine's thread pool, and Python documents preexec_fn as
     unsafe in a process with threads."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
     proc = subprocess.run([sys.executable, "-c", CAPPED_MAIN, str(CAP_BYTES), *argv], env=env,
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, text=True, timeout=10)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -379,14 +388,25 @@ class TestExitCodes:
         man = load_manifest(corpus)
         (tmp_path / "zero.iskel").symlink_to("/dev/zero")
         (tmp_path / "manifest.txt").write_text("zero.iskel 0 val\n")
+        os.mkfifo(tmp_path / "fifo")
         paths = {"zero": "/dev/zero", "zero_config": write_run_config(tmp_path, "/dev/zero"),
-                 "zero_manifest": tmp_path / "manifest.txt", "ckpt": MINIATURE_V1_CHECKPOINT,
-                 "manifest": corpus, "sample": corpus.parent / man.samples[0].path}
+                 "zero_manifest": tmp_path / "manifest.txt", "fifo": tmp_path / "fifo",
+                 "ckpt": MINIATURE_V1_CHECKPOINT, "manifest": corpus,
+                 "sample": corpus.parent / man.samples[0].path}
         argv = [a.format(**paths) for a in DEVICE_INPUTS[case]]
         code, out, err = run_capped(argv)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.endswith(": not a regular file\n"), err
         assert len(err.splitlines()) == 1, err
+
+    def test_large_non_checkpoint_is_refused_by_its_magic_before_it_is_read(self, tmp_path,
+                                                                          corpus):
+        path = tmp_path / "big.bin"
+        with open(path, "wb") as f:
+            f.truncate(2 << 30)  # sparse: 2 GiB of zeros that take no disk space
+        code, out, err = run_capped(["eval", str(path), str(corpus)])
+        assert code == 2 and out == ""
+        assert err == f"error: {path}: not a checkpoint (bad magic)\n", err
 
     def test_model_too_large_for_memory_is_usage_error(self, tmp_path, corpus):
         # the README config at 40000 frames has U = 20000 tokens, and each
@@ -467,15 +487,11 @@ class TestExitCodes:
         assert code == 0
         assert "OK" in out
 
-    def test_gradcheck_rejects_f32_precision(self, capsys):
-        code, out, err = run_cli(capsys, "--precision", "f32", "gradcheck")
-        assert code == 2 and out == ""
-        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
-        assert "float64" in err
-
-    def test_gradcheck_f64_precision_gives_default_report(self, capsys):
-        default = run_cli(capsys, "gradcheck")
-        assert run_cli(capsys, "--precision", "f64", "gradcheck") == default
+    def test_precision_is_an_unknown_argument(self, capsys):
+        # every model the CLI builds is float32; gradcheck builds its own float64 one
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["--precision", "f64", "gradcheck"])
+        assert exit_.value.code == 2 and "istanet: error: " in capsys.readouterr().err
 
     def test_gradcheck_detects_corrupted_backward(self, capsys, monkeypatch):
         # negative control: scale one op's gradient and confirm the check
@@ -659,3 +675,16 @@ class TestSynth:
         seq = man.load(man.samples[0])
         assert seq.data.shape == (3, 8, 2, 2)
         assert np.isfinite(seq.data).all()
+
+
+def test_readme_documents_every_cli_option():
+    # README's option docs drift when a flag is added or removed
+    options = lambda p: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    every = options(parser).union(*map(options, subparsers.choices.values()))
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    missing = sorted(o for o in every if not re.search(rf"{re.escape(o)}(?![\w-])", readme))
+    assert not missing, f"options README never names: {missing}"
+    sentence = re.search(r"Global flags:(.*?)\. ", readme, re.S).group(1)
+    assert set(re.findall(r"--[\w-]+", sentence)) == options(parser), sentence

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from istanet import engine
+from istanet import engine, gradcheck
 from istanet import model as model_module
 from istanet.attention import TSABlockConfig
 from istanet.checkpoint import load_checkpoint, save_checkpoint
@@ -539,6 +539,16 @@ class TestCheckpoint:
         save_checkpoint(tmp_path / "m.ckpt", ISTANet(tiny_config(), rng=np.random.default_rng(0)))
         assert calls == ["fsync-file", "replace", "fsync-dir"]
 
+    def test_loaded_model_is_float32(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, ISTANet(tiny_config(), rng=np.random.default_rng(0),
+                                      dtype=np.float64))
+        for source in (path, MINIATURE_V1_CHECKPOINT):
+            model = load_checkpoint(source)[0]
+            dtypes = ({p.data.dtype for p in model.parameters()}
+                      | {buf.dtype for _, buf in model.buffers()})
+            assert dtypes == {np.dtype(np.float32)}, source
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"NOTACKPT\n{}\n")
@@ -640,6 +650,19 @@ class TestFullModelGradients:
         report, offenders = run_gradcheck()
         assert not offenders
         assert max(report.values()) <= 1e-4
+
+    def test_gradcheck_builds_a_float64_model(self, monkeypatch):
+        seen = []
+        real = gradcheck.finite_difference_check
+
+        def spy(model, tokens, label):
+            seen.append({p.data.dtype for p in model.parameters()}
+                        | {buf.dtype for _, buf in model.buffers()} | {tokens.dtype})
+            return real(model, tokens, label)
+
+        monkeypatch.setattr(gradcheck, "finite_difference_check", spy)
+        run_gradcheck()
+        assert seen == [{np.dtype(np.float64)}]
 
     def test_channel_doubling_chain_gradcheck_passes(self):
         # a block fed by another block, and the residual projection that
