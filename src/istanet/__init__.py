@@ -1,9 +1,20 @@
 """Interactive spatiotemporal token attention for skeleton-based
 interactive action recognition, built on a minimal numpy autodiff engine."""
 
-from .data import SkeletonSequence, compute_padding, parse_iskel, serialize_iskel
-from .engine import Parameter, Tensor
-from .model import ISTANet, ModelConfig, TrainConfig
+import os
+
+# BLAS gets one thread unless the user sets its thread count: the engine
+# already splits its per-sample work over every CPU (engine.THREADS), and
+# BLAS's default of one thread per CPU competes with those threads. BLAS
+# reads these when numpy is first imported, which for the console script and
+# `python -m istanet` is below, after this package starts.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
+
+from .data import SkeletonSequence, compute_padding, parse_iskel, serialize_iskel  # noqa: E402
+from .engine import Parameter, Tensor  # noqa: E402
+from .model import ISTANet, ModelConfig, TrainConfig  # noqa: E402
 
 __all__ = [
     "SkeletonSequence", "compute_padding", "parse_iskel", "serialize_iskel",

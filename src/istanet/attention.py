@@ -32,7 +32,10 @@ thread.
 Head outputs are concatenated, passed through a token-axis convolution
 (kernel k_u) and a pointwise FFN with residual connections, and finished by
 temporal aggregation (kernel k_t along the within-window time axis, plus
-residual).
+residual). The token-axis and temporal convolutions, each followed by a
+batchnorm, run through engine.conv_batchnorm, which in infer mode folds the
+batchnorm, and the temporal residual, into the convolution's weight and
+bias.
 """
 
 import functools
@@ -43,9 +46,9 @@ import numpy as np
 
 from . import engine
 from .engine import (BatchNormState, ConfigurationError, Parameter,
-                     UsageError, apply_scores, attention_contract, batchnorm,
-                     check_field_types, concat, conv3d_axis, leaky_relu,
-                     pointwise_conv3d, uniform_init)
+                     UsageError, apply_scores, attention_contract,
+                     check_field_types, concat, conv3d_axis, conv_batchnorm,
+                     leaky_relu, pointwise_conv3d, uniform_init)
 
 @dataclass(frozen=True)
 class TSABlockConfig:
@@ -317,11 +320,6 @@ def attention_scores(q, k, alpha, m, c_beta):
     return engine._make(out, (gram, alpha, m), bwd)
 
 
-def temporal_aggregate(x, weight, bias, k_t):
-    """Convolution along the within-window time axis plus identity residual."""
-    return engine.add(conv3d_axis(x, weight, bias, axis="T", k=k_t), x)
-
-
 def tsa_block_forward(x, params, mode, score_sink=None):
     """One block: multi-head scores on values, head concat, token-axis FFN
     with residuals, then temporal aggregation. Takes a (C,T_w,S,U) or a
@@ -343,9 +341,9 @@ def tsa_block_forward(x, params, mode, score_sink=None):
     xh = concat(heads, axis=-4) if len(heads) > 1 else heads[0]
 
     # token-axis convolution, normalized and activated
-    xhat = conv3d_axis(xh, params.ffn_conv_weight, params.ffn_conv_bias,
-                       axis="U", k=params.config.k_u)
-    xhat = leaky_relu(batchnorm(xhat, params.ffn_norm, mode), params.config.gamma)
+    xhat = conv_batchnorm(conv3d_axis, xh, params.ffn_conv_weight, params.ffn_conv_bias,
+                          params.ffn_norm, mode, axis="U", k=params.config.k_u)
+    xhat = leaky_relu(xhat, params.config.gamma)
 
     if params.res_weight is not None:
         res = pointwise_conv3d(x, params.res_weight, params.res_bias)
@@ -354,5 +352,7 @@ def tsa_block_forward(x, params, mode, score_sink=None):
     ffn_in = engine.add(xhat, res)
     xacc = engine.add(pointwise_conv3d(ffn_in, params.ffn_pw_weight, params.ffn_pw_bias), res)
 
-    out = temporal_aggregate(xacc, params.ta_weight, params.ta_bias, params.config.k_t)
-    return leaky_relu(batchnorm(out, params.ta_norm, mode), params.config.gamma)
+    # temporal aggregation: time-axis convolution plus identity residual
+    out = conv_batchnorm(conv3d_axis, xacc, params.ta_weight, params.ta_bias, params.ta_norm,
+                         mode, residual=True, axis="T", k=params.config.k_t)
+    return leaky_relu(out, params.config.gamma)

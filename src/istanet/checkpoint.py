@@ -21,7 +21,8 @@ directory, so the path holds either the old checkpoint or the new one, never
 a partial file, and the rename survives a power cut. A load builds a
 float32 model. It refuses a file that is not a regular file (a pipe, a FIFO
 or a device) before reading it, and one without the magic before reading
-past it; it validates the blob manifest against the payload length, refuses
+past it; it validates the blob manifest against the payload length before
+it reads the payload, and reads only the bytes the manifest names, refuses
 a header config whose model holds more elements than the payload before
 building the model, and validates parameter and buffer names and shapes
 against the config-built model; a malformed file raises UsageError.
@@ -108,13 +109,17 @@ def _read_header(path, f):
     return header
 
 
-def _read_blobs(path, manifest, binary):
-    """Map blob name -> float32 array, checking every blob starts where the
-    one before it ends (as save_checkpoint writes them), lies inside the
-    payload, and the payload holds exactly the manifest's elements."""
+def _read_blobs(path, manifest, f):
+    """(blob name -> float32 array, elements) from the open file `f`, read
+    after the header. Every blob must start where the one before it ends (as
+    save_checkpoint writes them) and lie inside the payload, and the payload
+    must hold exactly the manifest's elements. Both are checked against the
+    file's size before the payload is read, and only the payload the manifest
+    names is read, plus one byte to detect more."""
     if not isinstance(manifest, list):
         raise UsageError(f"{path}: checkpoint blob manifest is not a list")
-    values = {}
+    have = os.fstat(f.fileno()).st_size - f.tell()  # payload bytes
+    blobs = []
     total = 0
     for entry in manifest:
         try:
@@ -129,17 +134,19 @@ def _read_blobs(path, manifest, binary):
         if offset != total:
             raise UsageError(f"{path}: blob {name!r} starts at element {offset}, "
                              f"but the blobs before it end at element {total}")
-        if (offset + size) * 4 > len(binary):
+        if (offset + size) * 4 > have:
             raise UsageError(
                 f"{path}: blob {name!r} runs past the end of the file "
-                f"(needs {(offset + size) * 4} payload bytes, file has {len(binary)})")
-        values[name] = np.frombuffer(binary, dtype="<f4", count=size,
-                                     offset=offset * 4).reshape(shape)
+                f"(needs {(offset + size) * 4} payload bytes, file has {have})")
+        blobs.append((name, shape, offset, size))
         total += size
-    if total * 4 != len(binary):
-        raise UsageError(
-            f"{path}: payload is {len(binary)} bytes, manifest describes {total * 4}")
-    return values
+    if total * 4 == have:
+        binary = f.read(have + 1)  # one byte more shows a file that changed since fstat
+        have = len(binary)
+    if total * 4 != have:
+        raise UsageError(f"{path}: payload is {have} bytes, manifest describes {total * 4}")
+    return {name: np.frombuffer(binary, dtype="<f4", count=size, offset=offset * 4).reshape(shape)
+            for name, shape, offset, size in blobs}, total
 
 
 def _stored(path, values, name, shape, kind):
@@ -164,11 +171,10 @@ def load_checkpoint(path):
     """
     with open_regular(path, "rb", UsageError) as f:
         header = _read_header(path, f)
-        binary = f.read()
-    values = _read_blobs(path, header["blobs"], binary)
+        values, have = _read_blobs(path, header["blobs"], f)
     try:
         config = ModelConfig.from_dict(header["model_config"])
-        need, have = state_elements(config), len(binary) // 4
+        need = state_elements(config)
         if need > have:  # refused before a single array of it is allocated
             raise UsageError(f"{path}: cannot build the model in the checkpoint header: "
                              f"it holds {need} elements, the payload {have}")

@@ -23,9 +23,11 @@ its taps with im2col. The products of a (..., rows, U) matrix with a
 transposed (U,U) one (score application's forward, the Gram matrix's
 q-gradient) run in the faster order for their shape, with the same bytes:
 as (S @ a^T)^T when rows < U, else as a @ S^T. The transposed result is
-made contiguous before it is reshaped (_matmul_transposed). Batchnorm is
-one tape node in both modes, its per-channel affine included; in train
-mode its backward is closed-form.
+made contiguous before it is reshaped (_matmul_transposed). Train-mode
+batchnorm is one tape node, its per-channel affine included, with a
+closed-form backward. Infer mode has no batchnorm op: conv_batchnorm folds
+the running stats into the convolution before it (fold_batchnorm), so a
+convolution, its residual add and its batchnorm are one convolution.
 
 Threads: the Gram matrix (attention_contract) and score application
 (apply_scores) split the samples of a batched (N,U,U) map of more than
@@ -37,13 +39,14 @@ or a rank-4 input, runs as one numpy call on the calling thread. The score
 node between them (attention.attention_scores) splits its per-sample blocks
 by the same rule. THREADS is the number of CPUs in the process's affinity
 mask (`taskset -c 0` gives one), apart from the BLAS thread count, which
-should be one: BLAS threads of their own compete with these (README).
+the package sets to one unless the user sets it (istanet/__init__.py):
+BLAS threads of their own compete with these.
 
 Inside ``with no_grad():`` every op returns a plain Tensor with no parents
 and no backward closure, so a forward records no tape; evaluation and
-infer-mode ``forward_classify`` run that way. ``mode="infer"`` alone selects
-batchnorm's running statistics and still records a tape whenever a
-parameter requires grad.
+infer-mode ``forward_classify`` run that way. Outside it, an infer-mode
+forward records a tape whenever a parameter requires grad, the fold's
+weight and bias nodes included, and gives the tape-free forward's bytes.
 """
 
 import contextlib
@@ -553,8 +556,8 @@ def apply_scores(scores, v):
 class BatchNormState:
     """Per-channel affine parameters plus running statistics.
 
-    scale/shift are trainable; running mean/var are plain buffers updated
-    in train mode and consumed in infer mode.
+    scale/shift are trainable; running mean/var are plain buffers that
+    train-mode batchnorm updates and fold_batchnorm reads.
     """
 
     def __init__(self, name, channels, momentum=0.1, eps=1e-5, dtype=np.float32):
@@ -575,15 +578,36 @@ class BatchNormState:
                 (f"{self.name}.running_var", self.running_var)]
 
 
-def _batch_normalize(x, axes, state):
-    """Train-mode xhat = (x - mean) / sqrt(var + eps) over `axes`, updating
-    the running stats; returns xhat and the backward of xhat.
+def batchnorm(x, state, mode):
+    """Train-mode batchnorm as one tape node: xhat = (x - mean) / sqrt(var +
+    eps) with the batch statistics over all axes but the channel axis -4,
+    which also update the running stats, then the per-channel affine
+    scale * xhat + shift.
 
     The forward takes the same steps in the same dtypes as a chain of mean,
-    subtract, multiply, add, sqrt and divide nodes would (1/n and eps in x's
-    dtype), so it is bit-identical to that chain. The backward is the closed
-    form inv * (g - mean(g) - xhat * mean(g * xhat)), inv = 1/sqrt(var + eps).
+    subtract, multiply, add, sqrt, divide, reshape, mul and add nodes would
+    (1/n and eps in x's dtype), so it is bit-identical to that chain. The
+    backward is the closed form inv * (gs - mean(gs) - xhat * mean(gs * xhat)),
+    gs = g * scale and inv = 1/sqrt(var + eps), for x, and the chain's sums
+    for scale and shift.
+
+    Infer mode has no batchnorm call: conv_batchnorm folds the running stats
+    into the convolution before it (fold_batchnorm). `mode` stays a
+    parameter, and refuses anything but "train", because the benchmark's
+    tracer (perfbench/tracer.py, _signature and replay_backward_ms) passes it.
     """
+    if mode != "train":
+        raise UsageError(f"batchnorm runs in train mode only (infer mode folds it into "
+                         f"the convolution before it), got mode {mode!r}")
+    _check_rank(x, "batchnorm")
+    c = x.shape[-4]
+    if c != state.channels:
+        raise DimensionError(
+            f"batchnorm: channel axis has {c} channels, state expects {state.channels}")
+    bshape = [1] * x.ndim
+    bshape[-4] = c
+    axes = tuple(i for i in range(x.ndim) if i != x.ndim - 4)
+
     inv_n = np.asarray(1.0 / int(np.prod([x.shape[ax] for ax in axes])), dtype=x.dtype)
     mu = x.data.sum(axis=axes, keepdims=True) * inv_n
     xc = x.data - mu
@@ -595,50 +619,75 @@ def _batch_normalize(x, axes, state):
                           + m * mu.reshape(-1).astype(state.running_mean.dtype))
     state.running_var = ((1 - m) * state.running_var
                          + m * var.reshape(-1).astype(state.running_var.dtype))
-
-    def bwd(g):
-        gmean = g.sum(axis=axes, keepdims=True) * inv_n
-        gxmean = (g * xhat).sum(axis=axes, keepdims=True) * inv_n
-        return (g - gmean - xhat * gxmean) / std
-
-    return xhat, bwd
-
-
-def batchnorm(x, state, mode):
-    """Normalize over all axes but the channel axis -4, then apply the
-    per-channel affine scale * xhat + shift, as one tape node.
-
-    Train mode uses batch statistics and updates running stats; infer mode
-    uses the stored running stats (initialized to mean 0 / var 1) as
-    constants. Forward and backward take the steps of the chain of
-    normalisation, reshape, mul and add nodes, so the bytes are the chain's.
-    """
-    if mode not in ("train", "infer"):
-        raise UsageError(f"batchnorm mode must be 'train' or 'infer', got {mode!r}")
-    _check_rank(x, "batchnorm")
-    c = x.shape[-4]
-    if c != state.channels:
-        raise DimensionError(
-            f"batchnorm: channel axis has {c} channels, state expects {state.channels}")
-    bshape = [1] * x.ndim
-    bshape[-4] = c
-    axes = tuple(i for i in range(x.ndim) if i != x.ndim - 4)
-
-    if mode == "train":
-        xhat, normalize_bwd = _batch_normalize(x, axes, state)
-    else:
-        inv = 1.0 / np.sqrt(state.running_var.reshape(bshape) + state.eps)
-        xhat = (x.data - state.running_mean.reshape(bshape)) * inv
-        normalize_bwd = lambda g: g * inv
-
     scale = state.scale.data.reshape(bshape)
     out = scale * xhat + state.shift.data.reshape(bshape)
 
     def bwd(g):
-        return (normalize_bwd(g * scale), _unbroadcast(g * xhat, bshape).reshape(-1),
+        gs = g * scale
+        gmean = gs.sum(axis=axes, keepdims=True) * inv_n
+        gxmean = (gs * xhat).sum(axis=axes, keepdims=True) * inv_n
+        return ((gs - gmean - xhat * gxmean) / std, _unbroadcast(g * xhat, bshape).reshape(-1),
                 _unbroadcast(g, bshape).reshape(-1))
 
     return _make(out, (x, state.scale, state.shift), bwd)
+
+
+def fold_batchnorm(weight, bias, state, residual=False):
+    """The weight and bias Tensors of one convolution whose output is
+    infer-mode batchnorm (the running stats) of conv(x, weight, bias), plus x
+    before the batchnorm when `residual`.
+
+    With s = scale / sqrt(running_var + eps) and t = shift - running_mean * s
+    per output channel, the folded weight is s * W, or s * (W + I) with the
+    identity at the centre tap of a (C, C, k) weight for the residual, and the
+    folded bias is s * b + t. Each is one tape node in the weight's dtype,
+    with a closed-form backward to W, b, scale and shift; the running stats
+    are constants. Nothing is cached: training moves the running stats, and
+    load_checkpoint writes them in place.
+    """
+    if weight.shape[0] != state.channels:
+        raise DimensionError(f"fold_batchnorm: weight {weight.shape} has {weight.shape[0]} "
+                             f"output channels, state expects {state.channels}")
+    dtype = weight.dtype
+    mean = np.asarray(state.running_mean, dtype)
+    inv = 1 / np.sqrt(np.asarray(state.running_var, dtype) + np.asarray(state.eps, dtype))
+    s = state.scale.data * inv
+    w = weight.data
+    if residual:
+        c, c_in, k = w.shape
+        if c_in != c:
+            raise DimensionError(f"fold_batchnorm: a residual needs a (C,C,k) weight, "
+                                 f"got {w.shape}")
+        w = w.copy()
+        w[np.arange(c), np.arange(c), (k - 1) // 2] += 1
+    s_w = s.reshape((-1,) + (1,) * (w.ndim - 1))
+    centred = bias.data - mean
+
+    def weight_bwd(g):
+        return g * s_w, (g * w).sum(axis=tuple(range(1, w.ndim))) * inv
+
+    def bias_bwd(g):
+        return g * s, g * centred * inv, g
+
+    folded_w = _make(s_w * w, (weight, state.scale), weight_bwd)
+    folded_b = _make(s * bias.data + (state.shift.data - mean * s),
+                     (bias, state.scale, state.shift), bias_bwd)
+    return folded_w, folded_b
+
+
+def conv_batchnorm(conv, x, weight, bias, state, mode, residual=False, **conv_args):
+    """batchnorm(conv(x, weight, bias, **conv_args), plus x when `residual`):
+    `conv` is pointwise_conv3d or conv3d_axis. Train mode runs the
+    convolution, the residual add and the batchnorm node; infer mode runs one
+    convolution with fold_batchnorm's weight and bias, and no batchnorm or
+    add. The fold rounds differently from the chain it replaces, by a few
+    units in the last place of the output's magnitude."""
+    if mode == "train":
+        out = conv(x, weight, bias, **conv_args)
+        return batchnorm(add(out, x) if residual else out, state, mode)
+    if mode != "infer":
+        raise UsageError(f"mode must be 'train' or 'infer', got {mode!r}")
+    return conv(x, *fold_batchnorm(weight, bias, state, residual), **conv_args)
 
 
 # ---------------------------------------------------------------------------

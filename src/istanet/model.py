@@ -108,12 +108,13 @@ class TrainConfig:
         return cls(**d)
 
 
-# Elements of the largest array of one evaluation chunk: one head's (rows, U, U)
-# score map, or one activation at the widest channel count. At U=400, chunks
-# of 16 or more rows push the score maps out of L2 and run slower than one
-# sample at a time; the activation term keeps a chunk's memory bounded at
-# small U, where the score maps alone would allow thousands of rows.
-EVAL_CHUNK_ELEMENTS = 1 << 20
+# Elements of one evaluation chunk's activation at the widest channel count.
+# With the README blocks this gives 20 rows at U=20 and at U=400, where
+# chunks of 12 to 20 and of 16 to 32 rows ran fastest; fewer rows pay more
+# per-op overhead per sample. The engine works a score map of more than
+# engine.SCORE_BLOCK_ELEMENTS entries a sample at a time, so the (rows, U, U)
+# maps are bounded for memory only, at 16 times this many elements.
+EVAL_CHUNK_ELEMENTS = 1 << 18
 
 
 def state_elements(config):
@@ -209,13 +210,13 @@ class ISTANet:
             return self.forward_tokens(tokens, mode)
 
     def eval_chunk_rows(self):
-        """Rows per classify_batch chunk: EVAL_CHUNK_ELEMENTS over the larger
-        of one head's (U, U) score map and one (C, t_w, S, U) activation at
-        the widest channel count."""
+        """Rows per classify_batch chunk, at least one: EVAL_CHUNK_ELEMENTS
+        over the larger of one (C, t_w, S, U) activation at the widest
+        channel count and a sixteenth of one head's (U, U) score map."""
         cfg = self.config
         u = cfg.num_tokens()
         width = max([cfg.embed_channels] + [b.c_out for b in cfg.blocks])
-        return max(1, EVAL_CHUNK_ELEMENTS // max(u * u, width * math.prod(cfg.window) * u))
+        return max(1, EVAL_CHUNK_ELEMENTS // max(width * math.prod(cfg.window) * u, u * u // 16))
 
     def classify_batch(self, seqs):
         """Sequences -> infer-mode logits (len(seqs), num_classes) as an

@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import SkeletonSequence, pad_to_windows
 from .engine import (BatchNormState, ConfigurationError, Parameter,
-                     UsageError, batchnorm, leaky_relu, pointwise_conv3d,
+                     UsageError, conv_batchnorm, leaky_relu, pointwise_conv3d,
                      uniform_init)
 
 
@@ -87,9 +87,9 @@ class EmbedParams:
 
 
 def embed(tokens, params, mode):
-    """Embed a raw token Tensor (C,T_w,S,U) or (N,C,T_w,S,U) to C' channels."""
-    out = pointwise_conv3d(tokens, params.weight, params.bias)
-    out = batchnorm(out, params.norm, mode)
+    """Embed a raw token Tensor (C,T_w,S,U) or (N,C,T_w,S,U) to C' channels;
+    infer mode folds the batchnorm into the convolution (conv_batchnorm)."""
+    out = conv_batchnorm(pointwise_conv3d, tokens, params.weight, params.bias, params.norm, mode)
     return leaky_relu(out, params.gamma)
 
 

@@ -1,9 +1,10 @@
-"""Shared test utilities: a finite-difference oracle kept independent of the
-reverse-mode path it checks, reference primitives (sub, div, sqrt, reshape,
-tanh), the inverse of the tokenizer's partition, the attention score map
-composed of primitive ops, a recorder of the threads that run the engine's
-per-sample work, malformed checkpoints, byte mutations of input files, and
-the committed v1 checkpoint fixture."""
+"""Shared test utilities: the README model config, a finite-difference
+oracle kept independent of the reverse-mode path it checks, reference
+primitives (sub, div, sqrt, reshape, tanh), the inverse of the tokenizer's
+partition, the attention score map composed of primitive ops, a recorder
+of the threads that run the engine's per-sample work, malformed
+checkpoints, byte mutations of input files, and the committed v1
+checkpoint fixture."""
 
 import json
 import pathlib
@@ -16,6 +17,17 @@ from istanet import engine
 from istanet.attention import TSABlockConfig
 from istanet.checkpoint import save_checkpoint
 from istanet.model import ISTANet, ModelConfig
+
+
+def readme_config(window=(10, 1, 2)):
+    """The README run config's model: U = 20 tokens at its window (10,1,2),
+    400 at window (1,1,1)."""
+    return ModelConfig(
+        window=window, in_channels=3, frames=40, joints=5, entities=2,
+        embed_channels=16, gamma=0.1,
+        blocks=[TSABlockConfig(c_in=16, c_out=16, heads=2, c_qkv=4),
+                TSABlockConfig(c_in=16, c_out=32, heads=2, c_qkv=4)],
+        num_classes=4)
 
 
 def fd_grad(fn, arrays, wrt, eps=1e-6):

@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 from istanet import attention, engine
 from istanet.attention import (TSABlockConfig, TSABlockParams,
                                attention_scores, positional_encoding,
-                               qkv_project, temporal_aggregate,
-                               tsa_block_forward)
+                               qkv_project, tsa_block_forward)
 from istanet.data import SkeletonSequence
 from istanet.engine import ConfigurationError, Parameter, Tensor, UsageError
-from istanet.model import ISTANet, ModelConfig, ce_label_smoothing
+from istanet.model import ISTANet, ce_label_smoothing
 
-from helpers import composed_attention_scores, fd_grad, record_threads, rel_err
+from helpers import (composed_attention_scores, fd_grad, readme_config, record_threads,
+                     rel_err)
 
 
 def make_block(c_in=4, c_out=4, heads=2, c_qkv=2, u=4, seed=0, dtype=np.float64,
@@ -172,21 +172,12 @@ def tape_nodes(out):
     return len(seen)
 
 
-def readme_blocks_config():
-    return ModelConfig(
-        window=(1, 1, 1), in_channels=3, frames=40, joints=5, entities=2,
-        embed_channels=16, gamma=0.1,
-        blocks=[TSABlockConfig(c_in=16, c_out=16, heads=2, c_qkv=4),
-                TSABlockConfig(c_in=16, c_out=32, heads=2, c_qkv=4)],
-        num_classes=4)
-
-
 def readme_blocks_train_step(dtype):
     """Loss bytes and gradient bytes of one train step of the README blocks
     at window (1,1,1), so U = 400, on two random samples."""
     rng = np.random.default_rng(3)
     seqs = [SkeletonSequence(rng.normal(size=(3, 40, 5, 2)), label=c) for c in (0, 1)]
-    model = ISTANet(readme_blocks_config(), rng=np.random.default_rng(0), dtype=dtype)
+    model = ISTANet(readme_config((1, 1, 1)), rng=np.random.default_rng(0), dtype=dtype)
     tokens = np.stack([model.tokenize_sample(s) for s in seqs])
     loss = ce_label_smoothing(model.forward_tokens(tokens, "train"), [0, 1],
                               smoothing=0.1, temperature=1.0)
@@ -425,6 +416,15 @@ class TestFusedScoreNode:
         assert fused.data.tobytes() == ref.data.tobytes()
         for got, want in zip(fused_grads, ref_grads):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def temporal_aggregate(x, w, b, k_t):
+    """The block's temporal step, conv_T(x) + x, as infer mode runs it: one
+    convolution through the fold, here with identity running stats and eps 0,
+    so that s = 1 and t = 0 and the fold adds only the centre-tap identity."""
+    state = engine.BatchNormState("ta_norm", w.shape[0], eps=0.0, dtype=x.dtype)
+    return engine.conv_batchnorm(engine.conv3d_axis, x, w, b, state, "infer", residual=True,
+                                 axis="T", k=k_t)
 
 
 class TestTemporalAggregate:

@@ -408,6 +408,20 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err == f"error: {path}: not a checkpoint (bad magic)\n", err
 
+    def test_large_payload_is_refused_by_the_manifest_before_it_is_read(self, tmp_path, corpus):
+        # the v1 fixture's magic and header, then a 2 GiB sparse payload: the
+        # manifest names 2,120 bytes, and only those are read
+        raw = MINIATURE_V1_CHECKPOINT.read_bytes()
+        header_end = raw.index(b"\n", raw.index(b"\n") + 1) + 1
+        path = tmp_path / "big.ckpt"
+        with open(path, "wb") as f:
+            f.write(raw[:header_end])
+            f.truncate(header_end + (2 << 30))
+        code, out, err = run_capped(["eval", str(path), str(corpus)])
+        assert code == 2 and out == ""
+        assert err == (f"error: {path}: payload is {2 << 30} bytes, manifest describes "
+                       f"{len(raw) - header_end}\n"), err
+
     def test_model_too_large_for_memory_is_usage_error(self, tmp_path, corpus):
         # the README config at 40000 frames has U = 20000 tokens, and each
         # head's M takes 1.5 GiB; the model is built before anything is

@@ -1,3 +1,4 @@
+import math
 import sys
 import threading
 
@@ -10,8 +11,8 @@ from istanet.engine import (BatchNormState, ConfigurationError, DimensionError,
                             attention_contract, batchnorm, conv3d_axis,
                             leaky_relu, pointwise_conv3d)
 
-from helpers import (check_op_gradients, div, fd_grad, record_threads, rel_err, reshape,
-                     sqrt, sub, tanh)
+from helpers import (check_op_gradients, div, fd_grad, readme_config, record_threads,
+                     rel_err, reshape, sqrt, sub, tanh)
 
 
 class TestPointwiseConv:
@@ -136,9 +137,10 @@ class TestConvAxisIm2col:
 
 
 def composed_batchnorm(x, state, channel_axis, mode="train"):
-    """Batchnorm built from engine primitives: the reference the fused op must
-    match bit for bit. The normalisation takes nine tape nodes in train mode,
-    and two in infer mode, where the running stats are constants."""
+    """Batchnorm built from engine primitives: the reference the fused train
+    op must match bit for bit, and in infer mode, where the running stats are
+    constants, the reference of the fold (TestBatchNormFold). The
+    normalisation takes nine tape nodes in train mode and two in infer mode."""
     axes = tuple(i for i in range(x.ndim) if i != channel_axis)
     bshape = [1] * x.ndim
     bshape[channel_axis] = state.channels
@@ -223,22 +225,13 @@ class TestFusedBatchNorm:
         reference = self._gradients(composed_batchnorm(x, state, channel_axis), upstream, affine)
         assert fused == reference
 
-    @pytest.mark.parametrize("rank", [4, 5])
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_infer_mode_is_one_node_bit_identical_to_composition(self, rank, dtype):
-        shape, channel_axis = self.SHAPES[rank]
-        rng = np.random.default_rng(17)
-        x = Tensor((rng.normal(size=shape) * 3.0 + 1.0).astype(dtype), requires_grad=True)
-        state = self._state(rng, dtype)
-        upstream = rng.normal(size=shape).astype(dtype)
-        tensors = (x, state.scale, state.shift)
-        fused = batchnorm(x, state, mode="infer")
-        reference = composed_batchnorm(x, state, channel_axis, mode="infer")
-        assert tape_nodes(fused) == 1 and tape_nodes(reference) == 6
-        assert fused.dtype == reference.dtype == np.dtype(dtype)
-        assert fused.data.tobytes() == reference.data.tobytes()
-        assert (self._gradients(fused, upstream, tensors)
-                == self._gradients(reference, upstream, tensors))
+    @pytest.mark.parametrize("mode", ["infer", "eval"])
+    def test_modes_but_train_are_refused(self, mode):
+        # infer mode folds into the convolution before it (conv_batchnorm)
+        shape, _ = self.SHAPES[5]
+        state = self._state(np.random.default_rng(17), np.float64)
+        with pytest.raises(UsageError, match="train mode only"):
+            batchnorm(Tensor(np.ones(shape)), state, mode=mode)
 
     def test_train_mode_normalisation_is_one_tape_node(self):
         shape, channel_axis = self.SHAPES[5]
@@ -254,7 +247,7 @@ class TestBatchNorm:
     def test_infer_with_identity_stats_is_identity(self):
         state = BatchNormState("bn", 3, eps=1e-12, dtype=np.float64)
         x = np.random.default_rng(5).normal(size=(2, 3, 2, 2, 2))
-        out = batchnorm(Tensor(x), state, mode="infer")
+        out = composed_batchnorm(Tensor(x), state, 1, mode="infer")
         np.testing.assert_allclose(out.data, x, rtol=1e-6)
 
     def test_train_normalizes_two_values(self):
@@ -277,7 +270,7 @@ class TestBatchNorm:
         batchnorm(Tensor(x), state, mode="train")
         np.testing.assert_allclose(state.running_mean, [1.0])
         np.testing.assert_allclose(state.running_var, [1.0])
-        out = batchnorm(Tensor(x), state, mode="infer")
+        out = composed_batchnorm(Tensor(x), state, 1, mode="infer")
         np.testing.assert_allclose(out.data.reshape(-1), [-1.0, 1.0], atol=1e-5)
 
     def test_gradients_match_finite_differences(self):
@@ -304,6 +297,130 @@ class TestBatchNorm:
                 (run(Tensor(a), Tensor(b), Tensor(c)).data ** 2).sum()),
                 [x, scale0, shift0], wrt=i, eps=1e-5)
             np.testing.assert_allclose(fd, t.grad, rtol=1e-4, atol=1e-7)
+
+
+class TestBatchNormFold:
+    """Infer mode folds batchnorm into the convolution before it. At each of
+    the model's three sites (the embedding's pointwise convolution, a block's
+    U-axis convolution, and its T-axis convolution with the identity
+    residual), forward and gradients must match the unfolded chain, conv,
+    then the residual, then composed_batchnorm in infer mode, within a
+    first-order rounding bound: each side is within n*eps of the exact value
+    relative to the sum of the magnitudes of the terms it adds up, n being
+    the longest sum, so they differ by at most twice that. The magnitudes are
+    the fold's own outputs and gradients in float64 on absolute values, where
+    every term adds."""
+
+    # (conv, conv arguments, residual): the sites of embed and tsa_block_forward
+    SITES = {"embed": (pointwise_conv3d, {}, False),
+             "token-conv": (conv3d_axis, {"axis": "U", "k": 3}, False),
+             "temporal": (conv3d_axis, {"axis": "T", "k": 3}, True)}
+    SHAPE = (2, 3, 3, 2, 5)  # (N, C_in, T, S, U)
+
+    def _inputs(self, site, dtype, rng):
+        conv, args, residual = self.SITES[site]
+        c_in = self.SHAPE[1]
+        c_out = c_in if residual else 4
+        taps = (args["k"],) if args else ()
+        state = BatchNormState("bn", c_out, dtype=dtype)
+        state.scale.data = (rng.normal(size=c_out) + 1.0).astype(dtype)
+        state.shift.data = rng.normal(size=c_out).astype(dtype)
+        state.running_mean = rng.normal(size=c_out).astype(dtype)
+        state.running_var = rng.uniform(0.5, 2.0, size=c_out).astype(dtype)
+        x = Tensor(rng.normal(size=self.SHAPE).astype(dtype), requires_grad=True)
+        w = Tensor(rng.normal(size=(c_out, c_in) + taps).astype(dtype), requires_grad=True)
+        b = Tensor(rng.normal(size=c_out).astype(dtype), requires_grad=True)
+        upstream = rng.normal(size=(self.SHAPE[0], c_out) + self.SHAPE[2:]).astype(dtype)
+        return (x, w, b, state), upstream
+
+    @staticmethod
+    def _run(out, upstream, x, w, b, state):
+        engine.backward(engine.tensor_sum(engine.mul(out, Tensor(upstream))))
+        grads = [t.grad for t in (x, w, b, state.scale, state.shift)]
+        for t in (x, w, b, state.scale, state.shift):
+            t.grad = None
+        return [out.data] + grads
+
+    @pytest.mark.parametrize("site", sorted(SITES))
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_fold_matches_the_unfolded_chain_within_rounding(self, site, dtype):
+        conv, args, residual = self.SITES[site]
+        (x, w, b, state), upstream = self._inputs(site, dtype, np.random.default_rng(18))
+        folded = self._run(engine.conv_batchnorm(conv, x, w, b, state, "infer",
+                                                 residual=residual, **args),
+                           upstream, x, w, b, state)
+        out = conv(x, w, b, **args)
+        out = engine.add(out, x) if residual else out
+        reference = self._run(composed_batchnorm(out, state, 1, mode="infer"), upstream,
+                              x, w, b, state)
+
+        # the same computation on absolute values in float64: rm -> -|rm| so
+        # that b - rm adds too
+        a = [Tensor(np.abs(t.data).astype(np.float64), requires_grad=True) for t in (x, w, b)]
+        abs_state = BatchNormState("bn", state.channels, eps=state.eps, dtype=np.float64)
+        abs_state.scale.data = np.abs(state.scale.data).astype(np.float64)
+        abs_state.shift.data = np.abs(state.shift.data).astype(np.float64)
+        abs_state.running_mean = -np.abs(state.running_mean).astype(np.float64)
+        abs_state.running_var = state.running_var.astype(np.float64)
+        magnitude = self._run(engine.conv_batchnorm(conv, *a, abs_state, "infer",
+                                                    residual=residual, **args),
+                              np.abs(upstream).astype(np.float64), *a, abs_state)
+
+        longest = w.data[0].size + math.prod(upstream.shape) + 8
+        bound_scale = 2 * longest * np.finfo(dtype).eps
+        for got, want, mag in zip(folded, reference, magnitude):
+            assert got.dtype == want.dtype == np.dtype(dtype)
+            assert (np.abs(got.astype(np.float64) - want) <= bound_scale * mag).all()
+
+    def test_fold_is_two_nodes_before_the_convolution(self):
+        (x, w, b, state), _ = self._inputs("temporal", np.float64, np.random.default_rng(19))
+        out = engine.conv_batchnorm(conv3d_axis, x, w, b, state, "infer", residual=True,
+                                    axis="T", k=3)
+        assert tape_nodes(out) == 3  # folded weight, folded bias, convolution
+
+    def test_bad_mode_is_refused(self):
+        (x, w, b, state), _ = self._inputs("embed", np.float64, np.random.default_rng(20))
+        with pytest.raises(UsageError, match="'train' or 'infer'"):
+            engine.conv_batchnorm(pointwise_conv3d, x, w, b, state, "eval")
+
+    def test_state_of_another_width_is_refused(self):
+        (x, w, b, _), _ = self._inputs("embed", np.float64, np.random.default_rng(21))
+        with pytest.raises(DimensionError, match="state expects 3"):
+            engine.fold_batchnorm(w, b, BatchNormState("bn", 3, dtype=np.float64))
+
+
+def spy_batchnorm(monkeypatch):
+    """Count the calls of engine.batchnorm under every istanet name it has;
+    returns the list of the modes it was called with."""
+    modes, original = [], engine.batchnorm
+
+    def spy(x, state, mode):
+        modes.append(mode)
+        return original(x, state, mode)
+
+    for name, module in list(sys.modules.items()):
+        if name == "istanet" or name.startswith("istanet."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, spy)
+    return modes
+
+
+def test_infer_forward_calls_no_batchnorm_and_a_train_step_five(monkeypatch):
+    from istanet.model import ISTANet, ce_label_smoothing
+    model = ISTANet(readme_config(), rng=np.random.default_rng(0))
+    tokens = np.random.default_rng(1).normal(size=(4, 3, 10, 2, 20)).astype(np.float32)
+    modes = spy_batchnorm(monkeypatch)
+    # a taped infer forward reaches every parameter through the fold
+    engine.backward(engine.tensor_sum(model.forward_tokens(tokens, "infer")))
+    assert all(p.grad is not None for p in model.parameters())
+    with engine.no_grad():
+        model.forward_tokens(tokens, "infer")
+    assert modes == []
+    loss = ce_label_smoothing(model.forward_tokens(tokens, "train"), [0, 1, 2, 3],
+                              smoothing=0.1, temperature=1.0)
+    engine.backward(loss)
+    assert modes == ["train"] * 5  # the embedding's, and two per block
 
 
 class TestLeakyRelu:

@@ -5,6 +5,7 @@ import math
 import os
 import stat
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from istanet.model import (ISTANet, ModelConfig, NesterovSGD, TrainConfig,
 from istanet.tokenizer import tokenize
 
 from helpers import (BYTE_EDITS, CHECKPOINT_CORRUPTIONS, MINIATURE_V1_CHECKPOINT,
-                     apply_byte_edits, write_corrupt_checkpoint)
+                     apply_byte_edits, readme_config, write_corrupt_checkpoint)
 
 
 def tiny_config(num_classes=3):
@@ -426,23 +427,23 @@ class TestTopK:
 
 
 class TestChunkedEvaluation:
-    @pytest.mark.parametrize("window,rows", [((10, 1, 2), 81), ((1, 1, 1), 6)])
-    def test_chunk_rows_of_the_readme_blocks(self, window, rows):
-        # U=20: one activation (32 channels) bounds the chunk; U=400: one
-        # head's score map does
-        cfg = ModelConfig(window=window, in_channels=3, frames=40, joints=5, entities=2,
-                          embed_channels=16, gamma=0.1,
-                          blocks=[TSABlockConfig(c_in=16, c_out=16, heads=2, c_qkv=4),
-                                  TSABlockConfig(c_in=16, c_out=32, heads=2, c_qkv=4)],
-                          num_classes=4)
-        assert ISTANet(cfg).eval_chunk_rows() == rows
+    @pytest.mark.parametrize("window,frames,rows", [((10, 1, 2), 40, 20), ((1, 1, 1), 40, 20),
+                                                    ((10, 1, 2), 4000, 1), ((1, 1, 1), 400, 1)])
+    def test_chunk_rows_of_the_readme_blocks(self, window, frames, rows):
+        # one 32-channel activation, 12,800 elements at U=20 and at U=400,
+        # bounds the chunk; at frames 4000 (U=2000) it alone leaves one row.
+        # At window (1,1,1) and frames 400 (U=4000) it would leave two, and
+        # the score maps' memory bound leaves one. eval_chunk_rows reads the
+        # config only, so no (U, U) M is allocated here
+        cfg = dataclasses.replace(readme_config(window), frames=frames)
+        assert ISTANet.eval_chunk_rows(types.SimpleNamespace(config=cfg)) == rows
 
-    # with EVAL_CHUNK_ELEMENTS at 1024: U=32 gives U*U = 1024, so one row a
-    # chunk; U=4 gives 4 channels * 32 elements = 128, so eight rows
+    # with EVAL_CHUNK_ELEMENTS at 128 * rows: both windows give 4 channels *
+    # 32 elements = 128, above U*U/16 (64 at U=32, 1 at U=4), so `rows` rows
     @pytest.mark.parametrize("window,rows", [((1, 1, 1), 1), ((4, 1, 2), 8)])
     @pytest.mark.parametrize("k", [1, 2])
     def test_accuracy_equals_per_sample_reference(self, monkeypatch, window, rows, k):
-        monkeypatch.setattr(model_module, "EVAL_CHUNK_ELEMENTS", 1024)
+        monkeypatch.setattr(model_module, "EVAL_CHUNK_ELEMENTS", 128 * rows)
         cfg = ModelConfig(window=window, in_channels=3, frames=8, joints=2, entities=2,
                           embed_channels=4, gamma=0.1,
                           blocks=[TSABlockConfig(c_in=4, c_out=4, heads=2, c_qkv=2)],

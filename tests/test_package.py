@@ -1,15 +1,19 @@
 import importlib
 import importlib.util
+import os
 import pathlib
 import pkgutil
+import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import istanet
 from istanet import attention, engine
+from istanet.model import ISTANet, ce_label_smoothing
 
-from helpers import record_threads
+from helpers import readme_config, record_threads
 
 TRACER = pathlib.Path(__file__).parents[1] / "perfbench" / "tracer.py"
 
@@ -19,6 +23,23 @@ def test_every_exported_name_imports():
     namespace = {}
     exec("from istanet import *", namespace)
     assert set(istanet.__all__) <= set(namespace)
+
+
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("given,expected", [({}, "1 1 1"),
+                                            ({"OPENBLAS_NUM_THREADS": "2"}, "2 1 1")],
+                         ids=["default", "user-set"])
+def test_blas_threads_default_to_one_and_a_user_setting_wins(given, expected):
+    # the package sets BLAS's own variables before numpy is first imported,
+    # as the console script and `python -m istanet` import it
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARIABLES}
+    env.update(given, PYTHONPATH=str(pathlib.Path(istanet.__file__).parents[1]))
+    code = f"import os, istanet; print(' '.join(os.environ[v] for v in {BLAS_VARIABLES!r}))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.split() == expected.split()
 
 
 def load_tracer():
@@ -96,3 +117,28 @@ def test_threaded_block_keeps_the_benchmark_tracer_stack(monkeypatch):
     for name, parent, start, end in spans.values():
         assert parent is None or spans[parent][2] <= start <= end <= spans[parent][3]
     assert all(p.grad is not None for p in [x] + params.parameters())
+
+
+def test_benchmark_tracer_replays_the_batchnorm_of_a_train_step():
+    # the tracer records each batchnorm call's signature, mode included, and
+    # replays its backward on its own; batchnorm keeps the mode parameter
+    # for it, so a change to that signature fails here, not only in a
+    # --trace 1 benchmark run
+    tracer = load_tracer()
+    model = ISTANet(readme_config(), rng=np.random.default_rng(0))
+    tokens = np.random.default_rng(1).normal(size=(2, 3, 10, 2, 20)).astype(np.float32)
+    t = tracer.Tracer("istanet")
+    try:
+        t.install()
+        t.record_ops = True
+        engine.backward(ce_label_smoothing(model.forward_tokens(tokens, "train"), [0, 1],
+                                           smoothing=0.1, temperature=1.0))
+        with engine.no_grad():
+            model.forward_tokens(tokens, "infer")
+    finally:
+        t.uninstall()
+    signatures = [s for s in t.op_calls if s[0] == "batchnorm"]
+    assert sum(t.op_calls[s] for s in signatures) == 5
+    assert {dict(s[3])["mode"] for s in signatures} == {"train"}
+    for signature in signatures:
+        assert tracer.replay_backward_ms(engine, signature, repeats=1) >= 0.0
