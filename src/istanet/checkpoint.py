@@ -25,7 +25,8 @@ past it; it validates the blob manifest against the payload length before
 it reads the payload, and reads only the bytes the manifest names, refuses
 a header config whose model holds more elements than the payload before
 building the model, and validates parameter and buffer names and shapes
-against the config-built model; a malformed file raises UsageError.
+against the config-built model; a malformed file, or a payload that does
+not fit in memory, raises UsageError.
 """
 
 import contextlib
@@ -115,7 +116,8 @@ def _read_blobs(path, manifest, f):
     save_checkpoint writes them) and lie inside the payload, and the payload
     must hold exactly the manifest's elements. Both are checked against the
     file's size before the payload is read, and only the payload the manifest
-    names is read, plus one byte to detect more."""
+    names is read, plus one byte to detect more; a payload that does not fit
+    in memory raises UsageError."""
     if not isinstance(manifest, list):
         raise UsageError(f"{path}: checkpoint blob manifest is not a list")
     have = os.fstat(f.fileno()).st_size - f.tell()  # payload bytes
@@ -141,7 +143,10 @@ def _read_blobs(path, manifest, f):
         blobs.append((name, shape, offset, size))
         total += size
     if total * 4 == have:
-        binary = f.read(have + 1)  # one byte more shows a file that changed since fstat
+        try:
+            binary = f.read(have + 1)  # one byte more shows a file that changed since fstat
+        except MemoryError:
+            raise UsageError(f"{path}: the {have}-byte payload does not fit in memory") from None
         have = len(binary)
     if total * 4 != have:
         raise UsageError(f"{path}: payload is {have} bytes, manifest describes {total * 4}")

@@ -16,7 +16,7 @@ import numpy as np
 
 from .checkpoint import load_checkpoint
 from .data import ParseError, ValidationError, load_manifest, parse_iskel, read_text
-from .engine import ConfigurationError, UsageError, no_grad
+from .engine import ConfigurationError, UsageError
 from .gradcheck import run_gradcheck
 from .model import ISTANet, ModelConfig, TrainConfig, evaluate_topk
 from .synth import generate_corpus
@@ -193,8 +193,7 @@ def cmd_inspect(args):
     seq = preprocess(seq, model.config.frames)
     tokens = model.tokenize_sample(seq)
     sink = []
-    with no_grad():
-        model.forward_tokens(tokens, mode="infer", score_sink=sink)
+    model.forward_tokens(tokens, mode="infer", score_sink=sink)
     layout = model.config.u_layout()
     print(f"# u_layout,{layout[0]},{layout[1]},{layout[2]}")
     for b, block_scores in enumerate(sink):

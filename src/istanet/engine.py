@@ -43,10 +43,8 @@ the package sets to one unless the user sets it (istanet/__init__.py):
 BLAS threads of their own compete with these.
 
 Inside ``with no_grad():`` every op returns a plain Tensor with no parents
-and no backward closure, so a forward records no tape; evaluation and
-infer-mode ``forward_classify`` run that way. Outside it, an infer-mode
-forward records a tape whenever a parameter requires grad, the fold's
-weight and bias nodes included, and gives the tape-free forward's bytes.
+and no backward closure, so a forward records no tape; an infer-mode
+forward (ISTANet.forward_tokens) always runs that way.
 """
 
 import contextlib
@@ -633,17 +631,16 @@ def batchnorm(x, state, mode):
 
 
 def fold_batchnorm(weight, bias, state, residual=False):
-    """The weight and bias Tensors of one convolution whose output is
+    """The weight and bias arrays of one convolution whose output is
     infer-mode batchnorm (the running stats) of conv(x, weight, bias), plus x
     before the batchnorm when `residual`.
 
     With s = scale / sqrt(running_var + eps) and t = shift - running_mean * s
     per output channel, the folded weight is s * W, or s * (W + I) with the
     identity at the centre tap of a (C, C, k) weight for the residual, and the
-    folded bias is s * b + t. Each is one tape node in the weight's dtype,
-    with a closed-form backward to W, b, scale and shift; the running stats
-    are constants. Nothing is cached: training moves the running stats, and
-    load_checkpoint writes them in place.
+    folded bias is s * b + t, both in the weight's dtype. The fold is forward
+    only: it is not differentiated. Nothing is cached: training moves the
+    running stats, and load_checkpoint writes them in place.
     """
     if weight.shape[0] != state.channels:
         raise DimensionError(f"fold_batchnorm: weight {weight.shape} has {weight.shape[0]} "
@@ -661,33 +658,24 @@ def fold_batchnorm(weight, bias, state, residual=False):
         w = w.copy()
         w[np.arange(c), np.arange(c), (k - 1) // 2] += 1
     s_w = s.reshape((-1,) + (1,) * (w.ndim - 1))
-    centred = bias.data - mean
-
-    def weight_bwd(g):
-        return g * s_w, (g * w).sum(axis=tuple(range(1, w.ndim))) * inv
-
-    def bias_bwd(g):
-        return g * s, g * centred * inv, g
-
-    folded_w = _make(s_w * w, (weight, state.scale), weight_bwd)
-    folded_b = _make(s * bias.data + (state.shift.data - mean * s),
-                     (bias, state.scale, state.shift), bias_bwd)
-    return folded_w, folded_b
+    return s_w * w, s * bias.data + (state.shift.data - mean * s)
 
 
 def conv_batchnorm(conv, x, weight, bias, state, mode, residual=False, **conv_args):
     """batchnorm(conv(x, weight, bias, **conv_args), plus x when `residual`):
     `conv` is pointwise_conv3d or conv3d_axis. Train mode runs the
     convolution, the residual add and the batchnorm node; infer mode runs one
-    convolution with fold_batchnorm's weight and bias, and no batchnorm or
-    add. The fold rounds differently from the chain it replaces, by a few
-    units in the last place of the output's magnitude."""
+    convolution with fold_batchnorm's weight and bias as constants, and no
+    batchnorm or add, so no gradient reaches weight, bias, scale or shift.
+    The fold rounds differently from the chain it replaces, by a few units in
+    the last place of the output's magnitude."""
     if mode == "train":
         out = conv(x, weight, bias, **conv_args)
         return batchnorm(add(out, x) if residual else out, state, mode)
     if mode != "infer":
         raise UsageError(f"mode must be 'train' or 'infer', got {mode!r}")
-    return conv(x, *fold_batchnorm(weight, bias, state, residual), **conv_args)
+    folded_w, folded_b = fold_batchnorm(weight, bias, state, residual)
+    return conv(x, Tensor(folded_w), Tensor(folded_b), **conv_args)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ self-attention blocks, global average pooling and a linear classifier,
 plus the loss, optimizer step and schedule used for training.
 """
 
+import contextlib
 import math
 from dataclasses import asdict, dataclass
 
@@ -189,25 +190,23 @@ class ISTANet:
         return tokens.astype(self.dtype)
 
     def forward_tokens(self, tokens, mode, score_sink=None):
-        """Raw token array (or batch) -> logits Tensor."""
-        x = embed(engine.Tensor(tokens), self.embed_params, mode)
-        for params in self.blocks:
-            sink = None
-            if score_sink is not None:
-                sink = []
-                score_sink.append(sink)
-            x = tsa_block_forward(x, params, mode, score_sink=sink)
-        pooled = engine.tensor_mean(x, axis=(-3, -2, -1))
-        return linear(pooled, self.fc_weight, self.fc_bias)
+        """Raw token array (or batch) -> logits Tensor. Infer mode runs under
+        engine.no_grad(), so its logits record no tape."""
+        with engine.no_grad() if mode == "infer" else contextlib.nullcontext():
+            x = embed(engine.Tensor(tokens), self.embed_params, mode)
+            for params in self.blocks:
+                sink = None
+                if score_sink is not None:
+                    sink = []
+                    score_sink.append(sink)
+                x = tsa_block_forward(x, params, mode, score_sink=sink)
+            pooled = engine.tensor_mean(x, axis=(-3, -2, -1))
+            return linear(pooled, self.fc_weight, self.fc_bias)
 
     def forward_classify(self, seq, mode):
         """Single sequence -> logits (num_classes,). Applies no entity
         rearrangement (train() does that); infer mode records no tape."""
-        tokens = self.tokenize_sample(seq)
-        if mode == "train":
-            return self.forward_tokens(tokens, mode)
-        with engine.no_grad():
-            return self.forward_tokens(tokens, mode)
+        return self.forward_tokens(self.tokenize_sample(seq), mode)
 
     def eval_chunk_rows(self):
         """Rows per classify_batch chunk, at least one: EVAL_CHUNK_ELEMENTS
@@ -224,9 +223,8 @@ class ISTANet:
         forward_classify's bit for bit."""
         tokens = [self.tokenize_sample(seq) for seq in seqs]
         rows = self.eval_chunk_rows()
-        with engine.no_grad():
-            return np.concatenate([self.forward_tokens(np.stack(tokens[i:i + rows]), "infer").data
-                                   for i in range(0, len(tokens), rows)])
+        return np.concatenate([self.forward_tokens(np.stack(tokens[i:i + rows]), "infer").data
+                               for i in range(0, len(tokens), rows)])
 
 
 def ce_label_smoothing(logits, labels, smoothing, temperature):

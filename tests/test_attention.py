@@ -442,20 +442,6 @@ class TestTemporalAggregate:
                                  Tensor(np.zeros(3)), k_t=3)
         np.testing.assert_array_equal(out.data, x.data)
 
-    def test_gradients(self):
-        rng = np.random.default_rng(7)
-        x = rng.normal(size=(2, 4, 2, 2))
-        w = rng.normal(size=(2, 2, 3))
-        b = rng.normal(size=2)
-        xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
-        out = temporal_aggregate(xt, wt, bt, k_t=3)
-        engine.backward(engine.tensor_sum(engine.mul(out, out)))
-        for i, t in enumerate((xt, wt, bt)):
-            fd = fd_grad(lambda a, bb, c: float(
-                (temporal_aggregate(Tensor(a), Tensor(bb), Tensor(c), k_t=3).data ** 2).sum()),
-                [x, w, b], wrt=i)
-            assert rel_err(fd, t.grad) <= 1e-4
-
 
 class TestBlockForward:
     def test_single_token_degenerate(self):

@@ -13,9 +13,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from istanet import attention, cli, engine
+from istanet.checkpoint import save_checkpoint
 from istanet.data import SkeletonSequence, load_manifest, parse_iskel, serialize_iskel
 from istanet.gradcheck import miniature_config
-from istanet.model import ModelConfig, state_elements
+from istanet.model import ISTANet, ModelConfig, state_elements
 from istanet.synth import make_sample
 from istanet.tokenizer import tokenize
 
@@ -422,6 +423,23 @@ class TestExitCodes:
         assert err == (f"error: {path}: payload is {2 << 30} bytes, manifest describes "
                        f"{len(raw) - header_end}\n"), err
 
+    def test_payload_too_large_for_memory_is_usage_error(self, tmp_path, corpus):
+        # the v1 fixture with an unused "opt.big" blob of 2^29 elements named
+        # last in its manifest, stored sparse: the 2 GiB payload the manifest
+        # describes exactly cannot be read under the cap
+        raw = MINIATURE_V1_CHECKPOINT.read_bytes()
+        magic, header, payload = raw.split(b"\n", 2)
+        doc = json.loads(header)
+        doc["blobs"].append({"name": "opt.big", "offset": len(payload) // 4, "shape": [1 << 29]})
+        path = tmp_path / "hugeman.ckpt"
+        with open(path, "wb") as f:
+            f.write(b"\n".join([magic, json.dumps(doc).encode(), payload]))
+            f.truncate(f.tell() + (2 << 30))
+        code, out, err = run_capped(["eval", str(path), str(corpus)])
+        assert code == 2 and out == ""
+        assert err == (f"error: {path}: the {len(payload) + (2 << 30)}-byte payload does not "
+                       f"fit in memory\n"), err
+
     def test_model_too_large_for_memory_is_usage_error(self, tmp_path, corpus):
         # the README config at 40000 frames has U = 20000 tokens, and each
         # head's M takes 1.5 GiB; the model is built before anything is
@@ -674,6 +692,35 @@ class TestInspect:
         data_rows = [l for l in lines if not l.startswith("#")]
         assert len(data_rows) == 8
         assert all(len(r.split(",")) == 4 for r in data_rows)
+
+    def test_infer_forwards_record_no_tape_with_grad_enabled(self, capsys, tmp_path,
+                                                             monkeypatch):
+        # infer mode owns its no_grad: forward_tokens, forward_classify and
+        # inspect attention's forward return logits without a tape, while
+        # every parameter requires grad
+        model = ISTANet(miniature_config(), rng=np.random.default_rng(0))
+        assert all(p.requires_grad for p in model.parameters())
+        seq = make_sample(label=1, t=4, j=2, rng=np.random.default_rng(1))
+        tokens = model.tokenize_sample(seq)
+        assert model.forward_tokens(tokens, "infer")._parents == ()
+        assert model.forward_tokens(tokens[None], "infer")._parents == ()
+        assert model.forward_classify(seq, mode="infer")._parents == ()
+        assert model.forward_classify(seq, mode="train")._parents
+
+        save_checkpoint(tmp_path / "m.ckpt", model)
+        sample = tmp_path / "s.iskel"
+        sample.write_text(serialize_iskel(seq))
+        outputs, forward = [], ISTANet.forward_tokens
+
+        def spy(*args, **kwargs):
+            outputs.append(forward(*args, **kwargs))
+            return outputs[-1]
+
+        monkeypatch.setattr(ISTANet, "forward_tokens", spy)
+        code, _, err = run_cli(capsys, "inspect", "attention", str(sample),
+                               "--checkpoint", str(tmp_path / "m.ckpt"))
+        assert code == 0, err
+        assert len(outputs) == 1 and outputs[0]._parents == ()
 
 
 class TestSynth:

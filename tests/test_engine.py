@@ -1,4 +1,3 @@
-import math
 import sys
 import threading
 
@@ -303,13 +302,12 @@ class TestBatchNormFold:
     """Infer mode folds batchnorm into the convolution before it. At each of
     the model's three sites (the embedding's pointwise convolution, a block's
     U-axis convolution, and its T-axis convolution with the identity
-    residual), forward and gradients must match the unfolded chain, conv,
-    then the residual, then composed_batchnorm in infer mode, within a
-    first-order rounding bound: each side is within n*eps of the exact value
-    relative to the sum of the magnitudes of the terms it adds up, n being
-    the longest sum, so they differ by at most twice that. The magnitudes are
-    the fold's own outputs and gradients in float64 on absolute values, where
-    every term adds."""
+    residual), the forward must match the unfolded chain, conv, then the
+    residual, then composed_batchnorm in infer mode, within a first-order
+    rounding bound: each side is within n*eps of the exact value relative to
+    the sum of the magnitudes of the terms it adds up, n being the longest
+    sum, so they differ by at most twice that. The magnitudes are the fold's
+    own outputs in float64 on absolute values, where every term adds."""
 
     # (conv, conv arguments, residual): the sites of embed and tsa_block_forward
     SITES = {"embed": (pointwise_conv3d, {}, False),
@@ -330,61 +328,48 @@ class TestBatchNormFold:
         x = Tensor(rng.normal(size=self.SHAPE).astype(dtype), requires_grad=True)
         w = Tensor(rng.normal(size=(c_out, c_in) + taps).astype(dtype), requires_grad=True)
         b = Tensor(rng.normal(size=c_out).astype(dtype), requires_grad=True)
-        upstream = rng.normal(size=(self.SHAPE[0], c_out) + self.SHAPE[2:]).astype(dtype)
-        return (x, w, b, state), upstream
-
-    @staticmethod
-    def _run(out, upstream, x, w, b, state):
-        engine.backward(engine.tensor_sum(engine.mul(out, Tensor(upstream))))
-        grads = [t.grad for t in (x, w, b, state.scale, state.shift)]
-        for t in (x, w, b, state.scale, state.shift):
-            t.grad = None
-        return [out.data] + grads
+        return x, w, b, state
 
     @pytest.mark.parametrize("site", sorted(SITES))
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_fold_matches_the_unfolded_chain_within_rounding(self, site, dtype):
         conv, args, residual = self.SITES[site]
-        (x, w, b, state), upstream = self._inputs(site, dtype, np.random.default_rng(18))
-        folded = self._run(engine.conv_batchnorm(conv, x, w, b, state, "infer",
-                                                 residual=residual, **args),
-                           upstream, x, w, b, state)
+        x, w, b, state = self._inputs(site, dtype, np.random.default_rng(18))
+        folded = engine.conv_batchnorm(conv, x, w, b, state, "infer", residual=residual,
+                                       **args).data
         out = conv(x, w, b, **args)
         out = engine.add(out, x) if residual else out
-        reference = self._run(composed_batchnorm(out, state, 1, mode="infer"), upstream,
-                              x, w, b, state)
+        reference = composed_batchnorm(out, state, 1, mode="infer").data
 
         # the same computation on absolute values in float64: rm -> -|rm| so
         # that b - rm adds too
-        a = [Tensor(np.abs(t.data).astype(np.float64), requires_grad=True) for t in (x, w, b)]
+        a = [Tensor(np.abs(t.data).astype(np.float64)) for t in (x, w, b)]
         abs_state = BatchNormState("bn", state.channels, eps=state.eps, dtype=np.float64)
         abs_state.scale.data = np.abs(state.scale.data).astype(np.float64)
         abs_state.shift.data = np.abs(state.shift.data).astype(np.float64)
         abs_state.running_mean = -np.abs(state.running_mean).astype(np.float64)
         abs_state.running_var = state.running_var.astype(np.float64)
-        magnitude = self._run(engine.conv_batchnorm(conv, *a, abs_state, "infer",
-                                                    residual=residual, **args),
-                              np.abs(upstream).astype(np.float64), *a, abs_state)
+        magnitude = engine.conv_batchnorm(conv, *a, abs_state, "infer", residual=residual,
+                                          **args).data
 
-        longest = w.data[0].size + math.prod(upstream.shape) + 8
-        bound_scale = 2 * longest * np.finfo(dtype).eps
-        for got, want, mag in zip(folded, reference, magnitude):
-            assert got.dtype == want.dtype == np.dtype(dtype)
-            assert (np.abs(got.astype(np.float64) - want) <= bound_scale * mag).all()
+        bound_scale = 2 * (w.data[0].size + 8) * np.finfo(dtype).eps
+        assert folded.dtype == reference.dtype == np.dtype(dtype)
+        assert (np.abs(folded.astype(np.float64) - reference) <= bound_scale * magnitude).all()
 
-    def test_fold_is_two_nodes_before_the_convolution(self):
-        (x, w, b, state), _ = self._inputs("temporal", np.float64, np.random.default_rng(19))
+    def test_fold_adds_no_tape_node(self):
+        x, w, b, state = self._inputs("temporal", np.float64, np.random.default_rng(19))
         out = engine.conv_batchnorm(conv3d_axis, x, w, b, state, "infer", residual=True,
                                     axis="T", k=3)
-        assert tape_nodes(out) == 3  # folded weight, folded bias, convolution
+        assert tape_nodes(out) == 1  # the convolution, of x and two constants
+        assert not any(p.requires_grad for p in out._parents[1:])
 
     def test_bad_mode_is_refused(self):
-        (x, w, b, state), _ = self._inputs("embed", np.float64, np.random.default_rng(20))
+        x, w, b, state = self._inputs("embed", np.float64, np.random.default_rng(20))
         with pytest.raises(UsageError, match="'train' or 'infer'"):
             engine.conv_batchnorm(pointwise_conv3d, x, w, b, state, "eval")
 
     def test_state_of_another_width_is_refused(self):
-        (x, w, b, _), _ = self._inputs("embed", np.float64, np.random.default_rng(21))
+        x, w, b, _ = self._inputs("embed", np.float64, np.random.default_rng(21))
         with pytest.raises(DimensionError, match="state expects 3"):
             engine.fold_batchnorm(w, b, BatchNormState("bn", 3, dtype=np.float64))
 
@@ -411,11 +396,8 @@ def test_infer_forward_calls_no_batchnorm_and_a_train_step_five(monkeypatch):
     model = ISTANet(readme_config(), rng=np.random.default_rng(0))
     tokens = np.random.default_rng(1).normal(size=(4, 3, 10, 2, 20)).astype(np.float32)
     modes = spy_batchnorm(monkeypatch)
-    # a taped infer forward reaches every parameter through the fold
-    engine.backward(engine.tensor_sum(model.forward_tokens(tokens, "infer")))
-    assert all(p.grad is not None for p in model.parameters())
-    with engine.no_grad():
-        model.forward_tokens(tokens, "infer")
+    # infer mode records no tape with grad enabled, and calls no batchnorm
+    assert model.forward_tokens(tokens, "infer")._parents == ()
     assert modes == []
     loss = ce_label_smoothing(model.forward_tokens(tokens, "train"), [0, 1, 2, 3],
                               smoothing=0.1, temperature=1.0)
@@ -779,14 +761,18 @@ class TestNoGrad:
         return model, rng.normal(size=(3, 3, 2, 2, 4)).astype(dtype)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_logits_are_byte_equal_to_taped_infer_logits(self, dtype):
-        model, tokens = self._model_and_tokens(dtype)
-        taped = model.forward_tokens(tokens, "infer")
-        assert taped._parents
-        with engine.no_grad():
-            free = model.forward_tokens(tokens, "infer")
-        assert free.dtype == taped.dtype == np.dtype(dtype)
-        assert free.data.tobytes() == taped.data.tobytes()
+    def test_infer_logits_record_no_tape_and_equal_classify_logits(self, dtype):
+        from istanet.data import SkeletonSequence
+        model, _ = self._model_and_tokens(dtype)
+        rng = np.random.default_rng(2)
+        seqs = [SkeletonSequence(rng.normal(size=(3, 4, 2, 2)), label=0) for _ in range(3)]
+        out = model.forward_tokens(np.stack([model.tokenize_sample(s) for s in seqs]), "infer")
+        assert out._parents == () and out._backward is None
+        assert not out.requires_grad
+        assert out.dtype == np.dtype(dtype)
+        single = np.stack([model.forward_classify(s, mode="infer").data for s in seqs])
+        assert out.data.tobytes() == single.tobytes()
+        assert out.data.tobytes() == model.classify_batch(seqs).tobytes()
 
     def test_output_records_no_tape(self):
         model, tokens = self._model_and_tokens(np.float32)

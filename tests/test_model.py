@@ -150,10 +150,11 @@ def test_infer_forward_classify_records_no_tape(dtype):
     logits = model.forward_classify(seq, mode="infer")
     assert isinstance(logits, Tensor)
     assert logits._parents == () and logits._backward is None
-    taped = model.forward_tokens(model.tokenize_sample(seq), "infer")
-    assert taped._parents
-    assert logits.dtype == taped.dtype == np.dtype(dtype)
-    assert logits.data.tobytes() == taped.data.tobytes()
+    from_tokens = model.forward_tokens(model.tokenize_sample(seq), "infer")
+    assert from_tokens._parents == () and not from_tokens.requires_grad
+    assert logits.dtype == from_tokens.dtype == np.dtype(dtype)
+    assert logits.data.tobytes() == from_tokens.data.tobytes()
+    assert logits.data.tobytes() == model.classify_batch([seq])[0].tobytes()
     assert model.forward_classify(seq, mode="train")._parents
 
 

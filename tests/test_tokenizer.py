@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from istanet import engine
 from istanet.data import SkeletonSequence, pad_to_windows
 from istanet.engine import Tensor, UsageError
 from istanet.tokenizer import (EmbedParams, embed, entity_rearrange,
                                partition, tokenize, token_rows, u_layout)
 
-from helpers import fd_grad, rel_err, unpartition
+from helpers import unpartition
 
 
 def random_seq(rng, c=3, t=6, j=4, e=2):
@@ -170,23 +169,6 @@ class TestEmbed:
         expect = np.where(p.bias.data >= 0, p.bias.data, 0.2 * p.bias.data)
         np.testing.assert_allclose(out.data, np.broadcast_to(
             expect.reshape(4, 1, 1, 1), out.shape), rtol=1e-4)
-
-    def test_gradient_through_embed(self):
-        rng = np.random.default_rng(14)
-        tokens = Tensor(rng.normal(size=(3, 2, 2, 3)))
-        p = EmbedParams(3, 4, gamma=0.1, rng=rng, dtype=np.float64)
-
-        def loss_np(w, b):
-            p.weight.data, p.bias.data = w, b
-            return float((embed(tokens, p, mode="infer").data ** 2).sum())
-
-        w0, b0 = p.weight.data.copy(), p.bias.data.copy()
-        out = embed(tokens, p, mode="infer")
-        engine.backward(engine.tensor_sum(engine.mul(out, out)))
-        for param, arr, i in ((p.weight, w0, 0), (p.bias, b0, 1)):
-            fd = fd_grad(lambda w, b: loss_np(w, b), [w0, b0], wrt=i)
-            assert rel_err(fd, param.grad) <= 1e-4
-        p.weight.data, p.bias.data = w0, b0
 
 
 class TestULayout:
