@@ -21,18 +21,19 @@ directory, so the path holds either the old checkpoint or the new one, never
 a partial file, and the rename survives a power cut. A load builds a
 float32 model. It refuses a file that is not a regular file (a pipe, a FIFO
 or a device) before reading it, and one without the magic before reading
-past it; it validates the blob manifest against the payload length before
-it reads the payload, and reads only the bytes the manifest names, refuses
-a header config whose model holds more elements than the payload before
-building the model, and validates parameter and buffer names and shapes
-against the config-built model; a malformed file, or a payload that does
-not fit in memory, raises UsageError.
+past it; it validates the blob manifest against the file's size before it
+reads a payload byte, refuses a header config whose model holds more
+elements than the payload before building the model, then checks each of
+its parameters and buffers by name and shape. Each blob moves straight
+between the file and the model's array; blobs the model does not name are
+not read. A malformed file raises UsageError.
 """
 
 import contextlib
 import json
 import math
 import os
+import sys
 
 import numpy as np
 
@@ -48,12 +49,9 @@ def save_checkpoint(path, model, train_config=None, epoch=0):
 
     manifest = []
     offset = 0
-    payload = []
     for name, arr in blobs:
-        arr32 = np.ascontiguousarray(arr, dtype="<f4")
         manifest.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        payload.append(arr32.tobytes())
-        offset += arr32.size
+        offset += arr.size
 
     header = {
         "model_config": model.config.to_dict(),
@@ -67,8 +65,8 @@ def save_checkpoint(path, model, train_config=None, epoch=0):
             f.write(MAGIC + b"\n")
             f.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8"))
             f.write(b"\n")
-            for chunk in payload:
-                f.write(chunk)
+            for _, arr in blobs:
+                f.write(np.ascontiguousarray(arr, dtype="<f4"))
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
@@ -110,18 +108,17 @@ def _read_header(path, f):
     return header
 
 
-def _read_blobs(path, manifest, f):
-    """(blob name -> float32 array, elements) from the open file `f`, read
-    after the header. Every blob must start where the one before it ends (as
-    save_checkpoint writes them) and lie inside the payload, and the payload
-    must hold exactly the manifest's elements. Both are checked against the
-    file's size before the payload is read, and only the payload the manifest
-    names is read, plus one byte to detect more; a payload that does not fit
-    in memory raises UsageError."""
+def _index_blobs(path, manifest, f):
+    """({blob name: (shape, file offset)}, payload elements, payload end) for
+    the open file `f`, read up to the payload. Every blob must start where
+    the one before it ends (as save_checkpoint writes them) and lie inside
+    the payload, and the payload must hold exactly the manifest's elements,
+    all checked against the file's size before a payload byte is read."""
     if not isinstance(manifest, list):
         raise UsageError(f"{path}: checkpoint blob manifest is not a list")
-    have = os.fstat(f.fileno()).st_size - f.tell()  # payload bytes
-    blobs = []
+    start = f.tell()
+    have = os.fstat(f.fileno()).st_size - start  # payload bytes
+    index = {}
     total = 0
     for entry in manifest:
         try:
@@ -140,59 +137,53 @@ def _read_blobs(path, manifest, f):
             raise UsageError(
                 f"{path}: blob {name!r} runs past the end of the file "
                 f"(needs {(offset + size) * 4} payload bytes, file has {have})")
-        blobs.append((name, shape, offset, size))
+        index[name] = shape, start + offset * 4
         total += size
-    if total * 4 == have:
-        try:
-            binary = f.read(have + 1)  # one byte more shows a file that changed since fstat
-        except MemoryError:
-            raise UsageError(f"{path}: the {have}-byte payload does not fit in memory") from None
-        have = len(binary)
     if total * 4 != have:
         raise UsageError(f"{path}: payload is {have} bytes, manifest describes {total * 4}")
-    return {name: np.frombuffer(binary, dtype="<f4", count=size, offset=offset * 4).reshape(shape)
-            for name, shape, offset, size in blobs}, total
-
-
-def _stored(path, values, name, shape, kind):
-    if name not in values:
-        raise UsageError(f"{path}: checkpoint is missing {kind} {name!r}")
-    stored = values[name]
-    if stored.shape != shape:
-        raise UsageError(
-            f"{path}: checkpoint {kind} {name!r} has shape {stored.shape}, "
-            f"model expects {shape}")
-    return stored
+    return index, total, start + have
 
 
 def load_checkpoint(path):
     """Rebuild the float32 model from disk; returns (model, train_config or
     None, epoch, None, {}).
 
-    A file that is not a regular file, or not a well-formed checkpoint for
-    its own model config, raises UsageError. Blobs the model has no
-    parameter or buffer for (the optimizer velocities of older files) are
-    ignored.
+    A file that is not a regular file, not a well-formed checkpoint for its
+    own model config, or one whose size changes while it is read raises
+    UsageError. Blobs the model has no parameter or buffer for (the optimizer
+    velocities of older files) are not read.
     """
     with open_regular(path, "rb", UsageError) as f:
         header = _read_header(path, f)
-        values, have = _read_blobs(path, header["blobs"], f)
-    try:
-        config = ModelConfig.from_dict(header["model_config"])
-        need = state_elements(config)
-        if need > have:  # refused before a single array of it is allocated
-            raise UsageError(f"{path}: cannot build the model in the checkpoint header: "
-                             f"it holds {need} elements, the payload {have}")
-        model = ISTANet(config)
-        train_config = (TrainConfig.from_dict(header["train_config"])
-                        if header.get("train_config") else None)
-    except (TypeError, ValueError) as e:
-        raise UsageError(f"{path}: bad config in checkpoint header ({e!r})") from None
+        index, have, end = _index_blobs(path, header["blobs"], f)
+        try:
+            config = ModelConfig.from_dict(header["model_config"])
+            need = state_elements(config)
+            if need > have:  # refused before a single array of it is allocated
+                raise UsageError(f"{path}: cannot build the model in the checkpoint header: "
+                                 f"it holds {need} elements, the payload {have}")
+            model = ISTANet(config)
+            train_config = (TrainConfig.from_dict(header["train_config"])
+                            if header.get("train_config") else None)
+        except (TypeError, ValueError) as e:
+            raise UsageError(f"{path}: bad config in checkpoint header ({e!r})") from None
 
-    for p in model.parameters():
-        p.data = _stored(path, values, p.name, p.shape, "parameter").astype(p.data.dtype)
-    for name, buf in model.buffers():
-        buf[...] = _stored(path, values, name, buf.shape, "buffer")
+        for kind, name, arr in ([("parameter", p.name, p.data) for p in model.parameters()]
+                                + [("buffer", name, buf) for name, buf in model.buffers()]):
+            if name not in index:
+                raise UsageError(f"{path}: checkpoint is missing {kind} {name!r}")
+            shape, offset = index[name]
+            if shape != arr.shape:
+                raise UsageError(f"{path}: checkpoint {kind} {name!r} has shape {shape}, "
+                                 f"model expects {arr.shape}")
+            f.seek(offset)
+            if f.readinto(arr) != arr.nbytes:
+                raise UsageError(f"{path}: the file shrank while it was read")
+            if sys.byteorder == "big":
+                arr.byteswap(inplace=True)
+        f.seek(end)
+        if f.read(1):
+            raise UsageError(f"{path}: the file grew while it was read")
 
     # perfbench/run.py unpacks five values, so the last two stay
     return model, train_config, header.get("epoch", 0), None, {}

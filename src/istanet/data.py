@@ -78,12 +78,16 @@ def open_regular(path, mode, error, encoding=None):
 def read_text(path, error=ParseError):
     """Contents of a user-supplied UTF-8 text file (`open_regular`), newlines
     translated as in text mode. Bytes that are not UTF-8 raise `error`, the
-    caller's typed input error, as does a file that is not a regular file."""
+    caller's typed input error, as do a file that is not a regular file and
+    one too large for memory."""
     with open_regular(path, "r", error, encoding="utf-8") as f:
         try:
             return f.read()
         except UnicodeDecodeError as e:
             raise error(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
+        except MemoryError:
+            size = os.fstat(f.fileno()).st_size
+            raise error(f"{path}: the {size}-byte file does not fit in memory") from None
 
 
 def parse_iskel(text):

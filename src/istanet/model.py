@@ -94,6 +94,9 @@ class TrainConfig:
             if getattr(self, name) < low:
                 raise ConfigurationError(
                     f"{name} must be an integer >= {low}, got {getattr(self, name)!r}")
+        for name in ("lr", "lr_decay"):
+            if getattr(self, name) < 0:
+                raise ConfigurationError(f"{name} must be >= 0, got {getattr(self, name)!r}")
         if not 0.0 <= self.label_smoothing < 1.0:
             raise ConfigurationError(
                 f"label smoothing must be in [0,1), got {self.label_smoothing}")

@@ -128,6 +128,9 @@ BAD_INPUTS = {
         ["gradcheck", "--config"], [], {"model.gamma": 10 ** 400}),
     "gradcheck-config-lr-too-big-for-float": (
         ["gradcheck", "--config"], [], {"train.lr": 10 ** 400}),
+    "config-lr-negative": (["train"], [], {"train.lr": -0.1}),
+    "config-lr-decay-negative": (["train"], [], {"train.lr_decay": -0.5}),
+    "train-lr-flag-negative": (["train"], ["--lr", "-0.1"], {}),
     "train-lr-flag-nan": (["train"], ["--lr", "nan"], {}),
     "train-lr-flag-inf": (["train"], ["--lr", "inf"], {}),
 }
@@ -234,6 +237,14 @@ DEVICE_INPUTS = {
     "fifo-eval-manifest": ["eval", "{ckpt}", "{fifo}"],
     "fifo-train-config": ["train", "{fifo}"],
     "fifo-inspect-tokens-sample": ["inspect", "tokens", "{fifo}"],
+}
+
+# case -> command line whose text input is {big}, a 2 GiB file that does not
+# fit in a capped run's memory; {ckpt} is a valid checkpoint
+LARGE_TEXT_INPUTS = {
+    "inspect-tokens-sample": ["inspect", "tokens", "{big}"],
+    "eval-manifest": ["eval", "{ckpt}", "{big}"],
+    "gradcheck-config": ["gradcheck", "--config", "{big}"],
 }
 
 # the address space of a capped CLI run: the interpreter and numpy need
@@ -423,10 +434,10 @@ class TestExitCodes:
         assert err == (f"error: {path}: payload is {2 << 30} bytes, manifest describes "
                        f"{len(raw) - header_end}\n"), err
 
-    def test_payload_too_large_for_memory_is_usage_error(self, tmp_path, corpus):
+    def test_unused_blob_too_large_for_memory_is_not_read(self, tmp_path):
         # the v1 fixture with an unused "opt.big" blob of 2^29 elements named
-        # last in its manifest, stored sparse: the 2 GiB payload the manifest
-        # describes exactly cannot be read under the cap
+        # last in its manifest, stored sparse: the 2 GiB blob does not fit
+        # under the cap, and the model, which does not name it, loads without it
         raw = MINIATURE_V1_CHECKPOINT.read_bytes()
         magic, header, payload = raw.split(b"\n", 2)
         doc = json.loads(header)
@@ -435,10 +446,23 @@ class TestExitCodes:
         with open(path, "wb") as f:
             f.write(b"\n".join([magic, json.dumps(doc).encode(), payload]))
             f.truncate(f.tell() + (2 << 30))
-        code, out, err = run_capped(["eval", str(path), str(corpus)])
+        sample = tmp_path / "s.iskel"
+        sample.write_text(serialize_iskel(make_sample(label=0, t=4, j=2,
+                                                      rng=np.random.default_rng(0))))
+        outputs = [run_capped(["inspect", "attention", str(sample), "--checkpoint", str(ckpt)])
+                   for ckpt in (path, MINIATURE_V1_CHECKPOINT)]
+        assert outputs[0][0] == 0, outputs[0][2]
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("case", sorted(LARGE_TEXT_INPUTS))
+    def test_text_file_too_large_for_memory_is_usage_error(self, tmp_path, case):
+        path = tmp_path / "big"
+        with open(path, "wb") as f:
+            f.truncate(2 << 30)  # sparse: 2 GiB of zeros that take no disk space
+        argv = [a.format(big=path, ckpt=MINIATURE_V1_CHECKPOINT) for a in LARGE_TEXT_INPUTS[case]]
+        code, out, err = run_capped(argv)
         assert code == 2 and out == ""
-        assert err == (f"error: {path}: the {len(payload) + (2 << 30)}-byte payload does not "
-                       f"fit in memory\n"), err
+        assert err == f"error: {path}: the {2 << 30}-byte file does not fit in memory\n", err
 
     def test_model_too_large_for_memory_is_usage_error(self, tmp_path, corpus):
         # the README config at 40000 frames has U = 20000 tokens, and each

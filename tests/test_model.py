@@ -494,6 +494,49 @@ class TestCheckpoint:
         save_checkpoint(p2, loaded, train_config=tc, epoch=epoch)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_load_and_save_allocate_little_beyond_the_model(self, tmp_path):
+        # the README model at window (1,1,1): U = 400, so the four heads'
+        # (U, U) M take most of its 2.5 MiB. A load reads each blob into the
+        # model's own array, and a save writes each one from it.
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, ISTANet(readme_config(window=(1, 1, 1)),
+                                      rng=np.random.default_rng(0)))
+        tracemalloc.start()
+        try:
+            model = load_checkpoint(path)[0]
+            load_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            held_before_save = tracemalloc.get_traced_memory()[0]
+            save_checkpoint(path, model)
+            save_peak = tracemalloc.get_traced_memory()[1] - held_before_save
+        finally:
+            tracemalloc.stop()
+        held = (sum(p.data.nbytes for p in model.parameters())
+                + sum(buf.nbytes for _, buf in model.buffers()))
+        assert held > 2 * 2 ** 20
+        assert load_peak <= 1.25 * held, (load_peak, held)
+        assert save_peak <= 0.25 * held, (save_peak, held)
+
+    @pytest.mark.parametrize("change,message", [(lambda raw: raw[:-4], "shrank"),
+                                                (lambda raw: raw + bytes(4), "grew")],
+                             ids=["shrinks", "grows"])
+    def test_file_that_changes_size_while_it_is_read_is_refused(self, tmp_path, monkeypatch,
+                                                                change, message):
+        # the file is rewritten after its size was checked and before its
+        # blobs are read, while the model is built; its payload is larger
+        # than what the reader buffered with the header
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, ISTANet(readme_config(), rng=np.random.default_rng(0)))
+        raw = path.read_bytes()
+
+        def build(config):
+            path.write_bytes(change(raw))
+            return ISTANet(config)
+
+        monkeypatch.setattr("istanet.checkpoint.ISTANet", build)
+        with pytest.raises(UsageError, match=f"the file {message} while it was read"):
+            load_checkpoint(path)
+
     def test_running_stats_round_trip(self, tmp_path):
         cfg = tiny_config()
         model = ISTANet(cfg, rng=np.random.default_rng(0))

@@ -1,5 +1,6 @@
 import importlib
 import importlib.util
+import json
 import os
 import pathlib
 import pkgutil
@@ -10,12 +11,14 @@ import numpy as np
 import pytest
 
 import istanet
-from istanet import attention, engine
-from istanet.model import ISTANet, ce_label_smoothing
+from istanet import attention, engine, synth
+from istanet.checkpoint import load_checkpoint, save_checkpoint
+from istanet.model import ISTANet, TrainConfig, ce_label_smoothing
 
 from helpers import readme_config, record_threads
 
 TRACER = pathlib.Path(__file__).parents[1] / "perfbench" / "tracer.py"
+SETUP_PROBE = TRACER.with_name("setup_probe.py")
 
 
 def test_every_exported_name_imports():
@@ -142,3 +145,26 @@ def test_benchmark_tracer_replays_the_batchnorm_of_a_train_step():
     assert {dict(s[3])["mode"] for s in signatures} == {"train"}
     for signature in signatures:
         assert tracer.replay_backward_ms(engine, signature, repeats=1) >= 0.0
+
+
+def test_benchmark_setup_probe_builds_and_loads(tmp_path):
+    # the benchmark times a cold model build and a cold checkpoint load with
+    # its set-up probe, and its infer set-up unpacks load_checkpoint's five
+    # values; a change to either fails here, not only in a benchmark run
+    config = readme_config()
+    manifest = synth.generate_corpus(str(tmp_path / "corpus"), num_train=4, num_val=4)
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(ckpt, ISTANet(config, rng=np.random.default_rng(0)),
+                    train_config=TrainConfig(epochs=2), epoch=2)
+    model, train_config, epoch, _, _ = load_checkpoint(ckpt)
+    assert model.config == config and train_config.epochs == epoch == 2
+
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    src = str(pathlib.Path(istanet.__file__).parents[1])
+    spec = json.dumps({"model": config.to_dict(), "seed": 0})
+    for kind, arg in (("build", spec), ("load", str(ckpt))):
+        done = subprocess.run([sys.executable, str(SETUP_PROBE), src, manifest, kind, arg],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        raw, calibrated = map(float, done.stdout.strip().splitlines()[-1].split())
+        assert raw > 0 and calibrated > 0
