@@ -1,41 +1,44 @@
 """Token self-attention blocks.
 
-Each block runs, per head: Q/K pointwise projections of the input plus a
-sinusoidal positional encoding over the token index, values taken as an
-unprojected channel slice of the input, and a bounded score map
+A block's multi-head attention is one tape node (multi_head_attention).
+Q and K of every head come from one pointwise projection of the input plus
+a sinusoidal positional encoding over the token index, its weight packed
+from the heads' Parameters (qkv_project); each head's values are its
+unprojected channel slice of the input, read in place; and each head's
+bounded score map is
 
     scores = alpha * tanh(Q K^T / sqrt(c_beta)) + M
 
-with trainable per-head alpha and (U,U) matrix M. After the Gram matrix
-Q K^T, the score map is one tape node: scale, tanh, alpha and M in one
-forward, the band |scores - M| <= |alpha| made exact in floating point, and
-a closed-form backward. The node takes the model's own operands, alpha a
-0-d Tensor and M a Tensor, both in the Gram matrix's dtype (UsageError
-otherwise), and works through the map in blocks, so that each pass reads
-a block from cache: the whole (N,U,U) map when it has at most
-engine.SCORE_BLOCK_ELEMENTS entries (up to 655 samples at U=20, one at
+with trainable per-head alpha and (U,U) matrix M. The score step
+(attention_scores) takes the Gram matrix Q K^T from the engine's
+attention_contract, then runs scale, tanh, alpha and M in one pass, with
+the band |scores - M| <= |alpha| made exact in floating point; the node's
+backward is in closed form. The step takes alpha and M as arrays of q's
+dtype (UsageError otherwise), and works through the map in blocks, so that
+each pass reads a block from cache: the whole (N,U,U) map when it has at
+most engine.SCORE_BLOCK_ELEMENTS entries (up to 655 samples at U=20, one at
 U=400), else one sample's (U,U) map at a time. A whole map is always
 scanned for entries out of band; a per-sample block is scanned only when a
 rounding bound from its max|tanh|, |alpha| and max|M| cannot prove it in
 band (attention_scores gives the bound).
 
-Threads: at a map over that threshold, the head's three map-sized steps
+Threads: at a map over that threshold, each head's three map-sized steps
 split their work over engine.THREADS threads, the calling one and a pool's
 (engine._in_threads), forward and backward. The Gram matrix
 (attention_contract) and score application (apply_scores) split the
-samples; the score node's forward splits the samples and its backward the
-rows of the (U,U) map. THREADS is the number of CPUs in the process's
-affinity mask (`taskset -c 0` gives one), apart from the BLAS thread
-count, and the bytes do not depend on it. A whole map stays on the calling
-thread.
+samples; the score step splits the samples and its backward
+(_attention_scores_grads) the rows of the (U,U) map. THREADS is the number
+of CPUs in the process's affinity mask (`taskset -c 0` gives one), apart
+from the BLAS thread count, and the bytes do not depend on it. A whole map
+stays on the calling thread.
 
-Head outputs are concatenated, passed through a token-axis convolution
-(kernel k_u) and a pointwise FFN with residual connections, and finished by
-temporal aggregation (kernel k_t along the within-window time axis, plus
-residual). The token-axis and temporal convolutions, each followed by a
-batchnorm, run through engine.conv_batchnorm, which in infer mode folds the
-batchnorm, and the temporal residual, into the convolution's weight and
-bias.
+The heads' values, written into one array, are passed through a
+token-axis convolution (kernel k_u) and a pointwise FFN with residual
+connections, and finished by temporal aggregation (kernel k_t along the
+within-window time axis, plus residual). The token-axis and temporal
+convolutions, each followed by a batchnorm, run through
+engine.conv_batchnorm, which in infer mode folds the batchnorm, and the
+temporal residual, into the convolution's weight and bias.
 """
 
 import functools
@@ -45,9 +48,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine
-from .engine import (BatchNormState, ConfigurationError, Parameter,
+from .engine import (BatchNormState, ConfigurationError, DimensionError, Parameter,
                      UsageError, apply_scores, attention_contract,
-                     check_field_types, concat, conv3d_axis, conv_batchnorm,
+                     check_field_types, conv3d_axis, conv_batchnorm,
                      leaky_relu, pointwise_conv3d, uniform_init)
 
 @dataclass(frozen=True)
@@ -88,15 +91,16 @@ def positional_encoding(c, t_w, s, u, dtype=np.float64):
     over the within-token axes. pe[c] = sin(u/10000^(c/C)) for even c,
     cos(u/10000^((c-1)/C)) for odd c.
 
-    Every head of every block at every step reads the same table, so it is
-    built once per (c, t_w, s, u, dtype) and returned read-only."""
+    Every block at every step reads the same table, so it is built once per
+    (c, t_w, s, u, dtype) and returned read-only, C-contiguous, so that
+    adding it to an activation reads both in memory order."""
     pe = np.zeros((c, u), dtype=np.float64)
     pos = np.arange(u, dtype=np.float64)
     for ch in range(c):
         exponent = (ch if ch % 2 == 0 else ch - 1) / c
         angle = pos / (10000.0 ** exponent)
         pe[ch] = np.sin(angle) if ch % 2 == 0 else np.cos(angle)
-    table = np.broadcast_to(pe[:, None, None, :], (c, t_w, s, u)).astype(dtype)
+    table = np.broadcast_to(pe[:, None, None, :], (c, t_w, s, u)).astype(dtype, order="C")
     table.flags.writeable = False
     return table
 
@@ -152,22 +156,27 @@ class TSABlockParams:
         return self.ffn_norm.buffers() + self.ta_norm.buffers()
 
 
-def qkv_project(x, params, h):
-    """Per-head Q/K projections of (input + positional encoding); V is the
-    h-th unprojected channel slice of the input."""
+def qkv_project(x, params):
+    """Q and K of every head from one GEMM on x + PE, the positional encoding,
+    with a (2*H*c_qkv, C) weight and bias packed at each call from the heads'
+    Parameters, head h's Q rows then its K rows. Returns x + PE as
+    (..., C, T*S*U) sites, the packed weight and the (..., 2*H*c_qkv, T, S, U)
+    projection. Each row has the bytes of its head's own projection, but at
+    c_qkv = 1, whose one-row product numpy runs as a matrix-vector one."""
     c, t_w, s, u = x.shape[-4:]
-    pe = positional_encoding(c, t_w, s, u, dtype=x.dtype)
-    xpe = engine.add(x, engine.Tensor(pe))
-    q = pointwise_conv3d(xpe, params.q_weights[h], params.q_biases[h])
-    k = pointwise_conv3d(xpe, params.k_weights[h], params.k_biases[h])
-    vc = params.config.v_channels
-    v = engine.getitem(x, np.s_[..., h * vc:(h + 1) * vc, :, :, :])
-    return q, k, v
+    xpe = x.data + positional_encoding(c, t_w, s, u, dtype=x.dtype)
+    xpe = xpe.reshape(x.shape[:-3] + (-1,))
+    heads = range(params.config.heads)
+    w = np.concatenate([p.data for h in heads for p in (params.q_weights[h], params.k_weights[h])])
+    b = np.concatenate([p.data for h in heads for p in (params.q_biases[h], params.k_biases[h])])
+    qk = w @ xpe
+    qk += b[:, None]
+    return xpe, w, qk.reshape(x.shape[:-4] + (-1,) + x.shape[-3:])
 
 
 def _score_blocks(shape):
     """Index of each block of a (U,U) or (N,U,U) score map in the order the
-    score node works through them: one sample's (1,U,U) slice at a time when
+    score step works through them: one sample's (1,U,U) slice at a time when
     the engine's contraction works the map a sample at a time
     (engine._per_sample), else the whole map."""
     if not engine._per_sample(shape):
@@ -206,10 +215,13 @@ def _band_pretest(dtype, m, radius):
 
 
 def attention_scores(q, k, alpha, m, c_beta):
-    """scores = alpha * tanh(QK^T / sqrt(c_beta)) + M, as one tape node over
-    (QK^T, alpha, M) after the attention_contract node.
+    """The score step of one head: scores = alpha * tanh(QK^T / sqrt(c_beta))
+    + M from the q and k arrays, with the Gram matrix QK^T from
+    attention_contract. Returns the scores and the tanh map t, which the
+    backward (_attention_scores_grads) reads; t is written over the Gram
+    matrix, which nothing else keeps.
 
-    alpha must be a 0-d Tensor and M a Tensor, both in the Gram matrix's
+    alpha must be a 0-d array or a numpy scalar and M an array, both in q's
     dtype as the model's Parameters are (else UsageError), so every step
     runs in that one dtype, in the order of the composed steps: the forward
     is bit-identical to mul, tanh, mul and add. The tanh range keeps every
@@ -266,79 +278,134 @@ def attention_scores(q, k, alpha, m, c_beta):
     eps (a + mu) >= eta/2 covers that; else every p and M is a multiple of
     eta below 2 tiny, so s and d are exact and |d| = |p| <= |alpha|.
     """
-    gram = attention_contract(q, k)
-    if not (isinstance(alpha, engine.Tensor) and isinstance(m, engine.Tensor)
-            and alpha.ndim == 0 and alpha.dtype == m.dtype == gram.dtype):
-        raise UsageError(f"alpha must be a 0-d Tensor and M a Tensor, both {gram.dtype}")
-    radius = abs(float(alpha.data))
-    scale = np.asarray(1.0 / np.sqrt(c_beta), dtype=gram.dtype)
-    t = np.empty_like(gram.data)
+    if not (isinstance(alpha, (np.ndarray, np.generic)) and isinstance(m, np.ndarray)
+            and alpha.ndim == 0 and alpha.dtype == m.dtype == q.dtype):
+        raise UsageError(f"alpha must be a 0-d array and M an array, both {q.dtype}")
+    t = attention_contract(engine.Tensor(q), engine.Tensor(k)).data
+    radius = abs(float(alpha))
+    scale = np.asarray(1.0 / math.sqrt(c_beta), dtype=t.dtype)
     out = np.empty_like(t)
     blocks = _score_blocks(t.shape)
-    in_band = _band_pretest(t.dtype, m.data, radius) if len(blocks) > 1 else None
+    in_band = _band_pretest(t.dtype, m, radius) if len(blocks) > 1 else None
 
     def forward(lo, hi):
         for blk in blocks[lo:hi]:
             t_b, out_b = t[blk], out[blk]
-            np.tanh(np.multiply(gram.data[blk], scale, out=t_b), out=t_b)
-            np.multiply(t_b, alpha.data, out=out_b)
-            out_b += m.data
+            np.tanh(np.multiply(t_b, scale, out=t_b), out=t_b)
+            np.multiply(t_b, alpha, out=out_b)
+            out_b += m
             if in_band is None or not in_band(float(max(t_b.max(), -t_b.min()))):
-                _scan_band(out_b, m.data, radius)
+                _scan_band(out_b, m, radius)
 
     engine._in_threads(forward, len(blocks))
+    return out, t
+
+
+def _attention_scores_grads(g, t, alpha, c_beta):
+    """Gradients (g_gram, g_alpha, g_M) of attention_scores for the upstream
+    gradient g of its scores and its tanh map t, blocked and threaded as its
+    forward is (see attention_scores)."""
+    scale = np.asarray(1.0 / math.sqrt(c_beta), dtype=t.dtype)
+    blocks = _score_blocks(t.shape)
+    g_gram = np.empty_like(t)
+    many = len(blocks) > 1
+    # per-sample blocks sum g*t and g into one (1,U,U) array each, which
+    # the first block fills and the others add to in block order
+    g_alpha, g_m = np.empty((2,) + t[:1].shape, t.dtype) if many else (g * t, g)
+
+    def rows(lo, hi):
+        r = np.s_[..., lo:hi, :]
+        scratch = np.empty(t[blocks[0]][r].shape, t.dtype)  # 1 - t*t, then g*t
+        for i, blk in enumerate(blocks):
+            g_b, t_b = g[blk][r], t[blk][r]
+            g_gram_b = np.multiply(g_b, alpha, out=g_gram[blk][r])
+            np.subtract(1.0, np.multiply(t_b, t_b, out=scratch), out=scratch)
+            g_gram_b *= scratch
+            g_gram_b *= scale
+            if many and i == 0:
+                np.multiply(g_b, t_b, out=g_alpha[r])
+                g_m[r] = g_b
+            elif many:
+                g_alpha[r] += np.multiply(g_b, t_b, out=scratch)
+                g_m[r] += g_b
+
+    if many:
+        engine._in_threads(rows, t.shape[-2])
+    else:
+        rows(0, t.shape[-2])
+    return g_gram, engine._unbroadcast(g_alpha, ()), engine._unbroadcast(g_m, t.shape[-2:])
+
+
+def _channels(lo, hi):
+    """Index of channels lo..hi-1 of a (C,T,S,U) or (N,C,T,S,U) array."""
+    return np.s_[..., lo:hi, :, :, :]
+
+
+def multi_head_attention(x, params, score_sink=None):
+    """A block's heads as one tape node: x, (C,T_w,S,U) or (N,C,T_w,S,U), to
+    the heads' values in one array of x's shape, head h's in its V channels.
+
+    The forward projects Q and K with one GEMM (qkv_project), reads each
+    head's V as its channel slice of x, and runs each head's
+    attention_scores and apply_scores. The backward takes each head's
+    gradients with the code of those steps, V's into its slice of x's, and
+    the packed projection's in one pass, so x's gradient sums the projected
+    channels of all heads in one GEMM. If `score_sink` is a list, a copy of
+    each head's scores is appended.
+    """
+    cfg = params.config
+    if x.ndim not in (4, 5) or x.shape[-4] != cfg.c_in:
+        raise DimensionError(f"multi_head_attention: expected a rank 4 or 5 input with "
+                             f"c_in={cfg.c_in} channels on axis -4, got shape {x.shape}")
+    # per-head feature length: T_w * J_w * E_w * c_qkv, with S = J_w*E_w
+    c_beta = x.shape[-3] * x.shape[-2] * cfg.c_qkv
+    c, vc = cfg.c_qkv, cfg.v_channels
+    # head h's Q, K and V channels: of the projection, then of x
+    idx = [(_channels(2 * h * c, (2 * h + 1) * c), _channels((2 * h + 1) * c, (2 * h + 2) * c),
+            _channels(h * vc, (h + 1) * vc)) for h in range(cfg.heads)]
+    xpe, w, qk = qkv_project(x, params)
+    out = np.empty(x.shape, x.dtype)
+    maps = []  # each head's (scores, t)
+    for (qi, ki, vi), alpha, m in zip(idx, params.alphas, params.ms):
+        scores, t = attention_scores(qk[qi], qk[ki], alpha.data, m.data, c_beta)
+        if score_sink is not None:
+            score_sink.append(np.array(scores))
+        out[vi] = apply_scores(engine.Tensor(scores), engine.Tensor(x.data[vi])).data
+        maps.append((scores, t))
 
     def bwd(g):
-        g_gram = np.empty_like(t)
-        many = len(blocks) > 1
-        # per-sample blocks sum g*t and g into one (1,U,U) array each, which
-        # the first block fills and the others add to in block order
-        g_alpha, g_m = np.empty((2,) + t[:1].shape, t.dtype) if many else (g * t, g)
+        g_qk, g_v = np.empty_like(qk), np.empty_like(out)
+        g_maps = []
+        for (qi, ki, vi), alpha, (scores, t) in zip(idx, params.alphas, maps):
+            g_scores, g_v[vi] = engine._apply_scores_grads(scores, x.data[vi], g[vi])
+            g_gram, g_alpha, g_m = _attention_scores_grads(g_scores, t, alpha.data, c_beta)
+            g_qk[qi], g_qk[ki] = engine._contract_grads(qk[qi], qk[ki], g_gram)
+            g_maps.append((g_alpha, g_m))
+        g2 = g_qk.reshape(xpe.shape[:-2] + (-1, xpe.shape[-1]))
+        gx = (w.T @ g2).reshape(x.shape)
+        gx += g_v
+        gw, gb = engine._weight_bias_grads(g2, xpe)
+        gw, gb = gw.reshape(cfg.heads, 2, c, -1), gb.reshape(cfg.heads, 2, c)
+        return (gx,) + tuple(g for h, g_map in enumerate(g_maps)
+                             for g in (gw[h, 0], gb[h, 0], gw[h, 1], gb[h, 1]) + g_map)
 
-        def rows(lo, hi):
-            r = np.s_[..., lo:hi, :]
-            scratch = np.empty(t[blocks[0]][r].shape, t.dtype)  # 1 - t*t, then g*t
-            for i, blk in enumerate(blocks):
-                g_b, t_b = g[blk][r], t[blk][r]
-                g_gram_b = np.multiply(g_b, alpha.data, out=g_gram[blk][r])
-                np.subtract(1.0, np.multiply(t_b, t_b, out=scratch), out=scratch)
-                g_gram_b *= scratch
-                g_gram_b *= scale
-                if many and i == 0:
-                    np.multiply(g_b, t_b, out=g_alpha[r])
-                    g_m[r] = g_b
-                elif many:
-                    g_alpha[r] += np.multiply(g_b, t_b, out=scratch)
-                    g_m[r] += g_b
-
-        if many:
-            engine._in_threads(rows, t.shape[-2])
-        else:
-            rows(0, t.shape[-2])
-        return g_gram, engine._unbroadcast(g_alpha, alpha.shape), engine._unbroadcast(g_m, m.shape)
-
-    return engine._make(out, (gram, alpha, m), bwd)
+    parents = [x]
+    for h in range(cfg.heads):
+        parents += [params.q_weights[h], params.q_biases[h], params.k_weights[h],
+                    params.k_biases[h], params.alphas[h], params.ms[h]]
+    return engine._make(out, parents, bwd)
 
 
 def tsa_block_forward(x, params, mode, score_sink=None):
-    """One block: multi-head scores on values, head concat, token-axis FFN
-    with residuals, then temporal aggregation. Takes a (C,T_w,S,U) or a
-    batched (N,C,T_w,S,U) Tensor; output has c_out channels, other axes kept.
+    """One block: multi-head attention (one node, multi_head_attention),
+    token-axis FFN with residuals, then temporal aggregation. Takes a
+    (C,T_w,S,U) or a batched (N,C,T_w,S,U) Tensor; output has c_out
+    channels, other axes kept.
 
     If `score_sink` is a list, the per-head score arrays are appended to it
     (for attention export).
     """
-    # per-head feature length: T_w * J_w * E_w * c_qkv, with S = J_w*E_w
-    cb = x.shape[-3] * x.shape[-2] * params.config.c_qkv
-
-    heads = []
-    for h in range(params.config.heads):
-        q, k, v = qkv_project(x, params, h)
-        scores = attention_scores(q, k, params.alphas[h], params.ms[h], cb)
-        if score_sink is not None:
-            score_sink.append(np.array(scores.data))
-        heads.append(apply_scores(scores, v))
-    xh = concat(heads, axis=-4) if len(heads) > 1 else heads[0]
+    xh = multi_head_attention(x, params, score_sink)
 
     # token-axis convolution, normalized and activated
     xhat = conv_batchnorm(conv3d_axis, xh, params.ffn_conv_weight, params.ffn_conv_bias,

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .checkpoint import load_checkpoint
-from .data import ParseError, ValidationError, load_manifest, parse_iskel, read_text
+from .data import ParseError, ValidationError, load_manifest, read_iskel, read_text
 from .engine import ConfigurationError, UsageError
 from .gradcheck import run_gradcheck
 from .model import ISTANet, ModelConfig, TrainConfig, evaluate_topk
@@ -175,7 +175,7 @@ def cmd_gradcheck(args):
 
 
 def cmd_inspect(args):
-    seq = parse_iskel(read_text(args.sample))
+    seq = read_iskel(args.sample)
 
     if args.what == "tokens":
         window = _parse_window(args.window)

@@ -90,10 +90,22 @@ def read_text(path, error=ParseError):
             raise error(f"{path}: the {size}-byte file does not fit in memory") from None
 
 
+def read_iskel(path):
+    """The SkeletonSequence of the `.iskel` file at `path` (read_text, then
+    parse_iskel). Text that fits in memory but whose parsed values do not
+    raises ParseError naming the file."""
+    text = read_text(path)
+    try:
+        return parse_iskel(text)
+    except MemoryError:
+        raise ParseError(f"{path}: the values of the {len(text)}-character file do not fit "
+                         f"in memory") from None
+
+
 def parse_iskel(text):
     """Parse `.iskel` text (a str; `read_text` decodes a file) into a
     SkeletonSequence."""
-    lines = text.split("\n")
+    lines = text.split("\n", 2)
     if lines[0].strip() != _MAGIC:
         raise ParseError(f"bad magic, expected {_MAGIC!r}", line=1)
     if len(lines) < 2:
@@ -111,7 +123,7 @@ def parse_iskel(text):
         raise ParseError(f"invalid header dims/label {header}", line=2)
 
     expected = c * t * j * e
-    tokens = "\n".join(lines[2:]).split()
+    tokens = lines[2].split() if len(lines) > 2 else []
     if len(tokens) != expected:
         raise ParseError(f"expected {expected} values, found {len(tokens)}", line=3)
     try:
@@ -202,7 +214,7 @@ class DatasetManifest:
         return tags
 
     def load(self, entry):
-        seq = parse_iskel(read_text(os.path.join(self.root, entry.path)))
+        seq = read_iskel(os.path.join(self.root, entry.path))
         if seq.label != entry.label:
             raise ValidationError(
                 f"{entry.path}: file label {seq.label} != manifest label {entry.label}")

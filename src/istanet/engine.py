@@ -36,11 +36,18 @@ the calling thread and a pool's (_in_threads). Each thread runs the same
 per-sample GEMMs on its own samples and writes only its slices of
 preallocated outputs, so the bytes do not depend on THREADS. A smaller map,
 or a rank-4 input, runs as one numpy call on the calling thread. The score
-node between them (attention.attention_scores) splits its per-sample blocks
-by the same rule. THREADS is the number of CPUs in the process's affinity
-mask (`taskset -c 0` gives one), apart from the BLAS thread count, which
-the package sets to one unless the user sets it (istanet/__init__.py):
-BLAS threads of their own compete with these.
+step between them (attention.attention_scores) and its backward split
+their per-sample blocks by the same rule. THREADS is the number of CPUs in
+the process's affinity mask (`taskset -c 0` gives one), apart from the BLAS
+thread count, which the package sets to one unless the user sets it
+(istanet/__init__.py): BLAS threads of their own compete with these.
+
+A block's multi-head attention is one node (attention.multi_head_attention)
+that calls attention_contract and apply_scores on constant Tensors, which
+record no tape, and takes their gradients from _contract_grads and
+_apply_scores_grads, the code of the ops' own backwards. It reads each
+head's values in place and writes the heads into one array, so the engine
+has no slicing or concatenation op.
 
 Inside ``with no_grad():`` every op returns a plain Tensor with no parents
 and no backward closure, so a forward records no tape; an infer-mode
@@ -50,6 +57,7 @@ forward (ISTANet.forward_tokens) always runs that way.
 import contextlib
 import contextvars
 import dataclasses
+import functools
 import math
 import os
 import sys
@@ -252,29 +260,6 @@ def leaky_relu(a, gamma):
     return _make(out, (a,), bwd)
 
 
-def getitem(a, idx):
-    out = a.data[idx]
-    in_shape, in_dtype = a.shape, a.data.dtype
-
-    def bwd(g):
-        full = np.zeros(in_shape, dtype=in_dtype)
-        full[idx] = g
-        return (full,)
-
-    return _make(np.ascontiguousarray(out), (a,), bwd)
-
-
-def concat(tensors, axis):
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def bwd(g):
-        return tuple(np.ascontiguousarray(p) for p in np.split(g, splits, axis=axis))
-
-    return _make(out, tensors, bwd)
-
-
 def tensor_sum(a, axis=None, keepdims=False):
     out = a.data.sum(axis=axis, keepdims=keepdims)
     in_shape = a.shape
@@ -382,6 +367,27 @@ def pointwise_conv3d(x, weight, bias):
 _AXIS_NAMES = {"T": -3, "S": -2, "U": -1}
 
 
+@functools.lru_cache(maxsize=256)
+def _conv_taps(ax, length, k):
+    """(d, output sites, input sites, zero sites) index tuples of each tap d
+    of a k-tap convolution along axis ax (-3, -2 or -1) of `length`: output
+    l reads input l + d - (k-1)/2, and the output sites where that lies
+    outside the axis are zero."""
+    def along_axis(lo, hi):
+        sl = [slice(None)] * 3
+        sl[ax] = slice(lo, hi)
+        return (...,) + tuple(sl)
+
+    taps = []
+    for d in range(k):
+        shift = d - (k - 1) // 2
+        lo = max(0, -shift)
+        hi = max(lo, length - max(0, shift))
+        zero = tuple(along_axis(a, b) for a, b in ((0, lo), (hi, length)) if a < b)
+        taps.append((d, along_axis(lo, hi), along_axis(lo + shift, hi + shift), zero))
+    return tuple(taps)
+
+
 def conv3d_axis(x, weight, bias, axis, k):
     """Cross-correlation along one of the T/S/U axes with full channel mixing.
 
@@ -392,7 +398,8 @@ def conv3d_axis(x, weight, bias, axis, k):
     axis, cols[..., i, d, t, s, u] = x[..., i, (t, s, u) + d - (k-1)/2 along
     the axis] (zero outside it), so the convolution is one
     (C_out, C_in*k) @ (C_in*k, T*S*U) matmul; the backward pass scatters the
-    column gradient back with k shifted adds (col2im).
+    column gradient back with k shifted adds (col2im). cols is written once:
+    each tap's shifted copy and its out-of-axis zeros (_conv_taps).
     """
     if axis not in _AXIS_NAMES:
         raise ConfigurationError(f"conv3d_axis: axis must be one of T/S/U, got {axis!r}")
@@ -410,23 +417,13 @@ def conv3d_axis(x, weight, bias, axis, k):
             f"conv3d_axis: bias axis {bias.shape} != (C_out,)=({weight.shape[0]},)")
 
     ax = _AXIS_NAMES[axis]
-    length = x.shape[ax]
-
-    def along_axis(lo, hi):
-        sl = [slice(None)] * 3
-        sl[ax] = slice(lo, hi)
-        return (...,) + tuple(sl)
-
-    taps = []  # (d, output sites, input sites): output l reads input l + shift
-    for d in range(k):
-        shift = d - (k - 1) // 2
-        lo = max(0, -shift)
-        hi = max(lo, length - max(0, shift))
-        taps.append((d, along_axis(lo, hi), along_axis(lo + shift, hi + shift)))
-
-    cols = np.zeros(x.shape[:-3] + (k,) + x.shape[-3:], dtype=x.dtype)
-    for d, out_sl, in_sl in taps:
-        cols[..., d, :, :, :][out_sl] = x.data[in_sl]
+    taps = _conv_taps(ax, x.shape[ax], k)
+    cols = np.empty(x.shape[:-3] + (k,) + x.shape[-3:], dtype=x.dtype)
+    for d, out_sl, in_sl, zero_sls in taps:
+        tap = cols[..., d, :, :, :]
+        tap[out_sl] = x.data[in_sl]
+        for zero_sl in zero_sls:
+            tap[zero_sl] = 0
     cols = cols.reshape(x.shape[:-4] + (x.shape[-4] * k, -1))
     w2 = weight.data.reshape(weight.shape[0], -1)
     out2 = w2 @ cols
@@ -436,7 +433,7 @@ def conv3d_axis(x, weight, bias, axis, k):
         g2 = g.reshape(g.shape[:-3] + (-1,))
         gcols = (w2.T @ g2).reshape(x.shape[:-3] + (k,) + x.shape[-3:])
         gx = np.zeros(x.shape, dtype=x.dtype)
-        for d, out_sl, in_sl in taps:
+        for d, out_sl, in_sl, _ in taps:
             gx[in_sl] += gcols[..., d, :, :, :][out_sl]
         gw, gb = _weight_bias_grads(g2, cols)
         return gx, gw.reshape(weight.shape).astype(weight.dtype, copy=False), gb
@@ -513,17 +510,18 @@ def attention_contract(q, k):
         raise DimensionError(f"attention_contract: q shape {q.shape} != k shape {k.shape}")
     _check_rank(q, "attention_contract")
     flat_shape = q.shape[:-4] + (-1, q.shape[-1])
-    qf = q.data.reshape(flat_shape)
-    kf = k.data.reshape(flat_shape)
     matmul = _matmul_for(q.shape[:-4] + (q.shape[-1], q.shape[-1]))
-    out = matmul(qf.swapaxes(-1, -2), kf)
+    out = matmul(q.data.reshape(flat_shape).swapaxes(-1, -2), k.data.reshape(flat_shape))
+    return _make(out, (q, k), lambda g: _contract_grads(q.data, k.data, g))
 
-    def bwd(g):
-        gq = _matmul_transposed(kf, g, matmul).reshape(q.shape)
-        gk = matmul(qf, g).reshape(k.shape)
-        return gq, gk
 
-    return _make(out, (q, k), bwd)
+def _contract_grads(q, k, g):
+    """Gradients (gq, gk) of attention_contract for the q and k arrays and
+    the gradient g of the Gram matrix."""
+    flat_shape = q.shape[:-4] + (-1, q.shape[-1])
+    qf, kf = q.reshape(flat_shape), k.reshape(flat_shape)
+    matmul = _matmul_for(g.shape)
+    return _matmul_transposed(kf, g, matmul).reshape(q.shape), matmul(qf, g).reshape(k.shape)
 
 
 def apply_scores(scores, v):
@@ -533,18 +531,19 @@ def apply_scores(scores, v):
     if scores.shape != expected:
         raise DimensionError(
             f"apply_scores: scores shape {scores.shape} != (...,U,U)={expected}")
+    vf = v.data.reshape(v.shape[:-4] + (-1, v.shape[-1]))
+    out = _matmul_transposed(vf, scores.data, _matmul_for(scores.shape)).reshape(v.shape)
+    return _make(out, (scores, v), lambda g: _apply_scores_grads(scores.data, v.data, g))
+
+
+def _apply_scores_grads(scores, v, g):
+    """Gradients (g_scores, gv) of apply_scores for the scores and v arrays
+    and the gradient g of its output. v and g may be channel slices of
+    larger arrays: each sample's rows are read in place."""
     flat_shape = v.shape[:-4] + (-1, v.shape[-1])
-    vf = v.data.reshape(flat_shape)
+    vf, gf = v.reshape(flat_shape), g.reshape(flat_shape)
     matmul = _matmul_for(scores.shape)
-    out = _matmul_transposed(vf, scores.data, matmul).reshape(v.shape)
-
-    def bwd(g):
-        gf = g.reshape(flat_shape)
-        gs = matmul(gf.swapaxes(-1, -2), vf)
-        gv = matmul(gf, scores.data).reshape(v.shape)
-        return gs, gv
-
-    return _make(out, (scores, v), bwd)
+    return matmul(gf.swapaxes(-1, -2), vf), matmul(gf, scores).reshape(v.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Shared test utilities: the README model config, a finite-difference
 oracle kept independent of the reverse-mode path it checks, reference
-primitives (sub, div, sqrt, reshape, tanh), the inverse of the tokenizer's
-partition, the attention score map composed of primitive ops, a recorder
+primitives (sub, div, sqrt, reshape, tanh, getitem, concat), the inverse
+of the tokenizer's partition, the attention score map composed of
+primitive ops and a block's attention as a chain of them per head, a recorder
 of the threads that run the engine's per-sample work, malformed
 checkpoints, byte mutations of input files, and the committed v1
 checkpoint fixture."""
@@ -14,7 +15,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from istanet import engine
-from istanet.attention import TSABlockConfig
+from istanet.attention import TSABlockConfig, positional_encoding
 from istanet.checkpoint import save_checkpoint
 from istanet.model import ISTANet, ModelConfig
 
@@ -132,9 +133,10 @@ def unpartition(tokens, window, dims):
 
 def record_threads(monkeypatch, owner=""):
     """Make engine._in_threads record the thread that runs each range of the
-    work whose __qualname__ starts with `owner` (say "attention_scores" for
-    the score node's; any work by default); returns the set of thread
-    idents. It stays empty when no such work reaches _in_threads."""
+    work whose __qualname__ starts with `owner`, a prefix or a tuple of them
+    (say "attention_scores" for the score step's; any work by default);
+    returns the set of thread idents. It stays empty when no such work
+    reaches _in_threads."""
     idents, in_threads = set(), engine._in_threads
 
     def spy(work, count):
@@ -165,6 +167,50 @@ def composed_attention_scores(q, k, alpha, m, c_beta):
         data[over] = np.nextafter(data[over], np.broadcast_to(center, data.shape)[over])
         over = np.abs(data - center) > radius
     return engine._make(data, (raw,), lambda g: (g,))
+
+
+def getitem(a, idx):
+    """a[idx] as a tape node, copied contiguous."""
+    in_shape, in_dtype = a.shape, a.data.dtype
+
+    def bwd(g):
+        full = np.zeros(in_shape, dtype=in_dtype)
+        full[idx] = g
+        return (full,)
+
+    return engine._make(np.ascontiguousarray(a.data[idx]), (a,), bwd)
+
+
+def concat(tensors, axis):
+    """np.concatenate of Tensors as a tape node."""
+    splits = np.cumsum([t.shape[axis] for t in tensors])[:-1]
+
+    def bwd(g):
+        return tuple(np.ascontiguousarray(p) for p in np.split(g, splits, axis=axis))
+
+    return engine._make(np.concatenate([t.data for t in tensors], axis=axis), tensors, bwd)
+
+
+def per_head_attention(x, params, score_sink=None):
+    """Reference for attention.multi_head_attention: the per-head chain of
+    engine ops, each head a PE add, Q and K pointwise projections, a V
+    slice, the Gram matrix, the composed score map (composed_attention_scores)
+    and the score application, then the heads' concat."""
+    c, t_w, s, u = x.shape[-4:]
+    c_beta = t_w * s * params.config.c_qkv
+    pe = engine.Tensor(positional_encoding(c, t_w, s, u, dtype=x.dtype))
+    vc = params.config.v_channels
+    heads = []
+    for h in range(params.config.heads):
+        xpe = engine.add(x, pe)
+        q = engine.pointwise_conv3d(xpe, params.q_weights[h], params.q_biases[h])
+        k = engine.pointwise_conv3d(xpe, params.k_weights[h], params.k_biases[h])
+        v = getitem(x, np.s_[..., h * vc:(h + 1) * vc, :, :, :])
+        scores = composed_attention_scores(q, k, params.alphas[h], params.ms[h], c_beta)
+        if score_sink is not None:
+            score_sink.append(np.array(scores.data))
+        heads.append(engine.apply_scores(scores, v))
+    return concat(heads, axis=-4) if len(heads) > 1 else heads[0]
 
 
 def _edit_header(edit):

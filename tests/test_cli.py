@@ -464,6 +464,19 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err == f"error: {path}: the {2 << 30}-byte file does not fit in memory\n", err
 
+    def test_iskel_values_too_large_for_memory_is_usage_error(self, tmp_path):
+        # a valid 48 MB sample of 24,000,000 values: its text fits in the
+        # capped address space, but not the parsed values
+        path = tmp_path / "long.iskel"
+        with open(path, "w") as f:
+            f.write("ISKEL 1\n3 8000000 1 1 0\n")
+            f.writelines(["1 1 1\n" * 100_000] * 80)
+        assert path.stat().st_size == 48_000_024
+        code, out, err = run_capped(["inspect", "tokens", str(path)])
+        assert code == 2 and out == ""
+        assert err == (f"error: {path}: the values of the 48000024-character file do not "
+                       f"fit in memory\n"), err
+
     def test_model_too_large_for_memory_is_usage_error(self, tmp_path, corpus):
         # the README config at 40000 frames has U = 20000 tokens, and each
         # head's M takes 1.5 GiB; the model is built before anything is

@@ -209,6 +209,38 @@ def test_initial_parameters_are_pinned(config, dtype):
     assert digest.hexdigest() == INIT_DIGESTS[config, dtype]
 
 
+# SHA-256 over (shape, NUL, raw bytes) of each array, for the committed v1
+# fixture on three fixed samples: the infer logits and the score_sink maps,
+# of sample 0 alone (N=1) and of the three as one batch (classify_batch's
+# logits). A change that moves any inference byte fails here
+INFER_DIGESTS = {
+    "logits-n1": "350abe17e3423affd510b0af30ed7c5193d22a427e6e977f71de1d7d06795723",
+    "scores-n1": "bca16752c79f9b0f295311e0d0da286697b2bee33d0488545613326af4206655",
+    "logits-batch": "98924c7eab706798326b716c6bc1b213c9b735e8aa2fd2243d0aecc1e0d703c0",
+    "scores-batch": "1ac95bdaf997cecd804299870fce914a9c4034d259596691a237569b31aaa8ff",
+}
+
+
+def test_inference_bytes_are_pinned():
+    def digest(arrays):
+        d = hashlib.sha256()
+        for a in arrays:
+            d.update(str(a.shape).encode() + b"\0" + np.ascontiguousarray(a).tobytes())
+        return d.hexdigest()
+
+    model = load_checkpoint(MINIATURE_V1_CHECKPOINT)[0]
+    rng = np.random.default_rng(27)
+    seqs = [SkeletonSequence(rng.normal(size=(3, 4, 2, 2)), label=0) for _ in range(3)]
+    tokens = [model.tokenize_sample(s) for s in seqs]
+    one, batch = [], []
+    logits = model.forward_tokens(tokens[0], "infer", score_sink=one).data
+    model.forward_tokens(np.stack(tokens), "infer", score_sink=batch)
+    assert {"logits-n1": digest([logits]),
+            "scores-n1": digest([a for block in one for a in block]),
+            "logits-batch": digest([model.classify_batch(seqs)]),
+            "scores-batch": digest([a for block in batch for a in block])} == INFER_DIGESTS
+
+
 def test_building_a_large_model_allocates_no_more_than_it_keeps():
     # the README config at frames 4000: U = 2000, so each of the four heads
     # keeps a 15.3 MiB float32 M; a float64 zero M cast to float32 would lift

@@ -104,10 +104,7 @@ def test_threaded_block_keeps_the_benchmark_tracer_stack(monkeypatch):
     finally:
         t.uninstall()
     assert t._stack == [] and len(idents) > 1
-    head = [("attention.qkv_project", "attention.block0"),
-            ("engine.pointwise_conv3d", "attention.qkv_project"),
-            ("engine.pointwise_conv3d", "attention.qkv_project"),
-            ("attention.attention_scores", "attention.block0"),
+    head = [("attention.attention_scores", "attention.block0"),
             ("engine.attention_contract", "attention.attention_scores"),
             ("engine.apply_scores", "attention.block0")]
     tail = ["engine.conv3d_axis", "engine.batchnorm", "engine.pointwise_conv3d",
@@ -115,7 +112,8 @@ def test_threaded_block_keeps_the_benchmark_tracer_stack(monkeypatch):
     spans = {sid: (name, parent, start, end) for sid, parent, _, name, start, end in t.spans}
     assert [(name, spans[parent][0] if parent is not None else None)
             for name, parent, _, _ in spans.values()] == (
-        [("attention.block0", None)] + 2 * head + [(n, "attention.block0") for n in tail]
+        [("attention.block0", None), ("attention.qkv_project", "attention.block0")]
+        + 2 * head + [(n, "attention.block0") for n in tail]
         + [("bench.tape_count", None), ("engine.backward", None)])
     for name, parent, start, end in spans.values():
         assert parent is None or spans[parent][2] <= start <= end <= spans[parent][3]
@@ -123,10 +121,11 @@ def test_threaded_block_keeps_the_benchmark_tracer_stack(monkeypatch):
 
 
 def test_benchmark_tracer_replays_the_batchnorm_of_a_train_step():
-    # the tracer records each batchnorm call's signature, mode included, and
-    # replays its backward on its own; batchnorm keeps the mode parameter
-    # for it, so a change to that signature fails here, not only in a
-    # --trace 1 benchmark run
+    # the tracer records the signature of each call of the engine ops it
+    # replays (REPLAYED_OPS), batchnorm's mode included, and replays each
+    # one's backward on its own; every such op must be called in a README
+    # train step and replay from what was recorded, so a change to how the
+    # model calls one fails here, not only in a --trace 1 benchmark run
     tracer = load_tracer()
     model = ISTANet(readme_config(), rng=np.random.default_rng(0))
     tokens = np.random.default_rng(1).normal(size=(2, 3, 10, 2, 20)).astype(np.float32)
@@ -136,14 +135,16 @@ def test_benchmark_tracer_replays_the_batchnorm_of_a_train_step():
         t.record_ops = True
         engine.backward(ce_label_smoothing(model.forward_tokens(tokens, "train"), [0, 1],
                                            smoothing=0.1, temperature=1.0))
+        recorded = set(t.op_calls)
         with engine.no_grad():
             model.forward_tokens(tokens, "infer")
     finally:
         t.uninstall()
+    assert {s[0] for s in recorded} == set(tracer.REPLAYED_OPS)
     signatures = [s for s in t.op_calls if s[0] == "batchnorm"]
     assert sum(t.op_calls[s] for s in signatures) == 5
     assert {dict(s[3])["mode"] for s in signatures} == {"train"}
-    for signature in signatures:
+    for signature in t.op_calls:
         assert tracer.replay_backward_ms(engine, signature, repeats=1) >= 0.0
 
 
