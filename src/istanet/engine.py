@@ -25,9 +25,14 @@ q-gradient) run in the faster order for their shape, with the same bytes:
 as (S @ a^T)^T when rows < U, else as a @ S^T. The transposed result is
 made contiguous before it is reshaped (_matmul_transposed). Train-mode
 batchnorm is one tape node, its per-channel affine included, with a
-closed-form backward. Infer mode has no batchnorm op: conv_batchnorm folds
-the running stats into the convolution before it (fold_batchnorm), so a
-convolution, its residual add and its batchnorm are one convolution.
+closed-form backward. Three train-mode paths take fewer numpy passes than
+their plain forms, with the same bytes: batchnorm works in place,
+leaky_relu's backward is a bitwise select, and conv3d_axis's col2im has no
+zero fill (the sign of a -0.0 sum and NaN bits aside). No backward writes into its
+upstream gradient or into an array its forward saved. Infer mode has no
+batchnorm op: conv_batchnorm folds the running stats into the convolution
+before it (fold_batchnorm), so a convolution, its residual add and its
+batchnorm are one convolution.
 
 Threads: the Gram matrix (attention_contract) and score application
 (apply_scores) split the samples of a batched (N,U,U) map of more than
@@ -58,6 +63,7 @@ import contextlib
 import contextvars
 import dataclasses
 import functools
+import itertools
 import math
 import os
 import sys
@@ -246,6 +252,14 @@ def leaky_relu(a, gamma):
     bytes of the select, signed zeros, infinities and NaNs included (gamma*x
     goes first, so a NaN comes out as gamma*x quiets it). At gamma = 0,
     gamma*(+inf) is NaN, so that case keeps the select.
+
+    The backward is the select np.where(x >= 0, g, gamma*g) done on the
+    unsigned-integer views of g and gg = gamma*g, without branches:
+    gg ^ ((g ^ gg) * (x >= 0)). It takes g's bits where x >= 0, so a
+    signaling NaN there stays signaling, as the select keeps it; a form
+    g * slope would quiet it. np.where branches per element and mispredicts
+    on the sign changes of x: at README sizes it takes about three times as
+    long.
     """
     if gamma < 0:
         raise ConfigurationError(f"leaky_relu slope must be >= 0, got {gamma}")
@@ -255,7 +269,12 @@ def leaky_relu(a, gamma):
         out = (np.maximum if gamma <= 1 else np.minimum)(gamma * a.data, a.data)
 
     def bwd(g):
-        return (np.where(a.data >= 0, g, gamma * g),)
+        gg = gamma * g
+        gg_bits = gg.view(f"u{gg.itemsize}")
+        flip = g.view(gg_bits.dtype) ^ gg_bits
+        flip *= a.data >= 0
+        gg_bits ^= flip
+        return (gg,)
 
     return _make(out, (a,), bwd)
 
@@ -367,25 +386,55 @@ def pointwise_conv3d(x, weight, bias):
 _AXIS_NAMES = {"T": -3, "S": -2, "U": -1}
 
 
+def _along_axis(ax, lo, hi):
+    """Index of sites [lo, hi) along axis ax (-3, -2 or -1) of (..., T, S, U)."""
+    sl = [slice(None)] * 3
+    sl[ax] = slice(lo, hi)
+    return (...,) + tuple(sl)
+
+
 @functools.lru_cache(maxsize=256)
 def _conv_taps(ax, length, k):
     """(d, output sites, input sites, zero sites) index tuples of each tap d
     of a k-tap convolution along axis ax (-3, -2 or -1) of `length`: output
     l reads input l + d - (k-1)/2, and the output sites where that lies
     outside the axis are zero."""
-    def along_axis(lo, hi):
-        sl = [slice(None)] * 3
-        sl[ax] = slice(lo, hi)
-        return (...,) + tuple(sl)
-
     taps = []
     for d in range(k):
         shift = d - (k - 1) // 2
         lo = max(0, -shift)
         hi = max(lo, length - max(0, shift))
-        zero = tuple(along_axis(a, b) for a, b in ((0, lo), (hi, length)) if a < b)
-        taps.append((d, along_axis(lo, hi), along_axis(lo + shift, hi + shift), zero))
+        zero = tuple(_along_axis(ax, a, b) for a, b in ((0, lo), (hi, length)) if a < b)
+        taps.append((d, _along_axis(ax, lo, hi), _along_axis(ax, lo + shift, hi + shift), zero))
     return tuple(taps)
+
+
+@functools.lru_cache(maxsize=256)
+def _col2im_steps(ax, length, k):
+    """(d, output sites, input sites, first) index tuples that scatter the
+    taps' column gradients onto conv3d_axis's input: the `first` steps copy,
+    then the other steps add.
+
+    An input site sums the taps that reach it, a contiguous run t_a, t_a+1,
+    ... It starts as a copy of one of its first two terms: the centre tap's,
+    which reaches every site, where that is one of them, else t_a's. At
+    k <= 3 it is always the centre's, so one copy of the centre column
+    starts every site. The other taps then add in tap order."""
+    centre = (k - 1) // 2
+    taps = _conv_taps(ax, length, k)
+    reaching = [[d for d, _, in_sl, _ in taps if in_sl[ax].start <= i < in_sl[ax].stop]
+                for i in range(length)]
+    start = [centre if centre in ds[:2] else ds[0] for ds in reaching]
+    copies, adds = [], []
+    for d, out_sl, in_sl, _ in taps:
+        shift = in_sl[ax].start - out_sl[ax].start
+        sites = range(in_sl[ax].start, in_sl[ax].stop)
+        for first, run in itertools.groupby(sites, key=lambda i: start[i] == d):
+            run = list(run)
+            lo, hi = run[0], run[-1] + 1
+            (copies if first else adds).append(
+                (d, _along_axis(ax, lo - shift, hi - shift), _along_axis(ax, lo, hi), first))
+    return tuple(copies + adds)
 
 
 def conv3d_axis(x, weight, bias, axis, k):
@@ -397,9 +446,16 @@ def conv3d_axis(x, weight, bias, axis, k):
     im2col: the k shifted copies of the input are stacked next to the channel
     axis, cols[..., i, d, t, s, u] = x[..., i, (t, s, u) + d - (k-1)/2 along
     the axis] (zero outside it), so the convolution is one
-    (C_out, C_in*k) @ (C_in*k, T*S*U) matmul; the backward pass scatters the
-    column gradient back with k shifted adds (col2im). cols is written once:
-    each tap's shifted copy and its out-of-axis zeros (_conv_taps).
+    (C_out, C_in*k) @ (C_in*k, T*S*U) matmul. cols is written once: each
+    tap's shifted copy and its out-of-axis zeros (_conv_taps).
+
+    The backward scatters the column gradient back onto the input (col2im)
+    with no zero fill: each input site starts as a copy of one of its first
+    two tap terms, at k <= 3 the centre tap's, and adds the others in tap
+    order (_col2im_steps). As a + b = b + a, each sum is the (t0 + t1) + t2
+    that adding onto zeros in tap order gave, with two exceptions: a sum
+    whose terms are all -0.0 is -0.0 here, where 0.0 + -0.0 made it +0.0,
+    and a sum of two NaNs may keep the other one's bits.
     """
     if axis not in _AXIS_NAMES:
         raise ConfigurationError(f"conv3d_axis: axis must be one of T/S/U, got {axis!r}")
@@ -432,9 +488,12 @@ def conv3d_axis(x, weight, bias, axis, k):
     def bwd(g):
         g2 = g.reshape(g.shape[:-3] + (-1,))
         gcols = (w2.T @ g2).reshape(x.shape[:-3] + (k,) + x.shape[-3:])
-        gx = np.zeros(x.shape, dtype=x.dtype)
-        for d, out_sl, in_sl, _ in taps:
-            gx[in_sl] += gcols[..., d, :, :, :][out_sl]
+        gx = np.empty(x.shape, dtype=x.dtype)
+        for d, out_sl, in_sl, first in _col2im_steps(ax, x.shape[ax], k):
+            if first:
+                gx[in_sl] = gcols[..., d, :, :, :][out_sl]
+            else:
+                gx[in_sl] += gcols[..., d, :, :, :][out_sl]
         gw, gb = _weight_bias_grads(g2, cols)
         return gx, gw.reshape(weight.shape).astype(weight.dtype, copy=False), gb
 
@@ -584,9 +643,17 @@ def batchnorm(x, state, mode):
     The forward takes the same steps in the same dtypes as a chain of mean,
     subtract, multiply, add, sqrt, divide, reshape, mul and add nodes would
     (1/n and eps in x's dtype), so it is bit-identical to that chain. The
-    backward is the closed form inv * (gs - mean(gs) - xhat * mean(gs * xhat)),
-    gs = g * scale and inv = 1/sqrt(var + eps), for x, and the chain's sums
-    for scale and shift.
+    backward is the closed form (gs - mean(gs) - xhat * mean(gs * xhat)) / std,
+    gs = g * scale and std = sqrt(var + eps), for x, and the chain's
+    axis-by-axis sums (_unbroadcast) for scale and shift.
+
+    Both directions work in place, in the same order and so with the same
+    bytes: the forward makes x - mean, divides it by std in place, and
+    writes the output into the buffer that held its squares; the backward
+    makes gs and one work array, which holds gs * xhat, then xhat *
+    mean(gs * xhat), then g * xhat. Neither writes into g or into an array
+    the forward saved: add hands one g to both its parents, and the
+    benchmark's tracer runs a backward more than once.
 
     Infer mode has no batchnorm call: conv_batchnorm folds the running stats
     into the convolution before it (fold_batchnorm). `mode` stays a
@@ -607,23 +674,29 @@ def batchnorm(x, state, mode):
 
     inv_n = np.asarray(1.0 / int(np.prod([x.shape[ax] for ax in axes])), dtype=x.dtype)
     mu = x.data.sum(axis=axes, keepdims=True) * inv_n
-    xc = x.data - mu
-    var = (xc * xc).sum(axis=axes, keepdims=True) * inv_n
+    xhat = x.data - mu
+    out = np.square(xhat)
+    var = out.sum(axis=axes, keepdims=True) * inv_n
     std = np.sqrt(var + np.asarray(state.eps, dtype=x.dtype))
-    xhat = xc / std
+    xhat /= std
     m = state.momentum
     state.running_mean = ((1 - m) * state.running_mean
                           + m * mu.reshape(-1).astype(state.running_mean.dtype))
     state.running_var = ((1 - m) * state.running_var
                          + m * var.reshape(-1).astype(state.running_var.dtype))
     scale = state.scale.data.reshape(bshape)
-    out = scale * xhat + state.shift.data.reshape(bshape)
+    np.multiply(scale, xhat, out=out)
+    out += state.shift.data.reshape(bshape)
 
     def bwd(g):
-        gs = g * scale
-        gmean = gs.sum(axis=axes, keepdims=True) * inv_n
-        gxmean = (gs * xhat).sum(axis=axes, keepdims=True) * inv_n
-        return ((gs - gmean - xhat * gxmean) / std, _unbroadcast(g * xhat, bshape).reshape(-1),
+        gx = g * scale
+        gmean = gx.sum(axis=axes, keepdims=True) * inv_n
+        work = gx * xhat
+        gxmean = work.sum(axis=axes, keepdims=True) * inv_n
+        gx -= gmean
+        gx -= np.multiply(xhat, gxmean, out=work)
+        gx /= std
+        return (gx, _unbroadcast(np.multiply(g, xhat, out=work), bshape).reshape(-1),
                 _unbroadcast(g, bshape).reshape(-1))
 
     return _make(out, (x, state.scale, state.shift), bwd)

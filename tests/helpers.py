@@ -1,6 +1,8 @@
 """Shared test utilities: the README model config, a finite-difference
 oracle kept independent of the reverse-mode path it checks, reference
-primitives (sub, div, sqrt, reshape, tanh, getitem, concat), the inverse
+primitives (sub, div, sqrt, reshape, tanh, getitem, concat), the
+out-of-place forms of leaky_relu's backward, conv3d_axis's col2im and
+train-mode batchnorm that the engine's passes must match, the inverse
 of the tokenizer's partition, the attention score map composed of
 primitive ops and a block's attention as a chain of them per head, a recorder
 of the threads that run the engine's per-sample work, malformed
@@ -114,6 +116,58 @@ def reshape(a, shape):
 def tanh(a):
     out = np.tanh(a.data)
     return engine._make(out, (a,), lambda g: (g * (1.0 - out * out),))
+
+
+def where_leaky_relu_grad(x, g, gamma):
+    """Reference for leaky_relu's backward: the per-element select."""
+    return np.where(x >= 0, g, gamma * g)
+
+
+def zero_fill_conv3d_axis_input_grad(x_shape, weight, g, axis, k):
+    """Reference for conv3d_axis's input gradient: the column gradient
+    scattered back by adding each tap's shifted copy, in tap order, onto
+    zeros. x_shape is the input's shape, weight the (C_out, C_in, k) weight
+    array and g the output's gradient."""
+    ax = {"T": -3, "S": -2, "U": -1}[axis]
+    g2 = g.reshape(g.shape[:-3] + (-1,))
+    w2 = weight.reshape(weight.shape[0], -1)
+    gcols = (w2.T @ g2).reshape(x_shape[:-3] + (k,) + x_shape[-3:])
+    gx = np.zeros(x_shape, dtype=g.dtype)
+    for d, out_sl, in_sl, _ in engine._conv_taps(ax, x_shape[ax], k):
+        gx[in_sl] += gcols[..., d, :, :, :][out_sl]
+    return gx
+
+
+def out_of_place_batchnorm(x, state):
+    """Reference for train-mode batchnorm on the array x: each step a new
+    array. Updates state's running stats; returns the output and the
+    backward, g -> (x, scale, shift gradients)."""
+    bshape = [1] * x.ndim
+    bshape[-4] = state.channels
+    axes = tuple(i for i in range(x.ndim) if i != x.ndim - 4)
+    inv_n = np.asarray(1.0 / int(np.prod([x.shape[ax] for ax in axes])), dtype=x.dtype)
+    mu = x.sum(axis=axes, keepdims=True) * inv_n
+    xc = x - mu
+    var = (xc * xc).sum(axis=axes, keepdims=True) * inv_n
+    std = np.sqrt(var + np.asarray(state.eps, dtype=x.dtype))
+    xhat = xc / std
+    m = state.momentum
+    state.running_mean = ((1 - m) * state.running_mean
+                          + m * mu.reshape(-1).astype(state.running_mean.dtype))
+    state.running_var = ((1 - m) * state.running_var
+                         + m * var.reshape(-1).astype(state.running_var.dtype))
+    scale = state.scale.data.reshape(bshape)
+    out = scale * xhat + state.shift.data.reshape(bshape)
+
+    def bwd(g):
+        gs = g * scale
+        gmean = gs.sum(axis=axes, keepdims=True) * inv_n
+        gxmean = (gs * xhat).sum(axis=axes, keepdims=True) * inv_n
+        return ((gs - gmean - xhat * gxmean) / std,
+                engine._unbroadcast(g * xhat, bshape).reshape(-1),
+                engine._unbroadcast(g, bshape).reshape(-1))
+
+    return out, bwd
 
 
 def unpartition(tokens, window, dims):

@@ -10,8 +10,9 @@ from istanet.engine import (BatchNormState, ConfigurationError, DimensionError,
                             attention_contract, batchnorm, conv3d_axis,
                             leaky_relu, pointwise_conv3d)
 
-from helpers import (check_op_gradients, div, fd_grad, readme_config, record_threads,
-                     rel_err, reshape, sqrt, sub, tanh)
+from helpers import (check_op_gradients, div, fd_grad, out_of_place_batchnorm, readme_config,
+                     record_threads, rel_err, reshape, sqrt, sub, tanh, where_leaky_relu_grad,
+                     zero_fill_conv3d_axis_input_grad)
 
 
 class TestPointwiseConv:
@@ -450,6 +451,116 @@ class TestLeakyRelu:
             assert out.dtype == grad.dtype == np.dtype(dtype)
             assert out.data.tobytes() == np.where(x >= 0, x, gamma * x).tobytes()
             assert grad.tobytes() == np.where(x >= 0, g, gamma * g).tobytes()
+
+
+class TestPassesEqualOutOfPlaceForms:
+    """leaky_relu's bitwise-select backward, conv3d_axis's col2im without a
+    zero fill and the in-place batchnorm give the bytes of the out-of-place
+    forms in tests/helpers.py."""
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.1, 1.0, 2.5])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_leaky_relu_grad_equals_select(self, gamma, dtype):
+        rng = np.random.default_rng(30)
+        x = rng.normal(size=(4, 16, 10, 2, 20)).astype(dtype)
+        x[0, 0, 0, 0, :4] = [0.0, -0.0, np.inf, -np.inf]
+        g = rng.normal(size=x.shape).astype(dtype)
+        g[1, 0, 0, 0, :3] = [-0.0, np.nan, np.inf]
+        g_before = g.tobytes()
+        with np.errstate(invalid="ignore"):
+            grad, = leaky_relu(Tensor(x, requires_grad=True), gamma)._backward(g)
+            assert grad.tobytes() == where_leaky_relu_grad(x, g, gamma).tobytes()
+        assert g.tobytes() == g_before
+
+    # (shape, axis): T, S and U at rank 4 and 5, and rank 5 with t_w = 1 and
+    # S = 2, axes shorter than k = 3 and 5
+    CONV_CASES = [((3, 4, 3, 5), a) for a in "TSU"] + [((2, 3, 4, 3, 5), a) for a in "TSU"] + [
+        ((2, 3, 1, 2, 5), a) for a in "TS"]
+
+    @pytest.mark.parametrize("shape,axis", CONV_CASES)
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_conv3d_axis_input_grad_equals_zero_fill(self, shape, axis, k, dtype):
+        # each sum is the zero fill's up to the order of its first two terms,
+        # so only the sign of a sum whose terms are all -0.0 may differ (-0.0
+        # here, where the zero fill's 0.0 + -0.0 made it +0.0), and which NaN
+        # a sum of two keeps; these draws have neither, so the bytes are equal
+        rng = np.random.default_rng(31)
+        x = Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, shape[-4], k)).astype(dtype), requires_grad=True)
+        out = conv3d_axis(x, w, Tensor(rng.normal(size=4).astype(dtype)), axis=axis, k=k)
+        g = rng.normal(size=out.shape).astype(dtype)
+        gx = out._backward(g)[0]
+        reference = zero_fill_conv3d_axis_input_grad(x.shape, w.data, g, axis, k)
+        assert gx.dtype == reference.dtype
+        assert gx.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("rank", [4, 5])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_batchnorm_equals_out_of_place(self, rank, dtype):
+        shape = (16, 10, 2, 20) if rank == 4 else (4, 16, 10, 2, 20)
+        rng = np.random.default_rng(32)
+        x = (rng.normal(size=shape) * 3.0 + 1.0).astype(dtype)
+        states = [BatchNormState("bn", 16, dtype=dtype) for _ in range(2)]
+        for state in states:
+            state.scale.data = np.linspace(0.5, 2.0, 16, dtype=dtype)
+            state.shift.data = np.linspace(-1.0, 1.0, 16, dtype=dtype)
+        out = batchnorm(Tensor(x, requires_grad=True), states[0], mode="train")
+        reference, reference_bwd = out_of_place_batchnorm(x, states[1])
+        assert out.data.tobytes() == reference.tobytes()
+        assert states[0].running_mean.tobytes() == states[1].running_mean.tobytes()
+        assert states[0].running_var.tobytes() == states[1].running_var.tobytes()
+        g = rng.normal(size=shape).astype(dtype)
+        grads = out._backward(g)
+        assert [a.dtype for a in grads] == [np.dtype(dtype)] * 3
+        assert [a.tobytes() for a in grads] == [a.tobytes() for a in reference_bwd(g)]
+
+
+def _saved_arrays(fn):
+    """The arrays a backward closure reads: the ndarrays and Tensors' data in
+    its cells, and in the tuples and lists there."""
+    found, stack = [], [cell.cell_contents for cell in fn.__closure__ or ()]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, np.ndarray):
+            found.append(v)
+        elif isinstance(v, Tensor):
+            found.append(v.data)
+        elif isinstance(v, (tuple, list)):
+            stack.extend(v)
+    return found
+
+
+def test_every_backward_of_a_train_step_is_pure():
+    # engine.backward hands one gradient to several parents (add), and the
+    # benchmark's tracer replays a backward closure several times, so no
+    # backward may write into its upstream array or what its forward saved
+    from istanet.model import ISTANet, ce_label_smoothing
+    model = ISTANet(readme_config(), rng=np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    tokens = rng.normal(size=(4, 3, 10, 2, 20)).astype(np.float32)
+    loss = ce_label_smoothing(model.forward_tokens(tokens, "train"), [0, 1, 2, 3],
+                              smoothing=0.1, temperature=1.0)
+    nodes, seen, stack = [], {id(loss)}, [loss]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        for p in node._parents:
+            if p.requires_grad and id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    ops = [n for n in nodes if n._backward is not None]
+    kinds = {n._backward.__qualname__.split(".")[0] for n in ops}
+    assert {"leaky_relu", "batchnorm", "conv3d_axis", "add"} <= kinds
+    for node in ops:
+        name = node._backward.__qualname__
+        g = rng.normal(size=node.shape).astype(node.dtype)
+        inputs = _saved_arrays(node._backward) + [p.data for p in node._parents] + [g]
+        before = [a.tobytes() for a in inputs]
+        first, second = ([None if a is None else a.tobytes() for a in node._backward(g)]
+                         for _ in range(2))
+        assert first == second, name
+        assert [a.tobytes() for a in inputs] == before, name
 
 
 class TestAttentionContract:

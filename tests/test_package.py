@@ -46,6 +46,11 @@ def test_blas_threads_default_to_one_and_a_user_setting_wins(given, expected):
 
 
 def load_tracer():
+    """The benchmark's tracer module, loaded by path, with every istanet
+    module imported: Tracer.install looks each traced module up by name."""
+    for info in pkgutil.iter_modules(istanet.__path__):
+        if info.name != "__main__":  # running it would start the CLI
+            importlib.import_module(f"istanet.{info.name}")
     spec = importlib.util.spec_from_file_location("benchmark_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
@@ -57,9 +62,6 @@ def test_benchmark_tracer_finds_and_restores_every_traced_attribute():
     # rename fails here instead of only breaking a traced benchmark run. The
     # tracer is loaded by path: the benchmark's runner tunes BLAS on import.
     tracer = load_tracer()
-    for info in pkgutil.iter_modules(istanet.__path__):
-        if info.name != "__main__":  # running it would start the CLI
-            importlib.import_module(f"istanet.{info.name}")
     missing = [f"{module}.{attr}" for module, attr, _ in tracer.FUNCTIONS
                if not hasattr(sys.modules[f"istanet.{module}"], attr)]
     missing += [f"{module}.{cls}.{meth}" for module, cls, meth, _ in tracer.METHODS
