@@ -9,28 +9,32 @@ bounded score map is
 
     scores = alpha * tanh(Q K^T / sqrt(c_beta)) + M
 
-with trainable per-head alpha and (U,U) matrix M. The score step
-(attention_scores) takes the Gram matrix Q K^T from the engine's
-attention_contract, then runs scale, tanh, alpha and M in one pass, with
-the band |scores - M| <= |alpha| made exact in floating point; the node's
-backward is in closed form. The step takes alpha and M as arrays of q's
-dtype (UsageError otherwise), and works through the map in blocks, so that
-each pass reads a block from cache: the whole (N,U,U) map when it has at
-most engine.SCORE_BLOCK_ELEMENTS entries (up to 655 samples at U=20, one at
-U=400), else one sample's (U,U) map at a time. A whole map is always
-scanned for entries out of band; a per-sample block is scanned only when a
-rounding bound from its max|tanh|, |alpha| and max|M| cannot prove it in
-band (attention_scores gives the bound).
+with trainable per-head alpha and (U,U) matrix M. The score step runs
+scale, tanh, alpha and M in one pass, with the band |scores - M| <= |alpha|
+made exact in floating point; the node's backward is in closed form. The
+step takes alpha and M as arrays of q's dtype (UsageError otherwise).
 
-Threads: at a map over that threshold, each head's three map-sized steps
-split their work over engine.THREADS threads, the calling one and a pool's
-(engine._in_threads), forward and backward. The Gram matrix
-(attention_contract) and score application (apply_scores) split the
-samples; the score step splits the samples and its backward
-(_attention_scores_grads) the rows of the (U,U) map. THREADS is the number
-of CPUs in the process's affinity mask (`taskset -c 0` gives one), apart
-from the BLAS thread count, and the bytes do not depend on it. A whole map
-stays on the calling thread.
+A head runs one of two ways, chosen by the size of its (N,U,U) map. With
+at most engine.SCORE_BLOCK_ELEMENTS entries (up to 655 samples at U=20),
+it runs on the whole map on the calling thread: the engine's
+attention_contract, the score step (attention_scores) and the engine's
+apply_scores, each once. With more (two samples or more at U=400), it runs
+a sample at a time (_head_by_sample), so that each sample's (U,U) map
+stays in cache from its Gram GEMM through the score step to its
+application GEMM, and the backward likewise (_head_by_sample_grads). The
+two ways share the score step's elementwise code (_score_step,
+_score_grad_step) and run the same GEMMs, so they give the same bytes. A
+whole map is always scanned for entries out of band; a per-sample block is
+scanned only when a rounding bound from its max|tanh|, |alpha| and max|M|
+cannot prove it in band (attention_scores gives the bound).
+
+Threads: a head run a sample at a time is one engine._in_threads task per
+direction, its samples split over engine.THREADS threads, the calling one
+and a pool's; the backward's sums over samples for g_alpha and g_M then
+split the rows of the (U,U) map. The tasks call numpy and this module's
+private helpers only, no traced op. THREADS is the number of CPUs in the
+process's affinity mask (`taskset -c 0` gives one), apart from the BLAS
+thread count, and the bytes do not depend on it.
 
 The heads' values, written into one array, are passed through a
 token-axis convolution (kernel k_u) and a pointwise FFN with residual
@@ -174,16 +178,6 @@ def qkv_project(x, params):
     return xpe, w, qk.reshape(x.shape[:-4] + (-1,) + x.shape[-3:])
 
 
-def _score_blocks(shape):
-    """Index of each block of a (U,U) or (N,U,U) score map in the order the
-    score step works through them: one sample's (1,U,U) slice at a time when
-    the engine's contraction works the map a sample at a time
-    (engine._per_sample), else the whole map."""
-    if not engine._per_sample(shape):
-        return [slice(None)]
-    return [slice(b, b + 1) for b in range(shape[0])]
-
-
 def _scan_band(out, center, radius):
     """The full band scan of one block: every entry of `out` more than
     `radius` from `center` is stepped toward it by ulps until
@@ -214,12 +208,46 @@ def _band_pretest(dtype, m, radius):
     return in_band
 
 
+def _score_scale(q, alpha, m, c_beta):
+    """1/sqrt(c_beta) in q's dtype, once alpha and M are checked: alpha must
+    be a 0-d array or a numpy scalar and M an array, both in q's dtype
+    (else UsageError)."""
+    if not (isinstance(alpha, (np.ndarray, np.generic)) and isinstance(m, np.ndarray)
+            and alpha.ndim == 0 and alpha.dtype == m.dtype == q.dtype):
+        raise UsageError(f"alpha must be a 0-d array and M an array, both {q.dtype}")
+    return np.asarray(1.0 / math.sqrt(c_beta), dtype=q.dtype)
+
+
+def _score_step(t, out, alpha, m, scale, in_band=None):
+    """The score step's elementwise passes over one block, a whole map or
+    one sample's: the Gram matrix t becomes tanh(t * scale) in place, out
+    becomes alpha * t + M, and then the band scan (_scan_band) runs, unless
+    in_band, given for a per-sample block, proves the block in band from
+    its max|t|."""
+    np.tanh(np.multiply(t, scale, out=t), out=t)
+    np.multiply(t, alpha, out=out)
+    out += m
+    if in_band is None or not in_band(float(max(t.max(), -t.min()))):
+        _scan_band(out, m, abs(float(alpha)))
+
+
+def _score_grad_step(g, t, alpha, scale, out, scratch):
+    """The Gram matrix's gradient g * alpha * (1 - t*t) * scale of one
+    block, in the chain's rounding order, into `out`; scratch is a work
+    array of t's shape."""
+    np.multiply(g, alpha, out=out)
+    np.subtract(1.0, np.multiply(t, t, out=scratch), out=scratch)
+    out *= scratch
+    out *= scale
+    return out
+
+
 def attention_scores(q, k, alpha, m, c_beta):
-    """The score step of one head: scores = alpha * tanh(QK^T / sqrt(c_beta))
-    + M from the q and k arrays, with the Gram matrix QK^T from
-    attention_contract. Returns the scores and the tanh map t, which the
-    backward (_attention_scores_grads) reads; t is written over the Gram
-    matrix, which nothing else keeps.
+    """The score step of one head on a whole map: scores = alpha *
+    tanh(QK^T / sqrt(c_beta)) + M from the q and k arrays, with the Gram
+    matrix QK^T from attention_contract. Returns the scores and the tanh map
+    t, which the backward (_attention_scores_grads) reads; t is written over
+    the Gram matrix, which nothing else keeps.
 
     alpha must be a 0-d array or a numpy scalar and M an array, both in q's
     dtype as the model's Parameters are (else UsageError), so every step
@@ -231,27 +259,14 @@ def attention_scores(q, k, alpha, m, c_beta):
     g_QK = g * alpha * (1 - t*t) / sqrt(c_beta), g_alpha = sum(g * t),
     g_M = g, in the chain's rounding order.
 
-    Forward and backward run block by block (_score_blocks): the whole map
-    when it has at most engine.SCORE_BLOCK_ELEMENTS entries, else one sample's
-    (U,U) map at a time, so that every pass over a block reads it from
-    cache. Each entry takes the same steps either way, and the sums over
-    samples for g_alpha and g_M start from the first block and add the
-    others in order, the order of the chain's sum over the batch axis: the
-    bytes do not depend on the blocking.
-
-    Per-sample blocks run on engine.THREADS threads (engine._in_threads),
-    as the contraction before them does, each writing only its own slices.
-    The forward gives each thread a range of samples, so every block takes
-    the steps above whole. The backward gives each a range of rows of the
-    (U,U) map, which it works through the samples in order, so each entry
-    of the g_alpha and g_M sums still adds its blocks first to last: the
-    bytes do not depend on THREADS either. A whole map stays on the calling
-    thread.
+    A head whose batched map has more than engine.SCORE_BLOCK_ELEMENTS
+    entries runs as _head_by_sample instead, whose per-sample blocks take
+    the same elementwise steps (_score_step, _score_grad_step), so the bytes
+    do not depend on the path.
 
     The band check (_scan_band: out - M, abs, max, then the nudge) runs on
-    every whole-map block. A per-sample block first takes
-    tau = max(max t, -min t), two reductions while it is in cache, and
-    skips the scan when
+    every whole map. A per-sample block first takes tau = max(max t, -min t),
+    two reductions while it is in cache, and skips the scan when
 
         (a + u*(a + mu)) * (1 + u) <= |alpha|,    a = |alpha| * tau * (1 + u),
 
@@ -278,62 +293,93 @@ def attention_scores(q, k, alpha, m, c_beta):
     eps (a + mu) >= eta/2 covers that; else every p and M is a multiple of
     eta below 2 tiny, so s and d are exact and |d| = |p| <= |alpha|.
     """
-    if not (isinstance(alpha, (np.ndarray, np.generic)) and isinstance(m, np.ndarray)
-            and alpha.ndim == 0 and alpha.dtype == m.dtype == q.dtype):
-        raise UsageError(f"alpha must be a 0-d array and M an array, both {q.dtype}")
+    scale = _score_scale(q, alpha, m, c_beta)
     t = attention_contract(engine.Tensor(q), engine.Tensor(k)).data
-    radius = abs(float(alpha))
-    scale = np.asarray(1.0 / math.sqrt(c_beta), dtype=t.dtype)
     out = np.empty_like(t)
-    blocks = _score_blocks(t.shape)
-    in_band = _band_pretest(t.dtype, m, radius) if len(blocks) > 1 else None
-
-    def forward(lo, hi):
-        for blk in blocks[lo:hi]:
-            t_b, out_b = t[blk], out[blk]
-            np.tanh(np.multiply(t_b, scale, out=t_b), out=t_b)
-            np.multiply(t_b, alpha, out=out_b)
-            out_b += m
-            if in_band is None or not in_band(float(max(t_b.max(), -t_b.min()))):
-                _scan_band(out_b, m, radius)
-
-    engine._in_threads(forward, len(blocks))
+    _score_step(t, out, alpha, m, scale)
     return out, t
 
 
 def _attention_scores_grads(g, t, alpha, c_beta):
     """Gradients (g_gram, g_alpha, g_M) of attention_scores for the upstream
-    gradient g of its scores and its tanh map t, blocked and threaded as its
-    forward is (see attention_scores)."""
+    gradient g of its scores and its tanh map t."""
     scale = np.asarray(1.0 / math.sqrt(c_beta), dtype=t.dtype)
-    blocks = _score_blocks(t.shape)
-    g_gram = np.empty_like(t)
-    many = len(blocks) > 1
-    # per-sample blocks sum g*t and g into one (1,U,U) array each, which
-    # the first block fills and the others add to in block order
-    g_alpha, g_m = np.empty((2,) + t[:1].shape, t.dtype) if many else (g * t, g)
+    g_gram = _score_grad_step(g, t, alpha, scale, np.empty_like(t), np.empty_like(t))
+    return g_gram, engine._unbroadcast(g * t, ()), engine._unbroadcast(g, t.shape[-2:])
+
+
+def _head_by_sample(q, k, v, alpha, m, c_beta, out):
+    """One head whose batched (N,U,U) map has more than
+    engine.SCORE_BLOCK_ELEMENTS entries, a sample at a time: q and k are
+    (N,c,T,S,U) arrays, v and `out` (N,c_v,T',S',U) ones, and out, whose
+    samples must each be contiguous (as in a channel slice of a C-ordered
+    array), is written in place. Returns the (N,U,U) scores and tanh maps.
+
+    Each sample takes attention_contract's Gram GEMM, the score step
+    (_score_step, with the band pre-test of attention_scores) and
+    apply_scores' GEMM in the product order of _matmul_transposed, while its
+    (U,U) map is in cache. These are the GEMMs the ops run on each sample of
+    a batch, so the bytes are those of the whole-map path. The samples split
+    over engine.THREADS threads (engine._in_threads), each writing only its
+    own samples, so the bytes do not depend on THREADS either.
+    """
+    scale = _score_scale(q, alpha, m, c_beta)
+    n, u = q.shape[0], q.shape[-1]
+    qf, kf = q.reshape(n, -1, u), k.reshape(n, -1, u)
+    t = np.empty((n, u, u), q.dtype)
+    scores = np.empty_like(t)
+    in_band = _band_pretest(q.dtype, m, abs(float(alpha)))
+
+    def samples(lo, hi):
+        for b in range(lo, hi):
+            np.matmul(qf[b].T, kf[b], out=t[b])
+            _score_step(t[b], scores[b], alpha, m, scale, in_band)
+            engine._matmul_transposed(v[b].reshape(-1, u), scores[b],
+                                      out=out[b].reshape(-1, u))
+
+    engine._in_threads(samples, n)
+    return scores, t
+
+
+def _head_by_sample_grads(q, k, v, scores, t, alpha, c_beta, g):
+    """Gradients (gq, gk, gv, g_alpha, g_M) of _head_by_sample for the
+    upstream gradient g of its output.
+
+    Each sample takes apply_scores' gradient GEMMs, the score step's closed
+    form (_score_grad_step) and attention_contract's gradient GEMMs, on the
+    forward's threads. Then g_alpha and g_M sum the samples first to last,
+    the order of the chain's sum over the batch axis, each thread taking a
+    range of rows of the (U,U) map; so the bytes do not depend on THREADS.
+    """
+    scale = np.asarray(1.0 / math.sqrt(c_beta), dtype=t.dtype)
+    n, u = t.shape[:2]
+    gq, gk, gv = np.empty_like(q), np.empty_like(k), np.empty_like(v)
+    qf, kf, gqf, gkf = (a.reshape(n, -1, u) for a in (q, k, gq, gk))
+    g_scores = np.empty_like(t)
+
+    def samples(lo, hi):
+        g_gram, scratch = np.empty_like(t[0]), np.empty_like(t[0])
+        for b in range(lo, hi):
+            gf = g[b].reshape(-1, u)
+            np.matmul(gf.T, v[b].reshape(-1, u), out=g_scores[b])
+            np.matmul(gf, scores[b], out=gv[b].reshape(-1, u))
+            _score_grad_step(g_scores[b], t[b], alpha, scale, g_gram, scratch)
+            engine._matmul_transposed(kf[b], g_gram, out=gqf[b])
+            np.matmul(qf[b], g_gram, out=gkf[b])
+
+    engine._in_threads(samples, n)
+    g_alpha, g_m = np.empty_like(t[0]), np.empty_like(t[0])
 
     def rows(lo, hi):
-        r = np.s_[..., lo:hi, :]
-        scratch = np.empty(t[blocks[0]][r].shape, t.dtype)  # 1 - t*t, then g*t
-        for i, blk in enumerate(blocks):
-            g_b, t_b = g[blk][r], t[blk][r]
-            g_gram_b = np.multiply(g_b, alpha, out=g_gram[blk][r])
-            np.subtract(1.0, np.multiply(t_b, t_b, out=scratch), out=scratch)
-            g_gram_b *= scratch
-            g_gram_b *= scale
-            if many and i == 0:
-                np.multiply(g_b, t_b, out=g_alpha[r])
-                g_m[r] = g_b
-            elif many:
-                g_alpha[r] += np.multiply(g_b, t_b, out=scratch)
-                g_m[r] += g_b
+        scratch = np.empty_like(t[0, lo:hi])  # g * t of one sample's rows
+        np.multiply(g_scores[0, lo:hi], t[0, lo:hi], out=g_alpha[lo:hi])
+        g_m[lo:hi] = g_scores[0, lo:hi]
+        for b in range(1, n):
+            g_alpha[lo:hi] += np.multiply(g_scores[b, lo:hi], t[b, lo:hi], out=scratch)
+            g_m[lo:hi] += g_scores[b, lo:hi]
 
-    if many:
-        engine._in_threads(rows, t.shape[-2])
-    else:
-        rows(0, t.shape[-2])
-    return g_gram, engine._unbroadcast(g_alpha, ()), engine._unbroadcast(g_m, t.shape[-2:])
+    engine._in_threads(rows, u)
+    return gq, gk, gv, engine._unbroadcast(g_alpha, ()), g_m
 
 
 def _channels(lo, hi):
@@ -347,8 +393,10 @@ def multi_head_attention(x, params, score_sink=None):
 
     The forward projects Q and K with one GEMM (qkv_project), reads each
     head's V as its channel slice of x, and runs each head's
-    attention_scores and apply_scores. The backward takes each head's
-    gradients with the code of those steps, V's into its slice of x's, and
+    attention_scores and apply_scores on a whole map, or _head_by_sample
+    when its batched map has more than engine.SCORE_BLOCK_ELEMENTS entries
+    (engine._per_sample). The backward takes each head's gradients with the
+    code of those steps, V's into its slice of x's, and
     the packed projection's in one pass, so x's gradient sums the projected
     channels of all heads in one GEMM. If `score_sink` is a list, a copy of
     each head's scores is appended.
@@ -365,21 +413,30 @@ def multi_head_attention(x, params, score_sink=None):
             _channels(h * vc, (h + 1) * vc)) for h in range(cfg.heads)]
     xpe, w, qk = qkv_project(x, params)
     out = np.empty(x.shape, x.dtype)
+    by_sample = engine._per_sample(x.shape[:-4] + (x.shape[-1],) * 2)
     maps = []  # each head's (scores, t)
     for (qi, ki, vi), alpha, m in zip(idx, params.alphas, params.ms):
-        scores, t = attention_scores(qk[qi], qk[ki], alpha.data, m.data, c_beta)
+        if by_sample:
+            scores, t = _head_by_sample(qk[qi], qk[ki], x.data[vi], alpha.data, m.data,
+                                        c_beta, out[vi])
+        else:
+            scores, t = attention_scores(qk[qi], qk[ki], alpha.data, m.data, c_beta)
+            out[vi] = apply_scores(engine.Tensor(scores), engine.Tensor(x.data[vi])).data
         if score_sink is not None:
             score_sink.append(np.array(scores))
-        out[vi] = apply_scores(engine.Tensor(scores), engine.Tensor(x.data[vi])).data
         maps.append((scores, t))
 
     def bwd(g):
         g_qk, g_v = np.empty_like(qk), np.empty_like(out)
         g_maps = []
         for (qi, ki, vi), alpha, (scores, t) in zip(idx, params.alphas, maps):
-            g_scores, g_v[vi] = engine._apply_scores_grads(scores, x.data[vi], g[vi])
-            g_gram, g_alpha, g_m = _attention_scores_grads(g_scores, t, alpha.data, c_beta)
-            g_qk[qi], g_qk[ki] = engine._contract_grads(qk[qi], qk[ki], g_gram)
+            if by_sample:
+                g_qk[qi], g_qk[ki], g_v[vi], g_alpha, g_m = _head_by_sample_grads(
+                    qk[qi], qk[ki], x.data[vi], scores, t, alpha.data, c_beta, g[vi])
+            else:
+                g_scores, g_v[vi] = engine._apply_scores_grads(scores, x.data[vi], g[vi])
+                g_gram, g_alpha, g_m = _attention_scores_grads(g_scores, t, alpha.data, c_beta)
+                g_qk[qi], g_qk[ki] = engine._contract_grads(qk[qi], qk[ki], g_gram)
             g_maps.append((g_alpha, g_m))
         g2 = g_qk.reshape(xpe.shape[:-2] + (-1, xpe.shape[-1]))
         gx = (w.T @ g2).reshape(x.shape)

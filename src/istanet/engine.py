@@ -19,7 +19,8 @@ works on the trailing four axes (C, T, S, U), so the channel axis is always
 The contractions (pointwise and axis convolutions, the attention Gram matrix
 and score application) view their operands as (..., rows, sites) matrices
 and run as BLAS matmuls, forward and backward; the axis convolution stacks
-its taps with im2col. The products of a (..., rows, U) matrix with a
+its live taps with im2col, leaving out a tap whose shift is at least the
+axis length, which reads only padding. The products of a (..., rows, U) matrix with a
 transposed (U,U) one (score application's forward, the Gram matrix's
 q-gradient) run in the faster order for their shape, with the same bytes:
 as (S @ a^T)^T when rows < U, else as a @ S^T. The transposed result is
@@ -34,25 +35,25 @@ batchnorm op: conv_batchnorm folds the running stats into the convolution
 before it (fold_batchnorm), so a convolution, its residual add and its
 batchnorm are one convolution.
 
-Threads: the Gram matrix (attention_contract) and score application
-(apply_scores) split the samples of a batched (N,U,U) map of more than
-SCORE_BLOCK_ELEMENTS entries over THREADS threads, forward and backward,
-the calling thread and a pool's (_in_threads). Each thread runs the same
-per-sample GEMMs on its own samples and writes only its slices of
-preallocated outputs, so the bytes do not depend on THREADS. A smaller map,
-or a rank-4 input, runs as one numpy call on the calling thread. The score
-step between them (attention.attention_scores) and its backward split
-their per-sample blocks by the same rule. THREADS is the number of CPUs in
-the process's affinity mask (`taskset -c 0` gives one), apart from the BLAS
+Threads: an attention head whose batched (N,U,U) map has more than
+SCORE_BLOCK_ELEMENTS entries (_per_sample) runs a sample at a time, its
+samples split over THREADS threads, the calling thread and a pool's
+(_in_threads); attention._head_by_sample runs each sample's Gram GEMM,
+score step and application GEMM in one task. Each thread writes only its
+own slices of preallocated outputs, so the bytes do not depend on
+THREADS. The ops themselves, attention_contract and apply_scores, run as
+one numpy call on the calling thread. THREADS is the number of CPUs in the
+process's affinity mask (`taskset -c 0` gives one), apart from the BLAS
 thread count, which the package sets to one unless the user sets it
 (istanet/__init__.py): BLAS threads of their own compete with these.
 
-A block's multi-head attention is one node (attention.multi_head_attention)
-that calls attention_contract and apply_scores on constant Tensors, which
-record no tape, and takes their gradients from _contract_grads and
-_apply_scores_grads, the code of the ops' own backwards. It reads each
-head's values in place and writes the heads into one array, so the engine
-has no slicing or concatenation op.
+A block's multi-head attention is one node (attention.multi_head_attention).
+On a whole map it calls attention_contract and apply_scores on constant
+Tensors, which record no tape, and takes their gradients from
+_contract_grads and _apply_scores_grads, the code of the ops' own
+backwards; a sample at a time it runs their per-sample GEMMs itself. It
+reads each head's values in place and writes the heads into one array, so
+the engine has no slicing or concatenation op.
 
 Inside ``with no_grad():`` every op returns a plain Tensor with no parents
 and no backward closure, so a forward records no tape; an infer-mode
@@ -71,9 +72,9 @@ import sys
 import numpy as np
 
 
-# A score map of at most this many entries is worked whole on the calling
-# thread, a larger batched one a sample at a time, its samples split over
-# THREADS threads (_per_sample).
+# A head whose score map has at most this many entries runs whole on the
+# calling thread, one with a larger batched map a sample at a time, its
+# samples split over THREADS threads (_per_sample).
 SCORE_BLOCK_ELEMENTS = 1 << 18
 
 # Threads that work a call's samples, the calling thread included.
@@ -266,7 +267,8 @@ def leaky_relu(a, gamma):
     if gamma == 0:
         out = np.where(a.data >= 0, a.data, gamma * a.data)
     else:
-        out = (np.maximum if gamma <= 1 else np.minimum)(gamma * a.data, a.data)
+        out = gamma * a.data
+        (np.maximum if gamma <= 1 else np.minimum)(out, a.data, out=out)
 
     def bwd(g):
         gg = gamma * g
@@ -449,6 +451,16 @@ def conv3d_axis(x, weight, bias, axis, k):
     (C_out, C_in*k) @ (C_in*k, T*S*U) matmul. cols is written once: each
     tap's shifted copy and its out-of-axis zeros (_conv_taps).
 
+    A tap whose shift |d - (k-1)/2| is at least the axis length L reads
+    only padding: both side taps of k = 3 at L = 1, the outer two of k = 5
+    at L = 2. Only the min(k, 2L - 1) live taps, the centre ones, enter
+    cols, the forward GEMM, the column-gradient GEMM and col2im, which is
+    then the convolution with those weight columns. A dead tap's terms were
+    all +-0 * w, so the output and x's gradient keep their bytes; its weight
+    gradient is +0.0, as the zero columns gave. The live taps' weight
+    gradient is a narrower GEMM, whose kernel OpenBLAS may choose otherwise,
+    so it may round otherwise.
+
     The backward scatters the column gradient back onto the input (col2im)
     with no zero fill: each input site starts as a copy of one of its first
     two tap terms, at k <= 3 the centre tap's, and adds the others in tap
@@ -473,36 +485,41 @@ def conv3d_axis(x, weight, bias, axis, k):
             f"conv3d_axis: bias axis {bias.shape} != (C_out,)=({weight.shape[0]},)")
 
     ax = _AXIS_NAMES[axis]
-    taps = _conv_taps(ax, x.shape[ax], k)
-    cols = np.empty(x.shape[:-3] + (k,) + x.shape[-3:], dtype=x.dtype)
-    for d, out_sl, in_sl, zero_sls in taps:
+    # the live taps: a shift of at least the axis length reads only padding
+    # (an empty axis keeps its centre tap, so that the shapes hold)
+    live = min(k, max(1, 2 * x.shape[ax] - 1))
+    first = (k - live) // 2
+    cols = np.empty(x.shape[:-3] + (live,) + x.shape[-3:], dtype=x.dtype)
+    for d, out_sl, in_sl, zero_sls in _conv_taps(ax, x.shape[ax], live):
         tap = cols[..., d, :, :, :]
         tap[out_sl] = x.data[in_sl]
         for zero_sl in zero_sls:
             tap[zero_sl] = 0
-    cols = cols.reshape(x.shape[:-4] + (x.shape[-4] * k, -1))
-    w2 = weight.data.reshape(weight.shape[0], -1)
+    cols = cols.reshape(x.shape[:-4] + (x.shape[-4] * live, -1))
+    w2 = weight.data[:, :, first:first + live].reshape(weight.shape[0], -1)
     out2 = w2 @ cols
     out2 += bias.data[:, None]
 
     def bwd(g):
         g2 = g.reshape(g.shape[:-3] + (-1,))
-        gcols = (w2.T @ g2).reshape(x.shape[:-3] + (k,) + x.shape[-3:])
+        gcols = (w2.T @ g2).reshape(x.shape[:-3] + (live,) + x.shape[-3:])
         gx = np.empty(x.shape, dtype=x.dtype)
-        for d, out_sl, in_sl, first in _col2im_steps(ax, x.shape[ax], k):
-            if first:
+        for d, out_sl, in_sl, first_term in _col2im_steps(ax, x.shape[ax], live):
+            if first_term:
                 gx[in_sl] = gcols[..., d, :, :, :][out_sl]
             else:
                 gx[in_sl] += gcols[..., d, :, :, :][out_sl]
-        gw, gb = _weight_bias_grads(g2, cols)
-        return gx, gw.reshape(weight.shape).astype(weight.dtype, copy=False), gb
+        gw_live, gb = _weight_bias_grads(g2, cols)
+        gw = np.zeros(weight.shape, dtype=weight.dtype)
+        gw[:, :, first:first + live] = gw_live.reshape(weight.shape[:2] + (live,))
+        return gx, gw, gb
 
     out = out2.reshape(x.shape[:-4] + (weight.shape[0],) + x.shape[-3:])
     return _make(out, (x, weight, bias), bwd)
 
 
 def _per_sample(shape):
-    """Whether the ops on a score map of `shape`, (U,U) or (N,U,U), work it a
+    """Whether a head with a score map of `shape`, (U,U) or (N,U,U), runs a
     sample at a time on THREADS threads: a batched map of more than
     SCORE_BLOCK_ELEMENTS entries."""
     return len(shape) == 3 and math.prod(shape) > SCORE_BLOCK_ELEMENTS
@@ -513,8 +530,9 @@ def _in_threads(work, count):
     range(count): the first on the calling thread, the others on the pool,
     each in a copy of the caller's context, so that its np.errstate holds
     there too. Returns when every range is done, raising the error of the
-    first range that failed. `work` calls numpy only: the benchmark's tracer,
-    which wraps the engine ops, keeps one thread's call stack."""
+    first range that failed. `work` calls numpy and private helpers only: the
+    benchmark's tracer, which wraps the public ops, keeps one thread's call
+    stack."""
     global _pool
     parts = min(THREADS, count)
     if parts == 1:
@@ -533,24 +551,9 @@ def _in_threads(work, count):
         future.result()
 
 
-def _matmul_by_sample(a, b):
-    """a @ b with the samples of the leading batch axis, which a and b share,
-    on THREADS threads (_in_threads), each writing its own slice of one
-    preallocated output with the GEMMs of the whole call."""
-    out = np.empty(a.shape[:-1] + b.shape[-1:], np.result_type(a, b))
-    _in_threads(lambda lo, hi: np.matmul(a[lo:hi], b[lo:hi], out=out[lo:hi]), len(out))
-    return out
-
-
-def _matmul_for(map_shape):
-    """The matmul of the ops on a score map of `map_shape`: _matmul_by_sample
-    when _per_sample splits it, else np.matmul, the one numpy call."""
-    return _matmul_by_sample if _per_sample(map_shape) else np.matmul
-
-
-def _matmul_transposed(a, s, matmul):
-    """a @ s^T for a (..., rows, U) and s (..., U, U), as a contiguous array
-    computed with `matmul` (np.matmul or _matmul_by_sample).
+def _matmul_transposed(a, s, out=None):
+    """a @ s^T for a (..., rows, U) and s (..., U, U), as a contiguous array,
+    written into `out` when it is given.
 
     With fewer rows than tokens, OpenBLAS computes (s @ a^T)^T about twice
     as fast, and with more rows about half as fast, so the order follows the
@@ -558,9 +561,13 @@ def _matmul_transposed(a, s, matmul):
     contiguous: reshaped as a strided view, it would make the GEMMs that
     read it round differently.
     """
-    if a.shape[-2] < a.shape[-1]:
-        return np.ascontiguousarray(matmul(s, a.swapaxes(-1, -2)).swapaxes(-1, -2))
-    return matmul(a, s.swapaxes(-1, -2))
+    if a.shape[-2] >= a.shape[-1]:
+        return np.matmul(a, s.swapaxes(-1, -2), out=out)
+    product = np.matmul(s, a.swapaxes(-1, -2)).swapaxes(-1, -2)
+    if out is None:
+        return np.ascontiguousarray(product)
+    out[...] = product
+    return out
 
 
 def attention_contract(q, k):
@@ -569,8 +576,7 @@ def attention_contract(q, k):
         raise DimensionError(f"attention_contract: q shape {q.shape} != k shape {k.shape}")
     _check_rank(q, "attention_contract")
     flat_shape = q.shape[:-4] + (-1, q.shape[-1])
-    matmul = _matmul_for(q.shape[:-4] + (q.shape[-1], q.shape[-1]))
-    out = matmul(q.data.reshape(flat_shape).swapaxes(-1, -2), k.data.reshape(flat_shape))
+    out = q.data.reshape(flat_shape).swapaxes(-1, -2) @ k.data.reshape(flat_shape)
     return _make(out, (q, k), lambda g: _contract_grads(q.data, k.data, g))
 
 
@@ -579,8 +585,7 @@ def _contract_grads(q, k, g):
     the gradient g of the Gram matrix."""
     flat_shape = q.shape[:-4] + (-1, q.shape[-1])
     qf, kf = q.reshape(flat_shape), k.reshape(flat_shape)
-    matmul = _matmul_for(g.shape)
-    return _matmul_transposed(kf, g, matmul).reshape(q.shape), matmul(qf, g).reshape(k.shape)
+    return _matmul_transposed(kf, g).reshape(q.shape), (qf @ g).reshape(k.shape)
 
 
 def apply_scores(scores, v):
@@ -591,7 +596,7 @@ def apply_scores(scores, v):
         raise DimensionError(
             f"apply_scores: scores shape {scores.shape} != (...,U,U)={expected}")
     vf = v.data.reshape(v.shape[:-4] + (-1, v.shape[-1]))
-    out = _matmul_transposed(vf, scores.data, _matmul_for(scores.shape)).reshape(v.shape)
+    out = _matmul_transposed(vf, scores.data).reshape(v.shape)
     return _make(out, (scores, v), lambda g: _apply_scores_grads(scores.data, v.data, g))
 
 
@@ -601,8 +606,7 @@ def _apply_scores_grads(scores, v, g):
     larger arrays: each sample's rows are read in place."""
     flat_shape = v.shape[:-4] + (-1, v.shape[-1])
     vf, gf = v.reshape(flat_shape), g.reshape(flat_shape)
-    matmul = _matmul_for(scores.shape)
-    return matmul(gf.swapaxes(-1, -2), vf), matmul(gf, scores).reshape(v.shape)
+    return gf.swapaxes(-1, -2) @ vf, (gf @ scores).reshape(v.shape)
 
 
 # ---------------------------------------------------------------------------

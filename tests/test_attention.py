@@ -183,10 +183,25 @@ def score_inputs(rng, dtype, rank, u=5, c=3, n=2):
 def scores_and_grads(q, k, alpha, m, upstream, c_beta=12):
     """One head's score step and its gradient code as multi_head_attention
     runs them: the scores, and the gradients of sum(scores * upstream) for
-    q, k, alpha and M."""
-    scores, t = attention_scores(q, k, alpha, m, c_beta)
-    g_gram, g_alpha, g_m = attention._attention_scores_grads(upstream, t, alpha, c_beta)
-    return scores, list(engine._contract_grads(q, k, g_gram)) + [g_alpha, g_m]
+    q, k, alpha and M.
+
+    A batched map over engine.SCORE_BLOCK_ELEMENTS entries runs through the
+    per-sample head (attention._head_by_sample) with identity values, V = I
+    of U rows: its output is then scores^T, and the gradient it passes to
+    the scores for an upstream g of the output is g^T, exactly, since each
+    entry of the GEMM adds one product g * 1 to products with 0. So
+    g = upstream^T gives the score step the gradient `upstream`."""
+    if not engine._per_sample(upstream.shape):
+        scores, t = attention_scores(q, k, alpha, m, c_beta)
+        g_gram, g_alpha, g_m = attention._attention_scores_grads(upstream, t, alpha, c_beta)
+        return scores, list(engine._contract_grads(q, k, g_gram)) + [g_alpha, g_m]
+    n, u = upstream.shape[:2]
+    eye = np.tile(np.eye(u, dtype=q.dtype), (n, 1, 1)).reshape(n, u, 1, 1, u)
+    scores, t = attention._head_by_sample(q, k, eye, alpha, m, c_beta, np.empty_like(eye))
+    g = np.ascontiguousarray(upstream.swapaxes(-1, -2)).reshape(eye.shape)
+    gq, gk, _, g_alpha, g_m = attention._head_by_sample_grads(q, k, eye, scores, t, alpha,
+                                                              c_beta, g)
+    return scores, [gq, gk, g_alpha, g_m]
 
 
 def composed_scores_and_grads(q, k, alpha, m, upstream, c_beta=12):
@@ -207,18 +222,26 @@ def check_scores_equal_composed_chain(q, k, alpha, m, upstream, c_beta=12):
     return fused
 
 
-def record_blocks(monkeypatch):
-    """Make attention._score_blocks record the blocks of every call, by the
-    score step and by its backward; returns the list of recorded block
-    lists."""
-    calls, score_blocks = [], attention._score_blocks
+def record_heads(monkeypatch):
+    """Make the per-sample head, attention._head_by_sample and its backward
+    _head_by_sample_grads, record the name and sample count of every call;
+    returns the list of records."""
+    calls = []
 
-    def spy(shape):
-        calls.append(score_blocks(shape))
-        return calls[-1]
+    def spy(name, fn):
+        def recorded(q, *args):
+            calls.append((name, len(q)))
+            return fn(q, *args)
+        return recorded
 
-    monkeypatch.setattr(attention, "_score_blocks", spy)
+    for name in ("_head_by_sample", "_head_by_sample_grads"):
+        monkeypatch.setattr(attention, name, spy(name, getattr(attention, name)))
     return calls
+
+
+# a per-sample head's forward and backward calls on N samples
+def head_calls(n):
+    return [("_head_by_sample", n), ("_head_by_sample_grads", n)]
 
 
 def record_scans(monkeypatch):
@@ -235,8 +258,8 @@ def record_scans(monkeypatch):
     return scans
 
 
-# the work that the score step and its backward hand to engine._in_threads
-SCORE_WORK = ("attention_scores", "_attention_scores_grads")
+# the work that the per-sample head and its backward hand to engine._in_threads
+SCORE_WORK = "_head_by_sample"
 
 
 def tape_nodes(out):
@@ -267,7 +290,8 @@ class TestFusedScoreNode:
     """A block's attention is one tape node (multi_head_attention). Its score
     step and the gradient code of each head must give the bytes of the
     composed primitive chain (composed_attention_scores), and the node the
-    bytes of the per-head chain (per_head_attention), forward and backward."""
+    bytes of the per-head chain (per_head_attention), forward and backward,
+    on a whole map and a sample at a time (attention._head_by_sample)."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("rank", [4, 5])
@@ -283,12 +307,14 @@ class TestFusedScoreNode:
         # a map larger than SCORE_BLOCK_ELEMENTS is worked a sample at a time,
         # forward and backward
         monkeypatch.setattr(engine, "SCORE_BLOCK_ELEMENTS", 3 * 5 * 5)
-        blocks = record_blocks(monkeypatch)
+        calls = record_heads(monkeypatch)
         q, k, alpha, m, upstream = score_inputs(np.random.default_rng(5), dtype, 5, n=4)
         check_scores_equal_composed_chain(q, k, alpha, m, upstream)
-        assert blocks == 2 * [[slice(b, b + 1) for b in range(4)]]
+        assert calls == head_calls(4)
         check_attention_equals_per_head_chain(*block_inputs(np.random.default_rng(5), dtype,
                                                             (4,)))
+        # the node's two heads, forward then backward
+        assert calls[2:] == [("_head_by_sample", 4)] * 2 + [("_head_by_sample_grads", 4)] * 2
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("threads", [1, 2, 3])
@@ -297,8 +323,9 @@ class TestFusedScoreNode:
         # every sample is its own block, and THREADS is set here, not read
         # from the host, so a one-CPU host runs the pool too (the pool may
         # run its ranges on one worker); U = 7 is odd, so the backward's row
-        # ranges differ in length. A short switch interval makes the threads
-        # interleave within each block
+        # ranges for the g_alpha and g_M sums differ in length, and split one
+        # sample too. A short switch interval makes the threads interleave
+        # within each block
         monkeypatch.setattr(engine, "SCORE_BLOCK_ELEMENTS", 0)
         monkeypatch.setattr(engine, "THREADS", threads)
         idents = record_threads(monkeypatch, SCORE_WORK)
@@ -311,28 +338,29 @@ class TestFusedScoreNode:
             check_attention_equals_per_head_chain(*block)
         finally:
             sys.setswitchinterval(interval)
-        assert (len(idents) > 1) == (threads > 1 and n > 1)
+        assert (len(idents) > 1) == (threads > 1)
 
     @pytest.mark.parametrize("invalid", ["raise", "ignore"])
     def test_workers_keep_the_callers_errstate(self, invalid, monkeypatch):
         # alpha = inf: sample 0's tanh is positive, so alpha * t = inf, but
         # sample 1's q is zero, so alpha * tanh(0) = inf * 0 is invalid, on
-        # the worker's block only. Under numpy's default state the worker
-        # would warn, which this suite's filters make an error
-        monkeypatch.setattr(engine, "SCORE_BLOCK_ELEMENTS", 0)
+        # the worker's sample only. Under numpy's default state the worker
+        # would warn, which this suite's filters make an error. V is all
+        # ones, so sample 0's +inf scores apply without an invalid step
         monkeypatch.setattr(engine, "THREADS", 2)
         idents = record_threads(monkeypatch, SCORE_WORK)
         q = np.zeros((2, 1, 1, 2, 3))
         q[0] = 1.0
-        args = (q, q, np.asarray(np.inf), np.zeros((3, 3)))
+        v = np.ones((2, 2, 1, 1, 3))
+        args = (q, q, v, np.asarray(np.inf), np.zeros((3, 3)), 4, np.empty_like(v))
         with np.errstate(invalid=invalid):
             if invalid == "raise":
                 with pytest.raises(FloatingPointError):
-                    attention_scores(*args, c_beta=4)
+                    attention._head_by_sample(*args)
             else:
-                out, _ = attention_scores(*args, c_beta=4)
+                scores, _ = attention._head_by_sample(*args)
                 assert len(idents) == 2
-                assert np.isposinf(out[0]).all() and np.isnan(out[1]).all()
+                assert np.isposinf(scores[0]).all() and np.isnan(scores[1]).all()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_per_sample_blocks_nudge_a_later_sample(self, dtype, monkeypatch):
@@ -340,7 +368,7 @@ class TestFusedScoreNode:
         # half an ulp and one ulp of M = 1 there, so alpha + 1 rounds up to
         # 1 + ulp, out of band, and the nudge has to act in block 2
         monkeypatch.setattr(engine, "SCORE_BLOCK_ELEMENTS", 0)
-        blocks = record_blocks(monkeypatch)
+        calls = record_heads(monkeypatch)
         scans = record_scans(monkeypatch)
         q = np.zeros((3, 1, 1, 4, 2), dtype=dtype)
         q[2, 0, 0, :, 0] = 10.0
@@ -349,7 +377,7 @@ class TestFusedScoreNode:
         assert np.abs(alpha + m - m)[0, 0] > alpha
         upstream = np.random.default_rng(0).normal(size=(3, 2, 2)).astype(dtype)
         fused = check_scores_equal_composed_chain(q, q.copy(), alpha, m, upstream, c_beta=4)
-        assert len(blocks[0]) == 3 and any(scans)
+        assert calls == head_calls(3) and any(scans)
         assert (fused == 1).all()
 
     def test_out_of_band_entry_is_nudged_into_band(self, monkeypatch):
@@ -417,9 +445,9 @@ class TestFusedScoreNode:
         # block's attention see its x-gradient, whose sums are ordered
         # differently, and are equal to within rounding of the largest
         # gradient (some, such as a bias before a batchnorm, are all rounding)
-        blocks = record_blocks(monkeypatch)
+        calls = record_heads(monkeypatch)
         loss, grads = readme_blocks_train_step(dtype)
-        assert blocks and all(b == [slice(0, 1), slice(1, 2)] for b in blocks)
+        assert calls and all(n == 2 for _, n in calls)
         monkeypatch.setattr(attention, "multi_head_attention", per_head_attention)
         ref_loss, ref_grads = readme_blocks_train_step(dtype)
         assert loss == ref_loss
@@ -436,9 +464,9 @@ class TestFusedScoreNode:
     def test_readme_blocks_train_step_runs_no_full_scan(self, dtype, monkeypatch):
         # at init M = 0 and no tanh comes within a few ulps of 1, so the
         # bound clears every sample block; four heads, forward and backward
-        blocks, scans = record_blocks(monkeypatch), record_scans(monkeypatch)
+        calls, scans = record_heads(monkeypatch), record_scans(monkeypatch)
         readme_blocks_train_step(dtype)
-        assert len(blocks) == 8 and scans == []
+        assert len(calls) == 8 and scans == []
 
     @given(case=st.fixed_dictionaries(dict(
         seed=st.integers(0, 2 ** 32 - 1),

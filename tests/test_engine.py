@@ -5,14 +5,15 @@ import numpy as np
 import pytest
 
 from istanet import engine
+from istanet.attention import TSABlockConfig, TSABlockParams, multi_head_attention
 from istanet.engine import (BatchNormState, ConfigurationError, DimensionError,
-                            Tensor, UsageError, apply_scores,
+                            Parameter, Tensor, UsageError, apply_scores,
                             attention_contract, batchnorm, conv3d_axis,
                             leaky_relu, pointwise_conv3d)
 
-from helpers import (check_op_gradients, div, fd_grad, out_of_place_batchnorm, readme_config,
-                     record_threads, rel_err, reshape, sqrt, sub, tanh, where_leaky_relu_grad,
-                     zero_fill_conv3d_axis_input_grad)
+from helpers import (check_op_gradients, div, fd_grad, full_im2col_conv3d_axis,
+                     out_of_place_batchnorm, readme_config, record_threads, rel_err, reshape,
+                     sqrt, sub, tanh, where_leaky_relu_grad, zero_fill_conv3d_axis_input_grad)
 
 
 class TestPointwiseConv:
@@ -496,6 +497,53 @@ class TestPassesEqualOutOfPlaceForms:
         assert gx.tobytes() == reference.tobytes()
 
     @pytest.mark.parametrize("rank", [4, 5])
+    @pytest.mark.parametrize("axis", ["T", "S", "U"])
+    @pytest.mark.parametrize("length", [1, 2])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_conv3d_axis_without_dead_taps_equals_full_im2col(self, rank, axis, length, k,
+                                                              dtype):
+        # a tap whose shift is at least the axis length reads only padding:
+        # both side taps at length 1, the outer two of k = 5 at length 2.
+        # conv3d_axis leaves them out of im2col and its GEMMs; the output
+        # and x's gradient keep their bytes and a dead tap's weight gradient
+        # is +0.0, as the full im2col's zero columns gave. The live taps'
+        # weight gradient is a narrower GEMM, whose kernel OpenBLAS may
+        # choose otherwise, so it may round otherwise
+        shape = [3, 4, 3, 5]
+        shape["TSU".index(axis) + 1] = length
+        shape = ((2,) if rank == 5 else ()) + tuple(shape)
+        rng = np.random.default_rng(33)
+        x, w, b = (rng.normal(size=s).astype(dtype) for s in (shape, (6, 3, k), (6,)))
+        out = conv3d_axis(*(Tensor(a, requires_grad=True) for a in (x, w, b)), axis=axis, k=k)
+        ref, ref_bwd = full_im2col_conv3d_axis(x, w, b, axis, k)
+        assert out.data.tobytes() == ref.tobytes()
+        g = rng.normal(size=ref.shape).astype(dtype)
+        (gx, gw, gb), (ref_gx, ref_gw, ref_gb) = out._backward(g), ref_bwd(g)
+        assert [a.dtype for a in (gx, gw, gb)] == [np.dtype(dtype)] * 3
+        assert gx.tobytes() == ref_gx.tobytes() and gb.tobytes() == ref_gb.tobytes()
+        live = min(k, 2 * length - 1)
+        taps = np.arange(k)
+        dead = np.abs(taps - (k - 1) // 2) >= length
+        assert dead.sum() == k - live
+        assert (gw[..., dead] == 0).all() and not np.signbit(gw[..., dead]).any()
+        want = ref_gw[..., ~dead]
+        assert np.abs(gw[..., ~dead] - want).max() <= 1e-6 * np.abs(want).max()
+
+    @pytest.mark.parametrize("axis", ["T", "S", "U"])
+    def test_conv3d_axis_on_an_empty_axis_equals_full_im2col(self, axis):
+        # every tap of an empty axis is dead; the op keeps the centre one
+        shape = [2, 3, 4, 3, 5]
+        shape["TSU".index(axis) + 2] = 0
+        rng = np.random.default_rng(34)
+        x, w, b = (rng.normal(size=s) for s in (shape, (6, 3, 3), (6,)))
+        out = conv3d_axis(*(Tensor(a, requires_grad=True) for a in (x, w, b)), axis=axis, k=3)
+        ref, ref_bwd = full_im2col_conv3d_axis(x, w, b, axis, 3)
+        assert out.shape == ref.shape
+        g = rng.normal(size=ref.shape)
+        assert [a.tobytes() for a in out._backward(g)] == [a.tobytes() for a in ref_bwd(g)]
+
+    @pytest.mark.parametrize("rank", [4, 5])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_batchnorm_equals_out_of_place(self, rank, dtype):
         shape = (16, 10, 2, 20) if rank == 4 else (4, 16, 10, 2, 20)
@@ -638,64 +686,70 @@ def test_contractions_match_einsum_and_finite_differences(shape):
     assert qt.grad.flags.c_contiguous and kt.grad.flags.c_contiguous
 
 
-def contraction_bytes(shape, dtype):
-    """Output and gradient bytes of attention_contract and apply_scores on
-    random operands of `shape`, (N,C,T,S,U) or (C,T,S,U), under random
-    upstream gradients."""
+def head_bytes(shape, dtype):
+    """Output, score_sink and gradient bytes of multi_head_attention with two
+    heads on a random x of `shape`, (N,4,T,S,U) or (4,T,S,U), with random
+    alpha and M, under a random upstream gradient."""
     rng = np.random.default_rng(13)
-    q, k, v = (rng.normal(size=shape).astype(dtype) for _ in range(3))
-    s = rng.normal(size=shape[:-4] + (shape[-1], shape[-1])).astype(dtype)
-    result = []
-    for op, a, b in ((attention_contract, q, k), (apply_scores, s, v)):
-        ta, tb = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
-        out = op(ta, tb)
-        upstream = Tensor(rng.normal(size=out.shape).astype(dtype))
-        engine.backward(engine.tensor_sum(engine.mul(out, upstream)))
-        result += [x.tobytes() for x in (out.data, ta.grad, tb.grad)]
-    return result
+    params = TSABlockParams(TSABlockConfig(c_in=4, c_out=4, heads=2, c_qkv=2), shape[-1], rng,
+                            dtype=dtype)
+    for alpha, m in zip(params.alphas, params.ms):
+        alpha.data = np.asarray(rng.normal(), dtype)
+        m.data = rng.normal(size=m.shape).astype(dtype)
+    x, sink = Parameter("x", rng.normal(size=shape).astype(dtype)), []
+    out = multi_head_attention(x, params, sink)
+    upstream = Tensor(rng.normal(size=shape).astype(dtype))
+    engine.backward(engine.tensor_sum(engine.mul(out, upstream)))
+    return [a.tobytes() for a in [out.data, *sink, x.grad] + [
+        p.grad for p in params.parameters()[:12]]]
 
 
 class TestContractionsBySample:
-    """A batched (N,U,U) map of more than SCORE_BLOCK_ELEMENTS entries
-    splits the samples of attention_contract and apply_scores over
-    engine.THREADS threads, forward and backward; the bytes must be those of
-    the one numpy call."""
+    """A head whose batched (N,U,U) map has more than SCORE_BLOCK_ELEMENTS
+    entries runs a sample at a time (attention._head_by_sample), its samples
+    split over engine.THREADS threads, forward and backward; the node's
+    bytes must be those of the whole-map path, which calls the
+    attention_contract and apply_scores ops."""
+
+    # (T, S) = (1, 1) gives 2 rows per head against U = 7, which take
+    # a @ s^T in the transposed order, (2, 2) 8 rows, the direct one; rank
+    # 4 is never split
+    SHAPES = [(n, 4) + ts + (7,) for ts in ((1, 1), (2, 2)) for n in (1, 2, 3, 5)] + [
+        (4,) + ts + (7,) for ts in ((1, 1), (2, 2))]
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("threads", [1, 2, 3])
-    @pytest.mark.parametrize("n", [1, 2, 3, 5])
-    @pytest.mark.parametrize("rows", [(2, 1, 1), (3, 2, 2)])
-    def test_bytes_do_not_depend_on_threads(self, dtype, threads, n, rows, monkeypatch):
-        # (2,1,1) rows against U = 7 take a @ s^T in the transposed order,
-        # (3,2,2) the direct one. THREADS is set here, not read from the
-        # host, so a one-CPU host runs the pool too, and a short switch
-        # interval makes the threads interleave
-        shape = (n,) + rows + (7,)
-        whole = contraction_bytes(shape, dtype)
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_bytes_do_not_depend_on_threads(self, dtype, threads, shape, monkeypatch):
+        # THREADS is set here, not read from the host, so a one-CPU host
+        # runs the pool too, and a short switch interval makes the threads
+        # interleave
+        whole = head_bytes(shape, dtype)
         monkeypatch.setattr(engine, "SCORE_BLOCK_ELEMENTS", 0)
         monkeypatch.setattr(engine, "THREADS", threads)
-        idents = record_threads(monkeypatch, "_matmul_by_sample")
+        idents = record_threads(monkeypatch, "_head_by_sample")
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            split = contraction_bytes(shape, dtype)
+            split = head_bytes(shape, dtype)
         finally:
             sys.setswitchinterval(interval)
         assert split == whole
-        assert (len(idents) > 1) == (threads > 1 and n > 1)
+        # the g_alpha and g_M sums split the U rows, so one sample splits too
+        assert (len(idents) > 1) == (len(shape) == 5 and threads > 1)
 
     @pytest.mark.parametrize("shape, threshold, splits", [
-        ((3, 2, 1, 1, 7), 3 * 7 * 7, False),
-        ((3, 2, 1, 1, 7), 3 * 7 * 7 - 1, True),
-        ((2, 1, 1, 7), 0, False)])
+        ((3, 4, 1, 1, 7), 3 * 7 * 7, False),
+        ((3, 4, 1, 1, 7), 3 * 7 * 7 - 1, True),
+        ((4, 1, 1, 7), 0, False)])
     def test_only_a_batched_map_over_the_threshold_leaves_the_calling_thread(
             self, shape, threshold, splits, monkeypatch):
         # a map at the threshold, or a rank-4 input at any threshold, runs
-        # the one numpy call and never reaches _in_threads
+        # the whole-map path and never reaches _in_threads
         monkeypatch.setattr(engine, "SCORE_BLOCK_ELEMENTS", threshold)
         monkeypatch.setattr(engine, "THREADS", 2)
-        idents = record_threads(monkeypatch, "_matmul_by_sample")
-        contraction_bytes(shape, np.float32)
+        idents = record_threads(monkeypatch)
+        head_bytes(shape, np.float32)
         if splits:
             assert threading.get_ident() in idents and len(idents) > 1
         else:

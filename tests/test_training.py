@@ -69,8 +69,8 @@ class TestTrainLoop:
     def test_thread_count_leaves_training_bytes_unchanged(self, tmp_path, monkeypatch):
         # window (1,1,1) over 40 frames, 5 joints and 2 entities gives
         # U = 400, so a batch of 8 has a (8,400,400) map, over
-        # SCORE_BLOCK_ELEMENTS: the contractions and the score node split
-        # their samples at the host's default threshold
+        # SCORE_BLOCK_ELEMENTS: each head runs a sample at a time, its
+        # samples split over the threads, at the host's default threshold
         manifest = load_manifest(generate_corpus(tmp_path, num_train=16, num_val=4, seed=0),
                                  num_classes=4)
         config = ModelConfig(window=(1, 1, 1), in_channels=3, frames=40, joints=5,
