@@ -12,6 +12,7 @@ tags (fold0, fold1, ...).
 """
 
 import os
+import re
 import stat
 import warnings
 from dataclasses import dataclass
@@ -210,8 +211,11 @@ class DatasetManifest:
         return [s for s in self.samples if s.tag == tag]
 
     def fold_tags(self):
-        tags = sorted({s.tag for s in self.samples if s.tag.startswith("fold")})
-        return tags
+        """The tags fold<digits>, by number (fold2 before fold10), then by text
+        (fold01 before fold1); numbers compare as digit strings, of any length."""
+        numbers = {s.tag: s.tag[4:].lstrip("0") for s in self.samples
+                   if re.fullmatch("fold[0-9]+", s.tag)}
+        return sorted(numbers, key=lambda tag: (len(numbers[tag]), numbers[tag], tag))
 
     def load(self, entry):
         seq = read_iskel(os.path.join(self.root, entry.path))

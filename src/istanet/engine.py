@@ -20,16 +20,17 @@ The contractions (pointwise and axis convolutions, the attention Gram matrix
 and score application) view their operands as (..., rows, sites) matrices
 and run as BLAS matmuls, forward and backward; the axis convolution stacks
 its live taps with im2col, leaving out a tap whose shift is at least the
-axis length, which reads only padding. The products of a (..., rows, U) matrix with a
-transposed (U,U) one (score application's forward, the Gram matrix's
-q-gradient) run in the faster order for their shape, with the same bytes:
-as (S @ a^T)^T when rows < U, else as a @ S^T. The transposed result is
-made contiguous before it is reshaped (_matmul_transposed). Train-mode
+axis length, which reads only padding, and its input gradient is the
+convolution of the output gradient with the flipped kernel, through the
+same im2col. The products of a (..., rows, U) matrix with a transposed
+(U,U) one (score application's forward, the Gram matrix's q-gradient) run
+in the faster order for their shape, with the same bytes: as
+(S @ a^T)^T when rows < U, else as a @ S^T. The transposed result is made
+contiguous before it is reshaped (_matmul_transposed). Train-mode
 batchnorm is one tape node, its per-channel affine included, with a
-closed-form backward. Three train-mode paths take fewer numpy passes than
-their plain forms, with the same bytes: batchnorm works in place,
-leaky_relu's backward is a bitwise select, and conv3d_axis's col2im has no
-zero fill (the sign of a -0.0 sum and NaN bits aside). No backward writes into its
+closed-form backward. Two train-mode paths take fewer numpy passes than
+their plain forms, with the same bytes: batchnorm works in place, and
+leaky_relu's backward is a bitwise select. No backward writes into its
 upstream gradient or into an array its forward saved. Infer mode has no
 batchnorm op: conv_batchnorm folds the running stats into the convolution
 before it (fold_batchnorm), so a convolution, its residual add and its
@@ -64,7 +65,6 @@ import contextlib
 import contextvars
 import dataclasses
 import functools
-import itertools
 import math
 import os
 import sys
@@ -411,32 +411,18 @@ def _conv_taps(ax, length, k):
     return tuple(taps)
 
 
-@functools.lru_cache(maxsize=256)
-def _col2im_steps(ax, length, k):
-    """(d, output sites, input sites, first) index tuples that scatter the
-    taps' column gradients onto conv3d_axis's input: the `first` steps copy,
-    then the other steps add.
-
-    An input site sums the taps that reach it, a contiguous run t_a, t_a+1,
-    ... It starts as a copy of one of its first two terms: the centre tap's,
-    which reaches every site, where that is one of them, else t_a's. At
-    k <= 3 it is always the centre's, so one copy of the centre column
-    starts every site. The other taps then add in tap order."""
-    centre = (k - 1) // 2
-    taps = _conv_taps(ax, length, k)
-    reaching = [[d for d, _, in_sl, _ in taps if in_sl[ax].start <= i < in_sl[ax].stop]
-                for i in range(length)]
-    start = [centre if centre in ds[:2] else ds[0] for ds in reaching]
-    copies, adds = [], []
-    for d, out_sl, in_sl, _ in taps:
-        shift = in_sl[ax].start - out_sl[ax].start
-        sites = range(in_sl[ax].start, in_sl[ax].stop)
-        for first, run in itertools.groupby(sites, key=lambda i: start[i] == d):
-            run = list(run)
-            lo, hi = run[0], run[-1] + 1
-            (copies if first else adds).append(
-                (d, _along_axis(ax, lo - shift, hi - shift), _along_axis(ax, lo, hi), first))
-    return tuple(copies + adds)
+def _im2col(a, ax, k):
+    """The k-tap im2col of the array a (..., C, T, S, U) along axis ax: the
+    (..., C*k, T*S*U) matrix whose row i*k + d is channel i shifted by
+    d - (k-1)/2 along the axis, zero outside it. It is written once: each
+    tap's shifted copy and its out-of-axis zeros (_conv_taps)."""
+    cols = np.empty(a.shape[:-3] + (k,) + a.shape[-3:], dtype=a.dtype)
+    for d, out_sl, in_sl, zero_sls in _conv_taps(ax, a.shape[ax], k):
+        tap = cols[..., d, :, :, :]
+        tap[out_sl] = a[in_sl]
+        for zero_sl in zero_sls:
+            tap[zero_sl] = 0
+    return cols.reshape(a.shape[:-4] + (a.shape[-4] * k, -1))
 
 
 def conv3d_axis(x, weight, bias, axis, k):
@@ -445,29 +431,25 @@ def conv3d_axis(x, weight, bias, axis, k):
     weight: (C_out, C_in, k), k odd; stride 1, zero same-padding (k-1)/2, so
     the convolved axis keeps its length.
 
-    im2col: the k shifted copies of the input are stacked next to the channel
-    axis, cols[..., i, d, t, s, u] = x[..., i, (t, s, u) + d - (k-1)/2 along
-    the axis] (zero outside it), so the convolution is one
-    (C_out, C_in*k) @ (C_in*k, T*S*U) matmul. cols is written once: each
-    tap's shifted copy and its out-of-axis zeros (_conv_taps).
+    The forward is one (C_out, C_in*k) @ (C_in*k, T*S*U) matmul over the
+    input's im2col, its k shifted copies stacked next to the channel axis
+    (_im2col).
+
+    x's gradient is the same convolution of the output gradient g with the
+    kernel flipped along its taps and its channel axes swapped,
+    gx[i, l] = sum_{o,d} w[o, i, k-1-d] g[o, l + d - (k-1)/2], so it is one
+    (C_in, C_out*k) @ (C_out*k, T*S*U) matmul over _im2col(g). The weight
+    and bias gradients read the forward's cols.
 
     A tap whose shift |d - (k-1)/2| is at least the axis length L reads
     only padding: both side taps of k = 3 at L = 1, the outer two of k = 5
     at L = 2. Only the min(k, 2L - 1) live taps, the centre ones, enter
-    cols, the forward GEMM, the column-gradient GEMM and col2im, which is
-    then the convolution with those weight columns. A dead tap's terms were
-    all +-0 * w, so the output and x's gradient keep their bytes; its weight
-    gradient is +0.0, as the zero columns gave. The live taps' weight
-    gradient is a narrower GEMM, whose kernel OpenBLAS may choose otherwise,
-    so it may round otherwise.
-
-    The backward scatters the column gradient back onto the input (col2im)
-    with no zero fill: each input site starts as a copy of one of its first
-    two tap terms, at k <= 3 the centre tap's, and adds the others in tap
-    order (_col2im_steps). As a + b = b + a, each sum is the (t0 + t1) + t2
-    that adding onto zeros in tap order gave, with two exceptions: a sum
-    whose terms are all -0.0 is -0.0 here, where 0.0 + -0.0 made it +0.0,
-    and a sum of two NaNs may keep the other one's bits.
+    either im2col and either GEMM; flipping them keeps them the centre
+    ones. A dead tap's terms were all +-0 * w, so the output keeps its
+    bytes and a dead tap's weight gradient is +0.0, as the zero columns
+    gave; x's gradient and the live taps' weight gradient come from
+    narrower GEMMs, whose kernels OpenBLAS may choose otherwise, so they
+    may round otherwise.
     """
     if axis not in _AXIS_NAMES:
         raise ConfigurationError(f"conv3d_axis: axis must be one of T/S/U, got {axis!r}")
@@ -489,27 +471,15 @@ def conv3d_axis(x, weight, bias, axis, k):
     # (an empty axis keeps its centre tap, so that the shapes hold)
     live = min(k, max(1, 2 * x.shape[ax] - 1))
     first = (k - live) // 2
-    cols = np.empty(x.shape[:-3] + (live,) + x.shape[-3:], dtype=x.dtype)
-    for d, out_sl, in_sl, zero_sls in _conv_taps(ax, x.shape[ax], live):
-        tap = cols[..., d, :, :, :]
-        tap[out_sl] = x.data[in_sl]
-        for zero_sl in zero_sls:
-            tap[zero_sl] = 0
-    cols = cols.reshape(x.shape[:-4] + (x.shape[-4] * live, -1))
-    w2 = weight.data[:, :, first:first + live].reshape(weight.shape[0], -1)
-    out2 = w2 @ cols
+    w_live = weight.data[:, :, first:first + live]
+    cols = _im2col(x.data, ax, live)
+    out2 = w_live.reshape(weight.shape[0], -1) @ cols
     out2 += bias.data[:, None]
 
     def bwd(g):
-        g2 = g.reshape(g.shape[:-3] + (-1,))
-        gcols = (w2.T @ g2).reshape(x.shape[:-3] + (live,) + x.shape[-3:])
-        gx = np.empty(x.shape, dtype=x.dtype)
-        for d, out_sl, in_sl, first_term in _col2im_steps(ax, x.shape[ax], live):
-            if first_term:
-                gx[in_sl] = gcols[..., d, :, :, :][out_sl]
-            else:
-                gx[in_sl] += gcols[..., d, :, :, :][out_sl]
-        gw_live, gb = _weight_bias_grads(g2, cols)
+        w_flip = w_live[:, :, ::-1].transpose(1, 0, 2).reshape(weight.shape[1], -1)
+        gx = (w_flip @ _im2col(g, ax, live)).reshape(x.shape)
+        gw_live, gb = _weight_bias_grads(g.reshape(g.shape[:-3] + (-1,)), cols)
         gw = np.zeros(weight.shape, dtype=weight.dtype)
         gw[:, :, first:first + live] = gw_live.reshape(weight.shape[:2] + (live,))
         return gx, gw, gb

@@ -1,14 +1,14 @@
 """Shared test utilities: the README model config, a finite-difference
 oracle kept independent of the reverse-mode path it checks, reference
 primitives (sub, div, sqrt, reshape, tanh, getitem, concat), the
-out-of-place forms of leaky_relu's backward, conv3d_axis's col2im and
-train-mode batchnorm that the engine's passes must match, conv3d_axis
-with every tap in its im2col, dead ones included, the inverse
-of the tokenizer's partition, the attention score map composed of
-primitive ops and a block's attention as a chain of them per head, a recorder
-of the threads that run the engine's per-sample work, malformed
-checkpoints, byte mutations of input files, and the committed v1
-checkpoint fixture."""
+out-of-place forms of leaky_relu's backward and train-mode batchnorm that
+the engine's passes must match, conv3d_axis's input gradient scattered
+back tap by tap onto zeros, conv3d_axis with every tap in its im2col, dead
+ones included, the inverse of the tokenizer's partition, the attention
+score map composed of primitive ops and a block's attention as a chain of
+them per head, a recorder of the threads that run the engine's per-sample
+work, malformed checkpoints, byte mutations of input files, and the
+committed v1 checkpoint fixture."""
 
 import json
 import pathlib
@@ -142,30 +142,18 @@ def zero_fill_conv3d_axis_input_grad(x_shape, weight, g, axis, k):
 def full_im2col_conv3d_axis(x, weight, bias, axis, k):
     """Reference for conv3d_axis on arrays: im2col over all k taps, the dead
     ones included (a shift of at least the axis length, which reads only
-    padding), one GEMM, and col2im by engine._col2im_steps. Returns the
-    output and the backward, g -> (x, weight, bias gradients)."""
+    padding), one GEMM, and x's gradient as the flipped-kernel GEMM over all
+    k taps of g's im2col. Returns the output and the backward,
+    g -> (x, weight, bias gradients)."""
     ax = {"T": -3, "S": -2, "U": -1}[axis]
-    cols = np.empty(x.shape[:-3] + (k,) + x.shape[-3:], dtype=x.dtype)
-    for d, out_sl, in_sl, zero_sls in engine._conv_taps(ax, x.shape[ax], k):
-        tap = cols[..., d, :, :, :]
-        tap[out_sl] = x[in_sl]
-        for zero_sl in zero_sls:
-            tap[zero_sl] = 0
-    cols = cols.reshape(x.shape[:-4] + (x.shape[-4] * k, -1))
-    w2 = weight.reshape(weight.shape[0], -1)
-    out2 = w2 @ cols
+    cols = engine._im2col(x, ax, k)
+    out2 = weight.reshape(weight.shape[0], -1) @ cols
     out2 += bias[:, None]
 
     def bwd(g):
-        g2 = g.reshape(g.shape[:-3] + (-1,))
-        gcols = (w2.T @ g2).reshape(x.shape[:-3] + (k,) + x.shape[-3:])
-        gx = np.empty(x.shape, dtype=x.dtype)
-        for d, out_sl, in_sl, first in engine._col2im_steps(ax, x.shape[ax], k):
-            if first:
-                gx[in_sl] = gcols[..., d, :, :, :][out_sl]
-            else:
-                gx[in_sl] += gcols[..., d, :, :, :][out_sl]
-        gw, gb = engine._weight_bias_grads(g2, cols)
+        w_flip = weight[:, :, ::-1].transpose(1, 0, 2).reshape(weight.shape[1], -1)
+        gx = (w_flip @ engine._im2col(g, ax, k)).reshape(x.shape)
+        gw, gb = engine._weight_bias_grads(g.reshape(g.shape[:-3] + (-1,)), cols)
         return gx, gw.reshape(weight.shape), gb
 
     return out2.reshape(x.shape[:-4] + (weight.shape[0],) + x.shape[-3:]), bwd

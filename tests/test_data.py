@@ -182,6 +182,16 @@ class TestManifest:
         for tag in man.fold_tags():
             assert len(man.split(tag)) == 2
 
+    def test_fold_tags_in_number_order(self, tmp_path):
+        # fold10 and fold11 after fold2; fold01 is its own tag, before fold1;
+        # folder and fold1x are no folds
+        tags = [f"fold{i}" for i in range(12)] + ["fold01", "folder", "fold1x", "fold"]
+        files = [f"s{i}.iskel" for i in range(len(tags))]
+        lines = [f"{f} 0 {tag}" for f, tag in zip(files, tags)]
+        man = load_manifest(self._write_corpus(tmp_path, lines, files))
+        assert man.fold_tags() == ["fold0", "fold01", "fold1"] + [
+            f"fold{i}" for i in range(2, 12)]
+
     def test_fold_union_is_everything(self, tmp_path):
         rng = np.random.default_rng(3)
         files = [f"s{i}.iskel" for i in range(12)]
