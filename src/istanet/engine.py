@@ -28,13 +28,14 @@ in the faster order for their shape, with the same bytes: as
 (S @ a^T)^T when rows < U, else as a @ S^T. The transposed result is made
 contiguous before it is reshaped (_matmul_transposed). Train-mode
 batchnorm is one tape node, its per-channel affine included, with a
-closed-form backward. Two train-mode paths take fewer numpy passes than
-their plain forms, with the same bytes: batchnorm works in place, and
-leaky_relu's backward is a bitwise select. No backward writes into its
-upstream gradient or into an array its forward saved. Infer mode has no
-batchnorm op: conv_batchnorm folds the running stats into the convolution
-before it (fold_batchnorm), so a convolution, its residual add and its
-batchnorm are one convolution.
+closed-form backward whose x gradient reuses the two per-channel sums the
+scale and shift gradients make, sum(g * xhat) and sum(g). Two train-mode
+paths take fewer numpy passes than their plain forms, with the same bytes:
+batchnorm works in place, and leaky_relu's backward is a bitwise select.
+No backward writes into its upstream gradient or into an array its forward
+saved. Infer mode has no batchnorm op: conv_batchnorm folds the running
+stats into the convolution before it (fold_batchnorm), so a convolution,
+its residual add and its batchnorm are one convolution.
 
 Threads: an attention head whose batched (N,U,U) map has more than
 SCORE_BLOCK_ELEMENTS entries (_per_sample) runs a sample at a time, its
@@ -617,17 +618,22 @@ def batchnorm(x, state, mode):
     The forward takes the same steps in the same dtypes as a chain of mean,
     subtract, multiply, add, sqrt, divide, reshape, mul and add nodes would
     (1/n and eps in x's dtype), so it is bit-identical to that chain. The
-    backward is the closed form (gs - mean(gs) - xhat * mean(gs * xhat)) / std,
-    gs = g * scale and std = sqrt(var + eps), for x, and the chain's
-    axis-by-axis sums (_unbroadcast) for scale and shift.
+    scale and shift gradients are the chain's axis-by-axis sums
+    (_unbroadcast) of g * xhat and g, with its bytes. x's gradient is the
+    closed form (scale / std) * (g - mean(g) - xhat * mean(g * xhat)),
+    std = sqrt(var + eps) (Ioffe & Szegedy, arXiv:1502.03167), its means
+    being those two sums over n; it rounds differently from the chain's.
 
-    Both directions work in place, in the same order and so with the same
-    bytes: the forward makes x - mean, divides it by std in place, and
-    writes the output into the buffer that held its squares; the backward
-    makes gs and one work array, which holds gs * xhat, then xhat *
-    mean(gs * xhat), then g * xhat. Neither writes into g or into an array
-    the forward saved: add hands one g to both its parents, and the
-    benchmark's tracer runs a backward more than once.
+    Both directions work in place, in the same order as their out-of-place
+    forms and so with the same bytes: the forward makes x - mean, divides it
+    by std in place, and writes the output into the buffer that held its
+    squares; the backward takes seven full-array passes with one work array:
+    g * xhat, its sum and g's, then in place xhat * mean(g * xhat), g minus
+    that, minus mean(g), times scale / std. The scale gradient is a copy, as
+    at one element a channel _unbroadcast returns the work array itself.
+    Neither direction writes into g or into an array the forward saved: add
+    hands one g to both its parents, and the benchmark's tracer runs a
+    backward more than once.
 
     Infer mode has no batchnorm call: conv_batchnorm folds the running stats
     into the convolution before it (fold_batchnorm). `mode` stays a
@@ -663,15 +669,14 @@ def batchnorm(x, state, mode):
     out += state.shift.data.reshape(bshape)
 
     def bwd(g):
-        gx = g * scale
-        gmean = gx.sum(axis=axes, keepdims=True) * inv_n
-        work = gx * xhat
-        gxmean = work.sum(axis=axes, keepdims=True) * inv_n
-        gx -= gmean
-        gx -= np.multiply(xhat, gxmean, out=work)
-        gx /= std
-        return (gx, _unbroadcast(np.multiply(g, xhat, out=work), bshape).reshape(-1),
-                _unbroadcast(g, bshape).reshape(-1))
+        work = g * xhat
+        g_scale = _unbroadcast(work, bshape).copy()
+        g_shift = _unbroadcast(g, bshape)
+        np.multiply(xhat, g_scale * inv_n, out=work)
+        np.subtract(g, work, out=work)
+        work -= g_shift * inv_n
+        work *= scale / std
+        return work, g_scale.reshape(-1), g_shift.reshape(-1)
 
     return _make(out, (x, state.scale, state.shift), bwd)
 

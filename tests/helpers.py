@@ -181,12 +181,10 @@ def out_of_place_batchnorm(x, state):
     out = scale * xhat + state.shift.data.reshape(bshape)
 
     def bwd(g):
-        gs = g * scale
-        gmean = gs.sum(axis=axes, keepdims=True) * inv_n
-        gxmean = (gs * xhat).sum(axis=axes, keepdims=True) * inv_n
-        return ((gs - gmean - xhat * gxmean) / std,
-                engine._unbroadcast(g * xhat, bshape).reshape(-1),
-                engine._unbroadcast(g, bshape).reshape(-1))
+        g_scale = engine._unbroadcast(g * xhat, bshape)
+        g_shift = engine._unbroadcast(g, bshape)
+        return ((g - xhat * (g_scale * inv_n) - g_shift * inv_n) * (scale / std),
+                g_scale.reshape(-1), g_shift.reshape(-1))
 
     return out, bwd
 

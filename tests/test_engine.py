@@ -200,15 +200,19 @@ def tape_nodes(out):
 
 class TestFusedBatchNorm:
     # rank 4 normalises over (T,S,U) with channel axis 0, rank 5 over
-    # (N,T,S,U) with channel axis 1
-    SHAPES = {4: ((3, 2, 3, 4), 0), 5: ((2, 3, 2, 2, 3), 1)}
+    # (N,T,S,U) with channel axis 1; "readme" is the README batch, whose N,
+    # T and U axes are at least 8 long, where numpy's unrolled pairwise
+    # summation starts, and "one-per-channel" has one element a channel,
+    # where _unbroadcast sums nothing and returns its argument
+    SHAPES = {4: ((3, 2, 3, 4), 0), 5: ((2, 3, 2, 2, 3), 1),
+              "readme": ((32, 16, 10, 2, 20), 1), "one-per-channel": ((1, 3, 1, 1, 1), 1)}
 
-    def _state(self, rng, dtype):
-        state = BatchNormState("bn", 3, dtype=dtype)
-        state.scale.data = (rng.normal(size=3) + 1.0).astype(dtype)
-        state.shift.data = rng.normal(size=3).astype(dtype)
-        state.running_mean = rng.normal(size=3).astype(dtype)
-        state.running_var = rng.uniform(0.5, 2.0, size=3).astype(dtype)
+    def _state(self, rng, dtype, channels=3):
+        state = BatchNormState("bn", channels, dtype=dtype)
+        state.scale.data = (rng.normal(size=channels) + 1.0).astype(dtype)
+        state.shift.data = rng.normal(size=channels).astype(dtype)
+        state.running_mean = rng.normal(size=channels).astype(dtype)
+        state.running_var = rng.uniform(0.5, 2.0, size=channels).astype(dtype)
         return state
 
     @staticmethod
@@ -243,18 +247,50 @@ class TestFusedBatchNorm:
             [x], wrt=0, eps=1e-5)
         np.testing.assert_allclose(xt.grad, fd, rtol=1e-6, atol=1e-8)
 
-    @pytest.mark.parametrize("rank", [4, 5])
+    @pytest.mark.parametrize("rank", [4, 5, "readme", "one-per-channel"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_train_affine_gradients_are_bit_identical_to_composition(self, rank, dtype):
         shape, channel_axis = self.SHAPES[rank]
         rng = np.random.default_rng(16)
         x = Tensor((rng.normal(size=shape) * 3.0 + 1.0).astype(dtype), requires_grad=True)
-        state = self._state(rng, dtype)
+        state = self._state(rng, dtype, channels=shape[channel_axis])
         upstream = rng.normal(size=shape).astype(dtype)
         affine = (state.scale, state.shift)
         fused = self._gradients(batchnorm(x, state, mode="train"), upstream, affine)
         reference = self._gradients(composed_batchnorm(x, state, channel_axis), upstream, affine)
         assert fused == reference
+
+    @pytest.mark.parametrize("shape", [(32, 16, 10, 2, 20), (32, 32, 10, 2, 20), (16, 10, 2, 20)],
+                             ids=["C16", "C32", "rank4"])
+    def test_input_gradient_is_accurate_and_projected_at_trained_size(self, shape):
+        # x's float32 gradient against the float64 chain's on the same
+        # inputs: within 8 eps of its largest entry (it reads 0.8-1.0 eps).
+        # The closed form takes out g's per-channel mean and its xhat
+        # component, so per channel sum(dx) and sum(dx * xhat) are 0 up to
+        # rounding: within 8 eps of sum(|dx|) and sum(|dx * xhat|) (they
+        # read at most 0.31 and 1.85 eps)
+        channel_axis, eps = len(shape) - 4, np.finfo(np.float32).eps
+        axes = tuple(i for i in range(len(shape)) if i != channel_axis)
+        rng = np.random.default_rng(19)
+        x = (rng.normal(size=shape) * 3.0 + 1.0).astype(np.float32)
+        g = rng.normal(size=shape).astype(np.float32)
+        state = self._state(rng, np.float32, channels=shape[channel_axis])
+        dx = batchnorm(Tensor(x, requires_grad=True), state, mode="train")._backward(g)[0]
+        state64 = BatchNormState("bn", state.channels, dtype=np.float64)
+        state64.scale.data = state.scale.data.astype(np.float64)
+        state64.shift.data = state.shift.data.astype(np.float64)
+        x64 = Tensor(x.astype(np.float64), requires_grad=True)
+        engine.backward(engine.tensor_sum(engine.mul(
+            composed_batchnorm(x64, state64, channel_axis), Tensor(g.astype(np.float64)))))
+        assert dx.dtype == np.float32
+        assert np.abs(dx - x64.grad).max() <= 8 * eps * np.abs(x64.grad).max()
+
+        xc = x64.data - x64.data.mean(axis=axes, keepdims=True)
+        xhat = xc / np.sqrt((xc * xc).mean(axis=axes, keepdims=True) + state.eps)
+        dx = dx.astype(np.float64)
+        for projection in (dx, dx * xhat):
+            assert (np.abs(projection.sum(axis=axes))
+                    <= 8 * eps * np.abs(projection).sum(axis=axes)).all()
 
     @pytest.mark.parametrize("mode", ["infer", "eval"])
     def test_modes_but_train_are_refused(self, mode):
@@ -486,8 +522,11 @@ class TestLeakyRelu:
 
 class TestPassesEqualOutOfPlaceForms:
     """leaky_relu's bitwise-select backward and the in-place batchnorm give
-    the bytes of the out-of-place forms in tests/helpers.py; conv3d_axis's
-    flipped-kernel input gradient gives the zero fill's on exact sums."""
+    the bytes of the out-of-place forms in tests/helpers.py, batchnorm's x
+    gradient being (g - xhat * mean(g * xhat) - mean(g)) * (scale / std) in
+    that order, from the scale and shift gradients' own sums;
+    conv3d_axis's flipped-kernel input gradient gives the zero fill's on
+    exact sums."""
 
     @pytest.mark.parametrize("gamma", [0.0, 0.1, 1.0, 2.5])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
