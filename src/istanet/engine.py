@@ -6,15 +6,15 @@ Tensor holds data and tape links and has no op methods. Each op records its
 parents and a backward closure; ``backward(loss)`` on a scalar runs the tape
 in reverse topological order and accumulates gradients over all paths.
 
-Operands are Tensors; an array becomes one through ``Tensor(...)``. Only add
-and mul also take a constant. Dtype rule: a model computes in the dtype of
-its parameters, forward and backward. In add and mul a scalar constant (a
-Python float, a NumPy scalar or a 0-d array) takes the other operand's
-dtype, so a constant such as 1/n or eps never promotes float32 to float64.
+Operands are Tensors; an array becomes one through ``Tensor(...)``. Dtype
+rule: a model computes in the dtype of its parameters, forward and
+backward; an op's own constants, such as 1/n or eps, are 0-d arrays in its
+input's dtype, so they never promote float32 to float64.
 
 Shape convention for the model-facing ops: each op has one body that
 works on the trailing four axes (C, T, S, U), so the channel axis is always
 -4; an optional leading batch axis N rides along, giving (N, C, T, S, U).
+The classifier head is mean_pool over (T, S, U), then linear.
 
 The contractions (pointwise and axis convolutions, the attention Gram matrix
 and score application) view their operands as (..., rows, sites) matrices
@@ -163,25 +163,8 @@ def uniform_init(rng, c_out, c_in, k=None):
     return rng.uniform(-bound, bound, size=(c_out, c_in, k) if k else (c_out, c_in))
 
 
-def astensor(x, dtype=None):
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x), dtype=dtype)
-
-
-def _operands(a, b):
-    """The operands of add or mul as Tensors. Each is a Tensor or a scalar
-    constant, which takes the dtype of the other operand when that is a
-    Tensor (astensor leaves Tensors as they are)."""
-    for x in (a, b):
-        if not isinstance(x, Tensor) and np.ndim(x) != 0:
-            raise UsageError(f"add and mul take Tensors and scalar constants, "
-                             f"got a {type(x).__name__} of shape {np.shape(x)}")
-    if isinstance(b, Tensor):
-        a = astensor(a, dtype=b.dtype)
-    if isinstance(a, Tensor):
-        b = astensor(b, dtype=a.dtype)
-    return astensor(a), astensor(b)
+def astensor(x):
+    return x if isinstance(x, Tensor) else Tensor(np.asarray(x))
 
 
 def _unbroadcast(grad, shape):
@@ -219,32 +202,13 @@ def _make(data, parents, backward_fn):
 # elementwise / structural ops
 # ---------------------------------------------------------------------------
 
-def _binary_grads(a, b, grad_a, grad_b):
-    """Gradient slots of a binary op. grad_a/grad_b compute the broadcast
-    gradient of each operand; an operand that needs none (a constant) gets
-    None and its gradient is never computed."""
-    return (_unbroadcast(grad_a(), a.shape) if a.requires_grad else None,
-            _unbroadcast(grad_b(), b.shape) if b.requires_grad else None)
-
-
 def add(a, b):
-    a, b = _operands(a, b)
-    out = a.data + b.data
-
+    """a + b with numpy broadcasting; an operand that needs no gradient (a
+    constant) gets None."""
     def bwd(g):
-        return _binary_grads(a, b, lambda: g, lambda: g)
+        return tuple(_unbroadcast(g, p.shape) if p.requires_grad else None for p in (a, b))
 
-    return _make(out, (a, b), bwd)
-
-
-def mul(a, b):
-    a, b = _operands(a, b)
-    out = a.data * b.data
-
-    def bwd(g):
-        return _binary_grads(a, b, lambda: g * b.data, lambda: g * a.data)
-
-    return _make(out, (a, b), bwd)
+    return _make(a.data + b.data, (a, b), bwd)
 
 
 def leaky_relu(a, gamma):
@@ -282,40 +246,6 @@ def leaky_relu(a, gamma):
     return _make(out, (a,), bwd)
 
 
-def tensor_sum(a, axis=None, keepdims=False):
-    out = a.data.sum(axis=axis, keepdims=keepdims)
-    in_shape = a.shape
-
-    def bwd(g):
-        g = np.asarray(g)
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, in_shape).copy(),)
-
-    return _make(out, (a,), bwd)
-
-
-def tensor_mean(a, axis=None, keepdims=False):
-    if axis is None:
-        n = a.data.size
-    else:
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        n = int(np.prod([a.shape[ax] for ax in axes]))
-    return mul(tensor_sum(a, axis=axis, keepdims=keepdims), 1.0 / n)
-
-
-def log_softmax(a, axis=-1):
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out = shifted - lse
-    sm = np.exp(out)
-
-    def bwd(g):
-        return (g - sm * g.sum(axis=axis, keepdims=True),)
-
-    return _make(out, (a,), bwd)
-
-
 def linear(x, weight, bias):
     """Affine map over the last axis: out = x @ weight.T + bias.
 
@@ -345,6 +275,20 @@ def linear(x, weight, bias):
 def _check_rank(x, opname):
     if x.ndim not in (4, 5):
         raise DimensionError(f"{opname}: expected rank 4 (C,T,S,U) or rank 5 (N,C,T,S,U), got rank {x.ndim}")
+
+
+def mean_pool(x):
+    """Global average pooling over (T, S, U), (..., C, T, S, U) -> (..., C):
+    the sum times 1/n, and g * (1/n) broadcast back, 1/n in x's dtype: the
+    steps, and so the bytes, of a sum node then a 1/n product node."""
+    _check_rank(x, "mean_pool")
+    inv_n = np.asarray(1.0 / math.prod(x.shape[-3:]), dtype=x.dtype)
+    out = x.data.sum(axis=(-3, -2, -1)) * inv_n
+
+    def bwd(g):
+        return (np.broadcast_to((g * inv_n)[..., None, None, None], x.shape).copy(),)
+
+    return _make(out, (x,), bwd)
 
 
 def _weight_bias_grads(g2, a2):

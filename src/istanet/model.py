@@ -12,7 +12,7 @@ import numpy as np
 from . import engine
 from .attention import TSABlockConfig, TSABlockParams, tsa_block_forward
 from .engine import (ConfigurationError, Parameter, UsageError,
-                     check_field_types, log_softmax, linear, uniform_init)
+                     check_field_types, linear, uniform_init)
 from .tokenizer import EmbedParams, check_window, embed, tokenize, u_layout
 
 
@@ -100,8 +100,9 @@ class TrainConfig:
         if not 0.0 <= self.label_smoothing < 1.0:
             raise ConfigurationError(
                 f"label smoothing must be in [0,1), got {self.label_smoothing}")
-        if self.temperature <= 0:
-            raise ConfigurationError(f"temperature must be > 0, got {self.temperature}")
+        if not self.temperature * float(np.finfo(np.float32).max) >= 1:
+            raise ConfigurationError(f"temperature must be at least 1/(float32 max), about "
+                                     f"2.939e-39, got {self.temperature}")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigurationError(f"momentum must be in [0,1), got {self.momentum}")
 
@@ -203,8 +204,7 @@ class ISTANet:
                     sink = []
                     score_sink.append(sink)
                 x = tsa_block_forward(x, params, mode, score_sink=sink)
-            pooled = engine.tensor_mean(x, axis=(-3, -2, -1))
-            return linear(pooled, self.fc_weight, self.fc_bias)
+            return linear(engine.mean_pool(x), self.fc_weight, self.fc_bias)
 
     def forward_classify(self, seq, mode):
         """Single sequence -> logits (num_classes,). Applies no entity
@@ -232,17 +232,28 @@ class ISTANet:
 
 def ce_label_smoothing(logits, labels, smoothing, temperature):
     """Mean cross entropy with smoothed targets over tempered softmax, for
-    (N,K) logits, a Tensor or an ndarray, and N integer labels."""
+    (N,K) logits, a Tensor or an ndarray, and N integer labels: one node with
+    a closed-form gradient, as PyTorch's cross_entropy(label_smoothing=...).
+    Both directions take the steps of a chain of 1/T scale, log-softmax,
+    target product and sum nodes, 1/T and 1/N in the logits' dtype, for its
+    bytes, which the textbook (softmax - target) / (N T) would not give."""
     logits = engine.astensor(logits)
     labels = np.asarray(labels)
     n, k = logits.shape
     if (labels < 0).any() or (labels >= k).any():
         raise UsageError(f"labels must lie in [0,{k}), got {labels}")
-    logp = log_softmax(engine.mul(logits, 1.0 / temperature), axis=-1)
-    target = np.full((n, k), smoothing / k, dtype=logits.dtype)
-    target[np.arange(n), labels] += 1.0 - smoothing
-    per_sample = engine.tensor_sum(engine.mul(logp, engine.Tensor(-target)), axis=-1)
-    return engine.tensor_mean(per_sample)
+    inv_t, inv_n = (np.asarray(1.0 / d, dtype=logits.dtype) for d in (temperature, n))
+    z = logits.data * inv_t
+    shifted = z - z.max(axis=-1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    neg_target = -np.full((n, k), smoothing / k, dtype=logits.dtype)
+    neg_target[np.arange(n), labels] -= 1.0 - smoothing
+
+    def bwd(g):
+        gl = (g * inv_n) * neg_target  # the gradient of logp, then of z and the logits
+        return ((gl - np.exp(logp) * gl.sum(axis=-1, keepdims=True)) * inv_t,)
+
+    return engine._make((logp * neg_target).sum(axis=-1).sum() * inv_n, (logits,), bwd)
 
 
 class NesterovSGD:

@@ -7,6 +7,7 @@ timings.jsonl so two runs with the same seed produce byte-identical metric
 logs.
 """
 
+import contextlib
 import json
 import os
 import time
@@ -38,6 +39,18 @@ def _param_norm_report(model, limit=5):
     norms = sorted(((float(np.abs(p.data).max()), p.name) for p in model.parameters()),
                    reverse=True)
     return ", ".join(f"{name}={v:.3e}" for v, name in norms[:limit])
+
+
+@contextlib.contextmanager
+def _float_errors_abort(model, where):
+    """Raise numpy's first overflow, invalid value or division by zero in the
+    block, with no warning before it, as a NumericAbort naming `where`."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
+    except FloatingPointError as e:
+        raise NumericAbort(f"{e} at {where}; largest parameters: "
+                           f"{_param_norm_report(model)}") from None
 
 
 def train(model, manifest, train_config, out_dir=None, train_tag="train",
@@ -97,18 +110,19 @@ def train(model, manifest, train_config, out_dir=None, train_tag="train",
                 seqs = [entity_rearrange(seq, er_rng, frozen=model.config.frozen_entities)
                         for seq in seqs]
             tokens = np.stack([model.tokenize_sample(seq) for seq in seqs])
-            logits = model.forward_tokens(tokens, mode="train")
-            loss = ce_label_smoothing(logits, labels[batch],
-                                      train_config.label_smoothing,
-                                      train_config.temperature)
-            loss_val = loss.item()
             where = f"epoch {epoch} batch {start // train_config.batch_size}"
-            if not np.isfinite(loss_val):
-                raise NumericAbort(
-                    f"non-finite loss at {where}; "
-                    f"largest parameters: {_param_norm_report(model)}")
-            model.zero_grad()
-            engine.backward(loss)
+            with _float_errors_abort(model, where):
+                logits = model.forward_tokens(tokens, mode="train")
+                loss = ce_label_smoothing(logits, labels[batch],
+                                          train_config.label_smoothing,
+                                          train_config.temperature)
+                loss_val = loss.item()
+                if not np.isfinite(loss_val):
+                    raise NumericAbort(
+                        f"non-finite loss at {where}; "
+                        f"largest parameters: {_param_norm_report(model)}")
+                model.zero_grad()
+                engine.backward(loss)
             bad = next((p.name for p in optimizer.params
                         if p.grad is not None and not np.isfinite(p.grad).all()), None)
             if bad is not None:
@@ -126,7 +140,8 @@ def train(model, manifest, train_config, out_dir=None, train_tag="train",
             "train_loss": epoch_loss / n,
             "train_top1": epoch_hits / n,
         }
-        record["val_top1"] = topk_accuracy(model, val_seqs, val_labels)[0] if val_seqs else None
+        with _float_errors_abort(model, f"epoch {epoch} validation"):
+            record["val_top1"] = topk_accuracy(model, val_seqs, val_labels)[0] if val_seqs else None
         metrics.append(record)
         wall_ms = (time.monotonic() - t0) * 1000.0
 

@@ -1,16 +1,20 @@
 """Shared test utilities: the README model config, a finite-difference
 oracle kept independent of the reverse-mode path it checks, reference
-primitives (sub, div, sqrt, reshape, tanh, getitem, concat), the
-out-of-place forms of leaky_relu's backward and train-mode batchnorm that
-the engine's passes must match, conv3d_axis's input gradient scattered
-back tap by tap onto zeros, conv3d_axis with every tap in its im2col, dead
-ones included, the inverse of the tokenizer's partition, the attention
-score map composed of primitive ops and a block's attention as a chain of
-them per head, a recorder of the threads that run the engine's per-sample
-work, malformed checkpoints, byte mutations of input files, and the
-committed v1 checkpoint fixture."""
+primitives (add and mul with a scalar constant on either side, sub, div,
+sqrt, reshape, tanh, tensor_sum, tensor_mean, log_softmax, getitem,
+concat), the classifier tail's pooling and loss as chains of them
+(composed_mean_pool, composed_ce_label_smoothing), the out-of-place forms
+of leaky_relu's backward and train-mode batchnorm that the engine's passes
+must match, conv3d_axis's input gradient scattered back tap by tap onto
+zeros, conv3d_axis with every tap in its im2col, dead ones included, the
+inverse of the tokenizer's partition, the attention score map composed of
+primitive ops and a block's attention as a chain of them per head, a
+recorder of the threads that run the engine's per-sample work, malformed
+checkpoints, byte mutations of input files, and the committed v1
+checkpoint fixture."""
 
 import json
+import math
 import pathlib
 import threading
 
@@ -68,7 +72,7 @@ def check_op_gradients(op, arrays, eps=1e-6, tol=1e-4, loss="sumsq"):
     tensors = [engine.Tensor(np.array(a, dtype=np.float64), requires_grad=True)
                for a in arrays]
     out = op(*tensors)
-    scalar = engine.tensor_sum(engine.mul(out, out) if loss == "sumsq" else out)
+    scalar = tensor_sum(mul(out, out) if loss == "sumsq" else out)
     engine.backward(scalar)
 
     def forward_np(*arrs):
@@ -83,23 +87,102 @@ def check_op_gradients(op, arrays, eps=1e-6, tol=1e-4, loss="sumsq"):
     return worst
 
 
-def sub(a, b):
-    """a - b as a tape node, with the engine's scalar-operand dtype rule."""
-    a, b = engine._operands(a, b)
+def _operands(a, b):
+    """The operands of a reference binary op as Tensors. Each is a Tensor or
+    a scalar constant (a Python float, a NumPy scalar or a 0-d array), which
+    takes the dtype of the other operand when that is a Tensor, so that a
+    constant such as 1/n or eps never promotes float32 to float64."""
+    for x in (a, b):
+        if not isinstance(x, engine.Tensor) and np.ndim(x) != 0:
+            raise engine.UsageError(f"add and mul take Tensors and scalar constants, "
+                                    f"got a {type(x).__name__} of shape {np.shape(x)}")
+    dtype = next((x.dtype for x in (a, b) if isinstance(x, engine.Tensor)), None)
+    return tuple(x if isinstance(x, engine.Tensor) else engine.Tensor(np.asarray(x), dtype=dtype)
+                 for x in (a, b))
+
+
+def _binary_grads(a, b, grad_a, grad_b):
+    """Gradient slots of a reference binary op. grad_a/grad_b compute the
+    broadcast gradient of each operand; an operand that needs none (a
+    constant) gets None and its gradient is never computed."""
+    return (engine._unbroadcast(grad_a(), a.shape) if a.requires_grad else None,
+            engine._unbroadcast(grad_b(), b.shape) if b.requires_grad else None)
+
+
+def add(a, b):
+    """engine.add with a scalar constant on either side (_operands)."""
+    return engine.add(*_operands(a, b))
+
+
+def mul(a, b):
+    """a * b as a tape node, with the scalar-constant rule (_operands)."""
+    a, b = _operands(a, b)
 
     def bwd(g):
-        return engine._binary_grads(a, b, lambda: g, lambda: -g)
+        return _binary_grads(a, b, lambda: g * b.data, lambda: g * a.data)
+
+    return engine._make(a.data * b.data, (a, b), bwd)
+
+
+def tensor_sum(a, axis=None, keepdims=False):
+    in_shape = a.shape
+
+    def bwd(g):
+        g = np.asarray(g)
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        return (np.broadcast_to(g, in_shape).copy(),)
+
+    return engine._make(a.data.sum(axis=axis, keepdims=keepdims), (a,), bwd)
+
+
+def tensor_mean(a, axis=None, keepdims=False):
+    """tensor_sum, then mul by the constant 1/n."""
+    axes = range(a.ndim) if axis is None else axis if isinstance(axis, tuple) else (axis,)
+    n = math.prod(a.shape[ax] for ax in axes)
+    return mul(tensor_sum(a, axis=axis, keepdims=keepdims), 1.0 / n)
+
+
+def log_softmax(a, axis=-1):
+    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+    out = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    sm = np.exp(out)
+    return engine._make(out, (a,), lambda g: (g - sm * g.sum(axis=axis, keepdims=True),))
+
+
+def composed_mean_pool(x):
+    """Reference for engine.mean_pool: tensor_mean over (T, S, U), two nodes."""
+    return tensor_mean(x, axis=(-3, -2, -1))
+
+
+def composed_ce_label_smoothing(logits, labels, smoothing, temperature):
+    """Reference for model.ce_label_smoothing on a Tensor of (N, K) logits:
+    the chain of mul (1/T), log_softmax, mul (-target), tensor_sum over K and
+    tensor_mean over N, six nodes."""
+    n, k = logits.shape
+    target = np.full((n, k), smoothing / k, dtype=logits.dtype)
+    target[np.arange(n), labels] += 1.0 - smoothing
+    logp = log_softmax(mul(logits, 1.0 / temperature), axis=-1)
+    return tensor_mean(tensor_sum(mul(logp, engine.Tensor(-target)), axis=-1))
+
+
+def sub(a, b):
+    """a - b as a tape node, with the scalar-constant rule (_operands)."""
+    a, b = _operands(a, b)
+
+    def bwd(g):
+        return _binary_grads(a, b, lambda: g, lambda: -g)
 
     return engine._make(a.data - b.data, (a, b), bwd)
 
 
 def div(a, b):
-    """a / b as a tape node, with the engine's scalar-operand dtype rule."""
-    a, b = engine._operands(a, b)
+    """a / b as a tape node, with the scalar-constant rule (_operands)."""
+    a, b = _operands(a, b)
 
     def bwd(g):
-        return engine._binary_grads(a, b, lambda: g / b.data,
-                                    lambda: -g * a.data / (b.data * b.data))
+        return _binary_grads(a, b, lambda: g / b.data,
+                             lambda: -g * a.data / (b.data * b.data))
 
     return engine._make(a.data / b.data, (a, b), bwd)
 
@@ -230,8 +313,8 @@ def composed_attention_scores(q, k, alpha, m, c_beta):
     ops (contract, scale, tanh, alpha, + M) and an ulp nudge of entries
     outside the |score - M| <= |alpha| band, as a node of its own."""
     gram = engine.attention_contract(q, k)
-    scaled = engine.mul(gram, 1.0 / np.sqrt(c_beta))
-    raw = engine.add(engine.mul(tanh(scaled), alpha), m)
+    scaled = mul(gram, 1.0 / np.sqrt(c_beta))
+    raw = add(mul(tanh(scaled), alpha), m)
     center = m.data if isinstance(m, engine.Tensor) else np.asarray(m)
     radius = abs(float(alpha.data if isinstance(alpha, engine.Tensor) else alpha))
     data = np.array(raw.data)

@@ -13,8 +13,8 @@ from istanet.data import SkeletonSequence
 from istanet.engine import ConfigurationError, Parameter, Tensor, UsageError
 from istanet.model import ISTANet, ce_label_smoothing
 
-from helpers import (composed_attention_scores, fd_grad, per_head_attention, readme_config,
-                     record_threads, rel_err)
+from helpers import (composed_attention_scores, fd_grad, mul, per_head_attention,
+                     readme_config, record_threads, rel_err, tensor_sum)
 
 
 def make_block(c_in=4, c_out=4, heads=2, c_qkv=2, u=4, seed=0, dtype=np.float64,
@@ -67,7 +67,7 @@ def attention_and_grads(fn, params, x, upstream):
     for p in params.parameters():
         p.grad = None
     out = fn(leaf, params, sink)
-    engine.backward(engine.tensor_sum(engine.mul(out, Tensor(upstream))))
+    engine.backward(tensor_sum(mul(out, Tensor(upstream))))
     return out, sink, leaf.grad, {p.name: p.grad for p in params.parameters() if p.grad is not None}
 
 
@@ -208,7 +208,7 @@ def composed_scores_and_grads(q, k, alpha, m, upstream, c_beta=12):
     """The same from the composed chain of engine ops (composed_attention_scores)."""
     leaves = [Parameter(name, a) for name, a in zip("qkam", (q, k, alpha, m))]
     out = composed_attention_scores(*leaves, c_beta=c_beta)
-    engine.backward(engine.tensor_sum(engine.mul(out, Tensor(upstream))))
+    engine.backward(tensor_sum(mul(out, Tensor(upstream))))
     return out.data, [leaf.grad for leaf in leaves]
 
 
@@ -607,7 +607,7 @@ class TestBlockForward:
         cfg, params = make_block(c_out=8)  # includes the residual projection
         x = Tensor(np.random.default_rng(13).normal(size=(4, 2, 2, 4)))
         out = tsa_block_forward(x, params, mode="train")
-        engine.backward(engine.tensor_sum(engine.mul(out, out)))
+        engine.backward(tensor_sum(mul(out, out)))
         for p in params.parameters():
             assert p.grad is not None, p.name
             assert np.abs(p.grad).max() > 0, f"dead parameter {p.name}"
@@ -628,7 +628,7 @@ class TestBlockForward:
             return out
 
         out = tsa_block_forward(Tensor(x4), params, mode="train")
-        engine.backward(engine.tensor_sum(engine.mul(out, out)))
+        engine.backward(tensor_sum(mul(out, out)))
         worst = 0.0
         for p in params.parameters():
             base = p.data.copy()

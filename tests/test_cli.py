@@ -112,6 +112,8 @@ BAD_INPUTS = {
     "config-lr-nan": (["train"], [], {"train.lr": float("nan")}),
     "config-lr-decay-inf": (["train"], [], {"train.lr_decay": float("inf")}),
     "config-temperature-nan": (["train"], [], {"train.temperature": float("nan")}),
+    "config-temperature-reciprocal-over-float32": (["train"], [], {"train.temperature": 1e-39}),
+    "config-temperature-subnormal": (["train"], [], {"train.temperature": 1e-320}),
     "config-gamma-nan": (["train"], [], {"model.gamma": float("nan")}),
     "config-checkpoint-interval-negative": (["train"], [], {"train.checkpoint_interval": -2}),
     "config-in-channels-zero": (["train"], [], {"model.in_channels": 0}),
@@ -501,12 +503,16 @@ class TestExitCodes:
         assert code == 0, err
         assert out.splitlines()[-1].startswith("OK: ")
 
-    def test_overflowing_step_aborts_with_one_line(self, capsys, tmp_path, corpus):
-        # no errstate here: a numpy warning from the step is an error under
-        # this suite's filters, and would print to stderr outside it
-        config = write_run_config(tmp_path, corpus)
+    @pytest.mark.parametrize("batch_size", [32, 64])
+    @pytest.mark.parametrize("lr", ["1e10", "1e20", "1e30", "1e39"])
+    def test_overflowing_step_aborts_with_one_line(self, capsys, tmp_path, corpus, lr,
+                                                   batch_size):
+        # no errstate here: a numpy warning from the step or from validation
+        # is an error under this suite's filters, and would print to stderr
+        # outside it
+        config = write_run_config(tmp_path, corpus, **{"train.batch_size": batch_size})
         code, _, err = run_cli(capsys, "--seed", "7", "train", str(config), "--epochs", "3",
-                               "--lr", "1e39")
+                               "--lr", lr)
         assert code == 3
         assert len(err.splitlines()) == 1 and err.startswith("numeric abort: "), err
 

@@ -13,9 +13,11 @@ from istanet.engine import (BatchNormState, ConfigurationError, DimensionError,
                             attention_contract, batchnorm, conv3d_axis,
                             leaky_relu, pointwise_conv3d)
 
-from helpers import (check_op_gradients, div, fd_grad, full_im2col_conv3d_axis,
+from helpers import (add, check_op_gradients, composed_mean_pool, div, fd_grad,
+                     full_im2col_conv3d_axis, mul,
                      out_of_place_batchnorm, readme_config, record_threads, rel_err, reshape,
-                     sqrt, sub, tanh, where_leaky_relu_grad, zero_fill_conv3d_axis_input_grad)
+                     sqrt, sub, tanh, tensor_mean, tensor_sum, where_leaky_relu_grad,
+                     zero_fill_conv3d_axis_input_grad)
 
 
 class TestPointwiseConv:
@@ -36,7 +38,7 @@ class TestPointwiseConv:
         w = rng.normal(size=(3, 2))
         b = rng.normal(size=3)
         xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
-        engine.backward(engine.tensor_sum(pointwise_conv3d(xt, wt, bt)))
+        engine.backward(tensor_sum(pointwise_conv3d(xt, wt, bt)))
         fd = fd_grad(lambda x_, w_, b_: float(
             pointwise_conv3d(Tensor(x_), Tensor(w_), Tensor(b_)).data.sum()),
             [x, w, b], wrt=1)
@@ -87,7 +89,7 @@ class TestConvAxis:
         w = rng.normal(size=(2, 2, 3))
         b = rng.normal(size=2)
         xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
-        engine.backward(engine.tensor_sum(conv3d_axis(xt, wt, bt, axis=axis, k=3)))
+        engine.backward(tensor_sum(conv3d_axis(xt, wt, bt, axis=axis, k=3)))
         for i, t in enumerate((xt, wt, bt)):
             fd = fd_grad(lambda x_, w_, b_: float(
                 conv3d_axis(Tensor(x_), Tensor(w_), Tensor(b_), axis=axis, k=3).data.sum()),
@@ -129,7 +131,7 @@ class TestConvAxisIm2col:
         np.testing.assert_allclose(out.data, conv_axis_reference(x, w, b, axis, k),
                                    rtol=1e-12, atol=1e-12)
         upstream = rng.normal(size=out.shape)
-        engine.backward(engine.tensor_sum(engine.mul(out, Tensor(upstream))))
+        engine.backward(tensor_sum(mul(out, Tensor(upstream))))
         # the loss is linear in each input, so a wide step adds no truncation
         # error and keeps rounding error small
         for i, t in enumerate((xt, wt, bt)):
@@ -176,14 +178,14 @@ def composed_batchnorm(x, state, channel_axis, mode="train"):
     bshape = [1] * x.ndim
     bshape[channel_axis] = state.channels
     if mode == "train":
-        mu = engine.tensor_mean(x, axis=axes, keepdims=True)
+        mu = tensor_mean(x, axis=axes, keepdims=True)
         xc = sub(x, mu)
-        var = engine.tensor_mean(engine.mul(xc, xc), axis=axes, keepdims=True)
-        xhat = div(xc, sqrt(engine.add(var, state.eps)))
+        var = tensor_mean(mul(xc, xc), axis=axes, keepdims=True)
+        xhat = div(xc, sqrt(add(var, state.eps)))
     else:
         inv = Tensor(1.0 / np.sqrt(state.running_var.reshape(bshape) + state.eps))
-        xhat = engine.mul(sub(x, Tensor(state.running_mean.reshape(bshape))), inv)
-    return engine.add(engine.mul(reshape(state.scale, bshape), xhat),
+        xhat = mul(sub(x, Tensor(state.running_mean.reshape(bshape))), inv)
+    return engine.add(mul(reshape(state.scale, bshape), xhat),
                       reshape(state.shift, bshape))
 
 
@@ -217,7 +219,7 @@ class TestFusedBatchNorm:
 
     @staticmethod
     def _gradients(out, upstream, tensors):
-        engine.backward(engine.tensor_sum(engine.mul(out, Tensor(upstream))))
+        engine.backward(tensor_sum(mul(out, Tensor(upstream))))
         return [t.grad.tobytes() for t in tensors]
 
     @pytest.mark.parametrize("rank", [4, 5])
@@ -241,7 +243,7 @@ class TestFusedBatchNorm:
         upstream = rng.normal(size=shape)
         xt = Tensor(x, requires_grad=True)
         out = batchnorm(xt, state, mode="train")
-        engine.backward(engine.tensor_sum(engine.mul(out, Tensor(upstream))))
+        engine.backward(tensor_sum(mul(out, Tensor(upstream))))
         fd = fd_grad(lambda a: float(
             (batchnorm(Tensor(a), state, mode="train").data * upstream).sum()),
             [x], wrt=0, eps=1e-5)
@@ -280,7 +282,7 @@ class TestFusedBatchNorm:
         state64.scale.data = state.scale.data.astype(np.float64)
         state64.shift.data = state.shift.data.astype(np.float64)
         x64 = Tensor(x.astype(np.float64), requires_grad=True)
-        engine.backward(engine.tensor_sum(engine.mul(
+        engine.backward(tensor_sum(mul(
             composed_batchnorm(x64, state64, channel_axis), Tensor(g.astype(np.float64)))))
         assert dx.dtype == np.float32
         assert np.abs(dx - x64.grad).max() <= 8 * eps * np.abs(x64.grad).max()
@@ -356,7 +358,7 @@ class TestBatchNorm:
         xt = Tensor(x, requires_grad=True)
         st = Tensor(scale0, requires_grad=True)
         ht = Tensor(shift0, requires_grad=True)
-        engine.backward(engine.tensor_sum(engine.mul(run(xt, st, ht), run(xt, st, ht))))
+        engine.backward(tensor_sum(mul(run(xt, st, ht), run(xt, st, ht))))
         # x-gradients through normalization nearly cancel, so allow a small
         # absolute slack on top of the relative tolerance
         for i, t in enumerate((xt, st, ht)):
@@ -486,7 +488,7 @@ class TestLeakyRelu:
     def test_gradient_away_from_kink(self):
         x = np.array([1.5, -2.5, 0.75])
         xt = Tensor(x, requires_grad=True)
-        engine.backward(engine.tensor_sum(leaky_relu(xt, 0.1)))
+        engine.backward(tensor_sum(leaky_relu(xt, 0.1)))
         fd = fd_grad(lambda a: float(leaky_relu(Tensor(a), 0.1).data.sum()), [x], wrt=0)
         assert rel_err(fd, xt.grad) <= 1e-8
 
@@ -745,7 +747,7 @@ class TestApplyScores:
         s = rng.normal(size=(3, 3))
         v = rng.normal(size=(2, 2, 2, 3))
         st, vt = Tensor(s, requires_grad=True), Tensor(v, requires_grad=True)
-        engine.backward(engine.tensor_sum(apply_scores(st, vt)))
+        engine.backward(tensor_sum(apply_scores(st, vt)))
         for i, t in enumerate((st, vt)):
             fd = fd_grad(lambda a, b: float(
                 apply_scores(Tensor(a), Tensor(b)).data.sum()), [s, v], wrt=i)
@@ -771,7 +773,7 @@ def test_contractions_match_einsum_and_finite_differences(shape):
     check_op_gradients(attention_contract, [q, k])
     check_op_gradients(apply_scores, [s, v])
     qt, kt = Tensor(q, requires_grad=True), Tensor(k, requires_grad=True)
-    engine.backward(engine.tensor_sum(attention_contract(qt, kt)))
+    engine.backward(tensor_sum(attention_contract(qt, kt)))
     assert qt.grad.flags.c_contiguous and kt.grad.flags.c_contiguous
 
 
@@ -788,7 +790,7 @@ def head_bytes(shape, dtype):
     x, sink = Parameter("x", rng.normal(size=shape).astype(dtype)), []
     out = multi_head_attention(x, params, sink)
     upstream = Tensor(rng.normal(size=shape).astype(dtype))
-    engine.backward(engine.tensor_sum(engine.mul(out, upstream)))
+    engine.backward(tensor_sum(mul(out, upstream)))
     return [a.tobytes() for a in [out.data, *sink, x.grad] + [
         p.grad for p in params.parameters()[:12]]]
 
@@ -845,26 +847,53 @@ class TestContractionsBySample:
             assert idents == set()
 
 
+class TestMeanPool:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(4, 3, 2, 5), (3, 4, 3, 2, 5), (32, 32, 10, 2, 20)],
+                             ids=["rank4", "rank5", "readme-head"])
+    def test_node_has_the_bytes_of_the_composed_chain(self, dtype, shape):
+        # one node in the chain's steps: the pooled features and x's gradient
+        # keep the bytes of tensor_sum then mul by 1/n
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=shape).astype(dtype)
+        fused_in, chain_in = (Tensor(x, requires_grad=True) for _ in range(2))
+        fused, chain = engine.mean_pool(fused_in), composed_mean_pool(chain_in)
+        assert fused.shape == shape[:-3] and fused.dtype == np.dtype(dtype)
+        assert fused.data.tobytes() == chain.data.tobytes()
+        upstream = rng.normal(size=fused.shape).astype(dtype)
+        engine.backward(tensor_sum(mul(chain, Tensor(upstream))))
+        (grad,) = fused._backward(upstream)
+        assert grad.dtype == np.dtype(dtype) and grad.tobytes() == chain_in.grad.tobytes()
+
+    def test_gradient_matches_finite_differences(self):
+        x = np.random.default_rng(1).normal(size=(2, 3, 2, 2, 3))
+        check_op_gradients(engine.mean_pool, [x])
+
+    def test_rank_three_is_refused(self):
+        with pytest.raises(DimensionError, match="mean_pool"):
+            engine.mean_pool(Tensor(np.zeros((3, 2, 2))))
+
+
 class TestBackward:
     def test_sum_gives_ones(self):
         x = Tensor(np.arange(6, dtype=np.float64), requires_grad=True)
-        engine.backward(engine.tensor_sum(x))
+        engine.backward(tensor_sum(x))
         np.testing.assert_array_equal(x.grad, np.ones(6))
 
     def test_quadratic(self):
         x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
-        engine.backward(engine.tensor_sum(engine.mul(x, x)))
+        engine.backward(tensor_sum(mul(x, x)))
         np.testing.assert_allclose(x.grad, [2.0, -4.0])
 
     def test_non_scalar_rejected(self):
         x = Tensor(np.zeros(3), requires_grad=True)
         with pytest.raises(UsageError):
-            engine.backward(engine.mul(x, 2.0))
+            engine.backward(mul(x, 2.0))
 
     def test_gradients_sum_over_paths(self):
         x = Tensor(np.array([2.0]), requires_grad=True)
-        y = engine.add(engine.mul(x, x), engine.mul(x, 3.0))
-        engine.backward(engine.tensor_sum(y))
+        y = engine.add(mul(x, x), mul(x, 3.0))
+        engine.backward(tensor_sum(y))
         np.testing.assert_allclose(x.grad, [7.0])  # 2x + 3
 
 
@@ -903,7 +932,7 @@ class TestEngineProperties:
         # gradient of tanh(2x) built from two ops equals the fused derivative
         x = np.linspace(-1.0, 1.0, 7)
         xt = Tensor(x, requires_grad=True)
-        engine.backward(engine.tensor_sum(tanh(engine.mul(xt, 2.0))))
+        engine.backward(tensor_sum(tanh(mul(xt, 2.0))))
         fused = 2.0 * (1.0 - np.tanh(2.0 * x) ** 2)
         np.testing.assert_allclose(xt.grad, fused, rtol=1e-12)
 
@@ -936,14 +965,14 @@ def test_batch_equals_per_sample_slices(case):
     tensors = [Tensor(a, requires_grad=True) for a in batched + shared]
     out = op(*tensors)
     upstream = rng.normal(size=out.shape)
-    engine.backward(engine.tensor_sum(engine.mul(out, Tensor(upstream))))
+    engine.backward(tensor_sum(mul(out, Tensor(upstream))))
 
     shared_sums = [np.zeros_like(a) for a in shared]
     for i in range(n):
         ts = [Tensor(a[i], requires_grad=True) for a in batched]
         ts += [Tensor(a, requires_grad=True) for a in shared]
         o = op(*ts)
-        engine.backward(engine.tensor_sum(engine.mul(o, Tensor(upstream[i]))))
+        engine.backward(tensor_sum(mul(o, Tensor(upstream[i]))))
         np.testing.assert_allclose(out.data[i], o.data, rtol=1e-12)
         for bt, st in zip(tensors, ts[:len(batched)]):
             np.testing.assert_allclose(bt.grad[i], st.grad, rtol=1e-12)
@@ -956,7 +985,7 @@ def test_batch_equals_per_sample_slices(case):
 # sub and div are the tests' reference primitives; the composed batchnorm is
 # compared with the fused node bit for bit, so they must follow the engine's
 # rule too
-@pytest.mark.parametrize("op", [engine.add, sub, engine.mul, div],
+@pytest.mark.parametrize("op", [add, sub, mul, div],
                          ids=["add", "sub", "mul", "div"])
 @pytest.mark.parametrize("scalar", [0.5, np.float64(0.5), np.asarray(0.5)],
                          ids=["python-float", "np-float64", "0-d-float64"])
@@ -967,11 +996,11 @@ def test_scalar_operand_takes_the_tensor_dtype(op, scalar):
         x = Tensor(np.array([1.0, 2.0, 4.0], dtype=np.float32), requires_grad=True)
         out = op(x, scalar) if order == "tensor-first" else op(scalar, x)
         assert out.dtype == np.float32, order
-        engine.backward(engine.tensor_sum(out))
+        engine.backward(tensor_sum(out))
         assert x.grad.dtype == np.float32, order
 
 
-@pytest.mark.parametrize("op", [engine.add, sub, engine.mul, div],
+@pytest.mark.parametrize("op", [add, sub, mul, div],
                          ids=["add", "sub", "mul", "div"])
 @pytest.mark.parametrize("other", [np.ones(3), [1.0, 2.0, 4.0], np.ones((1, 1))],
                          ids=["ndarray", "list", "1x1-ndarray"])
@@ -983,7 +1012,7 @@ def test_non_scalar_non_tensor_operand_is_refused(op, other):
             op(*operands)
 
 
-@pytest.mark.parametrize("op", [engine.add, sub, engine.mul, div],
+@pytest.mark.parametrize("op", [add, sub, mul, div],
                          ids=["add", "sub", "mul", "div"])
 @pytest.mark.parametrize("const", [0, 1], ids=["constant-first", "constant-second"])
 def test_constant_operand_gets_no_gradient(op, const):
@@ -1040,15 +1069,15 @@ class TestNoGrad:
         with pytest.raises(ZeroDivisionError):
             with engine.no_grad():
                 1 / 0
-        assert engine.mul(x, 2.0)._parents
+        assert mul(x, 2.0)._parents
 
     def test_state_restored_after_nested_blocks(self):
         x = Tensor(np.ones(3), requires_grad=True)
         with engine.no_grad():
             with engine.no_grad():
                 pass
-            assert not engine.mul(x, 2.0)._parents
-        assert engine.mul(x, 2.0)._parents
+            assert not mul(x, 2.0)._parents
+        assert mul(x, 2.0)._parents
 
     def test_backward_on_a_loss_built_without_tape_sets_no_gradient(self):
         from istanet.model import ce_label_smoothing

@@ -25,7 +25,8 @@ from istanet.model import (ISTANet, ModelConfig, NesterovSGD, TrainConfig,
 from istanet.tokenizer import tokenize
 
 from helpers import (BYTE_EDITS, CHECKPOINT_CORRUPTIONS, MINIATURE_V1_CHECKPOINT,
-                     apply_byte_edits, readme_config, write_corrupt_checkpoint)
+                     apply_byte_edits, check_op_gradients, composed_ce_label_smoothing, mul,
+                     readme_config, write_corrupt_checkpoint)
 
 
 def tiny_config(num_classes=3):
@@ -80,18 +81,11 @@ class TestForward:
             model.forward_classify(bad, mode="infer")
 
     def test_gap_linearity(self):
-        # scaling all token activations scales the pooled features linearly;
-        # exercised via the FC layer with zero bias
-        cfg = tiny_config()
-        model = ISTANet(cfg, rng=np.random.default_rng(0))
-        seq = random_sequence(np.random.default_rng(3), cfg)
-        tokens = model.tokenize_sample(seq)
-        x = model.forward_tokens(tokens, mode="infer")
-        from istanet.engine import linear
-        # pool scaled activations directly
-        feats = engine.Tensor(np.random.default_rng(4).normal(size=(6, 4)))
-        pooled1 = engine.tensor_mean(feats, axis=0)
-        pooled2 = engine.tensor_mean(engine.mul(feats, 3.0), axis=0)
+        # scaling all token activations scales the (N,C) pooled features linearly
+        feats = np.random.default_rng(4).normal(size=(2, 4, 3, 2, 5))
+        pooled1 = engine.mean_pool(Tensor(feats))
+        pooled2 = engine.mean_pool(Tensor(3.0 * feats))
+        assert pooled1.shape == (2, 4)
         np.testing.assert_allclose(pooled2.data, 3.0 * pooled1.data, rtol=1e-12)
 
 
@@ -360,6 +354,47 @@ class TestLoss:
             from_tensor = ce_label_smoothing(Tensor(logits), labels, 0.1, 1.5).data
             assert from_array.dtype == dtype
             assert from_array.tobytes() == from_tensor.tobytes()
+
+
+@pytest.mark.parametrize("smoothing", [0.0, 0.1])
+@pytest.mark.parametrize("temperature", [0.5, 1.0, 1.5])
+@pytest.mark.parametrize("n", [1, 3, 32])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_loss_node_has_the_bytes_of_the_composed_chain(dtype, n, temperature, smoothing):
+    # one node in the chain's steps: the loss and the logits' gradient keep
+    # the bytes of mul, log_softmax, mul, tensor_sum and tensor_mean
+    rng = np.random.default_rng(n)
+    logits = rng.normal(scale=3.0, size=(n, 5)).astype(dtype)
+    labels = rng.integers(0, 5, size=n)
+    fused_in, chain_in = (Tensor(logits, requires_grad=True) for _ in range(2))
+    fused = ce_label_smoothing(fused_in, labels, smoothing, temperature)
+    chain = composed_ce_label_smoothing(chain_in, labels, smoothing, temperature)
+    assert fused.dtype == np.dtype(dtype) and fused._parents == (fused_in,)
+    assert fused.data.tobytes() == chain.data.tobytes()
+    engine.backward(fused)
+    engine.backward(chain)
+    assert fused_in.grad.dtype == np.dtype(dtype)
+    assert fused_in.grad.tobytes() == chain_in.grad.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_loss_backward_of_an_upstream_gradient_has_the_chain_bytes(dtype):
+    rng = np.random.default_rng(7)
+    logits = rng.normal(scale=3.0, size=(6, 4)).astype(dtype)
+    labels = rng.integers(0, 4, size=6)
+    chain_in = Tensor(logits, requires_grad=True)
+    chain = composed_ce_label_smoothing(chain_in, labels, 0.1, 1.5)
+    engine.backward(mul(chain, 0.37))
+    fused = ce_label_smoothing(Tensor(logits, requires_grad=True), labels, 0.1, 1.5)
+    (grad,) = fused._backward(np.asarray(0.37, dtype=dtype))
+    assert grad.tobytes() == chain_in.grad.tobytes()
+
+
+def test_loss_gradient_matches_finite_differences():
+    rng = np.random.default_rng(8)
+    labels = rng.integers(0, 5, size=4)
+    check_op_gradients(lambda x: ce_label_smoothing(x, labels, 0.1, 0.7),
+                       [rng.normal(size=(4, 5))], loss="sum")
 
 
 class TestNesterov:

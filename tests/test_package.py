@@ -15,7 +15,7 @@ from istanet import attention, engine, synth
 from istanet.checkpoint import load_checkpoint, save_checkpoint
 from istanet.model import ISTANet, TrainConfig, ce_label_smoothing
 
-from helpers import readme_config, record_threads
+from helpers import mul, readme_config, record_threads, tensor_sum
 
 TRACER = pathlib.Path(__file__).parents[1] / "perfbench" / "tracer.py"
 SETUP_PROBE = TRACER.with_name("setup_probe.py")
@@ -103,7 +103,7 @@ def test_threaded_block_keeps_the_benchmark_tracer_stack(monkeypatch):
     try:
         t.install()
         out = attention.tsa_block_forward(x, params, "train")
-        engine.backward(engine.tensor_sum(engine.mul(out, upstream)))
+        engine.backward(tensor_sum(mul(out, upstream)))
     finally:
         t.uninstall()
     assert t._stack == [] and len(idents) > 1
@@ -146,6 +146,18 @@ def test_benchmark_tracer_replays_the_batchnorm_of_a_train_step():
     assert {dict(s[3])["mode"] for s in signatures} == {"train"}
     for signature in t.op_calls:
         assert tracer.replay_backward_ms(engine, signature, repeats=1) >= 0.0
+
+
+def test_readme_train_step_records_81_tape_nodes():
+    # the benchmark's engine.tape_nodes: the 52 Parameters and 29 op nodes
+    # a README step's backward visits; the head is mean_pool, linear and the
+    # loss, one node each
+    model = ISTANet(readme_config(), rng=np.random.default_rng(0))
+    tokens = np.random.default_rng(1).normal(size=(32, 3, 10, 2, 20)).astype(np.float32)
+    loss = ce_label_smoothing(model.forward_tokens(tokens, "train"), np.arange(32) % 4,
+                              smoothing=0.1, temperature=1.0)
+    assert len(model.parameters()) == 52
+    assert load_tracer().count_tape_nodes(loss) == 81
 
 
 def test_benchmark_setup_probe_builds_and_loads(tmp_path):
