@@ -3,8 +3,8 @@ interactive action recognition, built on a minimal numpy autodiff engine."""
 
 import os
 
-# BLAS gets one thread unless the user sets its thread count: the engine
-# already splits its per-sample work over every CPU (engine.THREADS), and
+# BLAS gets one thread unless the user sets its thread count: attention
+# already splits its per-sample heads over every CPU (attention.THREADS), and
 # BLAS's default of one thread per CPU competes with those threads. BLAS
 # reads these when numpy is first imported, which for the console script and
 # `python -m istanet` is below, after this package starts.

@@ -14,27 +14,30 @@ scale, tanh, alpha and M in one pass, with the band |scores - M| <= |alpha|
 made exact in floating point; the node's backward is in closed form. The
 step takes alpha and M as arrays of q's dtype (UsageError otherwise).
 
-A head runs one of two ways, chosen by the size of its (N,U,U) map. With
-at most engine.SCORE_BLOCK_ELEMENTS entries (up to 655 samples at U=20),
-it runs on the whole map on the calling thread: the engine's
-attention_contract, the score step (attention_scores) and the engine's
-apply_scores, each once. With more (two samples or more at U=400), it runs
-a sample at a time (_head_by_sample), so that each sample's (U,U) map
-stays in cache from its Gram GEMM through the score step to its
-application GEMM, and the backward likewise (_head_by_sample_grads). The
-two ways share the score step's elementwise code (_score_step,
-_score_grad_step) and run the same GEMMs, so they give the same bytes. A
-whole map is always scanned for entries out of band; a per-sample block is
-scanned only when a rounding bound from its max|tanh|, |alpha| and max|M|
-cannot prove it in band (attention_scores gives the bound).
+A head runs one of two ways, chosen by the size of its (N,U,U) map
+(_per_sample). With at most SCORE_BLOCK_ELEMENTS entries (up to 655
+samples at U=20), it runs on the whole map on the calling thread: the
+engine's attention_contract, the score step (attention_scores) and the
+engine's apply_scores, each once. With more (two samples or more at
+U=400), it runs a sample at a time (_head_by_sample), so that each
+sample's (U,U) map stays in cache from its Gram GEMM through the score
+step to its application GEMM, and the backward likewise
+(_head_by_sample_grads). The two ways share the score step's elementwise
+code (_score_step, _score_grad_step) and run the same GEMMs, so they give
+the same bytes. A whole map is always scanned for entries out of band; a
+per-sample block is scanned only when a rounding bound from its max|tanh|,
+|alpha| and max|M| cannot prove it in band (attention_scores gives the
+bound).
 
-Threads: a head run a sample at a time is one engine._in_threads task per
-direction, its samples split over engine.THREADS threads, the calling one
-and a pool's; the backward's sums over samples for g_alpha and g_M then
-split the rows of the (U,U) map. The tasks call numpy and this module's
-private helpers only, no traced op. THREADS is the number of CPUs in the
-process's affinity mask (`taskset -c 0` gives one), apart from the BLAS
-thread count, and the bytes do not depend on it.
+Threads: a head run a sample at a time is one _in_threads task per
+direction, its samples split over THREADS threads, the calling one and a
+pool's; the backward's sums over samples for g_alpha and g_M then split
+the rows of the (U,U) map. Each thread writes only its own slices of
+preallocated outputs, so the bytes do not depend on THREADS. The tasks
+call numpy and this module's private helpers only, no traced op. THREADS
+is the number of CPUs in the process's affinity mask (`taskset -c 0` gives
+one); BLAS threads would compete with these, so the package gives BLAS
+one unless the user sets its count (istanet/__init__.py).
 
 The heads' values, written into one array, are passed through a
 token-axis convolution (kernel k_u) and a pointwise FFN with residual
@@ -45,8 +48,10 @@ engine.conv_batchnorm, which in infer mode folds the batchnorm, and the
 temporal residual, into the convolution's weight and bias.
 """
 
+import contextvars
 import functools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +61,17 @@ from .engine import (BatchNormState, ConfigurationError, DimensionError, Paramet
                      UsageError, apply_scores, attention_contract,
                      check_field_types, conv3d_axis, conv_batchnorm,
                      leaky_relu, pointwise_conv3d, uniform_init)
+
+# A head whose score map has at most this many entries runs whole on the
+# calling thread, one with a larger batched map a sample at a time, its
+# samples split over THREADS threads (_per_sample).
+SCORE_BLOCK_ELEMENTS = 1 << 18
+
+# Threads that work a call's samples, the calling thread included.
+THREADS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+           else os.cpu_count() or 1)
+_pool = None  # executor of THREADS - 1 workers, made on first use
+
 
 @dataclass(frozen=True)
 class TSABlockConfig:
@@ -259,10 +275,10 @@ def attention_scores(q, k, alpha, m, c_beta):
     g_QK = g * alpha * (1 - t*t) / sqrt(c_beta), g_alpha = sum(g * t),
     g_M = g, in the chain's rounding order.
 
-    A head whose batched map has more than engine.SCORE_BLOCK_ELEMENTS
-    entries runs as _head_by_sample instead, whose per-sample blocks take
-    the same elementwise steps (_score_step, _score_grad_step), so the bytes
-    do not depend on the path.
+    A head whose batched map has more than SCORE_BLOCK_ELEMENTS entries runs
+    as _head_by_sample instead, whose per-sample blocks take the same
+    elementwise steps (_score_step, _score_grad_step), so the bytes do not
+    depend on the path.
 
     The band check (_scan_band: out - M, abs, max, then the nudge) runs on
     every whole map. A per-sample block first takes tau = max(max t, -min t),
@@ -308,20 +324,53 @@ def _attention_scores_grads(g, t, alpha, c_beta):
     return g_gram, engine._unbroadcast(g * t, ()), engine._unbroadcast(g, t.shape[-2:])
 
 
+def _per_sample(shape):
+    """Whether a head with a score map of `shape`, (U,U) or (N,U,U), runs a
+    sample at a time on THREADS threads: a batched map of more than
+    SCORE_BLOCK_ELEMENTS entries."""
+    return len(shape) == 3 and math.prod(shape) > SCORE_BLOCK_ELEMENTS
+
+
+def _in_threads(work, count):
+    """work(lo, hi) over min(THREADS, count) contiguous ranges that cover
+    range(count): the first on the calling thread, the others on the pool,
+    each in a copy of the caller's context, so that its np.errstate holds
+    there too. Returns when every range is done, raising the error of the
+    first range that failed. `work` calls numpy and private helpers only: the
+    benchmark's tracer, which wraps the public ops, keeps one thread's call
+    stack."""
+    global _pool
+    parts = min(THREADS, count)
+    if parts == 1:
+        return work(0, count)
+    import concurrent.futures
+    if _pool is None:
+        _pool = concurrent.futures.ThreadPoolExecutor(THREADS - 1)
+    ends = [count * p // parts for p in range(parts + 1)]
+    futures = [_pool.submit(contextvars.copy_context().run, work, lo, hi)
+               for lo, hi in zip(ends[1:-1], ends[2:])]
+    try:
+        work(0, ends[1])
+    finally:
+        concurrent.futures.wait(futures)
+    for future in futures:
+        future.result()
+
+
 def _head_by_sample(q, k, v, alpha, m, c_beta, out):
-    """One head whose batched (N,U,U) map has more than
-    engine.SCORE_BLOCK_ELEMENTS entries, a sample at a time: q and k are
-    (N,c,T,S,U) arrays, v and `out` (N,c_v,T',S',U) ones, and out, whose
-    samples must each be contiguous (as in a channel slice of a C-ordered
-    array), is written in place. Returns the (N,U,U) scores and tanh maps.
+    """One head whose batched (N,U,U) map has more than SCORE_BLOCK_ELEMENTS
+    entries, a sample at a time: q and k are (N,c,T,S,U) arrays, v and
+    `out` (N,c_v,T',S',U) ones, and out, whose samples must each be
+    contiguous (as in a channel slice of a C-ordered array), is written in
+    place. Returns the (N,U,U) scores and tanh maps.
 
     Each sample takes attention_contract's Gram GEMM, the score step
     (_score_step, with the band pre-test of attention_scores) and
     apply_scores' GEMM in the product order of _matmul_transposed, while its
     (U,U) map is in cache. These are the GEMMs the ops run on each sample of
     a batch, so the bytes are those of the whole-map path. The samples split
-    over engine.THREADS threads (engine._in_threads), each writing only its
-    own samples, so the bytes do not depend on THREADS either.
+    over THREADS threads (_in_threads), each writing only its own samples,
+    so the bytes do not depend on THREADS either.
     """
     scale = _score_scale(q, alpha, m, c_beta)
     n, u = q.shape[0], q.shape[-1]
@@ -337,7 +386,7 @@ def _head_by_sample(q, k, v, alpha, m, c_beta, out):
             engine._matmul_transposed(v[b].reshape(-1, u), scores[b],
                                       out=out[b].reshape(-1, u))
 
-    engine._in_threads(samples, n)
+    _in_threads(samples, n)
     return scores, t
 
 
@@ -367,7 +416,7 @@ def _head_by_sample_grads(q, k, v, scores, t, alpha, c_beta, g):
             engine._matmul_transposed(kf[b], g_gram, out=gqf[b])
             np.matmul(qf[b], g_gram, out=gkf[b])
 
-    engine._in_threads(samples, n)
+    _in_threads(samples, n)
     g_alpha, g_m = np.empty_like(t[0]), np.empty_like(t[0])
 
     def rows(lo, hi):
@@ -378,7 +427,7 @@ def _head_by_sample_grads(q, k, v, scores, t, alpha, c_beta, g):
             g_alpha[lo:hi] += np.multiply(g_scores[b, lo:hi], t[b, lo:hi], out=scratch)
             g_m[lo:hi] += g_scores[b, lo:hi]
 
-    engine._in_threads(rows, u)
+    _in_threads(rows, u)
     return gq, gk, gv, engine._unbroadcast(g_alpha, ()), g_m
 
 
@@ -394,11 +443,11 @@ def multi_head_attention(x, params, score_sink=None):
     The forward projects Q and K with one GEMM (qkv_project), reads each
     head's V as its channel slice of x, and runs each head's
     attention_scores and apply_scores on a whole map, or _head_by_sample
-    when its batched map has more than engine.SCORE_BLOCK_ELEMENTS entries
-    (engine._per_sample). The backward takes each head's gradients with the
-    code of those steps, V's into its slice of x's, and
-    the packed projection's in one pass, so x's gradient sums the projected
-    channels of all heads in one GEMM. If `score_sink` is a list, a copy of
+    when its batched map has more than SCORE_BLOCK_ELEMENTS entries
+    (_per_sample). The backward takes each head's gradients with the code
+    of those steps, V's into its slice of x's, and the packed projection's
+    in one pass, so x's gradient sums the projected channels of all heads in
+    one GEMM. If `score_sink` is a list, a copy of
     each head's scores is appended.
     """
     cfg = params.config
@@ -413,7 +462,7 @@ def multi_head_attention(x, params, score_sink=None):
             _channels(h * vc, (h + 1) * vc)) for h in range(cfg.heads)]
     xpe, w, qk = qkv_project(x, params)
     out = np.empty(x.shape, x.dtype)
-    by_sample = engine._per_sample(x.shape[:-4] + (x.shape[-1],) * 2)
+    by_sample = _per_sample(x.shape[:-4] + (x.shape[-1],) * 2)
     maps = []  # each head's (scores, t)
     for (qi, ki, vi), alpha, m in zip(idx, params.alphas, params.ms):
         if by_sample:

@@ -5,7 +5,8 @@ The on-disk `.iskel` text format:
     line 1: magic "ISKEL 1"
     line 2: five integers "C T J E label"
     then C*T*J*E decimal floats, whitespace separated, index order
-    t outermost, then j, then e, then c innermost.
+    t outermost, then j, then e, then c innermost; each value within
+    float32's range, which the model casts it to.
 Manifests list one sample per line: "relative/path.iskel <label> <tag>",
 '#' starts a comment. Tags are either split names (train/val/test) or fold
 tags (fold0, fold1, ...).
@@ -36,6 +37,12 @@ class ValidationError(ValueError):
     """Structurally valid input that violates a dataset-level invariant."""
 
 
+# A model casts sample values to float32: max |v| must be at most this,
+# which a NaN, taken as the max, fails too
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
+_FLOAT32_RANGE = f"float32's range (|v| <= {_FLOAT32_MAX!r})"
+
+
 @dataclass
 class SkeletonSequence:
     """One interactive action sample: data is (C,T,J,E), C in {2,3}."""
@@ -54,8 +61,9 @@ class SkeletonSequence:
             raise ValidationError(f"axes T,J,E must all be >= 1, got shape {self.data.shape}")
         if self.label < 0:
             raise ValidationError(f"label must be >= 0, got {self.label}")
-        if not np.isfinite(self.data).all():
-            raise ValidationError("skeleton data contains non-finite values")
+        if not np.abs(self.data).max() <= _FLOAT32_MAX:
+            raise ValidationError(f"skeleton data holds a non-finite value or one beyond "
+                                  f"{_FLOAT32_RANGE}")
 
 
 _MAGIC = "ISKEL 1"
@@ -93,11 +101,14 @@ def read_text(path, error=ParseError):
 
 def read_iskel(path):
     """The SkeletonSequence of the `.iskel` file at `path` (read_text, then
-    parse_iskel). Text that fits in memory but whose parsed values do not
-    raises ParseError naming the file."""
+    parse_iskel). A ParseError or ValidationError of the text is raised again
+    as the same type, its message prefixed with the path, as is a ParseError
+    for text that fits in memory but whose parsed values do not."""
     text = read_text(path)
     try:
         return parse_iskel(text)
+    except (ParseError, ValidationError) as e:
+        raise type(e)(f"{path}: {e}") from None
     except MemoryError:
         raise ParseError(f"{path}: the values of the {len(text)}-character file do not fit "
                          f"in memory") from None
@@ -131,8 +142,8 @@ def parse_iskel(text):
         values = np.array([float(v) for v in tokens], dtype=np.float64)
     except ValueError:
         raise ParseError("non-numeric coordinate value", line=3) from None
-    if not np.isfinite(values).all():
-        raise ParseError("non-finite coordinate value", line=3)
+    if not np.abs(values).max() <= _FLOAT32_MAX:
+        raise ParseError(f"non-finite coordinate value or one beyond {_FLOAT32_RANGE}", line=3)
 
     # stored order: t outermost, then j, then e, then c innermost
     data = values.reshape(t, j, e, c).transpose(3, 0, 1, 2)

@@ -5,6 +5,8 @@ float64 for gradient checking). The ops are this module's functions; a
 Tensor holds data and tape links and has no op methods. Each op records its
 parents and a backward closure; ``backward(loss)`` on a scalar runs the tape
 in reverse topological order and accumulates gradients over all paths.
+Every op runs on the calling thread; the one work split over threads, a
+per-sample attention head, lives in attention.py.
 
 Operands are Tensors; an array becomes one through ``Tensor(...)``. Dtype
 rule: a model computes in the dtype of its parameters, forward and
@@ -37,51 +39,18 @@ saved. Infer mode has no batchnorm op: conv_batchnorm folds the running
 stats into the convolution before it (fold_batchnorm), so a convolution,
 its residual add and its batchnorm are one convolution.
 
-Threads: an attention head whose batched (N,U,U) map has more than
-SCORE_BLOCK_ELEMENTS entries (_per_sample) runs a sample at a time, its
-samples split over THREADS threads, the calling thread and a pool's
-(_in_threads); attention._head_by_sample runs each sample's Gram GEMM,
-score step and application GEMM in one task. Each thread writes only its
-own slices of preallocated outputs, so the bytes do not depend on
-THREADS. The ops themselves, attention_contract and apply_scores, run as
-one numpy call on the calling thread. THREADS is the number of CPUs in the
-process's affinity mask (`taskset -c 0` gives one), apart from the BLAS
-thread count, which the package sets to one unless the user sets it
-(istanet/__init__.py): BLAS threads of their own compete with these.
-
-A block's multi-head attention is one node (attention.multi_head_attention).
-On a whole map it calls attention_contract and apply_scores on constant
-Tensors, which record no tape, and takes their gradients from
-_contract_grads and _apply_scores_grads, the code of the ops' own
-backwards; a sample at a time it runs their per-sample GEMMs itself. It
-reads each head's values in place and writes the heads into one array, so
-the engine has no slicing or concatenation op.
-
 Inside ``with no_grad():`` every op returns a plain Tensor with no parents
 and no backward closure, so a forward records no tape; an infer-mode
 forward (ISTANet.forward_tokens) always runs that way.
 """
 
 import contextlib
-import contextvars
 import dataclasses
 import functools
 import math
-import os
 import sys
 
 import numpy as np
-
-
-# A head whose score map has at most this many entries runs whole on the
-# calling thread, one with a larger batched map a sample at a time, its
-# samples split over THREADS threads (_per_sample).
-SCORE_BLOCK_ELEMENTS = 1 << 18
-
-# Threads that work a call's samples, the calling thread included.
-THREADS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-           else os.cpu_count() or 1)
-_pool = None  # executor of THREADS - 1 workers, made on first use
 
 
 class DimensionError(ValueError):
@@ -431,39 +400,6 @@ def conv3d_axis(x, weight, bias, axis, k):
 
     out = out2.reshape(x.shape[:-4] + (weight.shape[0],) + x.shape[-3:])
     return _make(out, (x, weight, bias), bwd)
-
-
-def _per_sample(shape):
-    """Whether a head with a score map of `shape`, (U,U) or (N,U,U), runs a
-    sample at a time on THREADS threads: a batched map of more than
-    SCORE_BLOCK_ELEMENTS entries."""
-    return len(shape) == 3 and math.prod(shape) > SCORE_BLOCK_ELEMENTS
-
-
-def _in_threads(work, count):
-    """work(lo, hi) over min(THREADS, count) contiguous ranges that cover
-    range(count): the first on the calling thread, the others on the pool,
-    each in a copy of the caller's context, so that its np.errstate holds
-    there too. Returns when every range is done, raising the error of the
-    first range that failed. `work` calls numpy and private helpers only: the
-    benchmark's tracer, which wraps the public ops, keeps one thread's call
-    stack."""
-    global _pool
-    parts = min(THREADS, count)
-    if parts == 1:
-        return work(0, count)
-    import concurrent.futures
-    if _pool is None:
-        _pool = concurrent.futures.ThreadPoolExecutor(THREADS - 1)
-    ends = [count * p // parts for p in range(parts + 1)]
-    futures = [_pool.submit(contextvars.copy_context().run, work, lo, hi)
-               for lo, hi in zip(ends[1:-1], ends[2:])]
-    try:
-        work(0, ends[1])
-    finally:
-        concurrent.futures.wait(futures)
-    for future in futures:
-        future.result()
 
 
 def _matmul_transposed(a, s, out=None):

@@ -116,9 +116,9 @@ class TrainConfig:
 # Elements of one evaluation chunk's activation at the widest channel count.
 # With the README blocks this gives 20 rows at U=20 and at U=400, where
 # chunks of 12 to 20 and of 16 to 32 rows ran fastest; fewer rows pay more
-# per-op overhead per sample. A head works a score map of more than
-# engine.SCORE_BLOCK_ELEMENTS entries a sample at a time, so the (rows, U, U)
-# maps are bounded for memory only, at 16 times this many elements.
+# per-op overhead per sample. Attention works a map of more than
+# attention.SCORE_BLOCK_ELEMENTS entries a sample at a time, so the (rows,
+# U, U) maps are bounded for memory only, at 16 times this many elements.
 EVAL_CHUNK_ELEMENTS = 1 << 18
 
 

@@ -21,7 +21,7 @@ import threading
 import numpy as np
 from hypothesis import strategies as st
 
-from istanet import engine
+from istanet import attention, engine
 from istanet.attention import TSABlockConfig, positional_encoding
 from istanet.checkpoint import save_checkpoint
 from istanet.model import ISTANet, ModelConfig
@@ -288,12 +288,12 @@ def unpartition(tokens, window, dims):
 
 
 def record_threads(monkeypatch, owner=""):
-    """Make engine._in_threads record the thread that runs each range of the
+    """Make attention._in_threads record the thread that runs each range of the
     work whose __qualname__ starts with `owner`, a prefix or a tuple of them
     (say "_head_by_sample" for a per-sample head's; any work by default);
     returns the set of thread idents. It stays empty when no such work
     reaches _in_threads."""
-    idents, in_threads = set(), engine._in_threads
+    idents, in_threads = set(), attention._in_threads
 
     def spy(work, count):
         if not work.__qualname__.startswith(owner):
@@ -304,7 +304,7 @@ def record_threads(monkeypatch, owner=""):
             return work(lo, hi)
         return in_threads(recorded, count)
 
-    monkeypatch.setattr(engine, "_in_threads", spy)
+    monkeypatch.setattr(attention, "_in_threads", spy)
     return idents
 
 

@@ -185,13 +185,13 @@ def scores_and_grads(q, k, alpha, m, upstream, c_beta=12):
     runs them: the scores, and the gradients of sum(scores * upstream) for
     q, k, alpha and M.
 
-    A batched map over engine.SCORE_BLOCK_ELEMENTS entries runs through the
+    A batched map over attention.SCORE_BLOCK_ELEMENTS entries runs through the
     per-sample head (attention._head_by_sample) with identity values, V = I
     of U rows: its output is then scores^T, and the gradient it passes to
     the scores for an upstream g of the output is g^T, exactly, since each
     entry of the GEMM adds one product g * 1 to products with 0. So
     g = upstream^T gives the score step the gradient `upstream`."""
-    if not engine._per_sample(upstream.shape):
+    if not attention._per_sample(upstream.shape):
         scores, t = attention_scores(q, k, alpha, m, c_beta)
         g_gram, g_alpha, g_m = attention._attention_scores_grads(upstream, t, alpha, c_beta)
         return scores, list(engine._contract_grads(q, k, g_gram)) + [g_alpha, g_m]
@@ -258,7 +258,7 @@ def record_scans(monkeypatch):
     return scans
 
 
-# the work that the per-sample head and its backward hand to engine._in_threads
+# the work that the per-sample head and its backward hand to attention._in_threads
 SCORE_WORK = "_head_by_sample"
 
 
@@ -306,7 +306,7 @@ class TestFusedScoreNode:
     def test_per_sample_blocks_equal_composed_chain(self, dtype, monkeypatch):
         # a map larger than SCORE_BLOCK_ELEMENTS is worked a sample at a time,
         # forward and backward
-        monkeypatch.setattr(engine, "SCORE_BLOCK_ELEMENTS", 3 * 5 * 5)
+        monkeypatch.setattr(attention, "SCORE_BLOCK_ELEMENTS", 3 * 5 * 5)
         calls = record_heads(monkeypatch)
         q, k, alpha, m, upstream = score_inputs(np.random.default_rng(5), dtype, 5, n=4)
         check_scores_equal_composed_chain(q, k, alpha, m, upstream)
@@ -326,8 +326,8 @@ class TestFusedScoreNode:
         # ranges for the g_alpha and g_M sums differ in length, and split one
         # sample too. A short switch interval makes the threads interleave
         # within each block
-        monkeypatch.setattr(engine, "SCORE_BLOCK_ELEMENTS", 0)
-        monkeypatch.setattr(engine, "THREADS", threads)
+        monkeypatch.setattr(attention, "SCORE_BLOCK_ELEMENTS", 0)
+        monkeypatch.setattr(attention, "THREADS", threads)
         idents = record_threads(monkeypatch, SCORE_WORK)
         q, k, alpha, m, upstream = score_inputs(np.random.default_rng(n), dtype, 5, u=7, n=n)
         block = block_inputs(np.random.default_rng(n), dtype, (n,), u=7)
@@ -347,7 +347,7 @@ class TestFusedScoreNode:
         # the worker's sample only. Under numpy's default state the worker
         # would warn, which this suite's filters make an error. V is all
         # ones, so sample 0's +inf scores apply without an invalid step
-        monkeypatch.setattr(engine, "THREADS", 2)
+        monkeypatch.setattr(attention, "THREADS", 2)
         idents = record_threads(monkeypatch, SCORE_WORK)
         q = np.zeros((2, 1, 1, 2, 3))
         q[0] = 1.0
@@ -367,7 +367,7 @@ class TestFusedScoreNode:
         # only sample 2 saturates the tanh, at entry (0, 0); alpha lies between
         # half an ulp and one ulp of M = 1 there, so alpha + 1 rounds up to
         # 1 + ulp, out of band, and the nudge has to act in block 2
-        monkeypatch.setattr(engine, "SCORE_BLOCK_ELEMENTS", 0)
+        monkeypatch.setattr(attention, "SCORE_BLOCK_ELEMENTS", 0)
         calls = record_heads(monkeypatch)
         scans = record_scans(monkeypatch)
         q = np.zeros((3, 1, 1, 4, 2), dtype=dtype)
@@ -515,8 +515,8 @@ class TestFusedScoreNode:
         args = [np.asarray(a, dtype) for a in (q * gram_scale, k * gram_scale, alpha, m,
                                                upstream)]
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(engine, "SCORE_BLOCK_ELEMENTS", 0)
-            mp.setattr(engine, "THREADS", 2)
+            mp.setattr(attention, "SCORE_BLOCK_ELEMENTS", 0)
+            mp.setattr(attention, "THREADS", 2)
             fused, fused_grads = scores_and_grads(*args, c_beta=8)
         ref, ref_grads = composed_scores_and_grads(*args, c_beta=8)
         assert fused.dtype == ref.dtype == dtype

@@ -17,7 +17,7 @@ from istanet.checkpoint import save_checkpoint
 from istanet.data import SkeletonSequence, load_manifest, parse_iskel, serialize_iskel
 from istanet.gradcheck import miniature_config
 from istanet.model import ISTANet, ModelConfig, state_elements
-from istanet.synth import make_sample
+from istanet.synth import generate_corpus, make_sample
 from istanet.tokenizer import tokenize
 
 from helpers import (BYTE_EDITS, CHECKPOINT_CORRUPTIONS, MINIATURE_V1_CHECKPOINT,
@@ -201,6 +201,14 @@ PATH_ERRORS = {
     "inspect-tokens-sample-under-file": ["inspect", "tokens", "{file}/x.iskel"],
     "inspect-attention-checkpoint-under-file": [
         "inspect", "attention", "{sample}", "--checkpoint", "{file}/x.ckpt"],
+}
+
+# command -> its arguments; {config} is a run config, {ckpt} a checkpoint of
+# its model, {manifest} their manifest and {sample} one val sample of it
+BAD_SAMPLE_COMMANDS = {
+    "train": ["train", "{config}"],
+    "eval": ["eval", "{ckpt}", "{manifest}"],
+    "inspect-attention": ["inspect", "attention", "{sample}", "--checkpoint", "{ckpt}"],
 }
 
 # case -> command line that meets a path the system refuses with an error no
@@ -515,6 +523,30 @@ class TestExitCodes:
                                "--lr", lr)
         assert code == 3
         assert len(err.splitlines()) == 1 and err.startswith("numeric abort: "), err
+
+    @pytest.mark.parametrize("value", ["1e39", "-1e39", "nan"])
+    @pytest.mark.parametrize("command", sorted(BAD_SAMPLE_COMMANDS))
+    def test_bad_sample_value_is_usage_error_naming_the_sample(self, capsys, tmp_path, command,
+                                                               value):
+        # 1e39 is finite in float64 but inf in the float32 model; one val
+        # sample holds the bad value, so train refuses it before its first
+        # step, and each error line names the sample's file
+        manifest = generate_corpus(tmp_path / "corpus", num_train=4, num_val=4, t=8, j=2)
+        sample = pathlib.Path(manifest).parent / load_manifest(manifest).split("val")[0].path
+        magic, header, frame, rest = sample.read_text().split("\n", 3)
+        frame = " ".join([value] + frame.split()[1:])
+        sample.write_text("\n".join([magic, header, frame, rest]))
+        config = write_run_config(tmp_path, manifest)
+        model = ISTANet(cli.load_run_config(str(config))[0], rng=np.random.default_rng(0))
+        save_checkpoint(tmp_path / "m.ckpt", model)
+        paths = {"config": config, "ckpt": tmp_path / "m.ckpt", "manifest": manifest,
+                 "sample": sample}
+        argv = [a.format(**paths) for a in BAD_SAMPLE_COMMANDS[command]]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {sample}: "), err
+        assert "float32's range" in err, err
+        assert not (tmp_path / "out" / "metrics.jsonl").exists()
 
     @pytest.mark.parametrize("target", ["final.ckpt", "epoch_0000.ckpt"])
     def test_checkpoint_target_directory_is_refused_before_training(self, capsys, tmp_path,

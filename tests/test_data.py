@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from istanet.data import (ParseError, SkeletonSequence,
                           ValidationError, center_sequence, compute_padding,
                           load_manifest, pad_to_windows, parse_iskel,
-                          read_text, resample_frames, serialize_iskel)
+                          read_iskel, read_text, resample_frames, serialize_iskel)
 from istanet.engine import ConfigurationError
 
 from helpers import BYTE_EDITS, apply_byte_edits
@@ -41,6 +42,17 @@ class TestParseIskel:
     def test_non_finite_value(self):
         with pytest.raises(ParseError, match="non-finite"):
             parse_iskel("ISKEL 1\n2 1 1 1 0\n1.0 nan\n")
+
+    @pytest.mark.parametrize("value", ["1e39", "-1e39", "3.4028236e38", "1e308"])
+    def test_value_beyond_float32_range_is_refused(self, value):
+        # finite in float64, but a float32 model would cast it to inf
+        with pytest.raises(ParseError, match="line 3: .*float32's range"):
+            parse_iskel(f"ISKEL 1\n2 1 1 1 0\n1.0 {value}\n")
+
+    def test_float32_max_is_accepted(self):
+        biggest = float(np.finfo(np.float32).max)
+        seq = parse_iskel(make_iskel_text(2, 1, 1, 1, 0, [biggest, -biggest]))
+        assert np.isfinite(seq.data.astype(np.float32)).all()
 
     def test_index_order_t_j_e_c(self):
         # values written in (t,j,e,c) nesting must land at data[c,t,j,e]
@@ -163,6 +175,34 @@ class TestCentering:
         # relative geometry preserved
         np.testing.assert_allclose(out.data - out.data[:, :1, :1, :1],
                                    seq.data - seq.data[:, :1, :1, :1])
+
+
+class TestFloat32Range:
+    """Every SkeletonSequence holds values within float32's range, so a
+    sequence that parsing, centring or resampling makes is one a float32
+    model can cast."""
+
+    @pytest.mark.parametrize("value", [1e39, -1e39, np.nan, np.inf])
+    def test_sequence_beyond_float32_range_is_refused(self, value):
+        data = np.zeros((2, 1, 1, 1))
+        data[1, 0, 0, 0] = value
+        with pytest.raises(ValidationError, match="float32's range"):
+            SkeletonSequence(data, label=0)
+
+    def test_centring_out_of_range_is_refused(self):
+        # each value is in range, but the second frame minus the first
+        # frame's mean, -3e38, is 6e38
+        data = np.zeros((2, 2, 1, 1))
+        data[0, :, 0, 0] = (-3e38, 3e38)
+        seq = SkeletonSequence(data, label=0)
+        with pytest.raises(ValidationError, match="float32's range"):
+            center_sequence(seq)
+
+    def test_file_error_names_the_file(self, tmp_path):
+        path = tmp_path / "s.iskel"
+        path.write_text("ISKEL 1\n2 1 1 1 0\n1.0 1e39\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line 3: "):
+            read_iskel(path)
 
 
 class TestManifest:

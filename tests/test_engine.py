@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from istanet import engine
+from istanet import attention, engine
 from istanet.attention import TSABlockConfig, TSABlockParams, multi_head_attention
 from istanet.engine import (BatchNormState, ConfigurationError, DimensionError,
                             Parameter, Tensor, UsageError, apply_scores,
@@ -798,7 +798,7 @@ def head_bytes(shape, dtype):
 class TestContractionsBySample:
     """A head whose batched (N,U,U) map has more than SCORE_BLOCK_ELEMENTS
     entries runs a sample at a time (attention._head_by_sample), its samples
-    split over engine.THREADS threads, forward and backward; the node's
+    split over attention.THREADS threads, forward and backward; the node's
     bytes must be those of the whole-map path, which calls the
     attention_contract and apply_scores ops."""
 
@@ -816,8 +816,8 @@ class TestContractionsBySample:
         # runs the pool too, and a short switch interval makes the threads
         # interleave
         whole = head_bytes(shape, dtype)
-        monkeypatch.setattr(engine, "SCORE_BLOCK_ELEMENTS", 0)
-        monkeypatch.setattr(engine, "THREADS", threads)
+        monkeypatch.setattr(attention, "SCORE_BLOCK_ELEMENTS", 0)
+        monkeypatch.setattr(attention, "THREADS", threads)
         idents = record_threads(monkeypatch, "_head_by_sample")
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -837,8 +837,8 @@ class TestContractionsBySample:
             self, shape, threshold, splits, monkeypatch):
         # a map at the threshold, or a rank-4 input at any threshold, runs
         # the whole-map path and never reaches _in_threads
-        monkeypatch.setattr(engine, "SCORE_BLOCK_ELEMENTS", threshold)
-        monkeypatch.setattr(engine, "THREADS", 2)
+        monkeypatch.setattr(attention, "SCORE_BLOCK_ELEMENTS", threshold)
+        monkeypatch.setattr(attention, "THREADS", 2)
         idents = record_threads(monkeypatch)
         head_bytes(shape, np.float32)
         if splits:

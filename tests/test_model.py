@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from istanet import engine, gradcheck
+from istanet import attention, engine, gradcheck
 from istanet import model as model_module
 from istanet.attention import TSABlockConfig
 from istanet.checkpoint import load_checkpoint, save_checkpoint
@@ -26,7 +26,7 @@ from istanet.tokenizer import tokenize
 
 from helpers import (BYTE_EDITS, CHECKPOINT_CORRUPTIONS, MINIATURE_V1_CHECKPOINT,
                      apply_byte_edits, check_op_gradients, composed_ce_label_smoothing, mul,
-                     readme_config, write_corrupt_checkpoint)
+                     readme_config, record_threads, write_corrupt_checkpoint)
 
 
 def tiny_config(num_classes=3):
@@ -537,6 +537,38 @@ class TestChunkedEvaluation:
         acc, got_per_class = topk_accuracy(model, seqs, labels, k=k)
         assert acc == hits / len(seqs)
         assert got_per_class.tolist() == per_class.tolist()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("case", ["readme-u400", "threshold-zero"])
+    def test_threaded_heads_give_the_bytes_of_forward_classify(self, monkeypatch, case,
+                                                               threads):
+        # classify_batch's chunks run each head a sample at a time on THREADS
+        # threads (attention._head_by_sample): the README blocks at U=400
+        # under the default threshold, or a small model with no threshold in
+        # chunks of 3, 3 and 1 rows. forward_classify's rank-4 input takes
+        # the whole-map path, and each row must have its bytes
+        if case == "threshold-zero":
+            monkeypatch.setattr(attention, "SCORE_BLOCK_ELEMENTS", 0)
+            # 4 channels * 32 elements = 128 per row at U=32
+            monkeypatch.setattr(model_module, "EVAL_CHUNK_ELEMENTS", 128 * 3)
+            cfg = ModelConfig(window=(1, 1, 1), in_channels=3, frames=8, joints=2, entities=2,
+                              embed_channels=4, gamma=0.1,
+                              blocks=[TSABlockConfig(c_in=4, c_out=4, heads=2, c_qkv=2)],
+                              num_classes=4)
+        else:
+            cfg = readme_config((1, 1, 1))
+        monkeypatch.setattr(attention, "THREADS", threads)
+        idents = record_threads(monkeypatch, "_head_by_sample")
+        model = ISTANet(cfg, rng=np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        for _, buf in model.buffers():
+            buf[...] = rng.uniform(0.5, 2.0, size=buf.shape)
+        shape = (cfg.in_channels, cfg.frames, cfg.joints, cfg.entities)
+        seqs = [SkeletonSequence(rng.normal(size=shape), label=0) for _ in range(7)]
+        single = [model.forward_classify(seq, mode="infer").data for seq in seqs]
+        assert not idents
+        assert model.classify_batch(seqs).tobytes() == np.stack(single).tobytes()
+        assert (len(idents) > 1) == (threads > 1) and idents
 
 
 class TestCheckpoint:

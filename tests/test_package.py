@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import json
@@ -43,6 +44,37 @@ def test_blas_threads_default_to_one_and_a_user_setting_wins(given, expected):
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
     assert done.stdout.split() == expected.split()
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity calls")
+@pytest.mark.parametrize("mask", ["one", "all"])
+def test_threads_follow_the_affinity_mask(mask):
+    # `taskset -c 0 istanet ...` runs one thread: a child that keeps one of
+    # its allowed CPUs before it imports the package reads THREADS == 1, and
+    # one that keeps them all reads their number. Only the child's mask is set
+    allowed = sorted(os.sched_getaffinity(0))
+    cpus = allowed[:1] if mask == "one" else allowed
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(istanet.__file__).parents[1]))
+    code = (f"import os; os.sched_setaffinity(0, {cpus!r}); "
+            f"from istanet import attention; print(attention.THREADS)")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.split() == [str(len(cpus))]
+
+
+def test_engine_holds_no_thread_state():
+    # the engine is a single-threaded op library: the thread pool, its size
+    # and the per-sample threshold live in attention.py, the one module that
+    # splits work over threads
+    tree = ast.parse(pathlib.Path(engine.__file__).read_text(encoding="utf-8"))
+    imported = {alias.name.split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module.split(".")[0] for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module}
+    assert imported.isdisjoint({"threading", "concurrent", "contextvars"}), imported
+    names = ("THREADS", "SCORE_BLOCK_ELEMENTS", "_pool", "_in_threads", "_per_sample")
+    assert [n for n in names if hasattr(engine, n)] == []
+    assert all(hasattr(attention, n) for n in names)
 
 
 def load_tracer():
@@ -91,8 +123,8 @@ def test_threaded_block_keeps_the_benchmark_tracer_stack(monkeypatch):
     # that a per-sample head hands to other threads must call no traced
     # function, forward or backward. Such a head calls no traced op at all:
     # the score step and the contractions open spans on whole maps only
-    monkeypatch.setattr(engine, "SCORE_BLOCK_ELEMENTS", 0)
-    monkeypatch.setattr(engine, "THREADS", 2)
+    monkeypatch.setattr(attention, "SCORE_BLOCK_ELEMENTS", 0)
+    monkeypatch.setattr(attention, "THREADS", 2)
     idents = record_threads(monkeypatch)
     rng = np.random.default_rng(0)
     cfg = attention.TSABlockConfig(c_in=4, c_out=8, heads=2, c_qkv=2)

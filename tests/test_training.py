@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from istanet import engine, training
+from istanet import attention, engine, training
 from istanet.attention import TSABlockConfig
 from istanet.data import ParseError, SkeletonSequence, load_manifest, serialize_iskel
 from istanet.model import ISTANet, ModelConfig, TrainConfig
@@ -79,7 +79,7 @@ class TestTrainLoop:
                              num_classes=4)
         runs = []
         for threads in (1, 2):
-            monkeypatch.setattr(engine, "THREADS", threads)
+            monkeypatch.setattr(attention, "THREADS", threads)
             idents = record_threads(monkeypatch)
             model = ISTANet(config, rng=np.random.default_rng(0))
             metrics = train(model, manifest, small_train_config(epochs=1, seed=5))
