@@ -18,26 +18,29 @@ A head runs one of two ways, chosen by the size of its (N,U,U) map
 (_per_sample). With at most SCORE_BLOCK_ELEMENTS entries (up to 655
 samples at U=20), it runs on the whole map on the calling thread: the
 engine's attention_contract, the score step (attention_scores) and the
-engine's apply_scores, each once. With more (two samples or more at
-U=400), it runs a sample at a time (_head_by_sample), so that each
-sample's (U,U) map stays in cache from its Gram GEMM through the score
-step to its application GEMM, and the backward likewise
-(_head_by_sample_grads). The two ways share the score step's elementwise
-code (_score_step, _score_grad_step) and run the same GEMMs, so they give
-the same bytes. A whole map is always scanned for entries out of band; a
-per-sample block is scanned only when a rounding bound from its max|tanh|,
-|alpha| and max|M| cannot prove it in band (attention_scores gives the
-bound).
+engine's apply_scores, each once, and the node keeps the scores and tanh
+maps for its backward. With more (two samples or more at U=400), it runs a
+sample at a time in (U,U) scratch maps that stay in cache
+(_head_by_sample) and keeps no map: its backward recomputes each sample's
+Gram GEMM and score step (_head_by_sample_grads), FlashAttention's
+recompute (Dao et al., 2022, arXiv:2205.14135) at sample granularity. The
+two ways share the score step's elementwise code (_score_step,
+_score_grad_step) and run the same GEMMs, so they give the same bytes but
+for alpha's and M's gradients: a per-sample head adds its samples' g_alpha
+terms in order and takes g_M as one GEMM, which round differently from the
+whole map's sums over the batch axis. A whole map is always scanned for
+entries out of band; a per-sample block only when a rounding bound from
+its max|tanh|, |alpha| and max|M| cannot prove it in band (attention_scores
+gives the bound).
 
 Threads: a head run a sample at a time is one _in_threads task per
 direction, its samples split over THREADS threads, the calling one and a
-pool's; the backward's sums over samples for g_alpha and g_M then split
-the rows of the (U,U) map. Each thread writes only its own slices of
-preallocated outputs, so the bytes do not depend on THREADS. The tasks
-call numpy and this module's private helpers only, no traced op. THREADS
-is the number of CPUs in the process's affinity mask (`taskset -c 0` gives
-one); BLAS threads would compete with these, so the package gives BLAS
-one unless the user sets its count (istanet/__init__.py).
+pool's. Each thread writes only its own samples, and the sums over
+samples run on the calling thread, so the bytes do not depend on THREADS.
+The tasks call numpy and this module's private helpers only, no traced op.
+THREADS is the number of CPUs in the process's affinity mask (`taskset -c
+0` gives one); BLAS threads would compete with these, so the package gives
+BLAS one unless the user sets its count (istanet/__init__.py).
 
 The heads' values, written into one array, are passed through a
 token-axis convolution (kernel k_u) and a pointwise FFN with residual
@@ -275,11 +278,6 @@ def attention_scores(q, k, alpha, m, c_beta):
     g_QK = g * alpha * (1 - t*t) / sqrt(c_beta), g_alpha = sum(g * t),
     g_M = g, in the chain's rounding order.
 
-    A head whose batched map has more than SCORE_BLOCK_ELEMENTS entries runs
-    as _head_by_sample instead, whose per-sample blocks take the same
-    elementwise steps (_score_step, _score_grad_step), so the bytes do not
-    depend on the path.
-
     The band check (_scan_band: out - M, abs, max, then the nudge) runs on
     every whole map. A per-sample block first takes tau = max(max t, -min t),
     two reductions while it is in cache, and skips the scan when
@@ -357,78 +355,74 @@ def _in_threads(work, count):
         future.result()
 
 
-def _head_by_sample(q, k, v, alpha, m, c_beta, out):
+def _head_by_sample(q, k, v, alpha, m, c_beta, out, scores=None):
     """One head whose batched (N,U,U) map has more than SCORE_BLOCK_ELEMENTS
     entries, a sample at a time: q and k are (N,c,T,S,U) arrays, v and
     `out` (N,c_v,T',S',U) ones, and out, whose samples must each be
     contiguous (as in a channel slice of a C-ordered array), is written in
-    place. Returns the (N,U,U) scores and tanh maps.
+    place, as is an (N,U,U) `scores` if given; nothing else of N*U*U size
+    is made.
 
     Each sample takes attention_contract's Gram GEMM, the score step
     (_score_step, with the band pre-test of attention_scores) and
-    apply_scores' GEMM in the product order of _matmul_transposed, while its
-    (U,U) map is in cache. These are the GEMMs the ops run on each sample of
-    a batch, so the bytes are those of the whole-map path. The samples split
-    over THREADS threads (_in_threads), each writing only its own samples,
-    so the bytes do not depend on THREADS either.
+    apply_scores' GEMM in the product order of _matmul_transposed, in two
+    (U,U) scratch maps of its thread (_in_threads). These are the GEMMs the
+    ops run on each sample of a batch, so the bytes are those of the
+    whole-map path, whatever THREADS is.
     """
     scale = _score_scale(q, alpha, m, c_beta)
     n, u = q.shape[0], q.shape[-1]
     qf, kf = q.reshape(n, -1, u), k.reshape(n, -1, u)
-    t = np.empty((n, u, u), q.dtype)
-    scores = np.empty_like(t)
     in_band = _band_pretest(q.dtype, m, abs(float(alpha)))
 
     def samples(lo, hi):
+        t, s = np.empty((u, u), q.dtype), np.empty((u, u), q.dtype)
         for b in range(lo, hi):
-            np.matmul(qf[b].T, kf[b], out=t[b])
-            _score_step(t[b], scores[b], alpha, m, scale, in_band)
-            engine._matmul_transposed(v[b].reshape(-1, u), scores[b],
-                                      out=out[b].reshape(-1, u))
+            np.matmul(qf[b].T, kf[b], out=t)
+            sb = s if scores is None else scores[b]
+            _score_step(t, sb, alpha, m, scale, in_band)
+            engine._matmul_transposed(v[b].reshape(-1, u), sb, out=out[b].reshape(-1, u))
 
     _in_threads(samples, n)
-    return scores, t
 
 
-def _head_by_sample_grads(q, k, v, scores, t, alpha, c_beta, g):
+def _head_by_sample_grads(q, k, v, alpha, m, c_beta, g):
     """Gradients (gq, gk, gv, g_alpha, g_M) of _head_by_sample for the
-    upstream gradient g of its output.
+    upstream gradient g of its output and the alpha and M its forward read.
 
-    Each sample takes apply_scores' gradient GEMMs, the score step's closed
-    form (_score_grad_step) and attention_contract's gradient GEMMs, on the
-    forward's threads. Then g_alpha and g_M sum the samples first to last,
-    the order of the chain's sum over the batch axis, each thread taking a
-    range of rows of the (U,U) map; so the bytes do not depend on THREADS.
+    Each sample, in three (U,U) scratch maps of its thread, recomputes its
+    Gram GEMM and score step, so t and the scores are the forward's; then
+    it takes apply_scores' gradient GEMMs, its g_alpha term
+    np.vdot(g_scores, t), the score step's closed form (_score_grad_step,
+    in place) and attention_contract's gradient GEMMs. On the calling
+    thread, g_alpha then adds the terms first to last, and g_M is one GEMM
+    G^T V over the rows of g and v stacked by sample; so the bytes do not
+    depend on THREADS. These two round differently from the whole-map
+    path's sums over the batch axis; every other gradient has its bytes.
     """
-    scale = np.asarray(1.0 / math.sqrt(c_beta), dtype=t.dtype)
-    n, u = t.shape[:2]
+    scale = _score_scale(q, alpha, m, c_beta)
+    n, u = q.shape[0], q.shape[-1]
     gq, gk, gv = np.empty_like(q), np.empty_like(k), np.empty_like(v)
     qf, kf, gqf, gkf = (a.reshape(n, -1, u) for a in (q, k, gq, gk))
-    g_scores = np.empty_like(t)
+    in_band = _band_pretest(q.dtype, m, abs(float(alpha)))
+    terms = [None] * n  # each sample's g_alpha term, added in order below
 
     def samples(lo, hi):
-        g_gram, scratch = np.empty_like(t[0]), np.empty_like(t[0])
+        t, s, g_scores = (np.empty((u, u), q.dtype) for _ in range(3))
         for b in range(lo, hi):
+            np.matmul(qf[b].T, kf[b], out=t)
+            _score_step(t, s, alpha, m, scale, in_band)
             gf = g[b].reshape(-1, u)
-            np.matmul(gf.T, v[b].reshape(-1, u), out=g_scores[b])
-            np.matmul(gf, scores[b], out=gv[b].reshape(-1, u))
-            _score_grad_step(g_scores[b], t[b], alpha, scale, g_gram, scratch)
-            engine._matmul_transposed(kf[b], g_gram, out=gqf[b])
-            np.matmul(qf[b], g_gram, out=gkf[b])
+            np.matmul(gf.T, v[b].reshape(-1, u), out=g_scores)
+            np.matmul(gf, s, out=gv[b].reshape(-1, u))
+            terms[b] = np.vdot(g_scores, t)
+            _score_grad_step(g_scores, t, alpha, scale, out=g_scores, scratch=t)
+            engine._matmul_transposed(kf[b], g_scores, out=gqf[b])
+            np.matmul(qf[b], g_scores, out=gkf[b])
 
     _in_threads(samples, n)
-    g_alpha, g_m = np.empty_like(t[0]), np.empty_like(t[0])
-
-    def rows(lo, hi):
-        scratch = np.empty_like(t[0, lo:hi])  # g * t of one sample's rows
-        np.multiply(g_scores[0, lo:hi], t[0, lo:hi], out=g_alpha[lo:hi])
-        g_m[lo:hi] = g_scores[0, lo:hi]
-        for b in range(1, n):
-            g_alpha[lo:hi] += np.multiply(g_scores[b, lo:hi], t[b, lo:hi], out=scratch)
-            g_m[lo:hi] += g_scores[b, lo:hi]
-
-    _in_threads(rows, u)
-    return gq, gk, gv, engine._unbroadcast(g_alpha, ()), g_m
+    g_m = np.ascontiguousarray(g).reshape(-1, u).T @ np.ascontiguousarray(v).reshape(-1, u)
+    return gq, gk, gv, functools.reduce(np.add, terms), g_m
 
 
 def _channels(lo, hi):
@@ -463,28 +457,31 @@ def multi_head_attention(x, params, score_sink=None):
     xpe, w, qk = qkv_project(x, params)
     out = np.empty(x.shape, x.dtype)
     by_sample = _per_sample(x.shape[:-4] + (x.shape[-1],) * 2)
-    maps = []  # each head's (scores, t)
+    saved = []  # each head's alpha and M arrays, and on the whole-map path (scores, t)
     for (qi, ki, vi), alpha, m in zip(idx, params.alphas, params.ms):
         if by_sample:
-            scores, t = _head_by_sample(qk[qi], qk[ki], x.data[vi], alpha.data, m.data,
-                                        c_beta, out[vi])
+            scores = None if score_sink is None else np.empty(x.shape[:1] + m.shape, x.dtype)
+            _head_by_sample(qk[qi], qk[ki], x.data[vi], alpha.data, m.data, c_beta, out[vi],
+                            scores)
+            saved.append((alpha.data, m.data))
         else:
             scores, t = attention_scores(qk[qi], qk[ki], alpha.data, m.data, c_beta)
             out[vi] = apply_scores(engine.Tensor(scores), engine.Tensor(x.data[vi])).data
+            saved.append((alpha.data, m.data, scores, t))
         if score_sink is not None:
-            score_sink.append(np.array(scores))
-        maps.append((scores, t))
+            score_sink.append(scores if by_sample else np.array(scores))
 
     def bwd(g):
         g_qk, g_v = np.empty_like(qk), np.empty_like(out)
         g_maps = []
-        for (qi, ki, vi), alpha, (scores, t) in zip(idx, params.alphas, maps):
+        for (qi, ki, vi), (alpha, m, *maps) in zip(idx, saved):
             if by_sample:
                 g_qk[qi], g_qk[ki], g_v[vi], g_alpha, g_m = _head_by_sample_grads(
-                    qk[qi], qk[ki], x.data[vi], scores, t, alpha.data, c_beta, g[vi])
+                    qk[qi], qk[ki], x.data[vi], alpha, m, c_beta, g[vi])
             else:
+                scores, t = maps
                 g_scores, g_v[vi] = engine._apply_scores_grads(scores, x.data[vi], g[vi])
-                g_gram, g_alpha, g_m = _attention_scores_grads(g_scores, t, alpha.data, c_beta)
+                g_gram, g_alpha, g_m = _attention_scores_grads(g_scores, t, alpha, c_beta)
                 g_qk[qi], g_qk[ki] = engine._contract_grads(qk[qi], qk[ki], g_gram)
             g_maps.append((g_alpha, g_m))
         g2 = g_qk.reshape(xpe.shape[:-2] + (-1, xpe.shape[-1]))

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .checkpoint import load_checkpoint
-from .data import ParseError, ValidationError, load_manifest, read_iskel, read_text
+from .data import ParseError, ValidationError, load_manifest, named, read_iskel, read_text
 from .engine import ConfigurationError, UsageError
 from .gradcheck import run_gradcheck
 from .model import ISTANet, ModelConfig, TrainConfig, evaluate_topk
@@ -190,7 +190,7 @@ def cmd_inspect(args):
     if not args.checkpoint:
         raise UsageError("inspect attention requires --checkpoint")
     model = load_checkpoint(args.checkpoint)[0]
-    seq = preprocess(seq, model.config.frames)
+    seq = named(args.sample, preprocess, seq, model.config.frames)
     tokens = model.tokenize_sample(seq)
     sink = []
     model.forward_tokens(tokens, mode="infer", score_sink=sink)

@@ -99,16 +99,23 @@ def read_text(path, error=ParseError):
             raise error(f"{path}: the {size}-byte file does not fit in memory") from None
 
 
-def read_iskel(path):
-    """The SkeletonSequence of the `.iskel` file at `path` (read_text, then
-    parse_iskel). A ParseError or ValidationError of the text is raised again
-    as the same type, its message prefixed with the path, as is a ParseError
-    for text that fits in memory but whose parsed values do not."""
-    text = read_text(path)
+def named(path, fn, *args):
+    """fn(*args), whose ParseError or ValidationError is raised again as the
+    same type, its message prefixed with `path`, the file it is about."""
     try:
-        return parse_iskel(text)
+        return fn(*args)
     except (ParseError, ValidationError) as e:
         raise type(e)(f"{path}: {e}") from None
+
+
+def read_iskel(path):
+    """The SkeletonSequence of the `.iskel` file at `path` (read_text, then
+    parse_iskel). A ParseError or ValidationError of the text names the path
+    (named), as does a ParseError for text that fits in memory but whose
+    parsed values do not."""
+    text = read_text(path)
+    try:
+        return named(path, parse_iskel, text)
     except MemoryError:
         raise ParseError(f"{path}: the values of the {len(text)}-character file do not fit "
                          f"in memory") from None
@@ -228,8 +235,11 @@ class DatasetManifest:
                    if re.fullmatch("fold[0-9]+", s.tag)}
         return sorted(numbers, key=lambda tag: (len(numbers[tag]), numbers[tag], tag))
 
+    def path(self, entry):
+        return os.path.join(self.root, entry.path)
+
     def load(self, entry):
-        seq = read_iskel(os.path.join(self.root, entry.path))
+        seq = read_iskel(self.path(entry))
         if seq.label != entry.label:
             raise ValidationError(
                 f"{entry.path}: file label {seq.label} != manifest label {entry.label}")

@@ -11,6 +11,7 @@ import numpy as np
 
 from . import engine
 from .attention import TSABlockConfig, TSABlockParams, tsa_block_forward
+from .data import named
 from .engine import (ConfigurationError, Parameter, UsageError,
                      check_field_types, linear, uniform_init)
 from .tokenizer import EmbedParams, check_window, embed, tokenize, u_layout
@@ -116,9 +117,9 @@ class TrainConfig:
 # Elements of one evaluation chunk's activation at the widest channel count.
 # With the README blocks this gives 20 rows at U=20 and at U=400, where
 # chunks of 12 to 20 and of 16 to 32 rows ran fastest; fewer rows pay more
-# per-op overhead per sample. Attention works a map of more than
-# attention.SCORE_BLOCK_ELEMENTS entries a sample at a time, so the (rows,
-# U, U) maps are bounded for memory only, at 16 times this many elements.
+# per-op overhead per sample. Attention keeps no batched score map of more
+# than attention.SCORE_BLOCK_ELEMENTS entries, so this bounds the activation
+# only.
 EVAL_CHUNK_ELEMENTS = 1 << 18
 
 
@@ -213,12 +214,10 @@ class ISTANet:
 
     def eval_chunk_rows(self):
         """Rows per classify_batch chunk, at least one: EVAL_CHUNK_ELEMENTS
-        over the larger of one (C, t_w, S, U) activation at the widest
-        channel count and a sixteenth of one head's (U, U) score map."""
+        over one (C, t_w, S, U) activation at the widest channel count."""
         cfg = self.config
-        u = cfg.num_tokens()
         width = max([cfg.embed_channels] + [b.c_out for b in cfg.blocks])
-        return max(1, EVAL_CHUNK_ELEMENTS // max(width * math.prod(cfg.window) * u, u * u // 16))
+        return max(1, EVAL_CHUNK_ELEMENTS // (width * math.prod(cfg.window) * cfg.num_tokens()))
 
     def classify_batch(self, seqs):
         """Sequences -> infer-mode logits (len(seqs), num_classes) as an
@@ -298,8 +297,9 @@ def topk_accuracy(model, seqs, labels, k=1):
 
 def evaluate_topk(model, manifest, entries, k=1, preprocess=None):
     """Top-k accuracy of infer-mode predictions over manifest entries: load
-    and preprocess every entry, then score them with topk_accuracy."""
+    and preprocess every entry, then score them with topk_accuracy. An error
+    of preprocess names the entry's file."""
     seqs = [manifest.load(entry) for entry in entries]
     if preprocess is not None:
-        seqs = [preprocess(seq) for seq in seqs]
+        seqs = [named(manifest.path(e), preprocess, seq) for e, seq in zip(entries, seqs)]
     return topk_accuracy(model, seqs, [entry.label for entry in entries], k)

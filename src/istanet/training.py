@@ -16,7 +16,7 @@ import numpy as np
 
 from . import engine
 from .checkpoint import save_checkpoint
-from .data import center_sequence, resample_frames
+from .data import center_sequence, named, resample_frames
 # evaluate_topk is not called here, but it stays in this namespace:
 # perfbench/run.py wraps training.evaluate_topk.
 from .model import (NesterovSGD, ce_label_smoothing, evaluate_topk,  # noqa: F401
@@ -72,9 +72,10 @@ def train(model, manifest, train_config, out_dir=None, train_tag="train",
     val_entries = manifest.split(val_tag)
 
     frames = model.config.frames
-    train_seqs = [preprocess(manifest.load(e), frames) for e in train_entries]
+    prep = lambda e: named(manifest.path(e), preprocess, manifest.load(e), frames)
+    train_seqs = [prep(e) for e in train_entries]
     labels = np.array([e.label for e in train_entries])
-    val_seqs = [preprocess(manifest.load(e), frames) for e in val_entries]
+    val_seqs = [prep(e) for e in val_entries]
     val_labels = [e.label for e in val_entries]
 
     optimizer = NesterovSGD(model.parameters(), momentum=train_config.momentum)

@@ -8,8 +8,9 @@ of leaky_relu's backward and train-mode batchnorm that the engine's passes
 must match, conv3d_axis's input gradient scattered back tap by tap onto
 zeros, conv3d_axis with every tap in its im2col, dead ones included, the
 inverse of the tokenizer's partition, the attention score map composed of
-primitive ops and a block's attention as a chain of them per head, a
-recorder of the threads that run the engine's per-sample work, malformed
+primitive ops and a block's attention as a chain of them per head, the
+alpha and M gradients of a per-sample head as an ordered sum and one GEMM,
+a recorder of the threads that run the engine's per-sample work, malformed
 checkpoints, byte mutations of input files, and the committed v1
 checkpoint fixture."""
 
@@ -323,6 +324,39 @@ def composed_attention_scores(q, k, alpha, m, c_beta):
         data[over] = np.nextafter(data[over], np.broadcast_to(center, data.shape)[over])
         over = np.abs(data - center) > radius
     return engine._make(data, (raw,), lambda g: (g,))
+
+
+def ordered_alpha_m_grads(q, k, v, alpha, m, c_beta, g):
+    """Reference for the alpha and M gradients of a per-sample head
+    (attention._head_by_sample_grads) under the upstream gradient g of its
+    output: g_alpha adds each sample's term np.vdot(g^T v, t), with t the
+    whole-map tanh map, first to last, and g_M is one GEMM G^T V over the
+    samples' stacked rows of g and v."""
+    n, u = len(q), q.shape[-1]
+    _, t = attention.attention_scores(q, k, alpha, m, c_beta)
+    gf, vf = (np.ascontiguousarray(a).reshape(n, -1, u) for a in (g, v))
+    g_alpha = np.vdot(gf[0].T @ vf[0], t[0])
+    for b in range(1, n):
+        g_alpha = g_alpha + np.vdot(gf[b].T @ vf[b], t[b])
+    return g_alpha, gf.reshape(-1, u).T @ vf.reshape(-1, u)
+
+
+def pin_ordered_alpha_m_grads(monkeypatch):
+    """Make every call of attention._head_by_sample_grads assert that its
+    g_alpha and g_M have the bytes of ordered_alpha_m_grads on its own
+    inputs; returns the list of the checked calls' sample counts."""
+    checked, head_grads = [], attention._head_by_sample_grads
+
+    def pinned(q, k, v, alpha, m, c_beta, g):
+        grads = head_grads(q, k, v, alpha, m, c_beta, g)
+        want = ordered_alpha_m_grads(q, k, v, alpha, m, c_beta, g)
+        assert [(a.dtype, a.shape, a.tobytes()) for a in grads[3:]] == [
+            (a.dtype, a.shape, a.tobytes()) for a in want]
+        checked.append(len(q))
+        return grads
+
+    monkeypatch.setattr(attention, "_head_by_sample_grads", pinned)
+    return checked
 
 
 def getitem(a, idx):

@@ -11,10 +11,11 @@ from istanet.attention import (TSABlockConfig, TSABlockParams, attention_scores,
                                tsa_block_forward)
 from istanet.data import SkeletonSequence
 from istanet.engine import ConfigurationError, Parameter, Tensor, UsageError
-from istanet.model import ISTANet, ce_label_smoothing
+from istanet.model import ISTANet, NesterovSGD, ce_label_smoothing
 
-from helpers import (composed_attention_scores, fd_grad, mul, per_head_attention,
-                     readme_config, record_threads, rel_err, tensor_sum)
+from helpers import (composed_attention_scores, fd_grad, mul, ordered_alpha_m_grads,
+                     per_head_attention, pin_ordered_alpha_m_grads, readme_config,
+                     record_threads, rel_err, tensor_sum)
 
 
 def make_block(c_in=4, c_out=4, heads=2, c_qkv=2, u=4, seed=0, dtype=np.float64,
@@ -73,14 +74,23 @@ def attention_and_grads(fn, params, x, upstream):
 
 def check_attention_equals_per_head_chain(params, x, upstream):
     """multi_head_attention gives the per-head chain's output, scores and
-    parameter gradients byte for byte. x's gradient sums the projected
-    channels in another order, so it is equal to within rounding."""
-    out, sink, gx, grads = attention_and_grads(multi_head_attention, params, x, upstream)
+    parameter gradients byte for byte, but for a per-sample head's alpha
+    and M gradients, an ordered sum and one GEMM, which must have the bytes
+    of ordered_alpha_m_grads instead (pin_ordered_alpha_m_grads). x's
+    gradient sums the projected channels in another order, so it is equal
+    to within rounding."""
+    with pytest.MonkeyPatch.context() as mp:
+        pinned = pin_ordered_alpha_m_grads(mp)
+        out, sink, gx, grads = attention_and_grads(multi_head_attention, params, x, upstream)
     ref, ref_sink, ref_gx, ref_grads = attention_and_grads(per_head_attention, params, x, upstream)
     assert out.dtype == ref.dtype == x.dtype and out.data.tobytes() == ref.data.tobytes()
     assert [a.tobytes() for a in sink] == [a.tobytes() for a in ref_sink]
     assert grads.keys() == ref_grads.keys() == {p.name for p in params.parameters()[:6 * len(sink)]}
+    by_sample = x.ndim == 5 and attention._per_sample(x.shape[:1] + (x.shape[-1],) * 2)
+    assert pinned == ([len(x)] * len(sink) if by_sample else [])
     for name, got in grads.items():
+        if by_sample and name.endswith((".alpha", ".m")):
+            continue
         want = ref_grads[name]
         assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape,
                                                          want.tobytes()), name
@@ -197,10 +207,10 @@ def scores_and_grads(q, k, alpha, m, upstream, c_beta=12):
         return scores, list(engine._contract_grads(q, k, g_gram)) + [g_alpha, g_m]
     n, u = upstream.shape[:2]
     eye = np.tile(np.eye(u, dtype=q.dtype), (n, 1, 1)).reshape(n, u, 1, 1, u)
-    scores, t = attention._head_by_sample(q, k, eye, alpha, m, c_beta, np.empty_like(eye))
+    scores = np.empty_like(upstream)
+    attention._head_by_sample(q, k, eye, alpha, m, c_beta, np.empty_like(eye), scores)
     g = np.ascontiguousarray(upstream.swapaxes(-1, -2)).reshape(eye.shape)
-    gq, gk, _, g_alpha, g_m = attention._head_by_sample_grads(q, k, eye, scores, t, alpha,
-                                                              c_beta, g)
+    gq, gk, _, g_alpha, g_m = attention._head_by_sample_grads(q, k, eye, alpha, m, c_beta, g)
     return scores, [gq, gk, g_alpha, g_m]
 
 
@@ -212,11 +222,36 @@ def composed_scores_and_grads(q, k, alpha, m, upstream, c_beta=12):
     return out.data, [leaf.grad for leaf in leaves]
 
 
+def check_near_float64_chain(grads, q, k, alpha, m, upstream, c_beta):
+    """A per-sample head's g_alpha and g_M lie within 4 eps of the float64
+    composed chain's, in units of the largest sum of their terms'
+    magnitudes: sum |g t| for g_alpha, sum over samples of |g| for an entry
+    of g_M, since a sum of terms of both signs can cancel to far less."""
+    args = [a.astype(np.float64) for a in (q, k, alpha, m, upstream)]
+    _, ref_grads = composed_scores_and_grads(*args, c_beta)
+    _, t = attention_scores(*args[:4], c_beta)
+    sizes = np.abs(args[4] * t).sum(), np.abs(args[4]).sum(axis=0).max()
+    eps = np.finfo(q.dtype).eps
+    for got, want, size in zip(grads, ref_grads[2:], sizes):
+        assert np.abs(got - want).max() <= 4 * eps * size
+
+
 def check_scores_equal_composed_chain(q, k, alpha, m, upstream, c_beta=12):
+    """The score step and its gradients give the composed chain's bytes.
+    A per-sample head's alpha and M gradients are an ordered sum and one
+    GEMM instead of the chain's sums over the batch axis: they have the
+    bytes of ordered_alpha_m_grads (with V = I, see scores_and_grads) and
+    lie near the float64 chain's (check_near_float64_chain)."""
     fused, fused_grads = scores_and_grads(q, k, alpha, m, upstream, c_beta)
     ref, ref_grads = composed_scores_and_grads(q, k, alpha, m, upstream, c_beta)
     assert fused.dtype == ref.dtype == q.dtype
     assert fused.tobytes() == ref.tobytes()
+    if attention._per_sample(upstream.shape):
+        n, u = upstream.shape[:2]
+        eye = np.tile(np.eye(u, dtype=q.dtype), (n, 1, 1))
+        ref_grads[2:] = ordered_alpha_m_grads(q, k, eye, alpha, m, c_beta,
+                                              upstream.swapaxes(-1, -2))
+        check_near_float64_chain(fused_grads[2:], q, k, alpha, m, upstream, c_beta)
     for got, want in zip(fused_grads, ref_grads):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     return fused
@@ -322,10 +357,9 @@ class TestFusedScoreNode:
     def test_threaded_blocks_equal_composed_chain(self, dtype, threads, n, monkeypatch):
         # every sample is its own block, and THREADS is set here, not read
         # from the host, so a one-CPU host runs the pool too (the pool may
-        # run its ranges on one worker); U = 7 is odd, so the backward's row
-        # ranges for the g_alpha and g_M sums differ in length, and split one
-        # sample too. A short switch interval makes the threads interleave
-        # within each block
+        # run its ranges on one worker); a one-sample head stays on the
+        # calling thread, and N = 5 splits unevenly. A short switch interval
+        # makes the threads interleave within each block
         monkeypatch.setattr(attention, "SCORE_BLOCK_ELEMENTS", 0)
         monkeypatch.setattr(attention, "THREADS", threads)
         idents = record_threads(monkeypatch, SCORE_WORK)
@@ -338,7 +372,51 @@ class TestFusedScoreNode:
             check_attention_equals_per_head_chain(*block)
         finally:
             sys.setswitchinterval(interval)
-        assert (len(idents) > 1) == (threads > 1)
+        assert (len(idents) > 1) == (threads > 1 and n > 1)
+
+    def test_alpha_gradient_adds_the_samples_in_order(self, monkeypatch):
+        # at N = 16, ndarray.sum would add the samples' g_alpha terms in its
+        # unrolled pairwise order, not first to last
+        monkeypatch.setattr(attention, "SCORE_BLOCK_ELEMENTS", 0)
+        monkeypatch.setattr(attention, "THREADS", 2)
+        q, k, alpha, m, upstream = score_inputs(np.random.default_rng(16), np.float32, 5, n=16)
+        check_scores_equal_composed_chain(q, k, alpha, m, upstream)
+
+    def test_per_sample_score_sink_has_the_whole_map_bytes(self, monkeypatch):
+        params, x, _ = block_inputs(np.random.default_rng(6), np.float32, (3,))
+        whole, split = [], []
+        multi_head_attention(Tensor(x), params, whole)
+        monkeypatch.setattr(attention, "SCORE_BLOCK_ELEMENTS", 0)
+        calls = record_heads(monkeypatch)
+        multi_head_attention(Tensor(x), params, split)
+        assert calls == [("_head_by_sample", 3)] * 2
+        assert [(a.shape, a.tobytes()) for a in split] == [(a.shape, a.tobytes()) for a in whole]
+
+    @pytest.mark.parametrize("window", [(10, 1, 2), (1, 1, 1)])
+    def test_backward_replays_after_an_optimizer_step(self, window):
+        # NesterovSGD.step rebinds each parameter's data. The node's backward
+        # reads the alpha and M arrays its forward read, so a replay after a
+        # step, as the benchmark's tracer makes, keeps its bytes; at window
+        # (1,1,1), U = 400, the heads run a sample at a time
+        rng = np.random.default_rng(3)
+        model = ISTANet(readme_config(window), rng=np.random.default_rng(0))
+        seqs = [SkeletonSequence(rng.normal(size=(3, 40, 5, 2)), label=c) for c in (0, 1)]
+        logits = model.forward_tokens(np.stack([model.tokenize_sample(s) for s in seqs]),
+                                      "train")
+        nodes, stack = [], [logits]
+        while stack:
+            node = stack.pop()
+            if node._backward is not None and node._backward.__qualname__.startswith(
+                    "multi_head_attention"):
+                nodes.append(node)
+            stack.extend(node._parents)
+        g = rng.normal(size=nodes[0].shape).astype(nodes[0].dtype)
+        before = [a.tobytes() for a in nodes[0]._backward(g)]
+        engine.backward(ce_label_smoothing(logits, [0, 1], smoothing=0.1, temperature=1.0))
+        alpha = model.blocks[0].alphas[0].data
+        NesterovSGD(model.parameters()).step(0.5)
+        assert model.blocks[0].alphas[0].data != alpha
+        assert [a.tobytes() for a in nodes[0]._backward(g)] == before
 
     @pytest.mark.parametrize("invalid", ["raise", "ignore"])
     def test_workers_keep_the_callers_errstate(self, invalid, monkeypatch):
@@ -358,7 +436,8 @@ class TestFusedScoreNode:
                 with pytest.raises(FloatingPointError):
                     attention._head_by_sample(*args)
             else:
-                scores, _ = attention._head_by_sample(*args)
+                scores = np.empty((2, 3, 3))
+                attention._head_by_sample(*args, scores)
                 assert len(idents) == 2
                 assert np.isposinf(scores[0]).all() and np.isnan(scores[1]).all()
 
@@ -444,10 +523,13 @@ class TestFusedScoreNode:
         # are the per-head chain's bytes; the gradients before the last
         # block's attention see its x-gradient, whose sums are ordered
         # differently, and are equal to within rounding of the largest
-        # gradient (some, such as a bias before a batchnorm, are all rounding)
+        # gradient (some, such as a bias before a batchnorm, are all rounding).
+        # So are the alpha and M gradients of the per-sample heads, which
+        # have the bytes of ordered_alpha_m_grads on their own inputs
         calls = record_heads(monkeypatch)
+        pinned = pin_ordered_alpha_m_grads(monkeypatch)
         loss, grads = readme_blocks_train_step(dtype)
-        assert calls and all(n == 2 for _, n in calls)
+        assert calls and all(n == 2 for _, n in calls) and pinned == [2] * 4
         monkeypatch.setattr(attention, "multi_head_attention", per_head_attention)
         ref_loss, ref_grads = readme_blocks_train_step(dtype)
         assert loss == ref_loss
@@ -455,7 +537,7 @@ class TestFusedScoreNode:
         for name, got in grads.items():
             want = ref_grads[name]
             assert got.dtype == want.dtype and got.shape == want.shape
-            if name.startswith(("blocks.1.", "fc.")):
+            if name.startswith(("blocks.1.", "fc.")) and not name.endswith((".alpha", ".m")):
                 assert got.tobytes() == want.tobytes(), name
             else:
                 assert np.abs(got - want).max() <= 16 * scale, name
@@ -496,8 +578,8 @@ class TestFusedScoreNode:
         product can round up to alpha itself), with either sign; max|M|
         runs from 1e-3 |alpha| up to |alpha| / (0.6 eps), where the rounding
         of + M alone can leave the band. q, k, alpha and M share the dtype.
-        The blocks run on two threads, so the samples and the rows split
-        unevenly for odd N and U."""
+        The blocks run on two threads, so the samples split unevenly for
+        odd N."""
         rng = np.random.default_rng(case["seed"])
         dtype = case["dtype"]
         shape = (case["n"], 2, 2, 2, case["u"])
@@ -517,12 +599,7 @@ class TestFusedScoreNode:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(attention, "SCORE_BLOCK_ELEMENTS", 0)
             mp.setattr(attention, "THREADS", 2)
-            fused, fused_grads = scores_and_grads(*args, c_beta=8)
-        ref, ref_grads = composed_scores_and_grads(*args, c_beta=8)
-        assert fused.dtype == ref.dtype == dtype
-        assert fused.tobytes() == ref.tobytes()
-        for got, want in zip(fused_grads, ref_grads):
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert check_scores_equal_composed_chain(*args, c_beta=8).dtype == dtype
 
 
 def temporal_aggregate(x, w, b, k_t):

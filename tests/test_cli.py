@@ -531,11 +531,25 @@ class TestExitCodes:
         # 1e39 is finite in float64 but inf in the float32 model; one val
         # sample holds the bad value, so train refuses it before its first
         # step, and each error line names the sample's file
+        self.check_bad_sample_is_refused(capsys, tmp_path, command, [value])
+
+    @pytest.mark.parametrize("command", sorted(BAD_SAMPLE_COMMANDS))
+    def test_sample_centred_beyond_float32_is_usage_error_naming_the_sample(
+            self, capsys, tmp_path, command):
+        # each value is in float32's range, but centring on the first frame
+        # takes channel 0 of the second to 6e38, beyond it, in preprocessing
+        self.check_bad_sample_is_refused(capsys, tmp_path, command, ["-3e38", "3e38"])
+
+    @staticmethod
+    def check_bad_sample_is_refused(capsys, tmp_path, command, values):
+        """Channel 0 of joint 0 and entity 0 holds values[i] in frame i of one
+        val sample; `command` exits 2 with one error line naming the sample."""
         manifest = generate_corpus(tmp_path / "corpus", num_train=4, num_val=4, t=8, j=2)
         sample = pathlib.Path(manifest).parent / load_manifest(manifest).split("val")[0].path
-        magic, header, frame, rest = sample.read_text().split("\n", 3)
-        frame = " ".join([value] + frame.split()[1:])
-        sample.write_text("\n".join([magic, header, frame, rest]))
+        lines = sample.read_text().split("\n")
+        for i, value in enumerate(values):
+            lines[2 + i] = " ".join([value] + lines[2 + i].split()[1:])
+        sample.write_text("\n".join(lines))
         config = write_run_config(tmp_path, manifest)
         model = ISTANet(cli.load_run_config(str(config))[0], rng=np.random.default_rng(0))
         save_checkpoint(tmp_path / "m.ckpt", model)

@@ -14,10 +14,10 @@ from istanet.engine import (BatchNormState, ConfigurationError, DimensionError,
                             leaky_relu, pointwise_conv3d)
 
 from helpers import (add, check_op_gradients, composed_mean_pool, div, fd_grad,
-                     full_im2col_conv3d_axis, mul,
-                     out_of_place_batchnorm, readme_config, record_threads, rel_err, reshape,
-                     sqrt, sub, tanh, tensor_mean, tensor_sum, where_leaky_relu_grad,
-                     zero_fill_conv3d_axis_input_grad)
+                     full_im2col_conv3d_axis, mul, out_of_place_batchnorm,
+                     pin_ordered_alpha_m_grads, readme_config, record_threads, rel_err,
+                     reshape, sqrt, sub, tanh, tensor_mean, tensor_sum,
+                     where_leaky_relu_grad, zero_fill_conv3d_axis_input_grad)
 
 
 class TestPointwiseConv:
@@ -670,16 +670,19 @@ def _saved_arrays(fn):
     return found
 
 
-def test_every_backward_of_a_train_step_is_pure():
+@pytest.mark.parametrize("window, tokens_shape", [((10, 1, 2), (4, 3, 10, 2, 20)),
+                                                  ((1, 1, 1), (2, 3, 1, 1, 400))])
+def test_every_backward_of_a_train_step_is_pure(window, tokens_shape):
     # engine.backward hands one gradient to several parents (add), and the
     # benchmark's tracer replays a backward closure several times, so no
-    # backward may write into its upstream array or what its forward saved
+    # backward may write into its upstream array or what its forward saved.
+    # At window (1,1,1), U = 400, each head runs a sample at a time
     from istanet.model import ISTANet, ce_label_smoothing
-    model = ISTANet(readme_config(), rng=np.random.default_rng(0))
+    model = ISTANet(readme_config(window), rng=np.random.default_rng(0))
     rng = np.random.default_rng(1)
-    tokens = rng.normal(size=(4, 3, 10, 2, 20)).astype(np.float32)
-    loss = ce_label_smoothing(model.forward_tokens(tokens, "train"), [0, 1, 2, 3],
-                              smoothing=0.1, temperature=1.0)
+    tokens = rng.normal(size=tokens_shape).astype(np.float32)
+    loss = ce_label_smoothing(model.forward_tokens(tokens, "train"),
+                              list(range(tokens_shape[0])), smoothing=0.1, temperature=1.0)
     nodes, seen, stack = [], {id(loss)}, [loss]
     while stack:
         node = stack.pop()
@@ -700,6 +703,22 @@ def test_every_backward_of_a_train_step_is_pure():
                          for _ in range(2))
         assert first == second, name
         assert [a.tobytes() for a in inputs] == before, name
+
+
+@pytest.mark.parametrize("sink", [None, []])
+def test_per_sample_attention_backward_keeps_no_batched_map(sink, monkeypatch):
+    # a head run a sample at a time recomputes each sample's maps in its
+    # backward, so the node holds no array of N*U*U entries, even when a
+    # score sink takes the scores
+    monkeypatch.setattr(attention, "SCORE_BLOCK_ELEMENTS", 0)
+    n, u = 3, 20
+    rng = np.random.default_rng(0)
+    params = TSABlockParams(TSABlockConfig(c_in=4, c_out=4, heads=2, c_qkv=2), u, rng)
+    x = Parameter("x", rng.normal(size=(n, 4, 1, 1, u)).astype(np.float32))
+    out = multi_head_attention(x, params, sink)
+    sizes = [a.size for a in _saved_arrays(out._backward)]
+    assert sizes and max(sizes) < n * u * u
+    assert sink is None or [a.shape for a in sink] == [(n, u, u)] * 2
 
 
 class TestAttentionContract:
@@ -800,7 +819,9 @@ class TestContractionsBySample:
     entries runs a sample at a time (attention._head_by_sample), its samples
     split over attention.THREADS threads, forward and backward; the node's
     bytes must be those of the whole-map path, which calls the
-    attention_contract and apply_scores ops."""
+    attention_contract and apply_scores ops, but for the alpha and M
+    gradients, which are an ordered sum and one GEMM
+    (helpers.ordered_alpha_m_grads)."""
 
     # (T, S) = (1, 1) gives 2 rows per head against U = 7, which take
     # a @ s^T in the transposed order, (2, 2) 8 rows, the direct one; rank
@@ -817,17 +838,27 @@ class TestContractionsBySample:
         # interleave
         whole = head_bytes(shape, dtype)
         monkeypatch.setattr(attention, "SCORE_BLOCK_ELEMENTS", 0)
-        monkeypatch.setattr(attention, "THREADS", threads)
-        idents = record_threads(monkeypatch, "_head_by_sample")
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            split = head_bytes(shape, dtype)
-        finally:
-            sys.setswitchinterval(interval)
-        assert split == whole
-        # the g_alpha and g_M sums split the U rows, so one sample splits too
-        assert (len(idents) > 1) == (len(shape) == 5 and threads > 1)
+        pinned = pin_ordered_alpha_m_grads(monkeypatch)
+        split = {}
+        for count in {1, threads}:
+            monkeypatch.setattr(attention, "THREADS", count)
+            idents = record_threads(monkeypatch, "_head_by_sample")
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                split[count] = head_bytes(shape, dtype)
+            finally:
+                sys.setswitchinterval(interval)
+        assert split[threads] == split[1]
+        # the alpha and M gradients of the two heads (the 5th and 6th of each
+        # head's parameters) are pinned to the ordered reference; every other
+        # array has the whole-map path's bytes
+        by_sample = len(shape) == 5
+        sums = {4 + 4, 4 + 5, 4 + 10, 4 + 11} if by_sample else set()
+        assert [a for i, a in enumerate(split[threads]) if i not in sums] == [
+            a for i, a in enumerate(whole) if i not in sums]
+        assert pinned == ([shape[0]] * 2 * len({1, threads}) if by_sample else [])
+        assert (len(idents) > 1) == (by_sample and threads > 1 and shape[0] > 1)
 
     @pytest.mark.parametrize("shape, threshold, splits", [
         ((3, 4, 1, 1, 7), 3 * 7 * 7, False),

@@ -496,18 +496,18 @@ class TestTopK:
 
 class TestChunkedEvaluation:
     @pytest.mark.parametrize("window,frames,rows", [((10, 1, 2), 40, 20), ((1, 1, 1), 40, 20),
-                                                    ((10, 1, 2), 4000, 1), ((1, 1, 1), 400, 1)])
+                                                    ((10, 1, 2), 4000, 1), ((1, 1, 1), 400, 2)])
     def test_chunk_rows_of_the_readme_blocks(self, window, frames, rows):
         # one 32-channel activation, 12,800 elements at U=20 and at U=400,
-        # bounds the chunk; at frames 4000 (U=2000) it alone leaves one row.
-        # At window (1,1,1) and frames 400 (U=4000) it would leave two, and
-        # the score maps' memory bound leaves one. eval_chunk_rows reads the
-        # config only, so no (U, U) M is allocated here
+        # bounds the chunk; at frames 4000 (U=2000) it leaves one row, and
+        # at window (1,1,1) and frames 400 (U=4000) two, as the per-sample
+        # heads keep no (rows, U, U) map. eval_chunk_rows reads the config
+        # only, so no (U, U) M is allocated here
         cfg = dataclasses.replace(readme_config(window), frames=frames)
         assert ISTANet.eval_chunk_rows(types.SimpleNamespace(config=cfg)) == rows
 
     # with EVAL_CHUNK_ELEMENTS at 128 * rows: both windows give 4 channels *
-    # 32 elements = 128, above U*U/16 (64 at U=32, 1 at U=4), so `rows` rows
+    # 32 elements = 128, so `rows` rows
     @pytest.mark.parametrize("window,rows", [((1, 1, 1), 1), ((4, 1, 2), 8)])
     @pytest.mark.parametrize("k", [1, 2])
     def test_accuracy_equals_per_sample_reference(self, monkeypatch, window, rows, k):
