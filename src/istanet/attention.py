@@ -87,21 +87,18 @@ class TSABlockConfig:
     gamma: float = 0.1
 
     def __post_init__(self):
-        check_field_types(self)
+        check_field_types(self, floors=(
+            ("heads", 1), ("c_qkv", 1), ("k_u", 1), ("k_t", 1), ("gamma", 0)))
         if self.c_out not in (self.c_in, 2 * self.c_in):
             raise ConfigurationError(
                 f"block output channels must equal or double the input: "
                 f"c_in={self.c_in}, c_out={self.c_out}")
-        if self.heads < 1 or self.c_in % self.heads:
+        if self.c_in % self.heads:
             raise ConfigurationError(
                 f"heads ({self.heads}) must divide input channels ({self.c_in})")
-        if self.c_qkv < 1:
-            raise ConfigurationError(f"c_qkv must be >= 1, got {self.c_qkv}")
         for k in (self.k_u, self.k_t):
-            if k < 1 or k % 2 == 0:
-                raise ConfigurationError(f"conv kernels must be odd and >= 1, got {k}")
-        if self.gamma < 0:
-            raise ConfigurationError(f"gamma (activation slope) must be >= 0, got {self.gamma}")
+            if k % 2 == 0:
+                raise ConfigurationError(f"conv kernels must be odd, got {k}")
 
     @property
     def v_channels(self):
@@ -212,12 +209,11 @@ def _scan_band(out, center, radius):
 def _band_pretest(dtype, m, radius):
     """The pre-test of a per-sample block (see attention_scores): tau ->
     True when the rounding bound proves every |fl(fl(fl(alpha * t) + M) - M)|
-    of a block whose max|t| is tau within radius = |alpha|; None, so that
-    every block is scanned, when M is not finite."""
+    of a block whose max|t| is tau within radius = |alpha|. A NaN or inf max|M|
+    makes the bound NaN or inf, so it proves nothing but at radius inf, where
+    the scan nudges nothing."""
     fi = np.finfo(dtype)
     mu = max(float(m.max()), -float(m.min()))
-    if not math.isfinite(mu):
-        return None
     u = float(fi.eps)
 
     def in_band(tau):
@@ -285,8 +281,8 @@ def attention_scores(q, k, alpha, m, c_beta):
         (a + u*(a + mu)) * (1 + u) <= |alpha|,    a = |alpha| * tau * (1 + u),
 
     with mu = max|M| (once per call) and u the eps of the dtype
-    (_band_pretest). A NaN tau makes the bound NaN, and a NaN or inf mu
-    takes no bound, so the scan runs.
+    (_band_pretest). A NaN tau or mu makes the bound NaN, and an inf mu makes
+    it inf, so the scan runs unless |alpha| is inf, where it nudges nothing.
 
     The bound holds for every entry the scan would see. With eps = u/2 the
     unit roundoff, p = fl(alpha t), s = fl(p + M) and d = fl(s - M): a sum

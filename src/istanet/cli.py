@@ -190,7 +190,8 @@ def cmd_inspect(args):
     if not args.checkpoint:
         raise UsageError("inspect attention requires --checkpoint")
     model = load_checkpoint(args.checkpoint)[0]
-    seq = named(args.sample, preprocess, seq, model.config.frames)
+    frames = model.config.frames
+    seq = named(args.sample, lambda s: model.config.check_sample(preprocess(s, frames)), seq)
     tokens = model.tokenize_sample(seq)
     sink = []
     model.forward_tokens(tokens, mode="infer", score_sink=sink)

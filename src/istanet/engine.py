@@ -65,11 +65,13 @@ _FIELD_KINDS = {int: (int, "an integer"), float: ((int, float), "a number"),
                 bool: (bool, "a boolean"), tuple[int, ...]: (int, "a list of integers")}
 
 
-def check_field_types(config):
+def check_field_types(config, floors=()):
     """Raise ConfigurationError unless each int, float, bool or tuple[int, ...]
-    field of the dataclass `config` holds that type. An int passes as a float;
-    a bool passes only as a bool; a float field must be finite, and an int
-    there must fit in a float."""
+    field of the dataclass `config` holds that type, then unless each entry
+    of `floors`, (field, low) or (field, low, below), finds the field's value
+    >= low, and < below when given. An int passes as a float; a bool passes
+    only as a bool; a float field must be finite, and an int there must fit
+    in a float."""
     for f in dataclasses.fields(config):
         if f.type not in _FIELD_KINDS:
             continue
@@ -80,6 +82,12 @@ def check_field_types(config):
             raise ConfigurationError(f"{f.name} must be {name}, got {value!r}")
         if f.type is float and not abs(value) <= sys.float_info.max:
             raise ConfigurationError(f"{f.name} must be a finite number, got {value!r}")
+    for field, low, *below in floors:
+        value = getattr(config, field)
+        if not (low <= value and all(value < b for b in below)):
+            name = _FIELD_KINDS[config.__dataclass_fields__[field].type][1]
+            bound = f"in [{low}, {below[0]})" if below else f">= {low}"
+            raise ConfigurationError(f"{field} must be {name} {bound}, got {value!r}")
 
 
 class UsageError(RuntimeError):
@@ -471,11 +479,12 @@ class BatchNormState:
     train-mode batchnorm updates and fold_batchnorm reads.
     """
 
-    def __init__(self, name, channels, momentum=0.1, eps=1e-5, dtype=np.float32):
+    momentum = 0.1
+    eps = 1e-5
+
+    def __init__(self, name, channels, dtype=np.float32):
         self.name = name
         self.channels = channels
-        self.momentum = momentum
-        self.eps = eps
         self.scale = Parameter(f"{name}.scale", np.ones(channels), dtype=dtype)
         self.shift = Parameter(f"{name}.shift", np.zeros(channels), dtype=dtype)
         self.running_mean = np.zeros(channels, dtype=dtype)

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import engine
 from .attention import TSABlockConfig, TSABlockParams, tsa_block_forward
-from .data import named
+from .data import ValidationError, named
 from .engine import (ConfigurationError, Parameter, UsageError,
                      check_field_types, linear, uniform_init)
 from .tokenizer import EmbedParams, check_window, embed, tokenize, u_layout
@@ -33,14 +33,9 @@ class ModelConfig:
     def __post_init__(self):
         self.window = tuple(self.window)
         self.frozen_entities = tuple(self.frozen_entities)
-        check_field_types(self)
-        for name, low in (("in_channels", 1), ("frames", 1), ("joints", 1), ("entities", 1),
-                          ("embed_channels", self.in_channels), ("num_classes", 2)):
-            if getattr(self, name) < low:
-                raise ConfigurationError(
-                    f"{name} must be an integer >= {low}, got {getattr(self, name)!r}")
-        if self.gamma < 0:
-            raise ConfigurationError(f"gamma (activation slope) must be >= 0, got {self.gamma}")
+        check_field_types(self, floors=(
+            ("in_channels", 1), ("frames", 1), ("joints", 1), ("entities", 1),
+            ("embed_channels", self.in_channels), ("num_classes", 2), ("gamma", 0)))
         check_window(self.window, (self.frames, self.joints, self.entities))
         if not all(0 <= e < self.entities for e in self.frozen_entities):
             raise ConfigurationError(f"frozen_entities must be entity indices in "
@@ -58,6 +53,14 @@ class ModelConfig:
                 raise ConfigurationError(
                     f"block {i} expects c_in={b.c_in} but the chain provides {prev}")
             prev = b.c_out
+
+    def check_sample(self, seq):
+        """seq, when its (C, T, J, E) are this config's; else ValidationError."""
+        dims = (self.in_channels, self.frames, self.joints, self.entities)
+        if seq.data.shape != dims:
+            raise ValidationError(
+                f"sequence dims {seq.data.shape} do not match model config {dims}")
+        return seq
 
     def u_layout(self):
         return u_layout((self.frames, self.joints, self.entities), self.window)
@@ -89,23 +92,12 @@ class TrainConfig:
 
     def __post_init__(self):
         self.decay_epochs = tuple(self.decay_epochs)
-        check_field_types(self)
-        for name, low in (("batch_size", 1), ("epochs", 1), ("seed", 0),
-                          ("checkpoint_interval", 0)):
-            if getattr(self, name) < low:
-                raise ConfigurationError(
-                    f"{name} must be an integer >= {low}, got {getattr(self, name)!r}")
-        for name in ("lr", "lr_decay"):
-            if getattr(self, name) < 0:
-                raise ConfigurationError(f"{name} must be >= 0, got {getattr(self, name)!r}")
-        if not 0.0 <= self.label_smoothing < 1.0:
-            raise ConfigurationError(
-                f"label smoothing must be in [0,1), got {self.label_smoothing}")
+        check_field_types(self, floors=(
+            ("batch_size", 1), ("epochs", 1), ("seed", 0), ("checkpoint_interval", 0),
+            ("lr", 0), ("lr_decay", 0), ("label_smoothing", 0, 1), ("momentum", 0, 1)))
         if not self.temperature * float(np.finfo(np.float32).max) >= 1:
             raise ConfigurationError(f"temperature must be at least 1/(float32 max), about "
                                      f"2.939e-39, got {self.temperature}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigurationError(f"momentum must be in [0,1), got {self.momentum}")
 
     to_dict = asdict
 
@@ -185,13 +177,7 @@ class ISTANet:
 
     def tokenize_sample(self, seq):
         """seq -> raw (C,T_w,S,U) token array in the model's dtype."""
-        cfg = self.config
-        c, t, j, e = seq.data.shape
-        if (c, t, j, e) != (cfg.in_channels, cfg.frames, cfg.joints, cfg.entities):
-            raise ConfigurationError(
-                f"sequence dims {(c, t, j, e)} do not match model config "
-                f"{(cfg.in_channels, cfg.frames, cfg.joints, cfg.entities)}")
-        tokens, _ = tokenize(seq.data, cfg.window)
+        tokens, _ = tokenize(self.config.check_sample(seq).data, self.config.window)
         return tokens.astype(self.dtype)
 
     def forward_tokens(self, tokens, mode, score_sink=None):
@@ -297,9 +283,11 @@ def topk_accuracy(model, seqs, labels, k=1):
 
 def evaluate_topk(model, manifest, entries, k=1, preprocess=None):
     """Top-k accuracy of infer-mode predictions over manifest entries: load
-    and preprocess every entry, then score them with topk_accuracy. An error
-    of preprocess names the entry's file."""
+    and preprocess every entry and check that it fits the model, then score
+    them with topk_accuracy. An error of preprocess or of the check names the
+    entry's file."""
     seqs = [manifest.load(entry) for entry in entries]
-    if preprocess is not None:
-        seqs = [named(manifest.path(e), preprocess, seq) for e, seq in zip(entries, seqs)]
+    check = model.config.check_sample
+    fit = check if preprocess is None else lambda seq: check(preprocess(seq))
+    seqs = [named(manifest.path(e), fit, seq) for e, seq in zip(entries, seqs)]
     return topk_accuracy(model, seqs, [entry.label for entry in entries], k)

@@ -72,7 +72,8 @@ def train(model, manifest, train_config, out_dir=None, train_tag="train",
     val_entries = manifest.split(val_tag)
 
     frames = model.config.frames
-    prep = lambda e: named(manifest.path(e), preprocess, manifest.load(e), frames)
+    fit = lambda seq: model.config.check_sample(preprocess(seq, frames))
+    prep = lambda e: named(manifest.path(e), fit, manifest.load(e))
     train_seqs = [prep(e) for e in train_entries]
     labels = np.array([e.label for e in train_entries])
     val_seqs = [prep(e) for e in val_entries]

@@ -459,6 +459,18 @@ class TestFusedScoreNode:
         assert calls == head_calls(3) and any(scans)
         assert (fused == 1).all()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_band_pretest_of_a_non_finite_m_proves_nothing_but_at_radius_inf(self, dtype):
+        # a NaN or inf max|M| makes the bound NaN or inf, so the scan runs;
+        # at radius inf the bound holds, and a scan there nudges nothing
+        for bad in (np.nan, np.inf, -np.inf):
+            m = np.array([[0.0, bad]], dtype=dtype)
+            assert attention._band_pretest(dtype, m, 1.0)(0.5) is False
+            assert attention._band_pretest(dtype, m, np.inf)(0.5) is not np.isnan(bad)
+            out = np.array([[1.0, -3.0]], dtype=dtype)
+            attention._scan_band(out, m, np.inf)
+            assert out.tolist() == [[1.0, -3.0]]
+
     def test_out_of_band_entry_is_nudged_into_band(self, monkeypatch):
         # tanh saturates to exactly 1 at entry (0, 0), and 1 + 7e-8 rounds up
         # to the next float32 after 1, 1.19e-7 away from M: out of band
@@ -606,7 +618,8 @@ def temporal_aggregate(x, w, b, k_t):
     """The block's temporal step, conv_T(x) + x, as infer mode runs it: one
     convolution through the fold, here with identity running stats and eps 0,
     so that s = 1 and t = 0 and the fold adds only the centre-tap identity."""
-    state = engine.BatchNormState("ta_norm", w.shape[0], eps=0.0, dtype=x.dtype)
+    state = engine.BatchNormState("ta_norm", w.shape[0], dtype=x.dtype)
+    state.eps = 0.0
     return engine.conv_batchnorm(engine.conv3d_axis, x, w, b, state, "infer", residual=True,
                                  axis="T", k=k_t)
 

@@ -16,7 +16,7 @@ from istanet import attention, cli, engine
 from istanet.checkpoint import save_checkpoint
 from istanet.data import SkeletonSequence, load_manifest, parse_iskel, serialize_iskel
 from istanet.gradcheck import miniature_config
-from istanet.model import ISTANet, ModelConfig, state_elements
+from istanet.model import ISTANet, ModelConfig, NesterovSGD, state_elements
 from istanet.synth import generate_corpus, make_sample
 from istanet.tokenizer import tokenize
 
@@ -211,6 +211,18 @@ BAD_SAMPLE_COMMANDS = {
     "inspect-attention": ["inspect", "attention", "{sample}", "--checkpoint", "{ckpt}"],
 }
 
+
+def channel_zero(values):
+    """A sample rewrite for check_bad_sample_is_refused: channel 0 of joint
+    0 and entity 0 holds values[i] in frame i."""
+    def rewrite(sample, label):
+        lines = sample.read_text().split("\n")
+        for i, value in enumerate(values):
+            lines[2 + i] = " ".join([value] + lines[2 + i].split()[1:])
+        sample.write_text("\n".join(lines))
+    return rewrite
+
+
 # case -> command line that meets a path the system refuses with an error no
 # other table provokes; {long} is a path whose last component is 300 bytes,
 # longer than a file system allows, {loop} a symlink to itself, {config} a
@@ -347,6 +359,21 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith(f"error: {config}: {field} "), err
         assert "cannot build the model" not in err and "ModelConfig(" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("overrides,message", [
+        ({"model.gamma": -0.1}, "gamma must be a number >= 0, got -0.1"),
+        ({"train.lr": -0.1}, "lr must be a number >= 0, got -0.1"),
+        ({"model.blocks": [{"c_in": 4, "c_out": 4, "heads": 2, "c_qkv": 2},
+                           {"c_in": 4, "c_out": 4, "heads": 2, "c_qkv": 0}]},
+         "blocks[1]: c_qkv must be an integer >= 1, got 0"),
+    ], ids=["model-gamma", "train-lr", "block-1-c-qkv"])
+    def test_value_below_a_floor_names_the_field_and_its_bound(self, capsys, tmp_path, corpus,
+                                                               overrides, message):
+        config = write_run_config(tmp_path, corpus, **overrides)
+        code, out, err = run_cli(capsys, "train", str(config))
+        assert code == 2 and out == ""
+        assert err == f"error: {config}: {message}\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("case", sorted(UNREADABLE_INPUTS))
@@ -531,36 +558,58 @@ class TestExitCodes:
         # 1e39 is finite in float64 but inf in the float32 model; one val
         # sample holds the bad value, so train refuses it before its first
         # step, and each error line names the sample's file
-        self.check_bad_sample_is_refused(capsys, tmp_path, command, [value])
+        self.check_bad_sample_is_refused(capsys, tmp_path, command, channel_zero([value]),
+                                         "float32's range")
 
     @pytest.mark.parametrize("command", sorted(BAD_SAMPLE_COMMANDS))
     def test_sample_centred_beyond_float32_is_usage_error_naming_the_sample(
             self, capsys, tmp_path, command):
         # each value is in float32's range, but centring on the first frame
         # takes channel 0 of the second to 6e38, beyond it, in preprocessing
-        self.check_bad_sample_is_refused(capsys, tmp_path, command, ["-3e38", "3e38"])
+        self.check_bad_sample_is_refused(capsys, tmp_path, command,
+                                         channel_zero(["-3e38", "3e38"]), "float32's range")
+
+    @pytest.mark.parametrize("command,split", [("train", "train"), ("train", "val"),
+                                               ("eval", "val"), ("inspect-attention", "val")])
+    def test_sample_that_does_not_fit_the_model_is_usage_error_naming_the_sample(
+            self, capsys, tmp_path, command, split):
+        # the model has 2 joints and the sample 3: train refuses it before
+        # its first step, from either split
+        def three_joints(sample, label):
+            sample.write_text(serialize_iskel(
+                make_sample(label=label, t=8, j=3, rng=np.random.default_rng(0))))
+        self.check_bad_sample_is_refused(
+            capsys, tmp_path, command, three_joints,
+            "sequence dims (3, 8, 3, 2) do not match model config (3, 8, 2, 2)", split)
 
     @staticmethod
-    def check_bad_sample_is_refused(capsys, tmp_path, command, values):
-        """Channel 0 of joint 0 and entity 0 holds values[i] in frame i of one
-        val sample; `command` exits 2 with one error line naming the sample."""
+    def check_bad_sample_is_refused(capsys, tmp_path, command, rewrite, message, split="val"):
+        """rewrite(path, label) rewrites the first `split` sample of a small
+        corpus; `command` exits 2 with one error line that names the sample
+        and holds `message`, and training takes no step."""
         manifest = generate_corpus(tmp_path / "corpus", num_train=4, num_val=4, t=8, j=2)
-        sample = pathlib.Path(manifest).parent / load_manifest(manifest).split("val")[0].path
-        lines = sample.read_text().split("\n")
-        for i, value in enumerate(values):
-            lines[2 + i] = " ".join([value] + lines[2 + i].split()[1:])
-        sample.write_text("\n".join(lines))
-        config = write_run_config(tmp_path, manifest)
+        entry = load_manifest(manifest).split(split)[0]
+        sample = pathlib.Path(manifest).parent / entry.path
+        rewrite(sample, entry.label)
+        config = write_run_config(tmp_path, manifest, **{"train.batch_size": 1})
         model = ISTANet(cli.load_run_config(str(config))[0], rng=np.random.default_rng(0))
         save_checkpoint(tmp_path / "m.ckpt", model)
         paths = {"config": config, "ckpt": tmp_path / "m.ckpt", "manifest": manifest,
                  "sample": sample}
         argv = [a.format(**paths) for a in BAD_SAMPLE_COMMANDS[command]]
-        code, out, err = run_cli(capsys, *argv)
+        steps, step = [], NesterovSGD.step
+
+        def counted_step(self, lr):
+            steps.append(lr)
+            return step(self, lr)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(NesterovSGD, "step", counted_step)
+            code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith(f"error: {sample}: "), err
-        assert "float32's range" in err, err
-        assert not (tmp_path / "out" / "metrics.jsonl").exists()
+        assert message in err, err
+        assert steps == [] and not (tmp_path / "out" / "metrics.jsonl").exists()
 
     @pytest.mark.parametrize("target", ["final.ckpt", "epoch_0000.ckpt"])
     def test_checkpoint_target_directory_is_refused_before_training(self, capsys, tmp_path,

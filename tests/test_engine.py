@@ -314,13 +314,15 @@ class TestFusedBatchNorm:
 
 class TestBatchNorm:
     def test_infer_with_identity_stats_is_identity(self):
-        state = BatchNormState("bn", 3, eps=1e-12, dtype=np.float64)
+        state = BatchNormState("bn", 3, dtype=np.float64)
+        state.eps = 1e-12
         x = np.random.default_rng(5).normal(size=(2, 3, 2, 2, 2))
         out = composed_batchnorm(Tensor(x), state, 1, mode="infer")
         np.testing.assert_allclose(out.data, x, rtol=1e-6)
 
     def test_train_normalizes_two_values(self):
-        state = BatchNormState("bn", 1, eps=1e-12, dtype=np.float64)
+        state = BatchNormState("bn", 1, dtype=np.float64)
+        state.eps = 1e-12
         x = np.array([1.0, 3.0]).reshape(2, 1, 1, 1, 1)
         out = batchnorm(Tensor(x), state, mode="train")
         np.testing.assert_allclose(out.data.reshape(-1), [-1.0, 1.0], atol=1e-5)
@@ -334,7 +336,8 @@ class TestBatchNorm:
                                    atol=1e-6)
 
     def test_running_stats_update_and_infer(self):
-        state = BatchNormState("bn", 1, momentum=1.0, eps=1e-12, dtype=np.float64)
+        state = BatchNormState("bn", 1, dtype=np.float64)
+        state.momentum, state.eps = 1.0, 1e-12
         x = np.array([0.0, 2.0]).reshape(2, 1, 1, 1, 1)
         batchnorm(Tensor(x), state, mode="train")
         np.testing.assert_allclose(state.running_mean, [1.0])
@@ -414,7 +417,8 @@ class TestBatchNormFold:
         # the same computation on absolute values in float64: rm -> -|rm| so
         # that b - rm adds too
         a = [Tensor(np.abs(t.data).astype(np.float64)) for t in (x, w, b)]
-        abs_state = BatchNormState("bn", state.channels, eps=state.eps, dtype=np.float64)
+        abs_state = BatchNormState("bn", state.channels, dtype=np.float64)
+        abs_state.eps = state.eps
         abs_state.scale.data = np.abs(state.scale.data).astype(np.float64)
         abs_state.shift.data = np.abs(state.shift.data).astype(np.float64)
         abs_state.running_mean = -np.abs(state.running_mean).astype(np.float64)

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import stat
 import tracemalloc
 import types
@@ -16,7 +17,7 @@ from istanet import attention, engine, gradcheck
 from istanet import model as model_module
 from istanet.attention import TSABlockConfig
 from istanet.checkpoint import load_checkpoint, save_checkpoint
-from istanet.data import SkeletonSequence
+from istanet.data import SkeletonSequence, ValidationError
 from istanet.engine import ConfigurationError, Parameter, Tensor, UsageError
 from istanet.gradcheck import miniature_config, run_gradcheck
 from istanet.model import (ISTANet, ModelConfig, NesterovSGD, TrainConfig,
@@ -77,7 +78,7 @@ class TestForward:
         cfg = tiny_config()
         model = ISTANet(cfg, rng=np.random.default_rng(0))
         bad = SkeletonSequence(np.zeros((3, 5, 2, 2)), label=0)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValidationError):
             model.forward_classify(bad, mode="infer")
 
     def test_gap_linearity(self):
@@ -823,6 +824,31 @@ class TestFullModelGradients:
         assert not offenders
 
 
+# class -> fields of a valid config whose every floor can sit at its bound
+CONFIG_BASES = {
+    ModelConfig: dict(window=(1, 1, 1), in_channels=3, frames=4, joints=2, entities=2,
+                      embed_channels=4, gamma=0.1, blocks=[], num_classes=3),
+    TrainConfig: {},
+    TSABlockConfig: dict(c_in=4, c_out=4, heads=2, c_qkv=2),
+}
+
+# every (class, field, low, below) floor: a value >= low, and < below when
+# below is not None; embed_channels' low is the base's in_channels
+CONFIG_FLOORS = [
+    (ModelConfig, "in_channels", 1, None), (ModelConfig, "frames", 1, None),
+    (ModelConfig, "joints", 1, None), (ModelConfig, "entities", 1, None),
+    (ModelConfig, "embed_channels", 3, None), (ModelConfig, "num_classes", 2, None),
+    (ModelConfig, "gamma", 0, None),
+    (TrainConfig, "batch_size", 1, None), (TrainConfig, "epochs", 1, None),
+    (TrainConfig, "seed", 0, None), (TrainConfig, "checkpoint_interval", 0, None),
+    (TrainConfig, "lr", 0, None), (TrainConfig, "lr_decay", 0, None),
+    (TrainConfig, "label_smoothing", 0, 1), (TrainConfig, "momentum", 0, 1),
+    (TSABlockConfig, "heads", 1, None), (TSABlockConfig, "c_qkv", 1, None),
+    (TSABlockConfig, "k_u", 1, None), (TSABlockConfig, "k_t", 1, None),
+    (TSABlockConfig, "gamma", 0, None),
+]
+
+
 class TestConfigs:
     def test_block_chain_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -833,7 +859,7 @@ class TestConfigs:
 
     @pytest.mark.parametrize("field,value,message", [
         ("embed_channels", 2, "embed_channels must be an integer >= 3, got 2"),
-        ("gamma", -0.1, r"gamma \(activation slope\) must be >= 0, got -0.1"),
+        ("gamma", -0.1, "gamma must be a number >= 0, got -0.1"),
         ("window", (0, 1, 2), r"window \[0, 1, 2\] must be three lengths"),
         ("window", (1, 2), r"window \[1, 2\] must be three lengths"),
         ("window", (5, 1, 2), r"at most its axis in \(T, J, E\) = \(4, 2, 2\)"),
@@ -846,6 +872,26 @@ class TestConfigs:
                       num_classes=3)
         with pytest.raises(ConfigurationError, match=message):
             ModelConfig(**{**fields, field: value})
+
+    @pytest.mark.parametrize("cls,field,low,below", CONFIG_FLOORS,
+                             ids=[f"{c.__name__}.{f}" for c, f, *_ in CONFIG_FLOORS])
+    def test_each_floor_refuses_values_outside_it_and_accepts_its_bounds(self, cls, field, low,
+                                                                          below):
+        base = CONFIG_BASES[cls]
+        integer = cls.__dataclass_fields__[field].type is int
+        kind = "an integer" if integer else "a number"
+        bound = f">= {low}" if below is None else f"in [{low}, {below})"
+        outside = [low - 1 if integer else math.nextafter(low, -math.inf)]
+        inside = [low]
+        if below is not None:
+            outside.append(below)
+            inside.append(math.nextafter(below, low))
+        for value in outside:
+            message = f"{field} must be {kind} {bound}, got {value!r}"
+            with pytest.raises(ConfigurationError, match=re.escape(message)):
+                cls(**{**base, field: value})
+        for value in inside:
+            assert getattr(cls(**{**base, field: value}), field) == value
 
     def test_block_field_types_checked(self):
         with pytest.raises(ConfigurationError, match="heads must be an integer"):
